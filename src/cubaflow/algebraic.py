@@ -173,10 +173,10 @@ def restriction_fit_residual(manifold: Manifold, f, max_deg: int, band_hint: flo
     norm2 = float(grid.qweights @ vals**2)
     if norm2 <= 0.0:
         raise ValueError("cannot measure the fit of the zero function")
+    amb = charts_to_ambient(manifold, grid.charts)
     out = np.empty(max_deg)
     for m in range(1, max_deg + 1):
         _, expo, C_full, _, _, _ = _orthonormal_factorization(manifold, m)
-        amb = charts_to_ambient(manifold, grid.charts)
         basis_vals = _monomial_values(amb, expo) @ C_full
         proj = (basis_vals * grid.qweights[:, None]).T @ vals
         # residual through the pointwise remainder, not norm^2 - proj^2:

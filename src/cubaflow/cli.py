@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifold", required=True)
     sp.add_argument("--space", choices=["diffusion", "algebraic"], default="diffusion")
     sp.add_argument("--L", type=float, required=True)
-    sp.add_argument("--mode", choices=list(engine.SOLVER_MODES), default="hybrid")
+    sp.add_argument("--mode", choices=list(engine.SOLVER_MODES), default="descent")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)

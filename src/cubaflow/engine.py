@@ -4,9 +4,9 @@ The pieces, bottom up: a smooth frequency cutoff and the localized
 kernels built from it; a norm smoother that turns the ascent field
 grad P / |grad P| into a globally smooth vector field; residual
 bookkeeping over an orthonormal basis; a gradient-flow integrator; and
-a node solver with three modes: the ascent flow, damped Gauss-Newton
-descent on the residual, or flow followed by descent (default).  The
-solver moves only the nodes; weights are prescribed and never change.
+a node solver with two modes: the ascent flow, or damped Gauss-Newton
+descent on the residual (default).  The solver moves only the nodes;
+weights are prescribed and never change.
 
 All heavy paths are vectorized over points and reduce in a fixed order,
 so results are reproducible for a given seed.
@@ -61,7 +61,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-SOLVER_MODES = ("flow", "descent", "hybrid")
+SOLVER_MODES = ("flow", "descent")
 
 # quadrature band inflation for integrands with absolute values (not
 # band-limited; the reference grids converge at second order on them)
@@ -214,7 +214,9 @@ class FlowConfig:
     ``horizon`` defaults to the scaled travel budget
     12 c4 b^(1/d) N^(-1/d) with c4 taken from the partition used for
     seeding.  ``eps`` defaults to 1e-3 times the weighted sample of
-    |grad P| at the current points (scale-invariant smoother).
+    |grad P| at the current points (scale-invariant smoother).  ``mode``
+    is "descent" (default, damped Gauss-Newton) or "flow" (the ascent
+    construction, ``flow_rounds`` rounds per restart).
     """
 
     eps: float | None = None
@@ -223,7 +225,7 @@ class FlowConfig:
     c4: float | None = None
     restarts: int = 8
     seed: int = 0
-    mode: str = "hybrid"
+    mode: str = "descent"
     tol: float = 1e-9
     max_newton_iters: int = 500
     flow_rounds: int = 8
@@ -449,10 +451,12 @@ def _descent(space, pts, w, cfg: FlowConfig):
             jac = (g * w[:, None, None]).transpose(1, 0, 2).reshape(
                 space.dim, len(pts) * dof
             )
+        gram = jac @ jac.T
+        diag = np.diag_indices_from(gram)
         accepted = False
         for _ in range(12):
-            a = jac @ jac.T
-            a[np.diag_indices_from(a)] += mu
+            a = gram.copy()
+            a[diag] += mu
             try:
                 z = np.linalg.solve(a, r)
             except np.linalg.LinAlgError:
@@ -483,7 +487,7 @@ def _descent(space, pts, w, cfg: FlowConfig):
     return best_pts, best_r, iters
 
 
-def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float, rounds: int):
+def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float):
     """Repeatedly flow along the representer of the negated residual.
 
     Each round picks P = -sum_k r_k phi_k, whose weighted node sum is
@@ -501,7 +505,7 @@ def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float, rounds: int):
         tol=cfg.tol,
     )
     r = residual_vector(space, pts, w)
-    for _ in range(rounds):
+    for _ in range(cfg.flow_rounds):
         if np.max(np.abs(r)) <= cfg.tol:
             break
         if np.linalg.norm(r) == 0.0:
@@ -526,10 +530,10 @@ def solve(
     Restart 0 seeds at the weighted-partition representatives (measure
     proportional, well spread); later restarts draw uniform points from
     a per-restart generator.  Modes: "flow" is the ascent construction
-    alone, "descent" is damped Gauss-Newton, "hybrid" (default) runs one
-    flow budget then polishes.  Returns the best rule found, flagged
-    unconverged when no restart reaches the tolerance, which can be a
-    true obstruction rather than a solver failure.
+    alone, "descent" (default) is damped Gauss-Newton.  Returns the best
+    rule found, flagged unconverged when no restart reaches the
+    tolerance, which can be a true obstruction rather than a solver
+    failure.
     """
     cfg = cfg or FlowConfig()
     if not isinstance(weights, WeightVector):
@@ -562,11 +566,8 @@ def solve(
             pts = _uniform_points(manifold, n, rng)
         iters = 0
         if cfg.mode == "flow":
-            pts, r = _flow_phase(space, pts, w, cfg, horizon, cfg.flow_rounds)
-        elif cfg.mode == "descent":
-            pts, r, iters = _descent(space, pts, w, cfg)
+            pts, r = _flow_phase(space, pts, w, cfg, horizon)
         else:
-            pts, r = _flow_phase(space, pts, w, cfg, horizon, rounds=1)
             pts, r, iters = _descent(space, pts, w, cfg)
         linf = float(np.max(np.abs(r)))
         if best is None or linf < best[0]:
@@ -680,16 +681,13 @@ def verify_rule(rule: CubatureRule, tol: float) -> RuleReport:
         and abs(l2 - rule.residual_l2) <= 1e-14 * max(1.0, l2)
     )
     rng = np.random.default_rng(20260822)
-    vals = space.evaluate(rule.points)
-    max_err = 0.0
-    for _ in range(100):
-        c = rng.standard_normal(space.dim)
-        c /= np.linalg.norm(c)
-        node_sum = float(rule.weights @ (vals @ c))
-        integral = reference_integrate(
-            space.manifold, lambda ch: space.evaluate(ch) @ c, space.band
-        )
-        max_err = max(max_err, abs(node_sum - integral))
+    coeffs = rng.standard_normal((100, space.dim))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    node_sums = rule.weights @ (space.evaluate(rule.points) @ coeffs.T)
+    integrals = reference_integrate(
+        space.manifold, lambda ch: space.evaluate(ch) @ coeffs.T, space.band
+    )
+    max_err = float(np.max(np.abs(node_sums - integrals)))
     passed = bool(linf <= tol and max_err <= tol and stored_ok)
     return RuleReport(
         residual_linf=linf,

@@ -499,20 +499,27 @@ def reference_grid(manifold: Manifold, band_hint: float) -> QuadratureGrid:
     return _reference_grid_cached(manifold, int(math.ceil(band_hint)))
 
 
-def reference_integrate(manifold: Manifold, f: Callable, band_hint: float) -> float:
-    """Integrate a scalar field against the normalized measure.
+def reference_integrate(
+    manifold: Manifold, f: Callable, band_hint: float
+) -> float | np.ndarray:
+    """Integrate a scalar field, or a batch of k fields, against the measure.
 
     ``f`` receives the grid's chart array of shape (n, dim) and must return
-    n values; the summation order is fixed, so results are reproducible
-    bit-for-bit for a given grid.
+    n values, giving a float, or an (n, k) array of k fields evaluated
+    together, giving a length-k array; the summation order is fixed, so
+    results are reproducible bit-for-bit for a given grid.
     """
     grid = reference_grid(manifold, band_hint)
-    vals = np.asarray(f(grid.charts), dtype=float).reshape(-1)
-    if vals.shape != (len(grid.charts),):
+    vals = np.asarray(f(grid.charts), dtype=float)
+    batch = vals.ndim == 2
+    if not batch:
+        vals = vals.reshape(-1)
+    if vals.shape[0] != len(grid.charts):
         raise ValueError("integrand returned wrong shape")
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values on the grid")
-    return float(grid.qweights @ vals)
+    out = grid.qweights @ vals
+    return out if batch else float(out)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,8 @@ def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(mode="annealing")
     with pytest.raises(ValueError):
+        FlowConfig(mode="hybrid")
+    with pytest.raises(ValueError):
         FlowConfig(restarts=0)
     with pytest.raises(ValueError):
         FlowConfig(tol=-1.0)

@@ -196,6 +196,35 @@ def test_reference_integrate_rejects_bad_integrand():
         reference_integrate(make("circle"), lambda ch: np.full(len(ch), np.nan), 4.0)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_reference_integrate_batch_matches_scalar_calls(kind):
+    m = make(kind)
+
+    def field(ch, j):
+        return np.exp(np.sin((j + 1) * ch[:, 0] + 0.3 * j * ch[:, -1]))
+
+    k = 5
+    batch = reference_integrate(
+        m, lambda ch: np.column_stack([field(ch, j) for j in range(k)]), 6.0
+    )
+    assert batch.shape == (k,)
+    scalar = [reference_integrate(m, lambda ch, j=j: field(ch, j), 6.0) for j in range(k)]
+    assert all(isinstance(v, float) for v in scalar)
+    np.testing.assert_allclose(batch, scalar, rtol=1e-14, atol=0.0)
+
+
+def test_reference_integrate_rejects_bad_batch():
+    circle = make("circle")
+    with pytest.raises(ValueError, match="wrong shape"):
+        reference_integrate(circle, lambda ch: np.ones((3, 4)), 4.0)
+    with pytest.raises(ValueError, match="wrong shape"):
+        reference_integrate(circle, lambda ch: np.ones((4, len(ch))), 4.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        reference_integrate(
+            circle, lambda ch: np.column_stack([np.ones(len(ch)), np.full(len(ch), np.inf)]), 4.0
+        )
+
+
 def test_ball_measure_closed_forms():
     circle = make("circle")
     center = canonical_point(circle, (0.0,))
