@@ -1,0 +1,64 @@
+"""Print one ``case sha256`` line per benchmark output, to diff two checkouts.
+
+Usage: python3 scripts/fingerprint_outputs.py > fingerprints.txt
+
+Hashes the default-solve ``rule_to_json`` of every ``SOLVE_CASES`` entry at
+seeds 0-9, the descent ``rule_to_json`` of every ``RESTART_CASES`` entry at
+seed 0, and ``partition_to_json`` of every ``PARTITION_CASES`` entry at seeds
+0-9, with the inputs the benchmark workloads generate.  The case tables are
+read from ``perfbench/workloads.py``; the package comes from this checkout's
+``src``.  Run it in two checkouts and ``diff`` the outputs: equal lines mean
+byte-identical rules and partitions.  Takes about 40 s on one core.
+"""
+
+import hashlib
+import pathlib
+import sys
+import warnings
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from cubaflow import (  # noqa: E402
+    FlowConfig,
+    Manifold,
+    concentrated_weights,
+    partition_to_json,
+    random_band_weights,
+    rule_to_json,
+    solve,
+    weighted_partition,
+)
+
+SEEDS = range(10)
+
+
+def _band(n: int, seed: int):
+    return random_band_weights(n, 0.5, 2.0, seed)
+
+
+def _emit(case: str, text: str) -> None:
+    print(f"{case} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+
+
+def main() -> int:
+    for name, args, kind, band, n in workloads.SOLVE_CASES:
+        for seed in SEEDS:
+            rule = solve(Manifold(*args), kind, band, _band(n, seed), FlowConfig(seed=seed))
+            _emit(f"solve/{name}/seed{seed}", rule_to_json(rule))
+    warnings.filterwarnings("ignore", message=r".*nodes for a dimension")
+    for name, kind, band, source, n, restarts in workloads.RESTART_CASES:
+        w = concentrated_weights(n) if source == "concentrated" else _band(n, 0)
+        cfg = FlowConfig(mode="descent", restarts=restarts, seed=0)
+        _emit(f"restarts/{name}/seed0", rule_to_json(solve(Manifold(kind), "diffusion", band, w, cfg)))
+    for name, args, n in workloads.PARTITION_CASES:
+        for seed in SEEDS:
+            w = _band(n, seed + workloads.PARTITION_SEED_SHIFT)
+            _emit(f"partition/{name}/seed{seed}", partition_to_json(weighted_partition(Manifold(*args), w)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,9 +26,8 @@ import numpy as np
 from .algebraic import RestrictedPolySpace, build_restricted_space
 from .geometry import (
     Manifold,
-    arclength_inverse,
+    arc_chart,
     charts_to_ambient,
-    circumference,
     manifold_from_descriptor,
     move_points,
     reference_integrate,
@@ -407,19 +406,14 @@ def rule_to_csv(rule: CubatureRule) -> str:
 
 def _uniform_points(manifold: Manifold, n: int, rng: np.random.Generator):
     kind = manifold.kind
-    if kind == "circle":
-        return rng.uniform(0.0, 2.0 * math.pi, (n, 1))
     if kind == "torus2":
         return rng.uniform(0.0, 2.0 * math.pi, (n, 2))
     if kind == "sphere2":
         z = rng.uniform(-1.0, 1.0, n)
         phi = rng.uniform(0.0, 2.0 * math.pi, n)
         return np.column_stack([np.arccos(z), phi])
-    ell = circumference(manifold.a_ax, manifold.b_ax)
-    h = rng.uniform(0.0, ell, n)
-    return np.atleast_1d(arclength_inverse(manifold.a_ax, manifold.b_ax, h))[
-        :, None
-    ]
+    chart = arc_chart(manifold)
+    return chart.inverse(rng.uniform(0.0, chart.total, n))[:, None]
 
 
 def _descent(space, pts, w, cfg: FlowConfig):

@@ -80,13 +80,11 @@ class Manifold:
 
     @property
     def diameter(self) -> float:
-        if self.kind == "circle":
-            return math.pi
         if self.kind == "torus2":
             return math.sqrt(2.0) * math.pi
         if self.kind == "sphere2":
             return math.pi
-        return 0.5 * circumference(self.a_ax, self.b_ax)
+        return 0.5 * arc_chart(self).total
 
     def descriptor(self) -> dict:
         """JSON-ready descriptor; round-trips through :func:`manifold_from_descriptor`."""
@@ -208,6 +206,38 @@ def circumference(a_ax: float, b_ax: float) -> float:
     return _arc_table(float(a_ax), float(b_ax)).total
 
 
+class _AngleChart:
+    """Arc-length chart of the unit circle: the angle itself, period 2pi."""
+
+    total = TWO_PI
+
+    @staticmethod
+    def forward(t):
+        return t
+
+    @staticmethod
+    def inverse(s):
+        return s
+
+
+_ANGLE_CHART = _AngleChart()
+
+
+def arc_chart(manifold: Manifold):
+    """Arc-length chart of a one-dimensional kind or of one torus axis.
+
+    The result maps angles t in [0, 2pi] to arc length s in [0, total]
+    (``forward``) and back (``inverse``), both vectorized: the ellipse's
+    arc-length table, or the identity with ``total = 2pi`` on the circle
+    and on each axis of the flat torus.
+    """
+    if manifold.kind == "ellipse":
+        return _arc_table(manifold.a_ax, manifold.b_ax)
+    if manifold.kind in ("circle", "torus2"):
+        return _ANGLE_CHART
+    raise ValueError(f"{manifold.kind} has no arc-length chart")
+
+
 def arclength(a_ax: float, b_ax: float, t) -> float:
     """Arc length from angle 0 to angle t along the ellipse, t in [0, 2pi]."""
     t_arr = np.asarray(t, dtype=float)
@@ -241,10 +271,7 @@ def charts_to_ambient(manifold: Manifold, charts: np.ndarray) -> np.ndarray:
     """Vectorized chart -> ambient map; charts has shape (n, dim)."""
     charts = np.asarray(charts, dtype=float)
     kind = manifold.kind
-    if kind == "circle":
-        t = charts[:, 0]
-        return np.column_stack([np.cos(t), np.sin(t)])
-    if kind == "ellipse":
+    if manifold.dim == 1:
         t = charts[:, 0]
         return np.column_stack([manifold.a_ax * np.cos(t), manifold.b_ax * np.sin(t)])
     if kind == "torus2":
@@ -276,10 +303,9 @@ def canonical_point(manifold: Manifold, chart: Sequence[float]) -> ManifoldPoint
     _require_finite(chart, "chart coordinates")
     if len(chart) != manifold.dim:
         raise ValueError(f"chart arity {len(chart)} does not match {manifold.kind} (dim {manifold.dim})")
-    kind = manifold.kind
-    if kind in ("circle", "ellipse"):
+    if manifold.dim == 1:
         canon = (float(_wrap_angle(chart[0])),)
-    elif kind == "torus2":
+    elif manifold.kind == "torus2":
         canon = (float(_wrap_angle(chart[0])), float(_wrap_angle(chart[1])))
     else:
         theta = float(_wrap_angle(chart[0]))
@@ -324,22 +350,20 @@ def pairwise_distance(manifold: Manifold, charts_a: np.ndarray, charts_b: np.nda
     charts_a = np.asarray(charts_a, dtype=float)
     charts_b = np.asarray(charts_b, dtype=float)
     kind = manifold.kind
-    if kind == "circle":
-        return _circle_dist(charts_a[:, 0], charts_b[:, 0])
+    if manifold.dim == 1:
+        chart = arc_chart(manifold)
+        sa = chart.forward(_wrap_angle(charts_a[:, 0]))
+        sb = chart.forward(_wrap_angle(charts_b[:, 0]))
+        return _circle_dist(sa, sb, period=chart.total)
     if kind == "torus2":
         d1 = _circle_dist(charts_a[:, 0], charts_b[:, 0])
         d2 = _circle_dist(charts_a[:, 1], charts_b[:, 1])
         return np.hypot(d1, d2)
-    if kind == "sphere2":
-        xa = charts_to_ambient(manifold, charts_a)
-        xb = charts_to_ambient(manifold, charts_b)
-        dot = np.sum(xa * xb, axis=1)
-        crossn = np.linalg.norm(np.cross(xa, xb), axis=1)
-        return np.arctan2(crossn, dot)
-    table = _arc_table(manifold.a_ax, manifold.b_ax)
-    sa = table.forward(_wrap_angle(charts_a[:, 0]))
-    sb = table.forward(_wrap_angle(charts_b[:, 0]))
-    return _circle_dist(sa, sb, period=table.total)
+    xa = charts_to_ambient(manifold, charts_a)
+    xb = charts_to_ambient(manifold, charts_b)
+    dot = np.sum(xa * xb, axis=1)
+    crossn = np.linalg.norm(np.cross(xa, xb), axis=1)
+    return np.arctan2(crossn, dot)
 
 
 def tangent_norm(manifold: Manifold, v) -> float:
@@ -352,8 +376,8 @@ def exp_step(p: ManifoldPoint, v, s: float) -> ManifoldPoint:
     """Geodesic step of signed length ``s`` from ``p`` along unit tangent ``v``.
 
     ``v`` follows the per-kind tangent convention of this module.  The
-    formulas are exact: angle addition on the circle and torus, arc-length
-    addition plus the inverse arc-length chart on the ellipse, and the
+    formulas are exact: angle addition on the torus, arc-length addition
+    through :func:`arc_chart` on the circle and the ellipse, and the
     great-circle rotation on the sphere.
     """
     m = p.manifold
@@ -382,11 +406,9 @@ def exp_step(p: ManifoldPoint, v, s: float) -> ManifoldPoint:
     vv = float(v)
     if abs(abs(vv) - 1.0) > 1e-9:
         raise ValueError("tangent vector is not unit length")
-    if kind == "circle":
-        return canonical_point(m, (p.chart[0] + vv * s,))
-    table = _arc_table(m.a_ax, m.b_ax)
-    s_new = (table.forward(p.chart[0]) + vv * s) % table.total
-    return canonical_point(m, (table.inverse(s_new),))
+    chart = arc_chart(m)
+    s_new = (chart.forward(p.chart[0]) + vv * s) % chart.total
+    return canonical_point(m, (chart.inverse(s_new),))
 
 
 def move_points(manifold: Manifold, charts: np.ndarray, disp) -> np.ndarray:
@@ -397,15 +419,12 @@ def move_points(manifold: Manifold, charts: np.ndarray, disp) -> np.ndarray:
     before rotating, so callers may pass raw ambient increments).
     """
     charts = np.asarray(charts, dtype=float)
-    kind = manifold.kind
-    if kind == "circle":
-        return _wrap_angle(charts + np.asarray(disp, dtype=float).reshape(-1, 1))
-    if kind == "torus2":
+    if manifold.dim == 1:
+        chart = arc_chart(manifold)
+        s = chart.forward(charts[:, 0]) + np.asarray(disp, dtype=float).reshape(-1)
+        return chart.inverse(np.mod(s, chart.total)).reshape(-1, 1)
+    if manifold.kind == "torus2":
         return _wrap_angle(charts + np.asarray(disp, dtype=float))
-    if kind == "ellipse":
-        table = _arc_table(manifold.a_ax, manifold.b_ax)
-        s = table.forward(charts[:, 0]) + np.asarray(disp, dtype=float).reshape(-1)
-        return table.inverse(np.mod(s, table.total)).reshape(-1, 1)
     x = charts_to_ambient(manifold, charts)
     v = np.asarray(disp, dtype=float)
     v = v - (np.sum(v * x, axis=1, keepdims=True)) * x
@@ -531,13 +550,11 @@ def _ball_measure_profile(manifold: Manifold, r: np.ndarray) -> np.ndarray:
     """Measure of a geodesic ball of radius r; homogeneous, so center-free."""
     kind = manifold.kind
     r = np.asarray(r, dtype=float)
-    if kind == "circle":
-        return np.minimum(r / math.pi, 1.0)
     if kind == "sphere2":
         # cap fraction (1 - cos r)/2 in the cancellation-free half-angle form
         return np.sin(0.5 * r) ** 2
-    if kind == "ellipse":
-        return np.minimum(2.0 * r / circumference(manifold.a_ax, manifold.b_ax), 1.0)
+    if manifold.dim == 1:
+        return np.minimum(2.0 * r / arc_chart(manifold).total, 1.0)
     # flat torus: disk area, with the four edge overshoots removed once
     # r exceeds the half-period pi
     disk = math.pi * r ** 2

@@ -1,11 +1,15 @@
 """Halving cell hierarchies and measure-exact weighted partitions.
 
-Each model manifold carries a nested family of cells: arcs halved per
-level (circle, and the ellipse in arc length), squares quartered in
-Morton order (torus), octahedral triangles quartered through edge
-midpoints (sphere).  A level-``k`` cell has a center ``z`` and certified
-geodesic balls ``B(z, u1 * 2^-k)`` inside it and ``B(z, u2 * 2^-k)``
-around it.
+Each model manifold carries a nested family of cells.  Flat cells are
+dyadic arcs in arc length: a level-``k`` cell of the circle or the
+ellipse is the arc ``[idx w, (idx + 1) w)``, ``w = total / 2^k``, of the
+arc-length chart (:func:`cubaflow.geometry.arc_chart`, the angle itself
+on the circle), and a torus cell is the product of two circle arcs,
+indexed in Morton order.  Their measures, prefix sums and cuts are closed
+forms.  Only the sphere keeps per-level tables: octahedral triangles
+quartered through edge midpoints.  A level-``k`` cell has a center ``z``
+and certified geodesic balls ``B(z, u1 * 2^-k)`` inside it and
+``B(z, u2 * 2^-k)`` around it.
 
 ``weighted_partition`` splits the manifold into N regions whose measures
 match a prescribed weight vector exactly.  Large N runs a spanning-tree
@@ -33,10 +37,8 @@ from .geometry import (
     TWO_PI,
     Manifold,
     _neumaier_cumsum,
-    arclength,
-    arclength_inverse,
+    arc_chart,
     charts_to_ambient,
-    circumference,
     doubling_constants,
     manifold_from_descriptor,
     pairwise_distance,
@@ -254,12 +256,51 @@ def _sphere_neighbors(level: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Levels:
+    """Level arithmetic of one manifold's cell family."""
+
+    sphere: bool
+    base: int  # cells at min_level
+    branching: int
+    min_level: int
+    max_depth: int  # deepest buildable level
+    fine_cap: int  # deepest fine level the tree sweep may pick
+
+    def ncells(self, level: int) -> int:
+        return self.base * self.branching ** (level - self.min_level)
+
+    def measure_range(self, level: int) -> tuple[float, float]:
+        """Smallest and largest cell measure of one level."""
+        if self.sphere:
+            areas = _sphere_levels(level)[level]["areas"]
+            return float(areas.min()), float(areas.max())
+        m = 1.0 / self.ncells(level)
+        return m, m
+
+
+def _levels(manifold: Manifold) -> _Levels:
+    if manifold.kind == "sphere2":
+        # the triangle tables stop at level 10
+        return _Levels(True, 8, 4, 1, 10, 10)
+    branching = 2 if manifold.dim == 1 else 4
+    # deepest level whose flat cells stay above the cut tolerance
+    max_depth = int(math.log(1.0 / _MIN_CELL_MEASURE, branching))
+    return _Levels(False, 1, branching, 0, max_depth, 22 if manifold.dim == 1 else 12)
+
+
+def _ring(i: int, m: int) -> list[int]:
+    """Neighbours of arc i among m arcs closing a circle."""
+    return sorted({(i - 1) % m, (i + 1) % m} - {i})
+
+
+@dataclass(frozen=True)
 class CellTree:
     """Nested halving cells for one manifold, levels up to ``depth``.
 
-    Flat manifolds are implicit (index arithmetic); the sphere carries
-    explicit per-level triangle arrays.  Every cell exposes a sweep
-    coordinate t in [0, 1] along which measure-exact cuts are made.
+    Flat manifolds are implicit (arc arithmetic per axis, see the module
+    docstring); the sphere carries explicit per-level triangle arrays.
+    Every cell exposes a sweep coordinate t in [0, 1], along the first
+    axis of a flat cell, along which measure-exact cuts are made.
     """
 
     manifold: Manifold
@@ -269,13 +310,19 @@ class CellTree:
     u2: float
     _sphere: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        lv = _levels(self.manifold)
+        object.__setattr__(self, "_lv", lv)
+        if not lv.sphere:
+            object.__setattr__(self, "_chart", arc_chart(self.manifold))
+
     @property
     def min_level(self) -> int:
-        return 1 if self.manifold.kind == "sphere2" else 0
+        return self._lv.min_level
 
     @property
     def branching(self) -> int:
-        return 2 if self.manifold.kind in ("circle", "ellipse") else 4
+        return self._lv.branching
 
     def _check_level(self, level: int) -> None:
         if not (self.min_level <= level <= self.depth):
@@ -283,19 +330,22 @@ class CellTree:
 
     def ncells(self, level: int) -> int:
         self._check_level(level)
-        if self.manifold.kind == "sphere2":
-            return 8 * 4 ** (level - 1)
-        return self.branching**level
+        return self._lv.ncells(level)
 
     def measures(self, level: int) -> np.ndarray:
         self._check_level(level)
-        if self.manifold.kind == "sphere2":
+        if self._lv.sphere:
             return self._sphere[level]["areas"]
         n = self.ncells(level)
         return np.full(n, 1.0 / n)
 
+    def _cell_measures(self, level: int, cells: np.ndarray) -> np.ndarray:
+        if self._lv.sphere:
+            return self._sphere[level]["areas"][cells]
+        return np.full(len(cells), 1.0 / self.ncells(level))
+
     def range_measure(self, level: int, start: int, stop: int) -> float:
-        if self.manifold.kind == "sphere2":
+        if self._lv.sphere:
             p = self._sphere[level]["prefix"]
             return float(p[stop] - p[start])
         return (stop - start) / self.ncells(level)
@@ -305,7 +355,7 @@ class CellTree:
         self._check_level(level)
         if t1 < t0 - 1e-15:
             raise ValueError("cut interval reversed")
-        if self.manifold.kind != "sphere2":
+        if not self._lv.sphere:
             return (t1 - t0) / self.ncells(level)
         lev = self._sphere[level]
         A, B, C = lev["verts"][lev["tris"][idx]]
@@ -313,93 +363,64 @@ class CellTree:
         P1 = _slerp(B, C, min(max(t1, 0.0), 1.0))
         return float(_tri_area_raw(A, P0, P1)) * lev["scale"]
 
-    def solve_cut(self, level: int, idx: int, t0: float, target: float) -> float:
-        """Sweep coordinate t with measure([t0, t]) = target, to 1e-12."""
-        rest = self.cut_measure(level, idx, t0, 1.0)
-        if target < -_CUT_TOL or target > rest + _CUT_TOL:
-            raise ValueError("cut target outside the remaining cell measure")
-        if target <= 1e-16:
-            return t0
-        if target >= rest - 1e-16:
-            return 1.0
-        if self.manifold.kind != "sphere2":
-            return t0 + target * self.ncells(level)
-        f = lambda t: self.cut_measure(level, idx, t0, t) - target
-        return float(brentq(f, t0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    # -- flat cells: per-axis arcs of the arc-length chart ----------------
+
+    def _arc_width(self, level: int) -> float:
+        return self._chart.total / 2**level
+
+    def _arc_centers(self, level: int, i):
+        return self._chart.inverse((i + 0.5) * self._arc_width(level))
+
+    def _arc_position(self, level: int, x: float) -> float:
+        """Arc-length position of angle x, in level-cell widths."""
+        return self._chart.forward(float(x) % TWO_PI) / self._arc_width(level)
+
+    def _axes(self, level: int, idx):
+        """Per-axis arc indices of flat cells."""
+        return (idx,) if self.manifold.dim == 1 else _morton_decode(idx, level)
+
+    # -- geometry --------------------------------------------------------
 
     def centers_chart(self, level: int, idx) -> np.ndarray:
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        kind = self.manifold.kind
-        n = self.ncells(level)
-        if kind == "circle":
-            return ((idx + 0.5) * (TWO_PI / n))[:, None]
-        if kind == "ellipse":
-            ell = circumference(self.manifold.a_ax, self.manifold.b_ax)
-            h = (idx + 0.5) * (ell / n)
-            return np.atleast_1d(
-                arclength_inverse(self.manifold.a_ax, self.manifold.b_ax, h)
-            )[:, None]
-        if kind == "torus2":
-            k = level
-            i, j = _morton_decode(idx, k)
-            s = TWO_PI / 2**k
-            return np.column_stack([(i + 0.5) * s, (j + 0.5) * s])
-        return sphere_chart_from_ambient(self._sphere[level]["centers"][idx])
+        if self._lv.sphere:
+            return sphere_chart_from_ambient(self._sphere[level]["centers"][idx])
+        return np.column_stack(
+            [self._arc_centers(level, i) for i in self._axes(level, idx)]
+        )
 
     def cell_radii(self, level: int, idx) -> tuple[np.ndarray, np.ndarray]:
         """(inner, outer) certified geodesic ball radii about the center."""
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        kind = self.manifold.kind
-        if kind == "sphere2":
+        if self._lv.sphere:
             lev = self._sphere[level]
             return lev["inner"][idx], lev["outer"][idx]
-        n = self.ncells(level)
-        if kind == "circle":
-            r = np.full(len(idx), math.pi / n)
-            return r, r.copy()
-        if kind == "ellipse":
-            ell = circumference(self.manifold.a_ax, self.manifold.b_ax)
-            r = np.full(len(idx), 0.5 * ell / n)
-            return r, r.copy()
-        s = TWO_PI / 2**level
-        return np.full(len(idx), 0.5 * s), np.full(len(idx), 0.5 * s * math.sqrt(2))
+        # a flat cell is a segment or square of side w
+        half = np.full(len(idx), 0.5 * self._arc_width(level))
+        return half, half * math.sqrt(self.manifold.dim)
 
     def piece_geometry(
         self, level: int, idx: int, t0: float, t1: float
     ) -> tuple[np.ndarray, float, float]:
         """(center chart, inner radius, outer radius) of a sweep piece."""
         self._check_level(level)
-        kind = self.manifold.kind
         if t1 - t0 >= 1.0 - 1e-12:
             c = self.centers_chart(level, idx)[0]
             inner, outer = self.cell_radii(level, idx)
             return c, float(inner[0]), float(outer[0])
-        n = self.ncells(level)
-        if kind == "circle":
-            w = TWO_PI / n
-            lo = idx * w + t0 * w
-            hi = idx * w + t1 * w
-            r = 0.5 * (hi - lo)
-            return np.array([0.5 * (lo + hi)]), r, r
-        if kind == "ellipse":
-            ell = circumference(self.manifold.a_ax, self.manifold.b_ax)
-            w = ell / n
-            lo, hi = (idx + t0) * w, (idx + t1) * w
-            r = 0.5 * (hi - lo)
-            t = arclength_inverse(
-                self.manifold.a_ax, self.manifold.b_ax, 0.5 * (lo + hi)
-            )
-            return np.atleast_1d(t)[:1], r, r
-        if kind == "torus2":
-            s = TWO_PI / 2**level
-            i, j = _morton_decode(np.asarray([idx]), level)
-            x0 = i[0] * s + t0 * s
-            x1 = i[0] * s + t1 * s
-            w = x1 - x0
-            c = np.array([0.5 * (x0 + x1), (j[0] + 0.5) * s])
-            return c, 0.5 * min(w, s), 0.5 * math.hypot(w, s)
+        if not self._lv.sphere:
+            # the piece spans [lo, hi] on the sweep axis, whole arcs on the rest
+            w = self._arc_width(level)
+            axes = [a[0] for a in self._axes(level, np.asarray([idx]))]
+            lo = axes[0] * w + t0 * w
+            hi = axes[0] * w + t1 * w
+            c = [self._chart.inverse(0.5 * (lo + hi))]
+            c += [self._arc_centers(level, i) for i in axes[1:]]
+            sides = [hi - lo] + [w] * (len(axes) - 1)
+            return (np.asarray(c, dtype=float), float(0.5 * min(sides)),
+                    float(0.5 * math.hypot(*sides)))
         lev = self._sphere[level]
         A, B, C = lev["verts"][lev["tris"][idx]]
         P0, P1 = _slerp(B, C, t0), _slerp(B, C, t1)
@@ -414,30 +435,15 @@ class CellTree:
     def neighbors(self, level: int, idx: int) -> np.ndarray:
         """Adjacent same-level cells (shared boundary), sorted."""
         self._check_level(level)
-        kind = self.manifold.kind
-        n = self.ncells(level)
-        if kind in ("circle", "ellipse"):
-            if n == 1:
-                return np.empty(0, dtype=np.int64)
-            if n == 2:
-                return np.asarray([1 - idx], dtype=np.int64)
-            return np.sort(np.asarray([(idx - 1) % n, (idx + 1) % n]))
-        if kind == "torus2":
-            k = level
-            m = 2**k
-            if m == 1:
-                return np.empty(0, dtype=np.int64)
-            i, j = _morton_decode(np.asarray([idx]), k)
-            i, j = int(i[0]), int(j[0])
-            cand = {
-                int(_morton_encode((i - 1) % m, j, k)),
-                int(_morton_encode((i + 1) % m, j, k)),
-                int(_morton_encode(i, (j - 1) % m, k)),
-                int(_morton_encode(i, (j + 1) % m, k)),
-            }
-            cand.discard(idx)
-            return np.sort(np.asarray(list(cand), dtype=np.int64))
-        return _sphere_neighbors(level)[idx]
+        if self._lv.sphere:
+            return _sphere_neighbors(level)[idx]
+        m = 2**level
+        if self.manifold.dim == 1:
+            return np.asarray(_ring(idx, m), dtype=np.int64)
+        i, j = (int(a[0]) for a in _morton_decode(np.asarray([idx]), level))
+        pairs = [(x, j) for x in _ring(i, m)] + [(i, y) for y in _ring(j, m)]
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return np.sort(_morton_encode(pairs[:, 0], pairs[:, 1], level))
 
     def descendants(self, level: int, idx: int, target_level: int) -> tuple[int, int]:
         """Contiguous index range of a cell's descendants at a finer level."""
@@ -451,23 +457,11 @@ class CellTree:
     def locate(self, level: int, chart: np.ndarray) -> int:
         """Index of the level cell containing the given chart point."""
         self._check_level(level)
-        kind = self.manifold.kind
-        n = self.ncells(level)
         chart = np.asarray(chart, dtype=float)
-        if kind == "circle":
-            u = float(chart[0]) % TWO_PI
-            return min(int(u / (TWO_PI / n)), n - 1)
-        if kind == "ellipse":
-            mf = self.manifold
-            h = float(arclength(mf.a_ax, mf.b_ax, float(chart[0]) % TWO_PI))
-            ell = circumference(mf.a_ax, mf.b_ax)
-            return min(int(h / (ell / n)), n - 1)
-        if kind == "torus2":
+        if not self._lv.sphere:
             m = 2**level
-            s = TWO_PI / m
-            i = min(int((float(chart[0]) % TWO_PI) / s), m - 1)
-            j = min(int((float(chart[1]) % TWO_PI) / s), m - 1)
-            return int(_morton_encode(i, j, level))
+            axes = [min(int(self._arc_position(level, x)), m - 1) for x in chart]
+            return axes[0] if self.manifold.dim == 1 else int(_morton_encode(*axes, level))
         p = charts_to_ambient(self.manifold, chart[None, :])[0]
         cur = -1
         best = -np.inf
@@ -496,30 +490,12 @@ class CellTree:
             out = min(out, float(np.dot(nvec, p)) / max(nn, 1e-300))
         return out
 
-    def contains(self, level: int, idx: int, chart: np.ndarray, tol=1e-12) -> bool:
-        kind = self.manifold.kind
-        if kind != "sphere2":
-            return self.locate(level, np.asarray(chart, dtype=float)) == idx
-        p = charts_to_ambient(self.manifold, np.asarray(chart, dtype=float)[None, :])[0]
-        return self._tri_side(level, idx, p) >= -tol
-
     def sweep_parameter(self, level: int, idx: int, chart: np.ndarray) -> float:
         """Sweep coordinate of a point inside the given cell, in [0, 1]."""
-        kind = self.manifold.kind
-        n = self.ncells(level)
         chart = np.asarray(chart, dtype=float)
-        if kind == "circle":
-            w = TWO_PI / n
-            return float((chart[0] % TWO_PI) / w - idx)
-        if kind == "ellipse":
-            mf = self.manifold
-            h = float(arclength(mf.a_ax, mf.b_ax, float(chart[0]) % TWO_PI))
-            w = circumference(mf.a_ax, mf.b_ax) / n
-            return h / w - idx
-        if kind == "torus2":
-            s = TWO_PI / 2**level
-            i, _ = _morton_decode(np.asarray([idx]), level)
-            return float((chart[0] % TWO_PI) / s - i[0])
+        if not self._lv.sphere:
+            first = self._axes(level, np.asarray([idx]))[0][0]
+            return float(self._arc_position(level, chart[0]) - first)
         lev = self._sphere[level]
         A, B, C = lev["verts"][lev["tris"][idx]]
         p = charts_to_ambient(self.manifold, chart[None, :])[0]
@@ -533,31 +509,21 @@ class CellTree:
         return min(max(float(_arc(B, q) / _arc(B, C)), 0.0), 1.0)
 
 
-def _flat_u(manifold: Manifold) -> tuple[float, float]:
-    kind = manifold.kind
-    if kind == "circle":
-        return math.pi, math.pi
-    if kind == "ellipse":
-        half = 0.5 * circumference(manifold.a_ax, manifold.b_ax)
-        return half, half
-    return math.pi, math.pi * math.sqrt(2)
-
-
 @lru_cache(maxsize=64)
 def _tree_cached(manifold: Manifold, depth: int) -> CellTree:
-    kind = manifold.kind
-    if kind == "sphere2":
-        levels = _sphere_levels(depth)
-        exp = {lev: 2.0**-lev for lev in levels}
-        u1 = min(float(levels[k]["inner"].min()) / exp[k] for k in levels)
-        u2 = max(float(levels[k]["outer"].max()) / exp[k] for k in levels)
-        for k in levels:
-            drift = abs(float(levels[k]["scale"]) - 1.0 / (4.0 * math.pi))
-            if drift > 1e-3:
-                raise RuntimeError("sphere areas drifted from the total measure")
-        return CellTree(manifold, _DELTA, depth, u1, u2, dict(levels))
-    u1, u2 = _flat_u(manifold)
-    return CellTree(manifold, _DELTA, depth, u1, u2)
+    if manifold.kind != "sphere2":
+        # level-k radii are u * 2^-k: half a cell width, times sqrt(dim) outside
+        half = 0.5 * arc_chart(manifold).total
+        return CellTree(manifold, _DELTA, depth, half, half * math.sqrt(manifold.dim))
+    levels = _sphere_levels(depth)
+    exp = {lev: 2.0**-lev for lev in levels}
+    u1 = min(float(levels[k]["inner"].min()) / exp[k] for k in levels)
+    u2 = max(float(levels[k]["outer"].max()) / exp[k] for k in levels)
+    for k in levels:
+        drift = abs(float(levels[k]["scale"]) - 1.0 / (4.0 * math.pi))
+        if drift > 1e-3:
+            raise RuntimeError("sphere areas drifted from the total measure")
+    return CellTree(manifold, _DELTA, depth, u1, u2, dict(levels))
 
 
 def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -> CellTree:
@@ -566,12 +532,9 @@ def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -
         raise ValueError("only the halving ratio delta = 1/2 is implemented")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    branching = 2 if manifold.kind in ("circle", "ellipse") else 4
-    base = 8 if manifold.kind == "sphere2" else 1
-    if 1.0 / (base * branching**depth) < _MIN_CELL_MEASURE:
-        raise ValueError("cell measures at this depth fall below the cut tolerance")
-    if manifold.kind == "sphere2" and depth > 10:
-        raise ValueError("sphere trees beyond level 10 are not supported")
+    max_depth = _levels(manifold).max_depth
+    if depth > max_depth:
+        raise ValueError(f"depth {depth} exceeds the deepest {manifold.kind} level {max_depth}")
     return _tree_cached(manifold, depth)
 
 
@@ -639,7 +602,17 @@ def exact_cut(
     target 0 returns the empty piece, the full remaining measure returns
     the whole cell.
     """
-    return tree.solve_cut(level, idx, start, target)
+    rest = tree.cut_measure(level, idx, start, 1.0)
+    if target < -_CUT_TOL or target > rest + _CUT_TOL:
+        raise ValueError("cut target outside the remaining cell measure")
+    if target <= 1e-16:
+        return start
+    if target >= rest - 1e-16:
+        return 1.0
+    if tree.manifold.kind != "sphere2":
+        return start + target * tree.ncells(level)
+    f = lambda t: tree.cut_measure(level, idx, start, t) - target
+    return float(brentq(f, start, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200))
 
 
 def _run_measure(tree: CellTree, level: int, run) -> float:
@@ -700,7 +673,7 @@ class _MaterialCursor:
         first_hi = tl if e == s + 1 else 1.0
         m0 = tree.cut_measure(level, s, tf, first_hi)
         if need <= m0 - _CUT_TOL * 0.5:
-            t = tree.solve_cut(level, s, tf, need)
+            t = exact_cut(tree, level, s, need, tf)
             return (s, s + 1, tf, t), [s, e, t, tl]
         if abs(need - m0) <= _CUT_TOL * 0.5 or e == s + 1:
             return (s, s + 1, tf, first_hi), [s + 1, e, 0.0, tl]
@@ -719,7 +692,7 @@ class _MaterialCursor:
             while rem_in < -1e-15 and c > s + 1:
                 c -= 1
                 rem_in = rem - tree.range_measure(level, s + 1, c)
-            t = tree.solve_cut(level, c, 0.0, max(rem_in, 0.0))
+            t = exact_cut(tree, level, c, max(rem_in, 0.0))
             if t <= 1e-15:
                 return (s, c, tf, 1.0), [c, e, 0.0, tl]
             if t >= 1.0 - 1e-15:
@@ -728,7 +701,7 @@ class _MaterialCursor:
         if abs(rem - whole) <= _CUT_TOL * 0.5:
             return (s, e - 1, tf, 1.0), [e - 1, e, 0.0, tl]
         rem2 = rem - whole
-        t = tree.solve_cut(level, e - 1, 0.0, rem2)
+        t = exact_cut(tree, level, e - 1, rem2)
         return (s, e, tf, t), [e - 1, e, t, tl]
 
 
@@ -757,13 +730,22 @@ class Region:
 
     def whole_cells(self) -> list[tuple[int, int]]:
         """(start, stop) ranges of cells covered in full."""
-        out = []
-        for s, e, tf, tl in self.runs:
-            lo = s if tf <= 1e-12 else s + 1
-            hi = e if tl >= 1.0 - 1e-12 else e - 1
-            if hi > lo:
-                out.append((lo, hi))
-        return out
+        return _split_runs(self.runs)[0]
+
+
+def _split_runs(runs) -> tuple[list, list]:
+    """Whole-cell (start, stop) ranges and partial (cell, t0, t1) pieces."""
+    whole, partials = [], []
+    for s, e, tf, tl in runs:
+        lo = s if tf <= 1e-12 else s + 1
+        hi = e if tl >= 1.0 - 1e-12 else e - 1
+        if hi > lo:
+            whole.append((lo, hi))
+        if lo > s:
+            partials.append((s, tf, tl if e == s + 1 else 1.0))
+        if hi < e and e - 1 >= lo:
+            partials.append((e - 1, 0.0 if e - 1 > s else tf, tl))
+    return whole, partials
 
 
 @dataclass(frozen=True)
@@ -792,86 +774,51 @@ class Partition:
 
 def _measure_centroid(manifold: Manifold, charts: np.ndarray, meas: np.ndarray):
     """Measure-weighted mean position, or None when it degenerates."""
-    kind = manifold.kind
-    if kind == "sphere2":
+    if manifold.kind == "sphere2":
         amb = charts_to_ambient(manifold, charts)
         v = meas @ amb
         nv = np.linalg.norm(v)
         if nv < 1e-9 * meas.sum():
             return None
         return sphere_chart_from_ambient((v / nv)[None, :])[0]
-    if kind in ("circle", "torus2"):
-        out = []
-        for col in range(charts.shape[1]):
-            ang = charts[:, col]
-            c, s = meas @ np.cos(ang), meas @ np.sin(ang)
-            if math.hypot(c, s) < 1e-9 * meas.sum():
-                return None
-            out.append(math.atan2(s, c) % TWO_PI)
-        return np.asarray(out)
-    mf = manifold
-    ell = circumference(mf.a_ax, mf.b_ax)
-    h = np.asarray(arclength(mf.a_ax, mf.b_ax, charts[:, 0])) * (TWO_PI / ell)
-    c, s = meas @ np.cos(h), meas @ np.sin(h)
-    if math.hypot(c, s) < 1e-9 * meas.sum():
-        return None
-    hbar = (math.atan2(s, c) % TWO_PI) * (ell / TWO_PI)
-    return np.atleast_1d(arclength_inverse(mf.a_ax, mf.b_ax, hbar))
+    # circular mean per flat axis, taken in arc length
+    chart = arc_chart(manifold)
+    out = []
+    for col in range(charts.shape[1]):
+        h = chart.forward(charts[:, col]) * (TWO_PI / chart.total)
+        c, s = meas @ np.cos(h), meas @ np.sin(h)
+        if math.hypot(c, s) < 1e-9 * meas.sum():
+            return None
+        out.append(chart.inverse((math.atan2(s, c) % TWO_PI) * (chart.total / TWO_PI)))
+    return np.asarray(out, dtype=float)
 
 
 def _region_geometry(tree: CellTree, level: int, runs) -> tuple:
     """Representative, certified inner and outer radii for one region."""
-    whole_ranges = []
-    partials = []
-    for s, e, tf, tl in runs:
-        lo = s if tf <= 1e-12 else s + 1
-        hi = e if tl >= 1.0 - 1e-12 else e - 1
-        if hi > lo:
-            whole_ranges.append((lo, hi))
-        if lo > s:
-            partials.append((s, tf, tl if e == s + 1 else 1.0))
-        if hi < e and e - 1 >= lo:
-            partials.append((e - 1, 0.0 if e - 1 > s else tf, tl))
-    if whole_ranges:
-        cells_w = np.concatenate(
-            [np.arange(lo, hi) for lo, hi in whole_ranges]
-        )
-        centers_w = tree.centers_chart(level, cells_w)
-        meas_w = tree.measures(level)[cells_w]
+    whole, partials = _split_runs(runs)
+    outer_r = 0.0
+    if whole:
+        cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
+        centers = tree.centers_chart(level, cells)
+        inner, outer = tree.cell_radii(level, cells)
+        meas = tree._cell_measures(level, cells)
         # anchor at the whole cell nearest the measure centroid; long
         # chain regions then get a certified outer ball of half reach
-        centroid = _measure_centroid(tree.manifold, centers_w, meas_w)
+        centroid = _measure_centroid(tree.manifold, centers, meas)
         if centroid is None:
-            pick = int(np.argmax(meas_w))
+            pick = int(np.argmax(meas))
         else:
             dd = pairwise_distance(
-                tree.manifold, np.tile(centroid, (len(cells_w), 1)), centers_w
+                tree.manifold, np.tile(centroid, (len(cells), 1)), centers
             )
             pick = int(np.argmin(dd))
-        best = int(cells_w[pick])
-        rep = centers_w[pick]
-        inner, _ = tree.cell_radii(level, best)
-        inner_r = float(inner[0])
+        rep = centers[pick]
+        inner_r = float(inner[pick])
+        d = pairwise_distance(tree.manifold, np.tile(rep, (len(cells), 1)), centers)
+        outer_r = float(np.max(d + outer))
     else:
-        best_piece, best_m = None, -1.0
-        for c, t0, t1 in partials:
-            m = tree.cut_measure(level, c, t0, t1)
-            if m > best_m:
-                best_piece, best_m = (c, t0, t1), m
-        rep, inner_r, _ = tree.piece_geometry(level, *best_piece)
-    cells = (
-        np.concatenate([np.arange(lo, hi) for lo, hi in whole_ranges])
-        if whole_ranges
-        else np.empty(0, dtype=np.int64)
-    )
-    outer_r = 0.0
-    if len(cells):
-        centers = tree.centers_chart(level, cells)
-        _, outs = tree.cell_radii(level, cells)
-        d = pairwise_distance(
-            tree.manifold, np.tile(rep, (len(cells), 1)), centers
-        )
-        outer_r = float(np.max(d + outs))
+        best = max(partials, key=lambda piece: tree.cut_measure(level, *piece))
+        rep, inner_r, _ = tree.piece_geometry(level, *best)
     for c, t0, t1 in partials:
         pc, _, po = tree.piece_geometry(level, c, t0, t1)
         d = pairwise_distance(tree.manifold, rep[None, :], pc[None, :])[0]
@@ -884,31 +831,17 @@ def _doubling_cached(manifold: Manifold) -> tuple[float, float]:
     return doubling_constants(manifold)
 
 
-def _pick_coarse_level(manifold, threshold, deepest: bool):
+def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):
     """Deepest (or shallowest) buildable level meeting a measure bound."""
-    base = 8 if manifold.kind == "sphere2" else 1
-    branching = 2 if manifold.kind in ("circle", "ellipse") else 4
-    min_level = 1 if manifold.kind == "sphere2" else 0
     best = None
-    level = min_level
-    while 1.0 / (base * branching ** max(level, 1)) >= _MIN_CELL_MEASURE:
-        if manifold.kind == "sphere2":
-            if level > 10:
-                break
-            meas = build_cell_tree(manifold, depth=max(level, 1)).measures(level)
-            lo, hi = float(meas.min()), float(meas.max())
-        else:
-            m = 1.0 / branching**level
-            lo = hi = m
+    for level in range(lv.min_level, lv.max_depth + 1):
+        lo, hi = lv.measure_range(level)
         if deepest:
-            if lo >= threshold:
-                best = level
-            else:
+            if lo < threshold:
                 break
-        else:
-            if hi <= threshold + 1e-15:
-                return level
-        level += 1
+            best = level
+        elif hi <= threshold + 1e-15:
+            return level
     return best
 
 
@@ -930,16 +863,17 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
     d = manifold.dim
     diam = manifold.diameter
     small_threshold = 2.0 * b_fit / (c1 * _DELTA**d * diam**d)
+    lv = _levels(manifold)
 
     coarse = None
     if N >= small_threshold:
-        coarse = _pick_coarse_level(manifold, 2.0 * b_fit / N, deepest=True)
+        coarse = _pick_coarse_level(lv, 2.0 * b_fit / N, deepest=True)
         if coarse is not None and coarse < 1:
             coarse = None
     branch = "tree" if coarse is not None else "direct"
 
     if branch == "direct":
-        k = _pick_coarse_level(manifold, a_fit / N, deepest=False)
+        k = _pick_coarse_level(lv, a_fit / N, deepest=False)
         if k is None:
             raise ValueError("weights too small for the supported tree depth")
         tree = build_cell_tree(manifold, depth=max(k, 1))
@@ -955,7 +889,6 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
             "edges": 0,
         }
         fine = k
-        order_of_weight = list(range(N))
     else:
         k = coarse
         tree0 = build_cell_tree(manifold, depth=max(k, 1))
@@ -964,21 +897,16 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
         fine_threshold = a_fit / (C * N)
         # the conservative threshold can outrun the buildable depth; then
         # cap, provided fine cells stay well below the smallest region
-        depth_cap = 10 if manifold.kind == "sphere2" else (22 if d == 1 else 12)
         fine = None
-        branching = tree0.branching
         mx = math.inf
-        for lev in range(k + 1, depth_cap + 1):
-            if manifold.kind == "sphere2":
-                mx = float(build_cell_tree(manifold, depth=lev).measures(lev).max())
-            else:
-                mx = 1.0 / branching**lev
+        for lev in range(k + 1, lv.fine_cap + 1):
+            mx = lv.measure_range(lev)[1]
             if mx <= fine_threshold:
                 fine = lev
                 break
         if fine is None:
             if mx <= a_fit / (8.0 * N):
-                fine = depth_cap
+                fine = lv.fine_cap
             else:
                 raise ValueError("fine level for this N exceeds the supported depth")
         tree = build_cell_tree(manifold, depth=fine)
@@ -1043,10 +971,9 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
             "nodes": st.nodes,
             "edges": st.edges,
         }
-        order_of_weight = list(range(N))
 
     regions = []
-    for j in order_of_weight:
+    for j in range(N):
         runs = tuple(tuple(r) for r in region_runs[j])
         meas = math.fsum(_run_measure(tree, fine, r) for r in runs)
         rep, inner_r, outer_r = _region_geometry(tree, fine, runs)
@@ -1117,13 +1044,9 @@ def _ball_samples(manifold: Manifold, center_chart, radius: float) -> np.ndarray
     fracs = np.array([0.35, 0.7, 0.95])
     if manifold.dim == 1:
         rs = np.concatenate([radius * fracs, -radius * fracs, [0.0]])
-        if manifold.kind == "circle":
-            return (center[0] + rs)[:, None]
-        mf = manifold
-        h0 = float(arclength(mf.a_ax, mf.b_ax, center[0]))
-        ell = circumference(mf.a_ax, mf.b_ax)
-        hs = (h0 + rs) % ell
-        return np.atleast_1d(arclength_inverse(mf.a_ax, mf.b_ax, hs))[:, None]
+        chart = arc_chart(manifold)
+        hs = (chart.forward(center[0]) + rs) % chart.total
+        return chart.inverse(hs)[:, None]
     angles = TWO_PI * np.arange(8) / 8.0 + 0.3
     rr, aa = np.meshgrid(radius * fracs, angles)
     rr, aa = rr.ravel(), aa.ravel()

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
-from .geometry import Manifold, ManifoldPoint, TWO_PI, _arc_table
+from .geometry import Manifold, ManifoldPoint, TWO_PI, arc_chart
 
 _EPS = 1e-9  # slack for "frequency <= band" comparisons on float bands
 
@@ -58,7 +58,7 @@ class Eigenpair:
 
     def gradient(self, point: ManifoldPoint):
         g = self.space.gradients(np.asarray([point.chart]))[0, self.index]
-        return float(g[0]) if self.space.manifold.dim == 1 and self.space.manifold.kind != "sphere2" else g
+        return float(g[0]) if self.space.manifold.dim == 1 else g
 
 
 class SpectralSpace:
@@ -77,11 +77,8 @@ class SpectralSpace:
         self.band = float(band)
         self.kind = "diffusion"
         kind = manifold.kind
-        if kind == "circle":
-            self._init_angular(1.0)
-        elif kind == "ellipse":
-            ell = _arc_table(manifold.a_ax, manifold.b_ax).total
-            self._init_angular(TWO_PI / ell)
+        if manifold.dim == 1:
+            self._init_angular(TWO_PI / arc_chart(manifold).total)
         elif kind == "torus2":
             self._init_torus()
         else:
@@ -155,7 +152,7 @@ class SpectralSpace:
     def evaluate(self, charts: np.ndarray) -> np.ndarray:
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
         kind = self.manifold.kind
-        if kind in ("circle", "ellipse"):
+        if self.manifold.dim == 1:
             s = self._arc_coordinate(charts)
             phase = np.outer(s, self._ks * self._base_freq)
             return math.sqrt(2.0) * np.where(self._is_cos[None, :], np.cos(phase), np.sin(phase))
@@ -168,7 +165,7 @@ class SpectralSpace:
     def gradients(self, charts: np.ndarray) -> np.ndarray:
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
         kind = self.manifold.kind
-        if kind in ("circle", "ellipse"):
+        if self.manifold.dim == 1:
             s = self._arc_coordinate(charts)
             freqs = self._ks * self._base_freq
             phase = np.outer(s, freqs)
@@ -183,10 +180,7 @@ class SpectralSpace:
         return grads
 
     def _arc_coordinate(self, charts: np.ndarray) -> np.ndarray:
-        t = np.mod(charts[:, 0], TWO_PI)
-        if self.manifold.kind == "circle":
-            return t
-        return _arc_table(self.manifold.a_ax, self.manifold.b_ax).forward(t)
+        return arc_chart(self.manifold).forward(np.mod(charts[:, 0], TWO_PI))
 
     def _sphere_eval(self, charts, want_grad):
         theta, phi = charts[:, 0], charts[:, 1]
@@ -284,6 +278,6 @@ def eval_poly(poly: DiffusionPoly, point: ManifoldPoint) -> float:
 def grad_poly(poly: DiffusionPoly, point: ManifoldPoint):
     """Riemannian gradient at a point, in the per-kind tangent convention."""
     g = poly.tangent_gradients(np.asarray([point.chart]))[0]
-    if poly.space.manifold.kind in ("circle", "ellipse"):
+    if poly.space.manifold.dim == 1:
         return float(g[0])
     return g

@@ -61,7 +61,7 @@ def test_build_rejects_bad_input():
         build_cell_tree(make("sphere2"), depth=11)
 
 
-@pytest.mark.parametrize("kind,level", [("circle", 4), ("torus2", 3), ("sphere2", 2)])
+@pytest.mark.parametrize("kind,level", [("circle", 4), ("torus2", 3), ("sphere2", 2), ("ellipse", 4)])
 def test_neighbors_symmetric(kind, level):
     tree = build_cell_tree(make(kind), depth=level)
     for i in range(tree.ncells(level)):
@@ -89,6 +89,26 @@ def test_radii_bracket_cells():
     assert np.all(inner <= outer)
 
 
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_piece_geometry_consistent(kind):
+    tree = build_cell_tree(make(kind), depth=3)
+    level = 3
+    for idx in np.linspace(0, tree.ncells(level) - 1, 5).astype(int):
+        idx = int(idx)
+        c, inner, outer = tree.piece_geometry(level, idx, 0.0, 1.0)
+        cells_inner, cells_outer = tree.cell_radii(level, idx)
+        assert np.array_equal(c, tree.centers_chart(level, idx)[0])
+        assert (inner, outer) == (cells_inner[0], cells_outer[0])
+        for t0, t1 in ((0.0, 0.25), (0.2, 0.7), (0.6, 1.0)):
+            c, inner, outer = tree.piece_geometry(level, idx, t0, t1)
+            assert tree.locate(level, c) == idx
+            t = tree.sweep_parameter(level, idx, c)
+            assert t0 - 1e-12 <= t <= t1 + 1e-12
+            assert 0.0 < inner <= outer
+            mu = tree.cut_measure(level, idx, t0, t1)
+            assert exact_cut(tree, level, idx, mu, t0) == pytest.approx(t1, abs=1e-12)
+
+
 def test_u_constants_flats():
     circle = build_cell_tree(make("circle"), depth=4)
     assert circle.u1 == pytest.approx(math.pi)
@@ -104,7 +124,10 @@ def test_u_constants_flats():
 # spanning trees and exact cuts
 
 
-@pytest.mark.parametrize("kind,level,ncells", [("circle", 3, 8), ("torus2", 2, 16), ("sphere2", 1, 8)])
+@pytest.mark.parametrize(
+    "kind,level,ncells",
+    [("circle", 3, 8), ("torus2", 2, 16), ("sphere2", 1, 8), ("ellipse", 3, 8)],
+)
 def test_spanning_tree_counts(kind, level, ncells):
     tree = build_cell_tree(make(kind), depth=level)
     st_ = spanning_tree(tree, level)
@@ -272,6 +295,20 @@ def test_verify_catches_tampered_runs():
     rep = verify_partition(bad)
     assert not rep.passed
     assert (not rep.measures_ok) or rep.max_cover_gap > 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 9, 17, 64, 300])
+def test_equal_axes_ellipse_partitions_like_circle(n):
+    """A 1:1 ellipse is the unit circle: same branch, levels and runs."""
+    w = random_band_weights(n, 0.5, 2.0, n)
+    pe = weighted_partition(Manifold("ellipse", 1.0, 1.0), w)
+    pc = weighted_partition(make("circle"), w)
+    assert (pe.branch, pe.coarse_level, pe.fine_level) == (pc.branch, pc.coarse_level, pc.fine_level)
+    assert [r.runs for r in pe.regions] == [r.runs for r in pc.regions]
+    assert np.allclose(pe.representatives(), pc.representatives(), rtol=0.0, atol=1e-12)
+    for re_, rc in zip(pe.regions, pc.regions):
+        assert re_.inner_radius == pytest.approx(rc.inner_radius, abs=1e-12)
+        assert re_.outer_radius == pytest.approx(rc.outer_radius, abs=1e-12)
 
 
 def test_weight_vector_passthrough():
