@@ -5,10 +5,13 @@ Usage: python3 scripts/fingerprint_outputs.py > fingerprints.txt
 Hashes the default-solve ``rule_to_json`` of every ``SOLVE_CASES`` entry at
 seeds 0-9, the descent ``rule_to_json`` of every ``RESTART_CASES`` entry at
 seed 0, and ``partition_to_json`` of every ``PARTITION_CASES`` entry at seeds
-0-9, with the inputs the benchmark workloads generate.  The case tables are
-read from ``perfbench/workloads.py``; the package comes from this checkout's
-``src``.  Run it in two checkouts and ``diff`` the outputs: equal lines mean
-byte-identical rules and partitions.  Takes about 40 s on one core.
+0-9, with the inputs the benchmark workloads generate.  Each partition also
+gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
+``verify_partition`` report.  The case tables are read from
+``perfbench/workloads.py``; the package comes from this checkout's ``src``.
+Run it in two checkouts and ``diff`` the outputs: equal lines mean
+byte-identical rules, partitions and verification reports.  Takes about 50 s
+on one core.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from cubaflow import (  # noqa: E402
     random_band_weights,
     rule_to_json,
     solve,
+    verify_partition,
     weighted_partition,
 )
 
@@ -56,7 +60,9 @@ def main() -> int:
     for name, args, n in workloads.PARTITION_CASES:
         for seed in SEEDS:
             w = _band(n, seed + workloads.PARTITION_SEED_SHIFT)
-            _emit(f"partition/{name}/seed{seed}", partition_to_json(weighted_partition(Manifold(*args), w)))
+            part = weighted_partition(Manifold(*args), w)
+            _emit(f"partition/{name}/seed{seed}", partition_to_json(part))
+            _emit(f"verify/{name}/seed{seed}", repr(verify_partition(part)))
     return 0
 
 

@@ -73,24 +73,35 @@ _MIN_CELL_MEASURE = 1e-9
 # Morton index arithmetic for the torus grid
 
 
+# bit masks of the five spread steps: step s moves bits by 2^s
+_BITS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+         0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+
+
+def _spread(v):
+    """Move bit p of v (p < 32) to bit 2p."""
+    for s in range(4, -1, -1):
+        v = (v | (v << (1 << s))) & _BITS[s]
+    return v
+
+
+def _compact(v):
+    """Move bit 2p of v to bit p, dropping odd bits; inverts ``_spread``."""
+    v = v & _BITS[0]
+    for s in range(5):
+        v = (v | (v >> (1 << s))) & _BITS[s + 1]
+    return v
+
+
 def _morton_decode(m, k: int):
-    m = np.asarray(m, dtype=np.int64)
-    i = np.zeros_like(m)
-    j = np.zeros_like(m)
-    for p in range(k):
-        i |= ((m >> (2 * p)) & 1) << p
-        j |= ((m >> (2 * p + 1)) & 1) << p
-    return i, j
+    m = np.asarray(m, dtype=np.int64) & ((1 << 2 * k) - 1)
+    return _compact(m), _compact(m >> 1)
 
 
 def _morton_encode(i, j, k: int):
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    m = np.zeros_like(i)
-    for p in range(k):
-        m |= ((i >> p) & 1) << (2 * p)
-        m |= ((j >> p) & 1) << (2 * p + 1)
-    return m
+    mask = (1 << k) - 1
+    i = _spread(np.asarray(i, dtype=np.int64) & mask)
+    return i | (_spread(np.asarray(j, dtype=np.int64) & mask) << 1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +382,9 @@ class CellTree:
     def _arc_centers(self, level: int, i):
         return self._chart.inverse((i + 0.5) * self._arc_width(level))
 
-    def _arc_position(self, level: int, x: float) -> float:
-        """Arc-length position of angle x, in level-cell widths."""
-        return self._chart.forward(float(x) % TWO_PI) / self._arc_width(level)
+    def _arc_position(self, level: int, x: np.ndarray) -> np.ndarray:
+        """Arc-length positions of angles x, in level-cell widths."""
+        return self._chart.forward(x % TWO_PI) / self._arc_width(level)
 
     def _axes(self, level: int, idx):
         """Per-axis arc indices of flat cells."""
@@ -454,59 +465,61 @@ class CellTree:
         f = self.branching ** (target_level - level)
         return idx * f, (idx + 1) * f
 
-    def locate(self, level: int, chart: np.ndarray) -> int:
-        """Index of the level cell containing the given chart point."""
+    def locate(self, level: int, charts: np.ndarray):
+        """Indices of the level cells containing chart rows ``(k, d)``.
+
+        A single ``(d,)`` row gives a single index.
+        """
         self._check_level(level)
-        chart = np.asarray(chart, dtype=float)
+        charts = np.asarray(charts, dtype=float)
+        rows = np.atleast_2d(charts)
         if not self._lv.sphere:
-            m = 2**level
-            axes = [min(int(self._arc_position(level, x)), m - 1) for x in chart]
-            return axes[0] if self.manifold.dim == 1 else int(_morton_encode(*axes, level))
-        p = charts_to_ambient(self.manifold, chart[None, :])[0]
-        cur = -1
-        best = -np.inf
-        for t in range(8):
-            s = self._tri_side(1, t, p)
-            if s > best:
-                best, cur = s, t
-        for lev in range(2, level + 1):
-            best = -np.inf
-            nxt = -1
-            for c in range(4 * cur, 4 * cur + 4):
-                s = self._tri_side(lev, c, p)
-                if s > best:
-                    best, nxt = s, c
-            cur = nxt
-        return cur
+            axes = [np.minimum(self._arc_position(level, x).astype(np.int64), 2**level - 1)
+                    for x in rows.T]
+            cells = axes[0] if self.manifold.dim == 1 else _morton_encode(*axes, level)
+        else:
+            # descend from the 8 root triangles to the best of 4 children per
+            # level; argmax keeps the first of equal edge sides
+            p = charts_to_ambient(self.manifold, rows)
+            sides = lambda lev, tris: _edge_sides(
+                self._sphere[lev]["verts"][self._sphere[lev]["tris"][tris]], p)
+            cells = np.argmax(sides(1, np.arange(8)[None]), axis=1)
+            for lev in range(2, level + 1):
+                kids = 4 * cells[:, None] + np.arange(4)
+                cells = kids[np.arange(len(p)), np.argmax(sides(lev, kids), axis=1)]
+        return int(cells[0]) if charts.ndim == 1 else cells
 
-    def _tri_side(self, level: int, idx: int, p: np.ndarray) -> float:
-        """Smallest signed edge-circle distance; >= 0 means inside."""
-        lev = self._sphere[level]
-        V = lev["verts"][lev["tris"][idx]]
-        out = np.inf
-        for a in range(3):
-            nvec = np.cross(V[a], V[(a + 1) % 3])
-            nn = np.linalg.norm(nvec)
-            out = min(out, float(np.dot(nvec, p)) / max(nn, 1e-300))
-        return out
+    def sweep_parameter(self, level: int, idx, charts: np.ndarray):
+        """Sweep coordinates of chart rows inside the given cells, in [0, 1].
 
-    def sweep_parameter(self, level: int, idx: int, chart: np.ndarray) -> float:
-        """Sweep coordinate of a point inside the given cell, in [0, 1]."""
-        chart = np.asarray(chart, dtype=float)
+        A single ``(d,)`` row with one cell index gives a single float.
+        """
+        self._check_level(level)
+        charts = np.asarray(charts, dtype=float)
+        rows = np.atleast_2d(charts)
+        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         if not self._lv.sphere:
-            first = self._axes(level, np.asarray([idx]))[0][0]
-            return float(self._arc_position(level, chart[0]) - first)
-        lev = self._sphere[level]
-        A, B, C = lev["verts"][lev["tris"][idx]]
-        p = charts_to_ambient(self.manifold, chart[None, :])[0]
-        n1 = np.cross(A, p)
-        if np.linalg.norm(n1) < 1e-13:
-            return 0.0
-        q = np.cross(n1, np.cross(B, C))
-        q = q / np.linalg.norm(q)
-        if np.dot(q, B + C) < 0.0:
-            q = -q
-        return min(max(float(_arc(B, q) / _arc(B, C)), 0.0), 1.0)
+            t = self._arc_position(level, rows[:, 0]) - self._axes(level, idx)[0]
+        else:
+            lev = self._sphere[level]
+            A, B, C = np.moveaxis(lev["verts"][lev["tris"][idx]], 1, 0)
+            n1 = np.cross(A, charts_to_ambient(self.manifold, rows))
+            q = np.cross(n1, np.cross(B, C))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                q = q / np.linalg.norm(q, axis=1, keepdims=True)
+            q = np.where(np.sum(q * (B + C), axis=1, keepdims=True) < 0.0, -q, q)
+            t = np.clip(_arc(B, q) / _arc(B, C), 0.0, 1.0)
+            # a point at the apex A lies on every sweep line; it gets t = 0
+            t = np.where(np.linalg.norm(n1, axis=1) < 1e-13, 0.0, t)
+        return float(t[0]) if charts.ndim == 1 else t
+
+
+def _edge_sides(V: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Smallest signed edge-circle distances ``(k, m)`` of points p ``(k, 3)``
+    to triangles V ``(k or 1, m, 3, 3)``; >= 0 means inside."""
+    n = np.cross(V, np.roll(V, -1, axis=-2))
+    nn = np.maximum(np.linalg.norm(n, axis=-1), 1e-300)
+    return np.min(np.sum(n * p[:, None, None, :], axis=-1) / nn, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -1092,24 +1105,20 @@ def verify_partition(p: Partition) -> PartitionReport:
     if not cover_ok:
         notes.append(f"tiling gap {gap:.3e}")
 
-    inner_ok = True
-    starts = np.asarray([iv[0] for iv in intervals])
-    for ridx, r in enumerate(p.regions):
-        pts = _ball_samples(p.manifold, r.representative, 0.98 * r.inner_radius)
-        for chart in pts:
-            cell = tree.locate(level, chart)
-            t = tree.sweep_parameter(level, cell, chart)
-            q = cell + min(max(t, 0.0), 1.0)
-            pos = int(np.searchsorted(starts, q + 1e-12, side="right")) - 1
-            if pos < 0 or not (
-                intervals[pos][0] - 1e-9 <= q <= intervals[pos][1] + 1e-9
-                and intervals[pos][2] == ridx
-            ):
-                inner_ok = False
-                notes.append(f"inner ball of region {ridx} leaks")
-                break
-        if not inner_ok:
-            break
+    # every region's inner-ball samples, located at once
+    samples = [_ball_samples(p.manifold, r.representative, 0.98 * r.inner_radius)
+               for r in p.regions]
+    owner = np.repeat(np.arange(p.n), [len(x) for x in samples])
+    charts = np.concatenate(samples)
+    cells = tree.locate(level, charts)
+    q = cells + np.clip(tree.sweep_parameter(level, cells, charts), 0.0, 1.0)
+    lo, hi, region = (np.asarray(col) for col in zip(*intervals))
+    pos = np.searchsorted(lo, q + 1e-12, side="right") - 1
+    at = np.maximum(pos, 0)
+    inside = (pos >= 0) & (lo[at] - 1e-9 <= q) & (q <= hi[at] + 1e-9) & (region[at] == owner)
+    inner_ok = bool(inside.all())
+    if not inner_ok:
+        notes.append(f"inner ball of region {owner[np.argmin(inside)]} leaks")
 
     outer_ok = True
     for ridx, r in enumerate(p.regions):

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubaflow.geometry import Manifold, pairwise_distance
+from cubaflow.geometry import (
+    Manifold,
+    arc_chart,
+    charts_to_ambient,
+    pairwise_distance,
+    sphere_chart_from_ambient,
+)
 from cubaflow.partition import (
+    _morton_decode,
+    _morton_encode,
     build_cell_tree,
     exact_cut,
     partition_from_json,
@@ -23,6 +31,24 @@ from cubaflow.weights import WeightVector, random_band_weights
 
 def make(kind):
     return Manifold("ellipse", 2.0, 1.0) if kind == "ellipse" else Manifold(kind)
+
+
+def _morton_loop(i, j, k):
+    """Bit-by-bit Morton interleave, bit p of i to 2p and of j to 2p + 1."""
+    m = np.zeros_like(i)
+    for p in range(k):
+        m |= ((i >> p) & 1) << (2 * p)
+        m |= ((j >> p) & 1) << (2 * p + 1)
+    return m
+
+
+def _unmorton_loop(m, k):
+    i = np.zeros_like(m)
+    j = np.zeros_like(m)
+    for p in range(k):
+        i |= ((m >> (2 * p)) & 1) << p
+        j |= ((m >> (2 * p + 1)) & 1) << p
+    return i, j
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +103,87 @@ def test_locate_finds_cell_centers():
         centers = tree.centers_chart(level, np.arange(tree.ncells(level)))
         for idx in range(tree.ncells(level)):
             assert tree.locate(level, centers[idx]) == idx
+
+
+def test_morton_matches_bit_loop():
+    rng = np.random.default_rng(5)
+    for k in (*range(15), 20, 31):
+        m = np.arange(4**k) if k <= 9 else rng.integers(0, 4**k, 20_000)
+        i, j = _unmorton_loop(m, k)
+        assert all(np.array_equal(a, b) for a, b in zip(_morton_decode(m, k), (i, j)))
+        assert np.array_equal(_morton_encode(i, j, k), m)
+        assert np.array_equal(_morton_loop(i, j, k), m)
+
+
+def _random_charts(manifold, n, seed):
+    rng = np.random.default_rng(seed)
+    if manifold.kind == "sphere2":
+        v = rng.standard_normal((n, 3))
+        return sphere_chart_from_ambient(v / np.linalg.norm(v, axis=1, keepdims=True))
+    return rng.uniform(0.0, 2.0 * math.pi, (n, manifold.dim))
+
+
+def _edge_sides_all(tree, level, p):
+    """Smallest signed edge distance of every point to every level triangle."""
+    lev = tree._sphere[level]
+    V = lev["verts"][lev["tris"]]
+    out = np.full((len(p), len(V)), np.inf)
+    for a in range(3):
+        nvec = np.cross(V[:, a], V[:, (a + 1) % 3])
+        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
+        out = np.minimum(out, p @ nvec.T)
+    return out
+
+
+@pytest.mark.parametrize("kind,level", [("circle", 4), ("torus2", 3), ("sphere2", 4), ("ellipse", 4)])
+def test_locate_batch_matches_brute_force(kind, level):
+    m = make(kind)
+    tree = build_cell_tree(m, depth=level)
+    charts = _random_charts(m, 500, seed=level)
+    cells = tree.locate(level, charts)
+    assert cells.shape == (500,)
+    assert np.array_equal(cells, [tree.locate(level, c) for c in charts])
+    if kind == "sphere2":
+        amb = charts_to_ambient(m, charts)
+        sides = _edge_sides_all(tree, level, amb)
+        assert np.all(sides[np.arange(500), cells] >= -1e-12)
+    else:
+        chart = arc_chart(m)
+        w = chart.total / 2**level
+        axes = [np.array([math.floor(chart.forward(float(x)) / w) for x in col]) for col in charts.T]
+        expect = axes[0] if m.dim == 1 else _morton_loop(axes[0], axes[1], level)
+        assert np.array_equal(cells, expect)
+    t = tree.sweep_parameter(level, cells, charts)
+    assert t.shape == (500,)
+    assert np.all((t >= -1e-12) & (t <= 1.0 + 1e-12))
+    if kind == "sphere2":
+        # the sweep point at t on edge BC lies on the great circle through A and p
+        lev = tree._sphere[level]
+        A, B, C = np.moveaxis(lev["verts"][lev["tris"][cells]], 1, 0)
+        theta = np.arccos(np.clip(np.sum(B * C, axis=1), -1.0, 1.0))[:, None]
+        P = (np.sin((1.0 - t)[:, None] * theta) * B + np.sin(t[:, None] * theta) * C) / np.sin(theta)
+        assert np.max(np.abs(np.linalg.det(np.stack([A, amb, P], axis=1)))) < 1e-12
+    # row by row; the ellipse's arc table may round t in the last bit per batch size
+    single = [tree.sweep_parameter(level, int(c), x) for c, x in zip(cells, charts)]
+    assert np.allclose(t, single, rtol=0.0, atol=1e-15)
+
+
+def test_locate_caps_last_arc():
+    # on the 3:1 ellipse the arc length just below 2pi rounds up to the total
+    tree = build_cell_tree(Manifold("ellipse", 3.0, 1.0), depth=10)
+    end = np.full((2, 1), np.nextafter(2.0 * math.pi, 0.0))
+    for level in (3, 10):
+        assert tree.locate(level, end[0]) == tree.ncells(level) - 1
+        assert np.array_equal(tree.locate(level, end), [tree.ncells(level) - 1] * 2)
+
+
+def test_sweep_parameter_checks_level():
+    tree = build_cell_tree(make("torus2"), depth=3)
+    chart = np.array([0.1, 0.2])
+    assert 0.0 <= tree.sweep_parameter(3, tree.locate(3, chart), chart) <= 1.0
+    for level in (-1, 4):
+        with pytest.raises(ValueError):
+            tree.sweep_parameter(level, 0, chart)
 
 
 def test_radii_bracket_cells():
@@ -226,10 +333,10 @@ def test_partition_measures_match_weights(n, seed):
     assert math.fsum(r.measure for r in p.regions) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "kind,n,seed",
-    [("circle", 17, 3), ("torus2", 30, 4), ("ellipse", 9, 5), ("sphere2", 12, 6)],
-)
+VERIFY_INPUTS = {"circle": (17, 3), "torus2": (30, 4), "ellipse": (9, 5), "sphere2": (12, 6)}
+
+
+@pytest.mark.parametrize("kind,n,seed", [(k, *v) for k, v in VERIFY_INPUTS.items()])
 def test_partition_verifies(kind, n, seed):
     w = random_band_weights(n, 0.5, 2.0, seed)
     p = weighted_partition(make(kind), w)
@@ -238,6 +345,18 @@ def test_partition_verifies(kind, n, seed):
     assert rep.max_measure_error < 1e-12
     assert rep.c3 > 0.0
     assert rep.c4 < math.inf
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_verify_catches_leaking_inner_ball(kind):
+    n, seed = VERIFY_INPUTS[kind]
+    p = weighted_partition(make(kind), random_band_weights(n, 0.5, 2.0, seed))
+    regions = list(p.regions)
+    regions[2] = dataclasses.replace(regions[2], inner_radius=2.0 * regions[2].outer_radius)
+    rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+    assert not rep.inner_ok
+    assert rep.notes == ("inner ball of region 2 leaks",)
+    assert rep.measures_ok and rep.cover_ok
 
 
 def test_branches_by_size():
