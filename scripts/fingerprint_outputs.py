@@ -7,11 +7,13 @@ seeds 0-9, the descent ``rule_to_json`` of every ``RESTART_CASES`` entry at
 seed 0, and ``partition_to_json`` of every ``PARTITION_CASES`` entry at seeds
 0-9, with the inputs the benchmark workloads generate.  Each partition also
 gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
-``verify_partition`` report.  The case tables are read from
-``perfbench/workloads.py``; the package comes from this checkout's ``src``.
-Run it in two checkouts and ``diff`` the outputs: equal lines mean
-byte-identical rules, partitions and verification reports.  Takes about 50 s
-on one core.
+``verify_partition`` report.  Last come the circle partitions of the MZ
+sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
+0-9, with the weights the ``mz`` workload draws.  The case tables are read
+from ``perfbench/workloads.py``; the package comes from this checkout's
+``src``.  Run it in two checkouts and ``diff`` the outputs: equal lines mean
+byte-identical rules, partitions and verification reports.  Takes about a
+minute on one core.
 """
 
 import hashlib
@@ -63,6 +65,10 @@ def main() -> int:
             part = weighted_partition(Manifold(*args), w)
             _emit(f"partition/{name}/seed{seed}", partition_to_json(part))
             _emit(f"verify/{name}/seed{seed}", repr(verify_partition(part)))
+    for seed in SEEDS:
+        for n in workloads.MZ_NS:
+            part = weighted_partition(Manifold("circle"), _band(n, seed + n))
+            _emit(f"mz-partition/N{n}/seed{seed}", partition_to_json(part))
     return 0
 
 

@@ -21,6 +21,10 @@ rest exactly.  Regions are contiguous stretches of material: whole fine
 cells plus at most one new fractional cut each, so region measures are
 prefix sums plus a single root-find, never a quadrature.  Small N skips
 the tree and sweeps one coarse level directly.
+
+Cell index arithmetic and the sphere's triangle tables live in
+:mod:`cubaflow.cells`; region representatives, radii and the outer-ball
+check of verification in :mod:`cubaflow.regions`.
 """
 
 from __future__ import annotations
@@ -33,18 +37,29 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
+from .cells import (
+    _arc,
+    _edge_sides,
+    _morton_decode,
+    _morton_encode,
+    _slerp,
+    _sphere_levels,
+    _sphere_neighbors,
+    _tri_area_raw,
+    _tri_centers,
+    _tri_inner_outer,
+)
 from .geometry import (
     TWO_PI,
     Manifold,
-    _neumaier_cumsum,
     arc_chart,
     charts_to_ambient,
     doubling_constants,
     manifold_from_descriptor,
-    pairwise_distance,
     sphere_chart_from_ambient,
     sphere_tangent_frame,
 )
+from .regions import _outer_ball_misses, _regions_geometry, _split_runs
 
 __all__ = [
     "CellTree",
@@ -67,199 +82,6 @@ _DELTA = 0.5
 _CUT_TOL = 1e-12
 # cells close to the cut tolerance make exact measures meaningless
 _MIN_CELL_MEASURE = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Morton index arithmetic for the torus grid
-
-
-# bit masks of the five spread steps: step s moves bits by 2^s
-_BITS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-         0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
-
-
-def _spread(v):
-    """Move bit p of v (p < 32) to bit 2p."""
-    for s in range(4, -1, -1):
-        v = (v | (v << (1 << s))) & _BITS[s]
-    return v
-
-
-def _compact(v):
-    """Move bit 2p of v to bit p, dropping odd bits; inverts ``_spread``."""
-    v = v & _BITS[0]
-    for s in range(5):
-        v = (v | (v >> (1 << s))) & _BITS[s + 1]
-    return v
-
-
-def _morton_decode(m, k: int):
-    m = np.asarray(m, dtype=np.int64) & ((1 << 2 * k) - 1)
-    return _compact(m), _compact(m >> 1)
-
-
-def _morton_encode(i, j, k: int):
-    mask = (1 << k) - 1
-    i = _spread(np.asarray(i, dtype=np.int64) & mask)
-    return i | (_spread(np.asarray(j, dtype=np.int64) & mask) << 1)
-
-
-# ---------------------------------------------------------------------------
-# Spherical triangle helpers (ambient unit vectors throughout)
-
-
-def _arc(u, v):
-    """Stable geodesic arc length between unit vectors (vectorized)."""
-    cr = np.cross(u, v)
-    return np.arctan2(np.linalg.norm(cr, axis=-1), np.sum(u * v, axis=-1))
-
-
-def _tri_area_raw(A, B, C):
-    """Spherical excess of triangles via the half-side tangent formula."""
-    a = _arc(B, C)
-    b = _arc(C, A)
-    c = _arc(A, B)
-    s = 0.5 * (a + b + c)
-    t = (
-        np.tan(0.5 * s)
-        * np.tan(0.5 * (s - a))
-        * np.tan(0.5 * (s - b))
-        * np.tan(0.5 * (s - c))
-    )
-    return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
-
-
-def _slerp(B, C, t):
-    theta = float(_arc(B, C))
-    if theta < 1e-15:
-        return B
-    w = (math.sin((1.0 - t) * theta) * B + math.sin(t * theta) * C) / math.sin(
-        theta
-    )
-    return w / np.linalg.norm(w)
-
-
-def _tri_centers(A, B, C):
-    z = A + B + C
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-
-def _tri_inner_outer(A, B, C):
-    """Inscribed and circumscribed geodesic radii about the centroid."""
-    z = _tri_centers(A, B, C)
-    outer = np.maximum(_arc(z, A), np.maximum(_arc(z, B), _arc(z, C)))
-    inner = np.full(outer.shape, np.inf)
-    for U, V in ((A, B), (B, C), (C, A)):
-        n = np.cross(U, V)
-        nn = np.linalg.norm(n, axis=-1)
-        sin_d = np.abs(np.sum(z * n, axis=-1)) / np.maximum(nn, 1e-300)
-        inner = np.minimum(inner, np.arcsin(np.clip(sin_d, 0.0, 1.0)))
-    return inner, outer
-
-
-def _subdivide(verts: np.ndarray, tris: np.ndarray):
-    """Quarter every triangle through deduplicated edge midpoints."""
-    T = len(tris)
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    uniq, inv = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
-    mids = verts[uniq[:, 0]] + verts[uniq[:, 1]]
-    mids /= np.linalg.norm(mids, axis=1, keepdims=True)
-    mid_id = len(verts) + np.arange(len(uniq), dtype=np.int64)
-    verts = np.vstack([verts, mids])
-    mab = mid_id[inv[:T]]
-    mbc = mid_id[inv[T : 2 * T]]
-    mca = mid_id[inv[2 * T :]]
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    children = np.empty((4 * T, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([a, mab, mca])
-    children[1::4] = np.column_stack([mab, b, mbc])
-    children[2::4] = np.column_stack([mca, mbc, c])
-    children[3::4] = np.column_stack([mab, mbc, mca])
-    return verts, children
-
-
-def _sphere_level_entry(verts: np.ndarray, tris: np.ndarray) -> dict:
-    A, B, C = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    raw = _tri_area_raw(A, B, C)
-    scale = 1.0 / math.fsum(raw.tolist())
-    areas = raw * scale
-    inner, outer = _tri_inner_outer(A, B, C)
-    return {
-        "verts": verts,
-        "tris": tris,
-        "areas": areas,
-        "prefix": _neumaier_cumsum(np.concatenate([[0.0], areas])),
-        "scale": scale,
-        "centers": _tri_centers(A, B, C),
-        "inner": inner,
-        "outer": outer,
-    }
-
-
-@lru_cache(maxsize=16)
-def _sphere_levels(depth: int) -> dict:
-    """Octahedral triangle hierarchy, levels 1..depth.
-
-    Children of triangle t sit at indices 4t..4t+3, so descendant index
-    ranges stay contiguous.  Areas are normalized per level to sum to
-    one exactly; cuts reuse the same per-level scale factor so partial
-    pieces stay additive to the whole-cell values.
-    """
-    if depth == 1:
-        verts = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [-1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, -1.0, 0.0],
-                [0.0, 0.0, 1.0],
-                [0.0, 0.0, -1.0],
-            ]
-        )
-        tris = []
-        for sx in (0, 1):
-            for sy in (0, 1):
-                for sz in (0, 1):
-                    tri = [0 + sx, 2 + sy, 4 + sz]
-                    A, B, C = verts[tri]
-                    if np.dot(np.cross(A, B), C) < 0.0:
-                        tri = [tri[1], tri[0], tri[2]]
-                    tris.append(tri)
-        tris = np.asarray(tris, dtype=np.int64)
-        return {1: _sphere_level_entry(verts, tris)}
-    levels = dict(_sphere_levels(depth - 1))
-    last = levels[depth - 1]
-    verts, tris = _subdivide(last["verts"], last["tris"])
-    levels[depth] = _sphere_level_entry(verts, tris)
-    return levels
-
-
-@lru_cache(maxsize=16)
-def _sphere_neighbors(level: int) -> np.ndarray:
-    """Edge-sharing neighbor triples per triangle, sorted per row."""
-    lev = _sphere_levels(level)[level]
-    tris = lev["tris"]
-    T = len(tris)
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    uniq, inv = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
-    owner = np.tile(np.arange(T, dtype=np.int64), 3)
-    order = np.argsort(inv, kind="stable")
-    inv_s, owner_s = inv[order], owner[order]
-    if not (len(uniq) * 2 == len(inv_s) and np.all(inv_s[0::2] == inv_s[1::2])):
-        raise RuntimeError("triangulation is not edge-to-edge")
-    pair = owner_s.reshape(-1, 2)
-    other = np.empty((len(uniq), 2), dtype=np.int64)
-    other[:, 0], other[:, 1] = pair[:, 1], pair[:, 0]
-    nbr = np.empty((T, 3), dtype=np.int64)
-    slot = np.zeros(T, dtype=np.int64)
-    for eid in range(len(uniq)):
-        for s in range(2):
-            t = pair[eid, s]
-            nbr[t, slot[t]] = other[eid, s]
-            slot[t] += 1
-    if not np.all(slot == 3):
-        raise RuntimeError("triangle with wrong neighbor count")
-    return np.sort(nbr, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,36 +234,44 @@ class CellTree:
         half = np.full(len(idx), 0.5 * self._arc_width(level))
         return half, half * math.sqrt(self.manifold.dim)
 
-    def piece_geometry(
-        self, level: int, idx: int, t0: float, t1: float
-    ) -> tuple[np.ndarray, float, float]:
-        """(center chart, inner radius, outer radius) of a sweep piece."""
+    def piece_geometry(self, level: int, idx, t0, t1):
+        """(center charts, inner radii, outer radii) of sweep pieces.
+
+        Arrays of k pieces give ``(k, d)`` centers and ``(k,)`` radii; one
+        scalar piece gives a ``(d,)`` center and two floats.
+        """
         self._check_level(level)
-        if t1 - t0 >= 1.0 - 1e-12:
-            c = self.centers_chart(level, idx)[0]
-            inner, outer = self.cell_radii(level, idx)
-            return c, float(inner[0]), float(outer[0])
-        if not self._lv.sphere:
+        scalar = np.ndim(idx) == 0
+        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
+        t0 = np.broadcast_to(np.asarray(t0, dtype=float), idx.shape)
+        t1 = np.broadcast_to(np.asarray(t1, dtype=float), idx.shape)
+        c = self.centers_chart(level, idx)
+        inner, outer = (np.array(r, dtype=float) for r in self.cell_radii(level, idx))
+        part = t1 - t0 < 1.0 - 1e-12
+        if part.any() and not self._lv.sphere:
             # the piece spans [lo, hi] on the sweep axis, whole arcs on the rest
             w = self._arc_width(level)
-            axes = [a[0] for a in self._axes(level, np.asarray([idx]))]
-            lo = axes[0] * w + t0 * w
-            hi = axes[0] * w + t1 * w
-            c = [self._chart.inverse(0.5 * (lo + hi))]
-            c += [self._arc_centers(level, i) for i in axes[1:]]
-            sides = [hi - lo] + [w] * (len(axes) - 1)
-            return (np.asarray(c, dtype=float), float(0.5 * min(sides)),
-                    float(0.5 * math.hypot(*sides)))
-        lev = self._sphere[level]
-        A, B, C = lev["verts"][lev["tris"][idx]]
-        P0, P1 = _slerp(B, C, t0), _slerp(B, C, t1)
-        z = _tri_centers(
-            A[None, :], P0[None, :], P1[None, :]
-        )[0]
-        inner, outer = _tri_inner_outer(A[None, :], P0[None, :], P1[None, :])
-        return sphere_chart_from_ambient(z[None, :])[0], float(inner[0]), float(
-            outer[0]
-        )
+            first = self._axes(level, idx[part])[0]
+            lo = first * w + t0[part] * w
+            hi = first * w + t1[part] * w
+            c[part, 0] = self._chart.inverse(0.5 * (lo + hi))
+            side = hi - lo
+            if self.manifold.dim == 1:
+                inner[part], outer[part] = 0.5 * side, 0.5 * np.abs(side)
+            else:
+                # math.hypot: np.hypot differs from it in the last bit on some inputs
+                inner[part] = 0.5 * np.minimum(side, w)
+                outer[part] = [0.5 * math.hypot(s, w) for s in side.tolist()]
+        elif part.any():
+            lev = self._sphere[level]
+            A, B, C = np.moveaxis(lev["verts"][lev["tris"][idx[part]]], 1, 0)
+            P0 = np.array([_slerp(*x) for x in zip(B, C, t0[part])])
+            P1 = np.array([_slerp(*x) for x in zip(B, C, t1[part])])
+            c[part] = sphere_chart_from_ambient(_tri_centers(A, P0, P1))
+            inner[part], outer[part] = _tri_inner_outer(A, P0, P1)
+        if scalar:
+            return c[0], float(inner[0]), float(outer[0])
+        return c, inner, outer
 
     def neighbors(self, level: int, idx: int) -> np.ndarray:
         """Adjacent same-level cells (shared boundary), sorted."""
@@ -512,14 +342,6 @@ class CellTree:
             # a point at the apex A lies on every sweep line; it gets t = 0
             t = np.where(np.linalg.norm(n1, axis=1) < 1e-13, 0.0, t)
         return float(t[0]) if charts.ndim == 1 else t
-
-
-def _edge_sides(V: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Smallest signed edge-circle distances ``(k, m)`` of points p ``(k, 3)``
-    to triangles V ``(k or 1, m, 3, 3)``; >= 0 means inside."""
-    n = np.cross(V, np.roll(V, -1, axis=-2))
-    nn = np.maximum(np.linalg.norm(n, axis=-1), 1e-300)
-    return np.min(np.sum(n * p[:, None, None, :], axis=-1) / nn, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -746,21 +568,6 @@ class Region:
         return _split_runs(self.runs)[0]
 
 
-def _split_runs(runs) -> tuple[list, list]:
-    """Whole-cell (start, stop) ranges and partial (cell, t0, t1) pieces."""
-    whole, partials = [], []
-    for s, e, tf, tl in runs:
-        lo = s if tf <= 1e-12 else s + 1
-        hi = e if tl >= 1.0 - 1e-12 else e - 1
-        if hi > lo:
-            whole.append((lo, hi))
-        if lo > s:
-            partials.append((s, tf, tl if e == s + 1 else 1.0))
-        if hi < e and e - 1 >= lo:
-            partials.append((e - 1, 0.0 if e - 1 > s else tf, tl))
-    return whole, partials
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint regions with measures equal to the prescribed weights."""
@@ -785,60 +592,6 @@ class Partition:
         return np.asarray([r.representative for r in self.regions], dtype=float)
 
 
-def _measure_centroid(manifold: Manifold, charts: np.ndarray, meas: np.ndarray):
-    """Measure-weighted mean position, or None when it degenerates."""
-    if manifold.kind == "sphere2":
-        amb = charts_to_ambient(manifold, charts)
-        v = meas @ amb
-        nv = np.linalg.norm(v)
-        if nv < 1e-9 * meas.sum():
-            return None
-        return sphere_chart_from_ambient((v / nv)[None, :])[0]
-    # circular mean per flat axis, taken in arc length
-    chart = arc_chart(manifold)
-    out = []
-    for col in range(charts.shape[1]):
-        h = chart.forward(charts[:, col]) * (TWO_PI / chart.total)
-        c, s = meas @ np.cos(h), meas @ np.sin(h)
-        if math.hypot(c, s) < 1e-9 * meas.sum():
-            return None
-        out.append(chart.inverse((math.atan2(s, c) % TWO_PI) * (chart.total / TWO_PI)))
-    return np.asarray(out, dtype=float)
-
-
-def _region_geometry(tree: CellTree, level: int, runs) -> tuple:
-    """Representative, certified inner and outer radii for one region."""
-    whole, partials = _split_runs(runs)
-    outer_r = 0.0
-    if whole:
-        cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
-        centers = tree.centers_chart(level, cells)
-        inner, outer = tree.cell_radii(level, cells)
-        meas = tree._cell_measures(level, cells)
-        # anchor at the whole cell nearest the measure centroid; long
-        # chain regions then get a certified outer ball of half reach
-        centroid = _measure_centroid(tree.manifold, centers, meas)
-        if centroid is None:
-            pick = int(np.argmax(meas))
-        else:
-            dd = pairwise_distance(
-                tree.manifold, np.tile(centroid, (len(cells), 1)), centers
-            )
-            pick = int(np.argmin(dd))
-        rep = centers[pick]
-        inner_r = float(inner[pick])
-        d = pairwise_distance(tree.manifold, np.tile(rep, (len(cells), 1)), centers)
-        outer_r = float(np.max(d + outer))
-    else:
-        best = max(partials, key=lambda piece: tree.cut_measure(level, *piece))
-        rep, inner_r, _ = tree.piece_geometry(level, *best)
-    for c, t0, t1 in partials:
-        pc, _, po = tree.piece_geometry(level, c, t0, t1)
-        d = pairwise_distance(tree.manifold, rep[None, :], pc[None, :])[0]
-        outer_r = max(outer_r, float(d) + po)
-    return tuple(float(x) for x in rep), inner_r, outer_r
-
-
 @lru_cache(maxsize=16)
 def _doubling_cached(manifold: Manifold) -> tuple[float, float]:
     return doubling_constants(manifold)
@@ -856,6 +609,26 @@ def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):
         elif hi <= threshold + 1e-15:
             return level
     return best
+
+
+def _affordable(unused: list, vals, room: float, smallest: float) -> tuple[list, list]:
+    """Greedy scan of ``unused`` weight indices in order: those whose
+    running sum stays within ``room`` are chosen, the rest stay unused.
+
+    The scan ends once not even the ``smallest`` weight fits.
+    """
+    chosen, still = [], []
+    acc = 0.0
+    for pos, j in enumerate(unused):
+        if acc + vals[j] <= room:
+            chosen.append(j)
+            acc += vals[j]
+        elif acc + smallest > room:
+            still += unused[pos:]
+            break
+        else:
+            still.append(j)
+    return chosen, still
 
 
 def weighted_partition(manifold: Manifold, weights) -> Partition:
@@ -926,6 +699,7 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
         st = spanning_tree(tree, k)
 
         unused = list(range(N))
+        v_min = float(vals.min())
         assigned: dict[int, list[tuple]] = {}
         remainder: dict[int, list] = {}
         balance = 0.0
@@ -944,16 +718,7 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
                 if abs(total_w - mu) > 1e-9:
                     raise RuntimeError("root material does not balance the weights")
             else:
-                chosen = []
-                acc = 0.0
-                still = []
-                for j in unused:
-                    if acc + vals[j] <= mu + 1e-13:
-                        chosen.append(j)
-                        acc += vals[j]
-                    else:
-                        still.append(j)
-                unused = still
+                chosen, unused = _affordable(unused, vals, mu + 1e-13, v_min)
                 if not unused:
                     raise RuntimeError("weights exhausted before the root")
             for pos, j in enumerate(chosen):
@@ -985,11 +750,11 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
             "edges": st.edges,
         }
 
+    region_runs = [tuple(tuple(r) for r in runs) for runs in region_runs]
     regions = []
-    for j in range(N):
-        runs = tuple(tuple(r) for r in region_runs[j])
+    for j, (runs, (rep, inner_r, outer_r)) in enumerate(
+            zip(region_runs, _regions_geometry(tree, fine, region_runs))):
         meas = math.fsum(_run_measure(tree, fine, r) for r in runs)
-        rep, inner_r, outer_r = _region_geometry(tree, fine, runs)
         s, e, tf, tl = runs[-1]
         cut = (int(e - 1), float(tl)) if tl < 1.0 - 1e-12 else None
         regions.append(
@@ -1051,29 +816,34 @@ class PartitionReport:
         )
 
 
-def _ball_samples(manifold: Manifold, center_chart, radius: float) -> np.ndarray:
-    """Deterministic points inside the geodesic ball, as chart rows."""
-    center = np.asarray(center_chart, dtype=float)
+def _ball_samples(manifold: Manifold, centers, radii) -> np.ndarray:
+    """Deterministic points inside geodesic balls, as chart rows.
+
+    Ball i of ``(k, d)`` centers gets rows ``i * per .. (i + 1) * per``:
+    ``per`` is 7 on one-dimensional kinds and 25 on the others.
+    """
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)[:, None]
     fracs = np.array([0.35, 0.7, 0.95])
     if manifold.dim == 1:
-        rs = np.concatenate([radius * fracs, -radius * fracs, [0.0]])
+        rs = np.concatenate([radii * fracs, -radii * fracs, 0.0 * radii], axis=1)
         chart = arc_chart(manifold)
-        hs = (chart.forward(center[0]) + rs) % chart.total
-        return chart.inverse(hs)[:, None]
+        hs = (chart.forward(centers[:, 0])[:, None] + rs) % chart.total
+        return chart.inverse(hs.ravel())[:, None]
     angles = TWO_PI * np.arange(8) / 8.0 + 0.3
-    rr, aa = np.meshgrid(radius * fracs, angles)
-    rr, aa = rr.ravel(), aa.ravel()
+    # per ball, radii vary fastest, then angles
+    rr = np.tile(radii * fracs, (1, 8))
+    aa = np.repeat(angles, 3)
     if manifold.kind == "torus2":
-        pts = np.column_stack(
-            [center[0] + rr * np.cos(aa), center[1] + rr * np.sin(aa)]
-        )
-        return np.vstack([pts, center[None, :]])
-    c = charts_to_ambient(manifold, center[None, :])
-    e1, e2 = sphere_tangent_frame(center[None, :])
-    dirs = np.cos(aa)[:, None] * e1 + np.sin(aa)[:, None] * e2
-    pts = np.cos(rr)[:, None] * c + np.sin(rr)[:, None] * dirs
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    return np.vstack([sphere_chart_from_ambient(pts), center[None, :]])
+        pts = np.stack([centers[:, :1] + rr * np.cos(aa), centers[:, 1:] + rr * np.sin(aa)], axis=-1)
+    else:
+        c = charts_to_ambient(manifold, centers)[:, None, :]
+        e1, e2 = (e[:, None, :] for e in sphere_tangent_frame(centers))
+        dirs = np.cos(aa)[:, None] * e1 + np.sin(aa)[:, None] * e2
+        amb = np.cos(rr)[..., None] * c + np.sin(rr)[..., None] * dirs
+        amb = amb / np.linalg.norm(amb, axis=-1, keepdims=True)
+        pts = sphere_chart_from_ambient(amb.reshape(-1, 3)).reshape(len(centers), -1, 2)
+    return np.concatenate([pts, centers[:, None, :]], axis=1).reshape(-1, 2)
 
 
 def verify_partition(p: Partition) -> PartitionReport:
@@ -1106,10 +876,9 @@ def verify_partition(p: Partition) -> PartitionReport:
         notes.append(f"tiling gap {gap:.3e}")
 
     # every region's inner-ball samples, located at once
-    samples = [_ball_samples(p.manifold, r.representative, 0.98 * r.inner_radius)
-               for r in p.regions]
-    owner = np.repeat(np.arange(p.n), [len(x) for x in samples])
-    charts = np.concatenate(samples)
+    charts = _ball_samples(p.manifold, p.representatives(),
+                           0.98 * np.array([r.inner_radius for r in p.regions]))
+    owner = np.repeat(np.arange(p.n), len(charts) // p.n)
     cells = tree.locate(level, charts)
     q = cells + np.clip(tree.sweep_parameter(level, cells, charts), 0.0, 1.0)
     lo, hi, region = (np.asarray(col) for col in zip(*intervals))
@@ -1120,13 +889,10 @@ def verify_partition(p: Partition) -> PartitionReport:
     if not inner_ok:
         notes.append(f"inner ball of region {owner[np.argmin(inside)]} leaks")
 
-    outer_ok = True
-    for ridx, r in enumerate(p.regions):
-        _, _, recomputed = _region_geometry(tree, level, r.runs)
-        if recomputed > r.outer_radius + 1e-9:
-            outer_ok = False
-            notes.append(f"outer ball of region {ridx} too small")
-            break
+    misses = np.where(_outer_ball_misses(tree, level, p.regions))[0]
+    outer_ok = len(misses) == 0
+    if not outer_ok:
+        notes.append(f"outer ball of region {misses[0]} too small")
 
     a_fit, b_fit = p.band
     d = p.manifold.dim

@@ -1,0 +1,317 @@
+"""Representatives and certified radii of partition regions, and an
+independent check of their outer balls.
+
+A region is a list of runs of fine cells (see ``partition.Region``): whole
+cells plus cut pieces.  Its representative is the whole cell nearest its
+measure centroid, or its largest piece when it has no whole cell; its
+outer radius reaches the farthest whole cell or piece.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .cells import _aligned_blocks, _morton_decode, _morton_encode, _slerp
+from .geometry import (
+    TWO_PI,
+    _circle_dist,
+    _wrap_angle,
+    charts_to_ambient,
+    pairwise_distance,
+    sphere_chart_from_ambient,
+)
+
+if TYPE_CHECKING:
+    from .partition import CellTree
+
+# regions whose block arrays region geometry and verification hold at once
+_REGION_BATCH = 128
+
+
+def _split_runs(runs) -> tuple[list, list]:
+    """Whole-cell (start, stop) ranges and partial (cell, t0, t1) pieces."""
+    whole, partials = [], []
+    for s, e, tf, tl in runs:
+        lo = s if tf <= 1e-12 else s + 1
+        hi = e if tl >= 1.0 - 1e-12 else e - 1
+        if hi > lo:
+            whole.append((lo, hi))
+        if lo > s:
+            partials.append((s, tf, tl if e == s + 1 else 1.0))
+        if hi < e and e - 1 >= lo:
+            partials.append((e - 1, 0.0 if e - 1 > s else tf, tl))
+    return whole, partials
+
+
+def _axis_positions(tree: CellTree, level: int) -> np.ndarray:
+    """Arc-length positions of a flat level's cell centres on one axis,
+    as ``pairwise_distance`` measures them; the chart runs once, in chunks."""
+    pos = np.empty(2**level)
+    for a in range(0, len(pos), 4096):
+        i = np.arange(a, min(a + 4096, len(pos)))
+        pos[i] = tree._chart.forward(_wrap_angle(tree._arc_centers(level, i)))
+    return pos
+
+
+def _axis_candidates(pos, lo, hi, around, origin, period, farthest: bool):
+    """The two cells of each arc ``[lo, hi)`` nearest to ``origin`` (or
+    farthest from it), as ``(k, 2)`` cells, mask and distances.
+
+    The best cell is an arc end or one of the three cells about
+    ``around`` (``origin`` itself, or its antipode): cell positions step
+    by one width.  The runner-up is kept only where it nearly ties the
+    best, since a ``hypot`` with the other axis may round the two equal.
+    """
+    n = len(pos)
+    k = np.floor(around * (n / period)).astype(np.int64)
+    cells = np.column_stack([lo, hi - 1, (k - 1) % n, k % n, (k + 1) % n])
+    ok = (cells >= lo[:, None]) & (cells < hi[:, None])
+    for c in range(1, cells.shape[1]):
+        ok[:, c] &= ~np.any(cells[:, :c] == cells[:, c:c + 1], axis=1)
+    d = _circle_dist(origin[:, None], pos[cells], period)
+    two = np.argsort(np.where(ok, -d if farthest else d, np.inf), axis=1, kind="stable")[:, :2]
+    cells, ok, d = (np.take_along_axis(x, two, axis=1) for x in (cells, ok, d))
+    ok[:, 1] &= np.abs(d[:, 1] - d[:, 0]) <= 1e-6 * d[:, 0]
+    return cells, ok, d
+
+
+def _block_distances(axes, fill: float) -> np.ndarray:
+    """Distances of every candidate cell of each block, ``fill`` where
+    masked: ``(k, 2)`` on one axis, ``(k, 4)`` for the torus's pairs."""
+    if len(axes) == 1:
+        _, ok, d = axes[0]
+        return np.where(ok, d, fill)
+    (_, ok0, d0), (_, ok1, d1) = axes
+    ok = ok0[:, :, None] & ok1[:, None, :]
+    return np.where(ok, np.hypot(d0[:, :, None], d1[:, None, :]), fill).reshape(len(d0), 4)
+
+
+def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
+    """Representative cell and radii of each flat region's whole cells.
+
+    ``wholes[r]`` lists region r's whole-cell ranges and ``pos`` the axis
+    positions of the level's cells.  The measure centroid is a per-cell
+    sum in region cell order; all else comes from a few candidate cells
+    per block (a range on the circle and the ellipse, an aligned square on
+    the torus, whose distance is a ``hypot`` of two monotone axis
+    distances).  Representatives are the cells nearest the centroid, ties
+    to the first in region cell order as ``argmin`` takes them; outer radii
+    the farthest cell's distance plus the cell radius.  Returns ``(reps,
+    inner, outer)``, NaN for regions with no whole cell.
+    """
+    chart, dim = tree._chart, tree.manifold.dim
+    period, n = chart.total, len(pos)
+    cell_in, cell_out = (float(x[0]) for x in tree.cell_radii(level, 0))
+    meas_cell = 1.0 / tree.ncells(level)
+
+    nreg = len(wholes)
+    owner, lo, hi, offset = [], [], [], []
+    angle = np.full((nreg, dim), np.nan)
+    pick = np.zeros((nreg, dim), dtype=np.int64)
+    for r, ranges in enumerate(wholes):
+        if not ranges:
+            continue
+        owner += [r] * len(ranges)
+        lo += [s for s, _ in ranges]
+        hi += [e for _, e in ranges]
+        offset += np.cumsum([0] + [e - s for s, e in ranges[:-1]]).tolist()
+        axes = tree._axes(level, np.concatenate([np.arange(s, e) for s, e in ranges]))
+        pick[r] = [a[0] for a in axes]
+        meas = np.full(len(axes[0]), meas_cell)
+        # circular mean per axis, taken in arc length
+        for col, i in enumerate(axes):
+            h = pos[i] * (TWO_PI / period)
+            c, s = meas @ np.cos(h), meas @ np.sin(h)
+            if math.hypot(c, s) < 1e-9 * meas.sum():
+                angle[r] = np.nan
+                break
+            angle[r, col] = (math.atan2(s, c) % TWO_PI) * (period / TWO_PI)
+    owner, lo, hi, offset = (np.asarray(x, dtype=np.int64) for x in (owner, lo, hi, offset))
+    has = np.zeros(nreg, dtype=bool)
+    has[owner] = True
+
+    # blocks: per-axis cell ranges, and each block's first position in its region
+    if dim == 1:
+        box = [(lo, hi)]
+        local = lambda cells, row: cells[0] - lo[row][:, None]
+    else:
+        run, start, exp = _aligned_blocks(lo, hi, level)
+        owner, offset = owner[run], offset[run] + start - lo[run]
+        side = np.int64(1) << exp
+        box = [(a, a + side) for a in _morton_decode(start, level)]
+        local = lambda cells, row: (_morton_encode(cells[0][:, :, None], cells[1][:, None, :], level)
+                                    - start[row][:, None, None]).reshape(len(row), 4)
+
+    # nearest cell to the centroid; a degenerate centroid keeps the first cell
+    rows = np.where(~np.isnan(angle[owner, 0]))[0]
+    goal = np.where(np.isnan(angle), 0.0, angle)
+    goal = np.column_stack([chart.inverse(goal[:, k]) for k in range(dim)])[owner[rows]]
+    if dim == 1:
+        goal = chart.forward(_wrap_angle(goal))
+    axes = [_axis_candidates(pos, b[0][rows], b[1][rows], goal[:, k], goal[:, k], period, False)
+            for k, b in enumerate(box)]
+    dist = _block_distances(axes, np.inf)
+    vmin = dist.min(axis=1)
+    # positions in region cell order of the cells at the block minimum
+    place = np.where(dist == vmin[:, None], local([c for c, _, _ in axes], rows), n**dim)
+    combo = place.argmin(axis=1)
+    order = np.lexsort((place[np.arange(len(rows)), combo] + offset[rows], vmin, owner[rows]))
+    win = order[np.diff(owner[rows][order], prepend=-1) != 0]
+    per_axis = np.unravel_index(combo[win], (2,) * dim)
+    for k, (cells, _, _) in enumerate(axes):
+        pick[owner[rows][win], k] = cells[win, per_axis[k]]
+
+    # farthest cell from the representative: arc ends and cells near its antipode
+    origin = pos[pick][owner]
+    axes = [_axis_candidates(pos, b[0], b[1], (origin[:, k] + 0.5 * period) % period,
+                             origin[:, k], period, True) for k, b in enumerate(box)]
+    far = np.full(nreg, -np.inf)
+    np.maximum.at(far, owner, _block_distances(axes, -np.inf).max(axis=1))
+    reps = np.column_stack([tree._arc_centers(level, pick[:, k]) for k in range(dim)])
+    reps[~has] = np.nan
+    return reps, np.where(has, cell_in, np.nan), np.where(has, far + cell_out, np.nan)
+
+
+def _sphere_whole_geometry(tree: CellTree, level: int, ranges) -> tuple:
+    """Representative cell and radii of one sphere region's whole cells."""
+    cells = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+    centers = tree.centers_chart(level, cells)
+    inner, outer = tree.cell_radii(level, cells)
+    meas = tree._cell_measures(level, cells)
+    # anchor at the whole cell nearest the measure centroid; long
+    # chain regions then get a certified outer ball of half reach
+    v = meas @ charts_to_ambient(tree.manifold, centers)
+    nv = np.linalg.norm(v)
+    if nv < 1e-9 * meas.sum():
+        pick = int(np.argmax(meas))
+    else:
+        centroid = sphere_chart_from_ambient((v / nv)[None, :])
+        dd = pairwise_distance(tree.manifold, np.repeat(centroid, len(cells), axis=0), centers)
+        pick = int(np.argmin(dd))
+    d = pairwise_distance(tree.manifold, np.tile(centers[pick], (len(cells), 1)), centers)
+    return centers[pick], float(inner[pick]), float(np.max(d + outer))
+
+
+def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
+    """Representative, certified inner and outer radii of every region.
+
+    A region with whole cells is represented by the whole cell nearest its
+    measure centroid, otherwise by its largest cut piece (the first of
+    equal ones).  The outer radius covers every whole cell and piece.
+    """
+    nreg = len(region_runs)
+    split = [_split_runs(runs) for runs in region_runs]
+    wholes = [w for w, _ in split]
+    if tree._lv.sphere:
+        reps, inner, outer = np.full((nreg, 2), np.nan), np.full(nreg, np.nan), np.full(nreg, np.nan)
+        for r, whole in enumerate(wholes):
+            if whole:
+                reps[r], inner[r], outer[r] = _sphere_whole_geometry(tree, level, whole)
+    else:
+        # block arrays are built for a bounded number of regions at a time
+        pos = _axis_positions(tree, level)
+        reps, inner, outer = (np.concatenate(x) for x in zip(*(
+            _flat_whole_geometry(tree, level, wholes[a:a + _REGION_BATCH], pos)
+            for a in range(0, nreg, _REGION_BATCH))))
+    pieces = [(r, *piece) for r, (_, parts) in enumerate(split) for piece in parts]
+    if pieces:
+        owner, cells, t0, t1 = (np.asarray(x) for x in zip(*pieces))
+        centers, p_in, p_out = tree.piece_geometry(level, cells, t0, t1)
+        for r in np.unique(owner[np.isnan(outer[owner])]):
+            mine = np.where(owner == r)[0]
+            best = mine[int(np.argmax([tree.cut_measure(level, *pieces[j][1:]) for j in mine]))]
+            reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
+        reach = pairwise_distance(tree.manifold, reps[owner], centers) + p_out
+        np.maximum.at(outer, owner, reach)
+    return [(tuple(float(x) for x in reps[r]), float(inner[r]), float(outer[r]))
+            for r in range(nreg)]
+
+
+def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
+    """Which of the regions reach outside their stored outer ball B(rep, R).
+
+    Whole cells are taken as aligned blocks (one arc per run on the circle
+    and the ellipse, aligned squares on the torus, coarser triangles on the
+    sphere), and cut pieces as they are.  All their corners (triangle
+    vertices on the sphere) are measured in one ``pairwise_distance`` call.
+    A box lies in the ball iff its corners do while the ball is
+    geodesically convex over it: on the sphere while R < pi/2; on each flat
+    axis while 2R + side < period, so that the box's arc misses the point
+    antipodal to the representative and the axis distance peaks at an arc
+    end (the torus distance is a monotone ``hypot`` of the two).  Boxes
+    failing that are checked cell by cell with the centre-plus-cell-radius
+    bound.  None of this reuses how the radii were computed.
+    """
+    if len(regions) > _REGION_BATCH:
+        return np.concatenate([_outer_ball_misses(tree, level, regions[a:a + _REGION_BATCH])
+                               for a in range(0, len(regions), _REGION_BATCH)])
+    m = tree.manifold
+    reps = np.array([r.representative for r in regions])
+    reach = np.array([r.outer_radius for r in regions]) + 1e-9
+    split = [_split_runs(r.runs) for r in regions]
+    w_own, w_lo, w_hi = np.array(
+        [(k, lo, hi) for k, (whole, _) in enumerate(split) for lo, hi in whole],
+        dtype=np.int64).reshape(-1, 3).T
+    q_own, q_cell, t0, t1 = np.array(
+        [(k, *piece) for k, (_, parts) in enumerate(split) for piece in parts],
+        dtype=float).reshape(-1, 4).T
+    q_own, q_cell = q_own.astype(np.int64), q_cell.astype(np.int64)
+    if m.dim == 1:
+        b_own, b_lo, b_hi = w_own, w_lo, w_hi
+    else:
+        run, b_lo, exp = _aligned_blocks(w_lo, w_hi, level - tree.min_level)
+        b_own, b_hi = w_own[run], b_lo + (np.int64(1) << (2 * exp))
+    own = np.concatenate([b_own, q_own])
+
+    if tree._lv.sphere:
+        tri = lambda lev, idx: tree._sphere[lev]["verts"][tree._sphere[lev]["tris"][idx]]
+        blocks = np.empty((len(b_lo), 3, 3))
+        for e in np.unique(exp):
+            blocks[exp == e] = tri(level - e, b_lo[exp == e] >> (2 * e))
+        A, B, C = np.moveaxis(tri(level, q_cell), 1, 0)
+        P0 = np.array([_slerp(*x) for x in zip(B, C, t0)]).reshape(-1, 3)
+        P1 = np.array([_slerp(*x) for x in zip(B, C, t1)]).reshape(-1, 3)
+        verts = np.concatenate([blocks, np.stack([A, P0, P1], axis=1)])
+        convex = reach[own] < 0.5 * math.pi
+        corners = sphere_chart_from_ambient(verts[convex].reshape(-1, 3))
+        ncorner = 3
+    else:
+        # per-axis arc-length ends of every box
+        w, period = tree._arc_width(level), tree._chart.total
+        if m.dim == 1:
+            block_ends = [(b_lo * w, b_hi * w)]
+            piece_ends = [(q_cell * w + t0 * w, q_cell * w + t1 * w)]
+        else:
+            side = np.int64(1) << exp
+            block_ends = [(a * w, (a + side) * w) for a in _morton_decode(b_lo, level)]
+            i, j = _morton_decode(q_cell, level)
+            piece_ends = [(i * w + t0 * w, i * w + t1 * w), (j * w, (j + 1) * w)]
+        ends = [np.stack([np.concatenate(x) for x in zip(b, q)], axis=1)
+                for b, q in zip(block_ends, piece_ends)]
+        convex = np.all([2.0 * reach[own] + (e[:, 1] - e[:, 0]) < period for e in ends], axis=0)
+        axes = [tree._chart.inverse(e[convex].ravel()).reshape(-1, 2) for e in ends]
+        grids = np.meshgrid(*([0, 1],) * m.dim, indexing="ij")
+        corners = np.stack([a[:, g.ravel()] for a, g in zip(axes, grids)], axis=-1).reshape(-1, m.dim)
+        ncorner = 2**m.dim
+    owner = np.repeat(own[convex], ncorner)
+    out = pairwise_distance(m, reps[owner], corners) > reach[owner]
+    miss = np.zeros(len(regions), dtype=bool)
+    miss[owner[out]] = True
+
+    # boxes where the ball is not convex enough: every cell, every piece
+    loose = ~convex[: len(b_lo)]
+    if loose.any():
+        lo, hi = b_lo[loose], b_hi[loose]
+        cells = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        owner = np.repeat(b_own[loose], hi - lo)
+        d = pairwise_distance(m, reps[owner], tree.centers_chart(level, cells))
+        miss[owner[d + tree.cell_radii(level, cells)[1] > reach[owner]]] = True
+    loose = ~convex[len(b_lo):]
+    if loose.any():
+        centers, _, outer = tree.piece_geometry(level, q_cell[loose], t0[loose], t1[loose])
+        owner = q_own[loose]
+        miss[owner[pairwise_distance(m, reps[owner], centers) + outer > reach[owner]]] = True
+    return miss

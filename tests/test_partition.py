@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubaflow.cells import _aligned_blocks, _morton_decode, _morton_encode
 from cubaflow.geometry import (
+    TWO_PI,
     Manifold,
     arc_chart,
     charts_to_ambient,
@@ -16,8 +18,7 @@ from cubaflow.geometry import (
     sphere_chart_from_ambient,
 )
 from cubaflow.partition import (
-    _morton_decode,
-    _morton_encode,
+    _affordable,
     build_cell_tree,
     exact_cut,
     partition_from_json,
@@ -26,6 +27,7 @@ from cubaflow.partition import (
     verify_partition,
     weighted_partition,
 )
+from cubaflow.regions import _axis_candidates, _regions_geometry, _split_runs
 from cubaflow.weights import WeightVector, random_band_weights
 
 
@@ -113,6 +115,51 @@ def test_morton_matches_bit_loop():
         assert all(np.array_equal(a, b) for a, b in zip(_morton_decode(m, k), (i, j)))
         assert np.array_equal(_morton_encode(i, j, k), m)
         assert np.array_equal(_morton_loop(i, j, k), m)
+
+
+def test_aligned_blocks_tile_morton_range():
+    rng = np.random.default_rng(12)
+    for level in range(1, 13):
+        n = 4**level
+        ends = np.sort(rng.integers(0, n + 1, (40, 2)), axis=1)
+        lo = np.concatenate([ends[:, 0], [0, 0, n - 1]])
+        hi = np.concatenate([ends[:, 1] + (ends[:, 0] == ends[:, 1]), [n, 1, n]])
+        hi = np.minimum(hi, n)
+        lo = np.minimum(lo, hi - 1)
+        run, start, exp = _aligned_blocks(lo, hi, level)
+        size = 4**exp
+        assert np.all(start % size == 0)
+        for r in range(len(lo)):
+            mine = run == r
+            cells = np.concatenate([np.arange(a, a + b) for a, b in zip(start[mine], size[mine])])
+            assert np.array_equal(cells, np.arange(lo[r], hi[r]))
+            assert mine.sum() <= 6 * level
+        # every block is an aligned square of side 2^exp in the torus grid
+        for a, e in zip(start[:60], exp[:60]):
+            i, j = _morton_decode(np.arange(a, a + 4**e), level)
+            for axis in (i, j):
+                assert axis.min() % 2**e == 0
+                assert axis.max() - axis.min() + 1 == 2**e
+        assert len(_aligned_blocks([0], [n], level)[0]) == 1
+
+
+def test_axis_candidates_keep_ties():
+    """A cell tying the nearest or farthest one stays a candidate, so the
+    region cell order decides between them as argmin does."""
+    w = 2.0 * math.pi / 16
+    pos = (np.arange(16) + 0.5) * w
+    lo, hi = np.array([0]), np.array([16])
+    for origin in (4 * w, np.nextafter(4 * w, 0.0)):
+        o = np.array([origin])
+        cells, ok, _ = _axis_candidates(pos, lo, hi, o, o, 2.0 * math.pi, False)
+        assert sorted(cells[0][ok[0]]) == [3, 4]
+        cells, ok, _ = _axis_candidates(pos, lo, hi, (o + math.pi) % (2.0 * math.pi), o,
+                                        2.0 * math.pi, True)
+        assert sorted(cells[0][ok[0]]) == [11, 12]
+    # away from a boundary only the one nearest cell remains
+    o = np.array([4.5 * w])
+    cells, ok, _ = _axis_candidates(pos, lo, hi, o, o, 2.0 * math.pi, False)
+    assert list(cells[0][ok[0]]) == [4]
 
 
 def _random_charts(manifold, n, seed):
@@ -214,6 +261,15 @@ def test_piece_geometry_consistent(kind):
             assert 0.0 < inner <= outer
             mu = tree.cut_measure(level, idx, t0, t1)
             assert exact_cut(tree, level, idx, mu, t0) == pytest.approx(t1, abs=1e-12)
+    # one batched call agrees with the single pieces; the ellipse's arc
+    # chart may round a batched centre differently in the last bit
+    pieces = [(int(i), t0, t1) for i in np.linspace(0, tree.ncells(level) - 1, 5).astype(int)
+              for t0, t1 in ((0.0, 0.25), (0.2, 0.7), (0.6, 1.0), (0.0, 1.0))]
+    centers, inner, outer = tree.piece_geometry(level, *(np.array(x) for x in zip(*pieces)))
+    single = [tree.piece_geometry(level, *piece) for piece in pieces]
+    assert np.allclose(centers, [c for c, _, _ in single], rtol=0.0, atol=1e-15)
+    assert np.array_equal(inner, [x for _, x, _ in single])
+    assert np.array_equal(outer, [x for _, _, x in single])
 
 
 def test_u_constants_flats():
@@ -273,6 +329,28 @@ def test_exact_cut_rejects_overfull():
 
 # ---------------------------------------------------------------------------
 # weighted partitions: hand-traced anchors
+
+
+def _affordable_full_scan(unused, vals, room):
+    chosen, still, acc = [], [], 0.0
+    for j in unused:
+        if acc + vals[j] <= room:
+            chosen.append(j)
+            acc += vals[j]
+        else:
+            still.append(j)
+    return chosen, still
+
+
+def test_affordable_matches_full_scan():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        vals = rng.uniform(0.5, 2.0, n) / n
+        unused = list(rng.permutation(n))
+        room = float(rng.uniform(0.0, 1.2) * vals.sum())
+        assert _affordable(unused, vals, room, float(vals.min())) == \
+            _affordable_full_scan(unused, vals, room)
 
 
 def test_circle_two_weights_boundary():
@@ -359,6 +437,35 @@ def test_verify_catches_leaking_inner_ball(kind):
     assert rep.measures_ok and rep.cover_ok
 
 
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_verify_catches_short_outer_ball(kind):
+    n, seed = VERIFY_INPUTS[kind]
+    p = weighted_partition(make(kind), random_band_weights(n, 0.5, 2.0, seed))
+    regions = list(p.regions)
+    regions[2] = dataclasses.replace(regions[2], outer_radius=0.5 * regions[2].outer_radius)
+    rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+    assert not rep.outer_ok
+    assert rep.notes == ("outer ball of region 2 too small",)
+    assert rep.measures_ok and rep.cover_ok and rep.inner_ok
+
+
+@pytest.mark.parametrize("kind,weights", [
+    ("circle", [0.3, 0.7]),
+    ("ellipse", [0.55, 0.45]),
+    ("torus2", [0.5, 0.25, 0.25]),
+    ("sphere2", [0.6, 0.4]),
+])
+def test_verify_checks_outer_ball_of_large_regions(kind, weights):
+    """Balls too large to be convex over a block are checked cell by cell."""
+    p = weighted_partition(make(kind), np.array(weights))
+    assert verify_partition(p).passed
+    for r in range(p.n):
+        regions = list(p.regions)
+        regions[r] = dataclasses.replace(regions[r], outer_radius=0.9 * regions[r].outer_radius)
+        rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+        assert rep.notes == (f"outer ball of region {r} too small",)
+
+
 def test_branches_by_size():
     assert weighted_partition(make("circle"), np.full(4, 0.25)).branch == "direct"
     assert weighted_partition(make("circle"), np.full(64, 1.0 / 64)).branch == "tree"
@@ -381,6 +488,98 @@ def test_region_radii_certified():
     p = weighted_partition(make("torus2"), w)
     for reg in p.regions:
         assert 0.0 < reg.inner_radius <= reg.outer_radius
+
+
+def _centroid_oracle(manifold, charts, meas):
+    """Measure-weighted mean position, or None when it degenerates."""
+    if manifold.kind == "sphere2":
+        v = meas @ charts_to_ambient(manifold, charts)
+        nv = np.linalg.norm(v)
+        return None if nv < 1e-9 * meas.sum() else sphere_chart_from_ambient((v / nv)[None, :])[0]
+    chart = arc_chart(manifold)
+    out = []
+    for col in range(charts.shape[1]):
+        h = chart.forward(charts[:, col]) * (TWO_PI / chart.total)
+        c, s = meas @ np.cos(h), meas @ np.sin(h)
+        if math.hypot(c, s) < 1e-9 * meas.sum():
+            return None
+        out.append(chart.inverse((math.atan2(s, c) % TWO_PI) * (chart.total / TWO_PI)))
+    return np.asarray(out, dtype=float)
+
+
+def _region_geometry_oracle(tree, level, runs):
+    """Representative, inner and outer radius of one region, cell by cell."""
+    m = tree.manifold
+    whole, partials = _split_runs(runs)
+    outer_r = 0.0
+    if whole:
+        cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
+        centers = tree.centers_chart(level, cells)
+        inner, outer = tree.cell_radii(level, cells)
+        meas = tree._cell_measures(level, cells)
+        centroid = _centroid_oracle(m, centers, meas)
+        if centroid is None:
+            pick = int(np.argmax(meas))
+        else:
+            pick = int(np.argmin(pairwise_distance(m, np.tile(centroid, (len(cells), 1)), centers)))
+        rep, inner_r = centers[pick], float(inner[pick])
+        d = pairwise_distance(m, np.tile(rep, (len(cells), 1)), centers)
+        outer_r = float(np.max(d + outer))
+    else:
+        best = max(partials, key=lambda piece: tree.cut_measure(level, *piece))
+        rep, inner_r, _ = tree.piece_geometry(level, *best)
+    for c, t0, t1 in partials:
+        pc, _, po = tree.piece_geometry(level, c, t0, t1)
+        d = pairwise_distance(m, rep[None, :], pc[None, :])[0]
+        outer_r = max(outer_r, float(d) + po)
+    return tuple(float(x) for x in rep), inner_r, outer_r
+
+
+# (N, weight seed): a direct-branch partition with a region of cut pieces
+# only, and a tree-branch one with regions of several runs
+ORACLE_INPUTS = {"circle": ((4, 0), (64, 64)), "torus2": ((6, 0), (64, 64)),
+                 "ellipse": ((4, 0), (64, 64)), "sphere2": ((4, 0), (40, 40))}
+# (level, runs) of spread-out regions: on the flat kinds the point antipodal
+# to the representative falls inside one arc, or two candidate cells tie
+SPREAD_REGIONS = {
+    "circle": ((8, ((0, 48, 0.0, 1.0), (120, 200, 0.0, 1.0))),
+               (8, ((0, 49, 0.0, 0.4), (119, 200, 0.7, 1.0)))),
+    "ellipse": ((8, ((0, 48, 0.0, 1.0), (120, 200, 0.0, 1.0))),),
+    "torus2": ((4, ((0, 48, 0.0, 1.0), (128, 256, 0.0, 1.0))),
+               (4, ((0, 32, 0.0, 1.0), (160, 224, 0.0, 1.0)))),
+    "sphere2": ((4, ((0, 40, 0.0, 1.0), (300, 380, 0.0, 0.5))),),
+}
+
+
+def _assert_matches_oracle(kind, tree, level, regions, geometry):
+    for runs, (rep, inner, outer) in zip(regions, geometry):
+        want = _region_geometry_oracle(tree, level, runs)
+        assert (rep, inner) == want[:2]
+        if kind == "ellipse":
+            # pieces go through the arc chart in one batch, whose matrix
+            # product may round a distance in the last bit
+            assert outer == pytest.approx(want[2], rel=1e-15, abs=0.0)
+        else:
+            assert outer == want[2]
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_region_geometry_matches_per_cell_oracle(kind):
+    branches, multi_run, pieces_only = set(), 0, 0
+    for n, seed in ORACLE_INPUTS[kind]:
+        p = weighted_partition(make(kind), random_band_weights(n, 0.5, 2.0, seed))
+        tree = build_cell_tree(make(kind), depth=max(p.fine_level, 1))
+        branches.add(p.branch)
+        runs = [reg.runs for reg in p.regions]
+        geometry = [(reg.representative, reg.inner_radius, reg.outer_radius) for reg in p.regions]
+        _assert_matches_oracle(kind, tree, p.fine_level, runs, geometry)
+        multi_run += sum(len(r) > 1 for r in runs)
+        pieces_only += sum(not _split_runs(r)[0] for r in runs)
+    assert branches == {"direct", "tree"}
+    assert multi_run > 0 and pieces_only > 0
+    for level, runs in SPREAD_REGIONS[kind]:
+        tree = build_cell_tree(make(kind), depth=level)
+        _assert_matches_oracle(kind, tree, level, [runs], _regions_geometry(tree, level, [runs]))
 
 
 def test_partition_json_roundtrip():
