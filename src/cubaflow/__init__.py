@@ -11,17 +11,13 @@ reproducing-kernel identities provide the diagnostics.
 
 from .geometry import (
     Manifold,
-    ManifoldPoint,
     QuadratureGrid,
     arclength,
     arclength_inverse,
     ball_measure,
-    canonical_point,
     charts_to_ambient,
     circumference,
-    distance,
     doubling_constants,
-    exp_step,
     manifold_from_descriptor,
     move_points,
     pairwise_distance,
@@ -30,11 +26,8 @@ from .geometry import (
 )
 from .spectra import (
     DiffusionPoly,
-    Eigenpair,
     SpectralSpace,
     enumerate_basis,
-    eval_poly,
-    grad_poly,
 )
 from .algebraic import (
     RestrictedPolySpace,
@@ -84,6 +77,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

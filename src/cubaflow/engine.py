@@ -62,6 +62,11 @@ SCHEMA_VERSION = 1
 
 SOLVER_MODES = ("flow", "descent")
 
+# damped Gauss-Newton iterations per descent restart, and flow rounds per
+# restart of the "flow" mode
+_MAX_NEWTON_ITERS = 500
+_FLOW_ROUNDS = 8
+
 # quadrature band inflation for integrands with absolute values (not
 # band-limited; the reference grids converge at second order on them)
 _ABS_BAND_FACTOR = 8.0
@@ -210,30 +215,27 @@ def residual_norms(r: np.ndarray) -> tuple[float, float]:
 class FlowConfig:
     """Knobs for the flow integrator and the node solver.
 
-    ``horizon`` defaults to the scaled travel budget
-    12 c4 b^(1/d) N^(-1/d) with c4 taken from the partition used for
-    seeding.  ``eps`` defaults to 1e-3 times the weighted sample of
-    |grad P| at the current points (scale-invariant smoother).  ``mode``
-    is "descent" (default, damped Gauss-Newton) or "flow" (the ascent
-    construction, ``flow_rounds`` rounds per restart).
+    ``flow_run`` needs an explicit ``horizon``; ``solve`` defaults it to
+    the scaled travel budget 12 c4 b^(1/d) N^(-1/d) with c4 taken from the
+    partition used for seeding.  ``eps`` defaults to 1e-3 times the
+    weighted sample of |grad P| at the current points (scale-invariant
+    smoother).  ``mode`` is "descent" (default, damped Gauss-Newton) or
+    "flow" (the ascent construction).
     """
 
     eps: float | None = None
     steps_per_unit: int = 96
     horizon: float | None = None
-    c4: float | None = None
     restarts: int = 8
     seed: int = 0
     mode: str = "descent"
     tol: float = 1e-9
-    max_newton_iters: int = 500
-    flow_rounds: int = 8
 
     def __post_init__(self):
         if self.mode not in SOLVER_MODES:
             raise ValueError(f"mode must be one of {SOLVER_MODES}")
-        if self.restarts < 1 or self.steps_per_unit < 1 or self.flow_rounds < 1:
-            raise ValueError("restarts, steps_per_unit, flow_rounds must be >= 1")
+        if self.restarts < 1 or self.steps_per_unit < 1:
+            raise ValueError("restarts, steps_per_unit must be >= 1")
         if not (self.tol > 0):
             raise ValueError("tolerance must be positive")
         if self.eps is not None and not (self.eps > 0):
@@ -278,13 +280,9 @@ def flow_run(space, P, seeds, cfg: FlowConfig, weights=None) -> FlowResult:
     if len(w) != n:
         raise ValueError("weights length does not match the seeds")
 
-    if cfg.horizon is not None:
-        horizon = float(cfg.horizon)
-    elif cfg.c4 is not None:
-        b_hi = float(np.max(w) * n)
-        horizon = default_horizon(cfg.c4, b_hi, n, space.manifold.dim)
-    else:
-        raise ValueError("flow needs either an explicit horizon or c4")
+    if cfg.horizon is None:
+        raise ValueError("flow needs an explicit horizon")
+    horizon = float(cfg.horizon)
 
     if cfg.eps is not None:
         eps = cfg.eps
@@ -431,7 +429,7 @@ def _descent(space, pts, w, cfg: FlowConfig):
     best_pts, best_r = pts.copy(), r.copy()
     mu = 1e-8
     iters = 0
-    for iters in range(1, cfg.max_newton_iters + 1):
+    for iters in range(1, _MAX_NEWTON_ITERS + 1):
         if np.max(np.abs(r)) <= cfg.tol * 1e-3 or mu > 1e12:
             break
         g = space.gradients(pts)  # (n, m, tdim)
@@ -499,7 +497,7 @@ def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float):
         tol=cfg.tol,
     )
     r = residual_vector(space, pts, w)
-    for _ in range(cfg.flow_rounds):
+    for _ in range(_FLOW_ROUNDS):
         if np.max(np.abs(r)) <= cfg.tol:
             break
         if np.linalg.norm(r) == 0.0:
@@ -544,9 +542,8 @@ def solve(
     part = weighted_partition(manifold, weights)
     d = manifold.dim
     b_hi = part.band[1]
-    c4 = cfg.c4 if cfg.c4 is not None else part.c4
     horizon = cfg.horizon if cfg.horizon is not None else default_horizon(
-        c4, b_hi, n, d
+        part.c4, b_hi, n, d
     )
 
     best = None

@@ -16,6 +16,10 @@ coordinates live there; the other ambients are the familiar R^2/R^3
 embeddings.  The measure is always the Riemannian volume normalized to
 total mass one, and distances are exact geodesic distances.
 
+Points are rows of (n, dim) chart arrays throughout.  ``move_points`` is
+the exponential map on such arrays and returns canonical charts: angles
+in [0, 2pi), sphere colatitude in [0, pi] with longitude 0 at the poles.
+
 Tangent vectors use one convention per kind and it is load-bearing for
 every downstream module: a signed scalar in the arc-length frame
 (circle, ellipse), a vector in the flat chart frame (torus2), or an
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate as _scipy_integrate
@@ -100,15 +104,6 @@ def manifold_from_descriptor(d: dict) -> Manifold:
     if kind == "ellipse":
         return Manifold("ellipse", float(d["a"]), float(d["b"]))
     return Manifold(str(kind))
-
-
-@dataclass(frozen=True)
-class ManifoldPoint:
-    """A point given by canonical chart coordinates plus derived ambient ones."""
-
-    manifold: Manifold
-    chart: tuple
-    ambient: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -292,57 +287,14 @@ def sphere_chart_from_ambient(xyz: np.ndarray) -> np.ndarray:
     return np.column_stack([theta, phi])
 
 
-def canonical_point(manifold: Manifold, chart: Sequence[float]) -> ManifoldPoint:
-    """Reduce chart coordinates to the canonical window and attach ambients.
-
-    Angles are reduced mod 2pi; sphere colatitude is reflected into
-    [0, pi] (adjusting longitude by pi when it crosses a pole) and the
-    longitude at an exact pole is normalized to 0.
-    """
-    chart = tuple(float(c) for c in chart)
-    _require_finite(chart, "chart coordinates")
-    if len(chart) != manifold.dim:
-        raise ValueError(f"chart arity {len(chart)} does not match {manifold.kind} (dim {manifold.dim})")
-    if manifold.dim == 1:
-        canon = (float(_wrap_angle(chart[0])),)
-    elif manifold.kind == "torus2":
-        canon = (float(_wrap_angle(chart[0])), float(_wrap_angle(chart[1])))
-    else:
-        theta = float(_wrap_angle(chart[0]))
-        phi = chart[1]
-        if theta > math.pi:
-            theta = TWO_PI - theta
-            phi = phi + math.pi
-        phi = float(_wrap_angle(phi))
-        if min(theta, math.pi - theta) < _POLE_TOL:
-            theta = 0.0 if theta < 0.5 * math.pi else math.pi
-            phi = 0.0
-        canon = (theta, phi)
-    ambient = charts_to_ambient(manifold, np.asarray([canon]))[0]
-    return ManifoldPoint(manifold, canon, tuple(float(x) for x in ambient))
-
-
-def point_consistency_error(p: ManifoldPoint) -> float:
-    """Max-norm gap between the stored ambient and the one its chart implies."""
-    amb = charts_to_ambient(p.manifold, np.asarray([p.chart]))[0]
-    return float(np.max(np.abs(amb - np.asarray(p.ambient))))
-
-
 # ---------------------------------------------------------------------------
-# geodesic distance and exponential stepping
+# geodesic distance and the exponential map
 # ---------------------------------------------------------------------------
 
 
 def _circle_dist(u, v, period=TWO_PI):
     d = np.abs(np.asarray(u) - np.asarray(v)) % period
     return np.minimum(d, period - d)
-
-
-def distance(p: ManifoldPoint, q: ManifoldPoint) -> float:
-    """Exact geodesic distance between two points of the same manifold."""
-    if p.manifold != q.manifold:
-        raise ValueError("points live on different manifolds")
-    return float(pairwise_distance(p.manifold, np.asarray([p.chart]), np.asarray([q.chart]))[0])
 
 
 def pairwise_distance(manifold: Manifold, charts_a: np.ndarray, charts_b: np.ndarray) -> np.ndarray:
@@ -364,51 +316,6 @@ def pairwise_distance(manifold: Manifold, charts_a: np.ndarray, charts_b: np.nda
     dot = np.sum(xa * xb, axis=1)
     crossn = np.linalg.norm(np.cross(xa, xb), axis=1)
     return np.arctan2(crossn, dot)
-
-
-def tangent_norm(manifold: Manifold, v) -> float:
-    if manifold.dim == 1:
-        return abs(float(v))
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
-
-
-def exp_step(p: ManifoldPoint, v, s: float) -> ManifoldPoint:
-    """Geodesic step of signed length ``s`` from ``p`` along unit tangent ``v``.
-
-    ``v`` follows the per-kind tangent convention of this module.  The
-    formulas are exact: angle addition on the torus, arc-length addition
-    through :func:`arc_chart` on the circle and the ellipse, and the
-    great-circle rotation on the sphere.
-    """
-    m = p.manifold
-    _require_finite([s], "step length")
-    kind = m.kind
-    if kind == "sphere2":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (3,):
-            raise ValueError("sphere tangent must be an ambient 3-vector")
-        x = np.asarray(p.ambient)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError("tangent vector is not unit length")
-        if abs(float(v @ x)) > 1e-8:
-            raise ValueError("tangent vector is not orthogonal to the base point")
-        y = x * math.cos(s) + v * math.sin(s)
-        y /= np.linalg.norm(y)
-        chart = sphere_chart_from_ambient(y[None, :])[0]
-        return canonical_point(m, chart)
-    if kind == "torus2":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (2,):
-            raise ValueError("torus tangent must be a 2-vector")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError("tangent vector is not unit length")
-        return canonical_point(m, (p.chart[0] + s * v[0], p.chart[1] + s * v[1]))
-    vv = float(v)
-    if abs(abs(vv) - 1.0) > 1e-9:
-        raise ValueError("tangent vector is not unit length")
-    chart = arc_chart(m)
-    s_new = (chart.forward(p.chart[0]) + vv * s) % chart.total
-    return canonical_point(m, (chart.inverse(s_new),))
 
 
 def move_points(manifold: Manifold, charts: np.ndarray, disp) -> np.ndarray:
@@ -471,10 +378,6 @@ class QuadratureGrid:
     charts: np.ndarray
     qweights: np.ndarray
     exactness_band: float
-
-    def nodes(self) -> Iterator[ManifoldPoint]:
-        for row in self.charts:
-            yield canonical_point(self.manifold, tuple(row))
 
 
 @lru_cache(maxsize=128)
@@ -565,15 +468,13 @@ def _ball_measure_profile(manifold: Manifold, r: np.ndarray) -> np.ndarray:
     return np.minimum(area / (4.0 * math.pi ** 2), 1.0)
 
 
-def ball_measure(manifold: Manifold, center: ManifoldPoint, r: float) -> float:
-    """Normalized measure of the geodesic ball B(center, r), in closed form."""
+def ball_measure(manifold: Manifold, r: float) -> float:
+    """Normalized measure of any geodesic ball of radius r, in closed form."""
     _require_finite([r], "radius")
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if r > manifold.diameter + 1e-12:
         raise ValueError("radius exceeds the manifold diameter")
-    if center is not None and center.manifold != manifold:
-        raise ValueError("center lives on a different manifold")
     return float(_ball_measure_profile(manifold, np.asarray(r)))
 
 

@@ -169,7 +169,7 @@ class CellTree:
         self._check_level(level)
         if self._lv.sphere:
             return self._sphere[level]["areas"]
-        n = self.ncells(level)
+        n = self._lv.ncells(level)
         return np.full(n, 1.0 / n)
 
     def _cell_measures(self, level: int, cells: np.ndarray) -> np.ndarray:
@@ -178,10 +178,11 @@ class CellTree:
         return np.full(len(cells), 1.0 / self.ncells(level))
 
     def range_measure(self, level: int, start: int, stop: int) -> float:
+        self._check_level(level)
         if self._lv.sphere:
             p = self._sphere[level]["prefix"]
             return float(p[stop] - p[start])
-        return (stop - start) / self.ncells(level)
+        return (stop - start) / self._lv.ncells(level)
 
     def cut_measure(self, level: int, idx: int, t0: float, t1: float) -> float:
         """Measure of the sweep piece [t0, t1] of one cell."""
@@ -189,7 +190,7 @@ class CellTree:
         if t1 < t0 - 1e-15:
             raise ValueError("cut interval reversed")
         if not self._lv.sphere:
-            return (t1 - t0) / self.ncells(level)
+            return (t1 - t0) / self._lv.ncells(level)
         lev = self._sphere[level]
         A, B, C = lev["verts"][lev["tris"][idx]]
         P0 = _slerp(B, C, min(max(t0, 0.0), 1.0))
@@ -445,7 +446,7 @@ def exact_cut(
     if target >= rest - 1e-16:
         return 1.0
     if tree.manifold.kind != "sphere2":
-        return start + target * tree.ncells(level)
+        return start + target * tree._lv.ncells(level)
     f = lambda t: tree.cut_measure(level, idx, start, t) - target
     return float(brentq(f, start, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200))
 
@@ -592,11 +593,6 @@ class Partition:
         return np.asarray([r.representative for r in self.regions], dtype=float)
 
 
-@lru_cache(maxsize=16)
-def _doubling_cached(manifold: Manifold) -> tuple[float, float]:
-    return doubling_constants(manifold)
-
-
 def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):
     """Deepest (or shallowest) buildable level meeting a measure bound."""
     best = None
@@ -645,7 +641,7 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
     vals = weights.values
     N = len(vals)
     a_fit, b_fit = weights.fitted_band()
-    c1, c2 = _doubling_cached(manifold)
+    c1, c2 = doubling_constants(manifold)
     d = manifold.dim
     diam = manifold.diameter
     small_threshold = 2.0 * b_fit / (c1 * _DELTA**d * diam**d)

@@ -33,32 +33,9 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 
-from .geometry import Manifold, ManifoldPoint, TWO_PI, arc_chart
+from .geometry import Manifold, TWO_PI, arc_chart
 
 _EPS = 1e-9  # slack for "frequency <= band" comparisons on float bands
-
-
-@dataclass(frozen=True)
-class Eigenpair:
-    """One basis function: index into its space, frequency, integer label."""
-
-    space: "SpectralSpace"
-    index: int
-
-    @property
-    def freq(self) -> float:
-        return float(self.space.freqs[self.index])
-
-    @property
-    def label(self) -> tuple:
-        return self.space.labels[self.index]
-
-    def evaluate(self, point: ManifoldPoint) -> float:
-        return float(self.space.evaluate(np.asarray([point.chart]))[0, self.index])
-
-    def gradient(self, point: ManifoldPoint):
-        g = self.space.gradients(np.asarray([point.chart]))[0, self.index]
-        return float(g[0]) if self.space.manifold.dim == 1 else g
 
 
 class SpectralSpace:
@@ -223,9 +200,6 @@ class SpectralSpace:
 
     # -- misc ------------------------------------------------------------
 
-    def basis(self) -> list[Eigenpair]:
-        return [Eigenpair(self, k) for k in range(self.dim)]
-
     def gradient_norms(self, charts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """|grad P| at chart rows for P with the given coefficient vector."""
         g = np.tensordot(self.gradients(charts), np.asarray(coeffs, dtype=float), axes=(1, 0))
@@ -269,15 +243,3 @@ class DiffusionPoly:
 
     def tangent_gradients(self, charts: np.ndarray) -> np.ndarray:
         return np.tensordot(self.space.gradients(charts), self.coeffs, axes=(1, 0))
-
-
-def eval_poly(poly: DiffusionPoly, point: ManifoldPoint) -> float:
-    return float(poly.values(np.asarray([point.chart]))[0])
-
-
-def grad_poly(poly: DiffusionPoly, point: ManifoldPoint):
-    """Riemannian gradient at a point, in the per-kind tangent convention."""
-    g = poly.tangent_gradients(np.asarray([point.chart]))[0]
-    if poly.space.manifold.dim == 1:
-        return float(g[0])
-    return g

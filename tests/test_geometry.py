@@ -1,4 +1,4 @@
-"""Metric layer: charts, distances, exponential steps, reference quadrature."""
+"""Metric layer: charts, distances, the exponential map on chart arrays, reference quadrature."""
 
 import math
 
@@ -6,24 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from cubaflow.geometry import (
     Manifold,
     arclength,
     arclength_inverse,
     ball_measure,
-    canonical_point,
     charts_to_ambient,
     circumference,
-    distance,
     doubling_constants,
-    exp_step,
     manifold_from_descriptor,
     move_points,
     pairwise_distance,
-    point_consistency_error,
     reference_grid,
     reference_integrate,
+    sphere_chart_from_ambient,
     sphere_tangent_frame,
 )
 
@@ -82,16 +80,6 @@ def test_arclength_monotone():
     assert np.all(np.diff(h) > 0.0)
 
 
-def test_canonical_point_wraps():
-    p = canonical_point(make("circle"), (2.0 * math.pi + 0.25,))
-    assert p.chart[0] == pytest.approx(0.25)
-    q = canonical_point(make("sphere2"), (-0.3, 1.0))
-    assert 0.0 <= q.chart[0] <= math.pi
-    assert point_consistency_error(q) < 1e-15
-    with pytest.raises(ValueError):
-        canonical_point(make("torus2"), (1.0,))
-
-
 def test_sphere_ambient_unit_norm(rng):
     charts = np.column_stack([rng.uniform(0, math.pi, 50), rng.uniform(0, 2 * math.pi, 50)])
     amb = charts_to_ambient(make("sphere2"), charts)
@@ -117,36 +105,39 @@ def test_distance_metric_axioms(kind, rng):
 
 def test_sphere_antipodal_distance():
     m = make("sphere2")
-    p = canonical_point(m, (0.0, 0.0))
-    q = canonical_point(m, (math.pi, 0.0))
-    assert distance(p, q) == pytest.approx(math.pi, abs=1e-12)
+    d = pairwise_distance(m, np.array([[0.0, 0.0]]), np.array([[math.pi, 0.0]]))
+    assert d[0] == pytest.approx(math.pi, abs=1e-12)
+
+
+def _unit_tangents(kind, charts, rng):
+    """Random unit tangents at chart rows, in the per-kind convention."""
+    n = len(charts)
+    if kind == "sphere2":
+        e1, e2 = sphere_tangent_frame(charts)
+        a = rng.uniform(0.0, 2.0 * math.pi, (n, 1))
+        return np.cos(a) * e1 + np.sin(a) * e2
+    if kind == "torus2":
+        a = rng.uniform(0.0, 2.0 * math.pi, n)
+        return np.column_stack([np.cos(a), np.sin(a)])
+    return rng.choice([-1.0, 1.0], n)
+
+
+def _random_charts(m, n, rng):
+    charts = rng.uniform(0.0, 2.0 * math.pi, (n, m.dim))
+    if m.kind == "sphere2":
+        charts[:, 0] = np.arccos(rng.uniform(-1.0, 1.0, n))
+    return charts
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_exp_step_moves_geodesic_distance(kind):
+def test_move_points_moves_geodesic_distance(kind, rng):
     m = make(kind)
-    p = canonical_point(m, (0.7,) * m.dim)
-    if kind == "sphere2":
-        e1, _ = sphere_tangent_frame(np.asarray([p.chart]))
-        v = e1[0]
-    elif kind == "torus2":
-        v = np.array([1.0, 0.0])
-    else:
-        v = 1.0
-    s = 0.31
-    q = exp_step(p, v, s)
-    assert distance(p, q) == pytest.approx(s, abs=1e-9)
-
-
-def test_exp_step_rejects_non_unit_tangent():
-    m = make("circle")
-    p = canonical_point(m, (0.0,))
-    with pytest.raises(ValueError):
-        exp_step(p, 2.0, 0.1)
-    sp = make("sphere2")
-    ps = canonical_point(sp, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        exp_step(ps, np.array([2.0, 0.0, 0.0]), 0.1)
+    charts = _random_charts(m, 40, rng)
+    v = _unit_tangents(kind, charts, rng)
+    # below the injectivity radius, and below pi per torus axis
+    s = rng.uniform(0.01, 2.5 if kind != "torus2" else math.pi, 40)
+    moved = move_points(m, charts, s * v if m.dim == 1 else s[:, None] * v)
+    np.testing.assert_allclose(pairwise_distance(m, charts, moved), s, rtol=0.0, atol=1e-12)
 
 
 def test_move_points_zero_identity(rng):
@@ -158,13 +149,67 @@ def test_move_points_zero_identity(rng):
         assert np.allclose(out, charts if kind != "ellipse" else charts, atol=1e-9)
 
 
-def test_move_points_matches_exp_step():
+def test_move_points_matches_sphere_closed_form(rng):
     m = make("sphere2")
-    p = canonical_point(m, (1.1, 0.6))
-    e1, _ = sphere_tangent_frame(np.asarray([p.chart]))
-    q = exp_step(p, e1[0], 0.4)
-    out = move_points(m, np.asarray([p.chart]), 0.4 * e1)
-    assert np.allclose(out[0], q.chart, atol=1e-12)
+    charts = _random_charts(m, 40, rng)
+    v = _unit_tangents("sphere2", charts, rng)
+    s = rng.uniform(-4.0, 4.0, (40, 1))
+    x = charts_to_ambient(m, charts)
+    expect = x * np.cos(s) + v * np.sin(s)
+    out = move_points(m, charts, s * v)
+    np.testing.assert_allclose(charts_to_ambient(m, out), expect, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(out, sphere_chart_from_ambient(expect), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_move_points_stays_in_canonical_window(kind, rng):
+    m = make(kind)
+    n = 200
+    charts = _random_charts(m, n, rng)
+    if kind == "sphere2":
+        # half the rows step along a meridian through the north pole: by
+        # their colatitude plus 0.3 (crossing it), or onto it exactly
+        x = charts_to_ambient(m, charts)
+        north = np.array([0.0, 0.0, 1.0])
+        meridian = north - x[:, 2:] * x
+        meridian /= np.linalg.norm(meridian, axis=1, keepdims=True)
+        length = charts[:, :1] + np.where(np.arange(n) % 4 == 0, 0.3, 0.0)[:, None]
+        disp = rng.uniform(-20.0, 20.0, (n, 3))
+        disp[: n // 2] = (length * meridian)[: n // 2]
+        disp[:3] = [[0.0, 0.0, math.pi / 2]] * 3
+        charts[:3] = [[math.pi / 2, 0.0], [math.pi / 2, math.pi / 2], [math.pi / 2, math.pi]]
+    else:
+        disp = rng.uniform(-50.0, 50.0, n if m.dim == 1 else (n, m.dim))
+    out = move_points(m, charts, disp)
+    assert out.shape == charts.shape
+    if kind == "sphere2":
+        theta, phi = out[:, 0], out[:, 1]
+        assert np.all((theta >= 0.0) & (theta <= math.pi))
+        assert np.all((phi >= 0.0) & (phi < 2.0 * math.pi))
+        polar = np.minimum(theta, math.pi - theta) < 5e-15
+        assert polar[:3].all()
+        assert np.all(phi[polar] == 0.0)
+        crossed = (np.arange(n) % 4 == 0) & (np.arange(n) < n // 2) & (np.arange(n) >= 3)
+        np.testing.assert_allclose(theta[crossed], 0.3, rtol=0.0, atol=1e-12)
+        # crossing the pole reflects the colatitude and turns the longitude by pi
+        turn = np.mod(phi[crossed] - charts[crossed, 1] - math.pi + 1.0, 2.0 * math.pi) - 1.0
+        np.testing.assert_allclose(turn, 0.0, rtol=0.0, atol=1e-12)
+        x = charts_to_ambient(m, charts)
+        v = disp - np.sum(disp * x, axis=1, keepdims=True) * x
+        ang = np.linalg.norm(v, axis=1, keepdims=True)
+        expect = x * np.cos(ang) + v / ang * np.sin(ang)
+    else:
+        assert np.all((out >= 0.0) & (out < 2.0 * math.pi))
+        if kind == "ellipse":
+            # arc length travelled forward from the start, by quadrature
+            speed = lambda t: math.hypot(m.a_ax * math.sin(t), m.b_ax * math.cos(t))
+            travel = [integrate.quad(speed, t0, t1 if t1 >= t0 else t1 + 2.0 * math.pi,
+                                     epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                      for t0, t1 in zip(charts[:, 0], out[:, 0])]
+            np.testing.assert_allclose(travel, np.mod(disp, ELL_21), rtol=0.0, atol=1e-11)
+            return
+        expect = charts_to_ambient(m, charts + (disp[:, None] if m.dim == 1 else disp))
+    np.testing.assert_allclose(charts_to_ambient(m, out), expect, rtol=0.0, atol=1e-12)
 
 
 def test_reference_grid_weights_normalized():
@@ -227,17 +272,15 @@ def test_reference_integrate_rejects_bad_batch():
 
 def test_ball_measure_closed_forms():
     circle = make("circle")
-    center = canonical_point(circle, (0.0,))
-    assert ball_measure(circle, center, 0.5) == pytest.approx(0.5 / math.pi)
-    assert ball_measure(circle, center, math.pi) == pytest.approx(1.0)
+    assert ball_measure(circle, 0.5) == pytest.approx(0.5 / math.pi)
+    assert ball_measure(circle, math.pi) == pytest.approx(1.0)
     sphere = make("sphere2")
-    sc = canonical_point(sphere, (0.5, 0.5))
-    assert ball_measure(sphere, sc, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
-    assert ball_measure(sphere, sc, math.pi) == pytest.approx(1.0, abs=1e-14)
+    assert ball_measure(sphere, math.pi / 2) == pytest.approx(0.5, abs=1e-14)
+    assert ball_measure(sphere, math.pi) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
-        ball_measure(circle, center, -1.0)
+        ball_measure(circle, -1.0)
     with pytest.raises(ValueError):
-        ball_measure(circle, center, 10.0)
+        ball_measure(circle, 10.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -245,8 +288,7 @@ def test_doubling_constants_bracket_profile(kind, rng):
     m = make(kind)
     c1, c2 = doubling_constants(m)
     assert 0.0 < c1 <= c2 < math.inf
-    center = canonical_point(m, (0.4,) * m.dim)
     for r in rng.uniform(1e-6, m.diameter, 25):
-        mu = ball_measure(m, center, float(r))
+        mu = ball_measure(m, float(r))
         assert c1 * r**m.dim <= mu * (1 + 1e-12) + 1e-15
         assert mu <= c2 * r**m.dim * (1 + 1e-12)

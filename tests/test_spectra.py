@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from cubaflow.geometry import Manifold, reference_grid, sphere_tangent_frame
-from cubaflow.spectra import (
-    DiffusionPoly,
-    SpectralSpace,
-    enumerate_basis,
-    eval_poly,
-    grad_poly,
-)
+from cubaflow.spectra import DiffusionPoly, SpectralSpace, enumerate_basis
 
 CASES = [
     ("circle", 8.0, 16),
@@ -105,16 +99,6 @@ def test_gradient_norms_consistent(rng):
     assert np.allclose(norms, manual, atol=1e-13)
 
 
-def test_eigenpair_matches_space():
-    from cubaflow.geometry import canonical_point
-    sp = enumerate_basis(make("circle"), 3.0)
-    p = canonical_point(make("circle"), (1.234,))
-    t = np.array([[1.234]])
-    for pair in sp.basis():
-        assert pair.evaluate(p) == pytest.approx(sp.evaluate(t)[0, pair.index], abs=1e-14)
-        assert pair.freq <= 3.0
-
-
 def test_poly_wrappers(rng):
     sp = enumerate_basis(make("circle"), 4.0)
     c = rng.standard_normal(sp.dim)
@@ -126,10 +110,6 @@ def test_poly_wrappers(rng):
         np.tensordot(sp.gradients(t), c, axes=(1, 0)),
         atol=1e-15,
     )
-    from cubaflow.geometry import canonical_point
-    pt = canonical_point(make("circle"), (float(t[0, 0]),))
-    assert eval_poly(p, pt) == pytest.approx(float(p.values(t[:1])[0]), abs=1e-14)
-    assert grad_poly(p, pt) == pytest.approx(float(p.tangent_gradients(t[:1])[0, 0]), abs=1e-14)
     with pytest.raises(ValueError):
         DiffusionPoly(sp, c[:-1])
 
