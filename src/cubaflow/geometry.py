@@ -171,8 +171,13 @@ class _ArcLengthTable:
         t0 = self.t_grid[idx]
         half = 0.5 * (t - t0)
         nodes = (t0 + half)[:, None] + half[:, None] * _GL10_NODES[None, :]
-        tail = half * (self.speed(nodes) @ _GL10_WEIGHTS)
-        out = self.s_grid[idx] + tail
+        # column by column, not a matrix product: BLAS rounds a batch and
+        # a single row differently, and the chart must not depend on batching
+        weighted = self.speed(nodes) * _GL10_WEIGHTS
+        acc = weighted[..., 0]
+        for j in range(1, len(_GL10_WEIGHTS)):
+            acc = acc + weighted[..., j]
+        out = self.s_grid[idx] + half * acc
         return float(out[0]) if scalar else out
 
     def inverse(self, s):

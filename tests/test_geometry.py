@@ -10,6 +10,7 @@ from scipy import integrate
 
 from cubaflow.geometry import (
     Manifold,
+    arc_chart,
     arclength,
     arclength_inverse,
     ball_measure,
@@ -78,6 +79,17 @@ def test_arclength_monotone():
     t = np.linspace(0.0, 2.0 * math.pi, 400)
     h = arclength(2.0, 1.0, t)
     assert np.all(np.diff(h) > 0.0)
+
+
+def test_arc_chart_batch_independent(rng):
+    # a result must not depend on which other angles share the call
+    chart = arc_chart(Manifold("ellipse", 3.0, 1.0))
+    t = rng.uniform(0.0, 2.0 * math.pi, 4000)
+    s = rng.uniform(0.0, chart.total, 4000)
+    one_by_one = np.concatenate([chart.forward(x) for x in t[:, None]])
+    np.testing.assert_array_equal(one_by_one, chart.forward(t))
+    one_by_one = np.concatenate([chart.inverse(x) for x in s[:, None]])
+    np.testing.assert_array_equal(one_by_one, chart.inverse(s))
 
 
 def test_sphere_ambient_unit_norm(rng):
