@@ -18,7 +18,8 @@ total mass one, and distances are exact geodesic distances.
 
 Points are rows of (n, dim) chart arrays throughout.  ``move_points`` is
 the exponential map on such arrays and returns canonical charts: angles
-in [0, 2pi), sphere colatitude in [0, pi] with longitude 0 at the poles.
+reduced mod 2pi, sphere colatitude in [0, pi] with longitude 0 at the
+poles.
 
 Tangent vectors use one convention per kind and it is load-bearing for
 every downstream module: a signed scalar in the arc-length frame
@@ -42,8 +43,8 @@ TWO_PI = 2.0 * math.pi
 
 MANIFOLD_KINDS = ("circle", "torus2", "sphere2", "ellipse")
 
-# Colatitudes closer to a pole than this are snapped onto it, which moves
-# the ambient point by less than the chart/ambient consistency tolerance.
+# Colatitudes closer to a pole than this get longitude 0, which moves the
+# ambient point by less than this distance.
 _POLE_TOL = 5e-15
 
 
