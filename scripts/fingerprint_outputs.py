@@ -9,11 +9,14 @@ seed 0, and ``partition_to_json`` of every ``PARTITION_CASES`` entry at seeds
 gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
 ``verify_partition`` report.  Last come the circle partitions of the MZ
 sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
-0-9, with the weights the ``mz`` workload draws.  The case tables are read
-from ``perfbench/workloads.py``; the package comes from this checkout's
-``src``.  Run it in two checkouts and ``diff`` the outputs: equal lines mean
-byte-identical rules, partitions and verification reports.  Takes about a
-minute on one core.
+0-9, with the weights the ``mz`` workload draws.  Last, sphere partitions
+at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine levels
+9 and 10, which no benchmark case reaches: one ``sphere-partition/N<n>/seed<s>``
+line each and its ``verify/sphere-partition/N<n>/seed<s>`` line.  The case
+tables are read from ``perfbench/workloads.py``; the package comes from
+this checkout's ``src``.  Run it in two checkouts and ``diff`` the outputs:
+equal lines mean byte-identical rules, partitions and verification reports.
+Takes a few minutes on one core.
 """
 
 import hashlib
@@ -39,6 +42,7 @@ from cubaflow import (  # noqa: E402
 )
 
 SEEDS = range(10)
+SPHERE_NS = (40, 150)
 
 
 def _band(n: int, seed: int):
@@ -69,6 +73,11 @@ def main() -> int:
         for n in workloads.MZ_NS:
             part = weighted_partition(Manifold("circle"), _band(n, seed + n))
             _emit(f"mz-partition/N{n}/seed{seed}", partition_to_json(part))
+    for n in SPHERE_NS:
+        for seed in range(3):
+            part = weighted_partition(Manifold("sphere2"), _band(n, seed))
+            _emit(f"sphere-partition/N{n}/seed{seed}", partition_to_json(part))
+            _emit(f"verify/sphere-partition/N{n}/seed{seed}", repr(verify_partition(part)))
     return 0
 
 

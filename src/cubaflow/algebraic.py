@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Manifold, charts_to_ambient, reference_grid, _arc_table
+from .geometry import Manifold, charts_to_ambient, reference_grid
 
 _RANK_RTOL = 1e-10
 

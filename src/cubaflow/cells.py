@@ -1,11 +1,14 @@
-"""Index arithmetic and triangle tables of the nested cell families.
+"""Index arithmetic and closed-form cells of the nested cell families.
 
 Torus cells are indexed in Morton order: bit p of the first axis index
 goes to bit 2p, of the second to bit 2p + 1, so an aligned block of 4^e
 consecutive indices is a square of 2^e by 2^e cells.  Sphere cells are
-octahedral triangles quartered through edge midpoints, the children of
-triangle t at indices 4t..4t+3, so an aligned block of 4^e indices is one
-triangle e levels coarser.
+octahedral triangles quartered through normalised edge midpoints, the
+children of triangle t at indices 4t..4t+3, so an aligned block of 4^e
+indices is one triangle e levels coarser.  As in the Hierarchical
+Triangular Mesh, a cell's index names its root octant and one base-4
+digit per level, and ``_sphere_tris`` descends them to its vertices;
+nothing is stored per level.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from .geometry import _neumaier_cumsum
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +102,11 @@ def _aligned_blocks(lo, hi, top: int):
 
 
 def _arc(u, v):
-    """Stable geodesic arc length between unit vectors (vectorized)."""
-    cr = np.cross(u, v)
-    return np.arctan2(np.linalg.norm(cr, axis=-1), np.sum(u * v, axis=-1))
+    """Stable geodesic arc length between unit vectors (vectorized): the
+    angle of ``|u x v|`` and ``u . v``, summed in np.cross and np.sum order."""
+    u0, u1, u2, v0, v1, v2 = u[..., 0], u[..., 1], u[..., 2], v[..., 0], v[..., 1], v[..., 2]
+    c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
 
 
 def _tri_area_raw(A, B, C):
@@ -112,12 +115,7 @@ def _tri_area_raw(A, B, C):
     b = _arc(C, A)
     c = _arc(A, B)
     s = 0.5 * (a + b + c)
-    t = (
-        np.tan(0.5 * s)
-        * np.tan(0.5 * (s - a))
-        * np.tan(0.5 * (s - b))
-        * np.tan(0.5 * (s - c))
-    )
+    t = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
     return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
 
 
@@ -125,9 +123,7 @@ def _slerp(B, C, t):
     theta = float(_arc(B, C))
     if theta < 1e-15:
         return B
-    w = (math.sin((1.0 - t) * theta) * B + math.sin(t * theta) * C) / math.sin(
-        theta
-    )
+    w = (math.sin((1.0 - t) * theta) * B + math.sin(t * theta) * C) / math.sin(theta)
     return w / np.linalg.norm(w)
 
 
@@ -149,109 +145,123 @@ def _tri_inner_outer(A, B, C):
     return inner, outer
 
 
-def _subdivide(verts: np.ndarray, tris: np.ndarray):
-    """Quarter every triangle through deduplicated edge midpoints."""
-    T = len(tris)
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    uniq, inv = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
-    mids = verts[uniq[:, 0]] + verts[uniq[:, 1]]
-    mids /= np.linalg.norm(mids, axis=1, keepdims=True)
-    mid_id = len(verts) + np.arange(len(uniq), dtype=np.int64)
-    verts = np.vstack([verts, mids])
-    mab = mid_id[inv[:T]]
-    mbc = mid_id[inv[T : 2 * T]]
-    mca = mid_id[inv[2 * T :]]
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    children = np.empty((4 * T, 3), dtype=np.int64)
-    children[0::4] = np.column_stack([a, mab, mca])
-    children[1::4] = np.column_stack([mab, b, mbc])
-    children[2::4] = np.column_stack([mca, mbc, c])
-    children[3::4] = np.column_stack([mab, mbc, mca])
-    return verts, children
+def _sphere_area(V: np.ndarray) -> np.ndarray:
+    """Measures of spherical triangles V ``(k, 3, 3)``, a fraction of 4pi."""
+    return _tri_area_raw(V[:, 0], V[:, 1], V[:, 2]) / (4.0 * math.pi)
 
 
-def _sphere_level_entry(verts: np.ndarray, tris: np.ndarray) -> dict:
-    A, B, C = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-    raw = _tri_area_raw(A, B, C)
-    scale = 1.0 / math.fsum(raw.tolist())
-    areas = raw * scale
-    inner, outer = _tri_inner_outer(A, B, C)
-    return {
-        "verts": verts,
-        "tris": tris,
-        "areas": areas,
-        "prefix": _neumaier_cumsum(np.concatenate([[0.0], areas])),
-        "scale": scale,
-        "centers": _tri_centers(A, B, C),
-        "inner": inner,
-        "outer": outer,
-    }
+def _sweep_pieces(V: np.ndarray, t0, t1) -> np.ndarray:
+    """Sweep pieces [t0, t1] of triangles V ``(k, 3, 3)``, as triangles: the
+    first corner and the points at t0 and t1 along the opposite edge."""
+    t0, t1 = (np.clip(np.broadcast_to(t, len(V)), 0.0, 1.0) for t in (t0, t1))
+    return np.array([[A, _slerp(B, C, a), _slerp(B, C, b)]
+                     for (A, B, C), a, b in zip(V, t0, t1)]).reshape(-1, 3, 3)
+
+
+# the 8 level-1 triangles, octant 4 sx + 2 sy + sz for coordinate signs (-1)^s,
+# each ordered counter-clockwise seen from outside
+_ROOTS = np.array([(B, A, C) if np.dot(np.cross(A, B), C) < 0.0 else (A, B, C) for A, B, C in
+                   (np.diag([1.0 - 2.0 * (s >> k & 1) for k in (2, 1, 0)]) for s in range(8))])
+# children of (a, b, c) as rows of (a, b, c, ab, bc, ca), ab the edge midpoint
+_KIDS = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
+
+def _corners_and_mids(V: np.ndarray) -> np.ndarray:
+    """Corners and normalised edge midpoints ``(k, 6, 3)`` of triangles V."""
+    m = V + V[:, [1, 2, 0]]
+    m /= np.linalg.norm(m, axis=-1, keepdims=True)
+    return np.concatenate([V, m], axis=1)
+
+
+def _sphere_children(V: np.ndarray) -> np.ndarray:
+    """The four children of triangles V ``(k, 3, 3)``, as ``(4k, 3, 3)``."""
+    return _corners_and_mids(V)[:, _KIDS].reshape(-1, 3, 3)
+
+
+def _sphere_tris(level, idx) -> np.ndarray:
+    """Vertices ``(k, 3, 3)`` of sphere cells ``idx`` of ``level`` (one level
+    or one per cell): the root octant ``idx >> 2 (level - 1)``, then one
+    base-4 digit per level picks the child."""
+    idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
+    level = np.broadcast_to(np.asarray(level, dtype=np.int64), idx.shape)
+    V = _ROOTS[idx >> 2 * (level - 1)]
+    # digit j picks the child at depth j + 2; rows past their level keep -1
+    shift = 2 * (level[:, None] - np.arange(2, int(level.max(initial=1)) + 1))
+    digits = np.where(shift >= 0, idx[:, None] >> np.maximum(shift, 0) & 3, -1)
+    rows = np.arange(len(idx))[:, None]
+    for d in digits.T:
+        kids = _corners_and_mids(V)[rows, _KIDS[d]]
+        V = kids if d.min() >= 0 else np.where(d[:, None, None] >= 0, kids, V)
+    return V
+
+
+def _sphere_cells(level: int, lo, hi) -> np.ndarray:
+    """Vertices ``(n, 3, 3)`` of the level cells in ranges ``[lo[r], hi[r])``,
+    in order: each aligned block's triangle is quartered down to the level."""
+    _, start, exp = _aligned_blocks(lo, hi, level - 1)
+    size = np.int64(1) << 2 * exp
+    first = np.cumsum(size) - size
+    out = np.empty((int(size.sum()), 3, 3))
+    for e in np.unique(exp):
+        mine = exp == e
+        V = _sphere_tris(level - e, start[mine] >> 2 * e)
+        for _ in range(e):
+            V = _sphere_children(V)
+        out[(first[mine][:, None] + np.arange(1 << 2 * e)).ravel()] = V
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _sphere_range_measure(level: int, start: int, stop: int) -> float:
+    """Measure of the level cells ``start .. stop``, one aligned block at a
+    time; cached, as the material sweep measures most runs several times."""
+    _, first, exp = _aligned_blocks([start], [stop], level - 1)
+    return math.fsum(_sphere_area(_sphere_tris(level - exp, first >> 2 * exp)).tolist())
+
+
+def _sphere_seek(level: int, start: int, stop: int, target: float) -> int:
+    """The cell of ``start .. stop`` in which the running measure passes
+    ``target``, or its last cell: the aligned block passing it is quartered
+    until it is one cell."""
+    _, first, exp = _aligned_blocks([start], [stop], level - 1)
+    idx, V, acc = first >> 2 * exp, _sphere_tris(level - exp, first >> 2 * exp), 0.0
+    while True:
+        areas, j = _sphere_area(V).tolist(), 0
+        while j + 1 < len(areas) and acc + areas[j] <= target:
+            acc, j = acc + areas[j], j + 1
+        if exp[j] == 0:
+            return int(idx[j])
+        idx, exp, V = 4 * idx[j] + np.arange(4), np.full(4, exp[j] - 1), _sphere_children(V[j:j + 1])
 
 
 @lru_cache(maxsize=16)
-def _sphere_levels(depth: int) -> dict:
-    """Octahedral triangle hierarchy, levels 1..depth.
-
-    Children of triangle t sit at indices 4t..4t+3, so descendant index
-    ranges stay contiguous.  Areas are normalized per level to sum to
-    one exactly; cuts reuse the same per-level scale factor so partial
-    pieces stay additive to the whole-cell values.
-    """
-    if depth == 1:
-        verts = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [-1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [0.0, -1.0, 0.0],
-                [0.0, 0.0, 1.0],
-                [0.0, 0.0, -1.0],
-            ]
-        )
-        tris = []
-        for sx in (0, 1):
-            for sy in (0, 1):
-                for sz in (0, 1):
-                    tri = [0 + sx, 2 + sy, 4 + sz]
-                    A, B, C = verts[tri]
-                    if np.dot(np.cross(A, B), C) < 0.0:
-                        tri = [tri[1], tri[0], tri[2]]
-                    tris.append(tri)
-        tris = np.asarray(tris, dtype=np.int64)
-        return {1: _sphere_level_entry(verts, tris)}
-    levels = dict(_sphere_levels(depth - 1))
-    last = levels[depth - 1]
-    verts, tris = _subdivide(last["verts"], last["tris"])
-    levels[depth] = _sphere_level_entry(verts, tris)
-    return levels
+def _sphere_level_stats(level: int) -> tuple[float, float, float, float]:
+    """(smallest, largest) cell measure and (smallest inner, largest outer)
+    cell radius of one level.  Coordinate sign flips map the octants onto
+    each other exactly, so the cells of octant 0 give them."""
+    V = _ROOTS[:1]
+    for _ in range(level - 1):
+        V = _sphere_children(V)
+    area = _sphere_area(V)
+    inner, outer = _tri_inner_outer(V[:, 0], V[:, 1], V[:, 2])
+    return float(area.min()), float(area.max()), float(inner.min()), float(outer.max())
 
 
 @lru_cache(maxsize=16)
 def _sphere_neighbors(level: int) -> np.ndarray:
-    """Edge-sharing neighbor triples per triangle, sorted per row."""
-    lev = _sphere_levels(level)[level]
-    tris = lev["tris"]
+    """Edge-sharing neighbor triples per triangle, sorted per row; shared
+    vertices are bit-identical wherever they are computed."""
+    V = _sphere_cells(level, [0], [8 << 2 * (level - 1)])
+    tris = np.unique(V.reshape(-1, 3), axis=0, return_inverse=True)[1].reshape(-1, 3)
     T = len(tris)
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    uniq, inv = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True)
-    owner = np.tile(np.arange(T, dtype=np.int64), 3)
-    order = np.argsort(inv, kind="stable")
-    inv_s, owner_s = inv[order], owner[order]
-    if not (len(uniq) * 2 == len(inv_s) and np.all(inv_s[0::2] == inv_s[1::2])):
+    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    if not np.all(np.unique(e, axis=0, return_counts=True)[1] == 2):
         raise RuntimeError("triangulation is not edge-to-edge")
-    pair = owner_s.reshape(-1, 2)
-    other = np.empty((len(uniq), 2), dtype=np.int64)
-    other[:, 0], other[:, 1] = pair[:, 1], pair[:, 0]
-    nbr = np.empty((T, 3), dtype=np.int64)
-    slot = np.zeros(T, dtype=np.int64)
-    for eid in range(len(uniq)):
-        for s in range(2):
-            t = pair[eid, s]
-            nbr[t, slot[t]] = other[eid, s]
-            slot[t] += 1
-    if not np.all(slot == 3):
-        raise RuntimeError("triangle with wrong neighbor count")
-    return np.sort(nbr, axis=1)
+    # the two occurrences of each edge belong to each other's neighbours
+    pair = np.lexsort((e[:, 1], e[:, 0])).reshape(-1, 2)
+    nbr = np.empty(3 * T, dtype=np.int64)
+    nbr[pair[:, 0]], nbr[pair[:, 1]] = pair[:, 1] % T, pair[:, 0] % T
+    return np.sort(nbr.reshape(3, T).T, axis=1)
 
 
 def _edge_sides(V: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -25,12 +25,7 @@ import numpy as np
 from . import engine
 from .algebraic import restriction_fit_residual
 from .geometry import Manifold, circumference
-from .partition import (
-    partition_from_json,
-    partition_to_json,
-    verify_partition,
-    weighted_partition,
-)
+from .partition import partition_to_json, verify_partition, weighted_partition
 from .spectra import enumerate_basis
 from .weights import (
     WeightVector,

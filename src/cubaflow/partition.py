@@ -6,9 +6,10 @@ ellipse is the arc ``[idx w, (idx + 1) w)``, ``w = total / 2^k``, of the
 arc-length chart (:func:`cubaflow.geometry.arc_chart`, the angle itself
 on the circle), and a torus cell is the product of two circle arcs,
 indexed in Morton order.  Their measures, prefix sums and cuts are closed
-forms.  Only the sphere keeps per-level tables: octahedral triangles
-quartered through edge midpoints.  A level-``k`` cell has a center ``z``
-and certified geodesic balls ``B(z, u1 * 2^-k)`` inside it and
+forms.  Sphere cells are octahedral triangles quartered through edge
+midpoints, computed from their index; a range's measure sums the few
+aligned coarser triangles that tile it.  A level-``k`` cell has a center
+``z`` and certified geodesic balls ``B(z, u1 * 2^-k)`` inside it and
 ``B(z, u2 * 2^-k)`` around it.
 
 ``weighted_partition`` splits the manifold into N regions whose measures
@@ -22,7 +23,7 @@ cells plus at most one new fractional cut each, so region measures are
 prefix sums plus a single root-find, never a quadrature.  Small N skips
 the tree and sweeps one coarse level directly.
 
-Cell index arithmetic and the sphere's triangle tables live in
+Cell index arithmetic and the sphere's triangles live in
 :mod:`cubaflow.cells`; region representatives, radii and the outer-ball
 check of verification in :mod:`cubaflow.regions`.
 """
@@ -38,14 +39,20 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .cells import (
+    _ROOTS,
     _arc,
     _edge_sides,
     _morton_decode,
     _morton_encode,
-    _slerp,
-    _sphere_levels,
+    _sphere_area,
+    _sphere_cells,
+    _sphere_children,
+    _sphere_level_stats,
     _sphere_neighbors,
-    _tri_area_raw,
+    _sphere_range_measure,
+    _sphere_seek,
+    _sphere_tris,
+    _sweep_pieces,
     _tri_centers,
     _tri_inner_outer,
 )
@@ -105,15 +112,14 @@ class _Levels:
     def measure_range(self, level: int) -> tuple[float, float]:
         """Smallest and largest cell measure of one level."""
         if self.sphere:
-            areas = _sphere_levels(level)[level]["areas"]
-            return float(areas.min()), float(areas.max())
+            return _sphere_level_stats(level)[:2]
         m = 1.0 / self.ncells(level)
         return m, m
 
 
 def _levels(manifold: Manifold) -> _Levels:
     if manifold.kind == "sphere2":
-        # the triangle tables stop at level 10
+        # a deeper cap would change the fine level large N picks
         return _Levels(True, 8, 4, 1, 10, 10)
     branching = 2 if manifold.dim == 1 else 4
     # deepest level whose flat cells stay above the cut tolerance
@@ -130,8 +136,9 @@ def _ring(i: int, m: int) -> list[int]:
 class CellTree:
     """Nested halving cells for one manifold, levels up to ``depth``.
 
-    Flat manifolds are implicit (arc arithmetic per axis, see the module
-    docstring); the sphere carries explicit per-level triangle arrays.
+    Cells are implicit: arc arithmetic per axis on the flat kinds (see
+    the module docstring), triangles descended from their index on the
+    sphere (:func:`cubaflow.cells._sphere_tris`).
     Every cell exposes a sweep coordinate t in [0, 1], along the first
     axis of a flat cell, along which measure-exact cuts are made.
     """
@@ -141,7 +148,6 @@ class CellTree:
     depth: int
     u1: float
     u2: float
-    _sphere: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lv = _levels(self.manifold)
@@ -167,21 +173,15 @@ class CellTree:
 
     def measures(self, level: int) -> np.ndarray:
         self._check_level(level)
-        if self._lv.sphere:
-            return self._sphere[level]["areas"]
         n = self._lv.ncells(level)
-        return np.full(n, 1.0 / n)
-
-    def _cell_measures(self, level: int, cells: np.ndarray) -> np.ndarray:
         if self._lv.sphere:
-            return self._sphere[level]["areas"][cells]
-        return np.full(len(cells), 1.0 / self.ncells(level))
+            return _sphere_area(_sphere_cells(level, [0], [n]))
+        return np.full(n, 1.0 / n)
 
     def range_measure(self, level: int, start: int, stop: int) -> float:
         self._check_level(level)
         if self._lv.sphere:
-            p = self._sphere[level]["prefix"]
-            return float(p[stop] - p[start])
+            return _sphere_range_measure(level, start, stop)
         return (stop - start) / self._lv.ncells(level)
 
     def cut_measure(self, level: int, idx: int, t0: float, t1: float) -> float:
@@ -191,11 +191,7 @@ class CellTree:
             raise ValueError("cut interval reversed")
         if not self._lv.sphere:
             return (t1 - t0) / self._lv.ncells(level)
-        lev = self._sphere[level]
-        A, B, C = lev["verts"][lev["tris"][idx]]
-        P0 = _slerp(B, C, min(max(t0, 0.0), 1.0))
-        P1 = _slerp(B, C, min(max(t1, 0.0), 1.0))
-        return float(_tri_area_raw(A, P0, P1)) * lev["scale"]
+        return float(_sphere_area(_sweep_pieces(_sphere_tris(level, idx), t0, t1))[0])
 
     # -- flat cells: per-axis arcs of the arc-length chart ----------------
 
@@ -219,18 +215,15 @@ class CellTree:
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         if self._lv.sphere:
-            return sphere_chart_from_ambient(self._sphere[level]["centers"][idx])
-        return np.column_stack(
-            [self._arc_centers(level, i) for i in self._axes(level, idx)]
-        )
+            return sphere_chart_from_ambient(_tri_centers(*_sphere_tris(level, idx).swapaxes(0, 1)))
+        return np.column_stack([self._arc_centers(level, i) for i in self._axes(level, idx)])
 
     def cell_radii(self, level: int, idx) -> tuple[np.ndarray, np.ndarray]:
         """(inner, outer) certified geodesic ball radii about the center."""
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         if self._lv.sphere:
-            lev = self._sphere[level]
-            return lev["inner"][idx], lev["outer"][idx]
+            return _tri_inner_outer(*_sphere_tris(level, idx).swapaxes(0, 1))
         # a flat cell is a segment or square of side w
         half = np.full(len(idx), 0.5 * self._arc_width(level))
         return half, half * math.sqrt(self.manifold.dim)
@@ -264,10 +257,7 @@ class CellTree:
                 inner[part] = 0.5 * np.minimum(side, w)
                 outer[part] = [0.5 * math.hypot(s, w) for s in side.tolist()]
         elif part.any():
-            lev = self._sphere[level]
-            A, B, C = np.moveaxis(lev["verts"][lev["tris"][idx[part]]], 1, 0)
-            P0 = np.array([_slerp(*x) for x in zip(B, C, t0[part])])
-            P1 = np.array([_slerp(*x) for x in zip(B, C, t1[part])])
+            A, P0, P1 = _sweep_pieces(_sphere_tris(level, idx[part]), t0[part], t1[part]).swapaxes(0, 1)
             c[part] = sphere_chart_from_ambient(_tri_centers(A, P0, P1))
             inner[part], outer[part] = _tri_inner_outer(A, P0, P1)
         if scalar:
@@ -312,12 +302,12 @@ class CellTree:
             # descend from the 8 root triangles to the best of 4 children per
             # level; argmax keeps the first of equal edge sides
             p = charts_to_ambient(self.manifold, rows)
-            sides = lambda lev, tris: _edge_sides(
-                self._sphere[lev]["verts"][self._sphere[lev]["tris"][tris]], p)
-            cells = np.argmax(sides(1, np.arange(8)[None]), axis=1)
-            for lev in range(2, level + 1):
-                kids = 4 * cells[:, None] + np.arange(4)
-                cells = kids[np.arange(len(p)), np.argmax(sides(lev, kids), axis=1)]
+            cells = np.argmax(_edge_sides(_ROOTS[None], p), axis=1)
+            V = _ROOTS[cells]
+            for _ in range(2, level + 1):
+                kids = _sphere_children(V).reshape(-1, 4, 3, 3)
+                pick = np.argmax(_edge_sides(kids, p), axis=1)
+                cells, V = 4 * cells + pick, kids[np.arange(len(p)), pick]
         return int(cells[0]) if charts.ndim == 1 else cells
 
     def sweep_parameter(self, level: int, idx, charts: np.ndarray):
@@ -332,8 +322,7 @@ class CellTree:
         if not self._lv.sphere:
             t = self._arc_position(level, rows[:, 0]) - self._axes(level, idx)[0]
         else:
-            lev = self._sphere[level]
-            A, B, C = np.moveaxis(lev["verts"][lev["tris"][idx]], 1, 0)
+            A, B, C = _sphere_tris(level, idx).swapaxes(0, 1)
             n1 = np.cross(A, charts_to_ambient(self.manifold, rows))
             q = np.cross(n1, np.cross(B, C))
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -351,15 +340,10 @@ def _tree_cached(manifold: Manifold, depth: int) -> CellTree:
         # level-k radii are u * 2^-k: half a cell width, times sqrt(dim) outside
         half = 0.5 * arc_chart(manifold).total
         return CellTree(manifold, _DELTA, depth, half, half * math.sqrt(manifold.dim))
-    levels = _sphere_levels(depth)
-    exp = {lev: 2.0**-lev for lev in levels}
-    u1 = min(float(levels[k]["inner"].min()) / exp[k] for k in levels)
-    u2 = max(float(levels[k]["outer"].max()) / exp[k] for k in levels)
-    for k in levels:
-        drift = abs(float(levels[k]["scale"]) - 1.0 / (4.0 * math.pi))
-        if drift > 1e-3:
-            raise RuntimeError("sphere areas drifted from the total measure")
-    return CellTree(manifold, _DELTA, depth, u1, u2, dict(levels))
+    stats = [_sphere_level_stats(k) for k in range(1, depth + 1)]
+    u1 = min(s[2] / 2.0**-k for k, s in enumerate(stats, 1))
+    u2 = max(s[3] / 2.0**-k for k, s in enumerate(stats, 1))
+    return CellTree(manifold, _DELTA, depth, u1, u2)
 
 
 def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -> CellTree:
@@ -447,7 +431,8 @@ def exact_cut(
         return 1.0
     if tree.manifold.kind != "sphere2":
         return start + target * tree._lv.ncells(level)
-    f = lambda t: tree.cut_measure(level, idx, start, t) - target
+    V = _sphere_tris(level, idx)
+    f = lambda t: float(_sphere_area(_sweep_pieces(V, start, t))[0]) - target
     return float(brentq(f, start, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200))
 
 
@@ -516,14 +501,10 @@ class _MaterialCursor:
         rem = need - m0
         whole = tree.range_measure(level, s + 1, e - 1)
         if rem < whole - _CUT_TOL * 0.5:
-            if tree.manifold.kind == "sphere2":
-                p = tree._sphere[level]["prefix"]
-                c = int(np.searchsorted(p, p[s + 1] + rem, side="right")) - 1
-                c = min(max(c, s + 1), e - 2)
+            if tree._lv.sphere:
+                c = _sphere_seek(level, s + 1, e - 1, rem)
             else:
-                n = tree.ncells(level)
-                c = s + 1 + int(rem * n)
-                c = min(max(c, s + 1), e - 2)
+                c = min(max(s + 1 + int(rem * tree.ncells(level)), s + 1), e - 2)
             rem_in = rem - tree.range_measure(level, s + 1, c)
             while rem_in < -1e-15 and c > s + 1:
                 c -= 1

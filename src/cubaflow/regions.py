@@ -14,7 +14,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cells import _aligned_blocks, _morton_decode, _morton_encode, _slerp
+from .cells import (
+    _aligned_blocks,
+    _morton_decode,
+    _morton_encode,
+    _sphere_area,
+    _sphere_cells,
+    _sphere_level_stats,
+    _sphere_tris,
+    _sweep_pieces,
+    _tri_centers,
+    _tri_inner_outer,
+)
 from .geometry import (
     TWO_PI,
     _circle_dist,
@@ -176,11 +187,12 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
 
 
 def _sphere_whole_geometry(tree: CellTree, level: int, ranges) -> tuple:
-    """Representative cell and radii of one sphere region's whole cells."""
-    cells = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
-    centers = tree.centers_chart(level, cells)
-    inner, outer = tree.cell_radii(level, cells)
-    meas = tree._cell_measures(level, cells)
+    """Representative cell and radii of one sphere region's whole cells; only
+    cells within the level's largest outer radius of the farthest centre
+    can reach farthest, so only theirs are computed."""
+    V = _sphere_cells(level, *zip(*ranges))
+    centers = sphere_chart_from_ambient(_tri_centers(*V.swapaxes(0, 1)))
+    meas = _sphere_area(V)
     # anchor at the whole cell nearest the measure centroid; long
     # chain regions then get a certified outer ball of half reach
     v = meas @ charts_to_ambient(tree.manifold, centers)
@@ -189,10 +201,13 @@ def _sphere_whole_geometry(tree: CellTree, level: int, ranges) -> tuple:
         pick = int(np.argmax(meas))
     else:
         centroid = sphere_chart_from_ambient((v / nv)[None, :])
-        dd = pairwise_distance(tree.manifold, np.repeat(centroid, len(cells), axis=0), centers)
+        dd = pairwise_distance(tree.manifold, np.repeat(centroid, len(V), axis=0), centers)
         pick = int(np.argmin(dd))
-    d = pairwise_distance(tree.manifold, np.tile(centers[pick], (len(cells), 1)), centers)
-    return centers[pick], float(inner[pick]), float(np.max(d + outer))
+    d = pairwise_distance(tree.manifold, np.tile(centers[pick], (len(V), 1)), centers)
+    far = d >= d.max() - _sphere_level_stats(level)[3] - 1e-12
+    inner = _tri_inner_outer(*V[pick:pick + 1].swapaxes(0, 1))[0]
+    outer = _tri_inner_outer(*V[far].swapaxes(0, 1))[1]
+    return centers[pick], float(inner[0]), float(np.max(d[far] + outer))
 
 
 def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
@@ -267,14 +282,8 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     own = np.concatenate([b_own, q_own])
 
     if tree._lv.sphere:
-        tri = lambda lev, idx: tree._sphere[lev]["verts"][tree._sphere[lev]["tris"][idx]]
-        blocks = np.empty((len(b_lo), 3, 3))
-        for e in np.unique(exp):
-            blocks[exp == e] = tri(level - e, b_lo[exp == e] >> (2 * e))
-        A, B, C = np.moveaxis(tri(level, q_cell), 1, 0)
-        P0 = np.array([_slerp(*x) for x in zip(B, C, t0)]).reshape(-1, 3)
-        P1 = np.array([_slerp(*x) for x in zip(B, C, t1)]).reshape(-1, 3)
-        verts = np.concatenate([blocks, np.stack([A, P0, P1], axis=1)])
+        pieces = _sweep_pieces(_sphere_tris(level, q_cell), t0, t1)
+        verts = np.concatenate([_sphere_tris(level - exp, b_lo >> 2 * exp), pieces])
         convex = reach[own] < 0.5 * math.pi
         corners = sphere_chart_from_ambient(verts[convex].reshape(-1, 3))
         ncorner = 3

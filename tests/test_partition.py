@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubaflow.cells import _aligned_blocks, _morton_decode, _morton_encode
+from cubaflow.cells import (
+    _aligned_blocks,
+    _morton_decode,
+    _morton_encode,
+    _sphere_area,
+    _sphere_cells,
+    _sphere_level_stats,
+    _sphere_tris,
+    _tri_centers,
+    _tri_inner_outer,
+)
 from cubaflow.geometry import (
     TWO_PI,
     Manifold,
@@ -71,6 +81,78 @@ def test_children_sum_to_parent_sphere():
         child = tree.measures(level + 1)
         sums = child.reshape(-1, 4).sum(axis=1)
         assert np.max(np.abs(sums - parent)) < 1e-15
+
+
+def _octahedron_oracle(depth):
+    """Vertex triples of sphere levels 1..depth by recursive midpoint
+    subdivision in plain floats, children of t at 4t..4t+3, and each
+    level's edge-sharing neighbours found through a dict of vertex pairs."""
+
+    def mid(u, v):
+        w = [x + y for x, y in zip(u, v)]
+        n = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+        return tuple(x / n for x in w)
+
+    def axis(k, sign):
+        return tuple(sign * 1.0 if i == k else 0.0 for i in range(3))
+
+    tris = []
+    for sx in (1, -1):
+        for sy in (1, -1):
+            for sz in (1, -1):
+                a, b, c = axis(0, sx), axis(1, sy), axis(2, sz)
+                tris.append((b, a, c) if sx * sy * sz < 0 else (a, b, c))
+    levels = {1: tris}
+    for level in range(2, depth + 1):
+        levels[level] = [kid for a, b, c in levels[level - 1] for kid in (
+            (a, mid(a, b), mid(c, a)), (mid(a, b), b, mid(b, c)),
+            (mid(c, a), mid(b, c), c), (mid(a, b), mid(b, c), mid(c, a)))]
+    neighbors = {}
+    for level, tris in levels.items():
+        owners = {}
+        for t, tri in enumerate(tris):
+            for k in range(3):
+                owners.setdefault(frozenset((tri[k], tri[(k + 1) % 3])), []).append(t)
+        nbr = [[] for _ in tris]
+        for pair in owners.values():
+            assert len(pair) == 2
+            nbr[pair[0]].append(pair[1])
+            nbr[pair[1]].append(pair[0])
+        neighbors[level] = np.sort(np.array(nbr), axis=1)
+    return {k: np.array(v) for k, v in levels.items()}, neighbors
+
+
+def test_sphere_cells_match_subdivision_oracle():
+    verts, neighbors = _octahedron_oracle(6)
+    tree = build_cell_tree(make("sphere2"), depth=6)
+    for level, V in verts.items():
+        idx = np.arange(len(V))
+        assert np.array_equal(_sphere_tris(level, idx), V)
+        assert np.array_equal(_sphere_cells(level, [0], [len(V)]), V)
+        A, B, C = V.swapaxes(0, 1)
+        assert np.array_equal(tree.centers_chart(level, idx),
+                              sphere_chart_from_ambient(_tri_centers(A, B, C)))
+        for got, want in zip(tree.cell_radii(level, idx), _tri_inner_outer(A, B, C)):
+            assert np.array_equal(got, want)
+        assert np.array_equal([tree.neighbors(level, i) for i in idx], neighbors[level])
+
+
+def test_sphere_range_measure_sums_cells():
+    rng = np.random.default_rng(8)
+    tree = build_cell_tree(make("sphere2"), depth=7)
+    for level in range(3, 8):
+        areas = tree.measures(level)
+        assert np.array_equal(areas, _sphere_area(_sphere_tris(level, np.arange(len(areas)))))
+        for a, b in np.sort(rng.integers(0, len(areas) + 1, (30, 2)), axis=1):
+            assert abs(tree.range_measure(level, a, b) - math.fsum(areas[a:b])) <= 1e-15
+
+
+def test_sphere_level_stats_cover_every_octant():
+    for level in range(1, 8):
+        V = _sphere_cells(level, [0], [8 * 4 ** (level - 1)])
+        inner, outer = _tri_inner_outer(*V.swapaxes(0, 1))
+        area = _sphere_area(V)
+        assert _sphere_level_stats(level) == (area.min(), area.max(), inner.min(), outer.max())
 
 
 def test_flat_cell_measures_exact():
@@ -172,8 +254,7 @@ def _random_charts(manifold, n, seed):
 
 def _edge_sides_all(tree, level, p):
     """Smallest signed edge distance of every point to every level triangle."""
-    lev = tree._sphere[level]
-    V = lev["verts"][lev["tris"]]
+    V = _sphere_cells(level, [0], [tree.ncells(level)])
     out = np.full((len(p), len(V)), np.inf)
     for a in range(3):
         nvec = np.cross(V[:, a], V[:, (a + 1) % 3])
@@ -205,8 +286,7 @@ def test_locate_batch_matches_brute_force(kind, level):
     assert np.all((t >= -1e-12) & (t <= 1.0 + 1e-12))
     if kind == "sphere2":
         # the sweep point at t on edge BC lies on the great circle through A and p
-        lev = tree._sphere[level]
-        A, B, C = np.moveaxis(lev["verts"][lev["tris"][cells]], 1, 0)
+        A, B, C = _sphere_tris(level, cells).swapaxes(0, 1)
         theta = np.arccos(np.clip(np.sum(B * C, axis=1), -1.0, 1.0))[:, None]
         P = (np.sin((1.0 - t)[:, None] * theta) * B + np.sin(t[:, None] * theta) * C) / np.sin(theta)
         assert np.max(np.abs(np.linalg.det(np.stack([A, amb, P], axis=1)))) < 1e-12
@@ -516,7 +596,8 @@ def _region_geometry_oracle(tree, level, runs):
         cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
         centers = tree.centers_chart(level, cells)
         inner, outer = tree.cell_radii(level, cells)
-        meas = tree._cell_measures(level, cells)
+        meas = (_sphere_area(_sphere_tris(level, cells)) if m.kind == "sphere2"
+                else np.full(len(cells), 1.0 / tree.ncells(level)))
         centroid = _centroid_oracle(m, centers, meas)
         if centroid is None:
             pick = int(np.argmax(meas))
