@@ -265,7 +265,9 @@ def arclength_inverse(a_ax: float, b_ax: float, s) -> float:
 
 
 def _wrap_angle(t):
-    return np.mod(t, TWO_PI)
+    """Angles in [0, 2pi): np.mod rounds a tiny negative angle to 2pi itself."""
+    t = np.mod(t, TWO_PI)
+    return np.where(t == TWO_PI, 0.0, t)
 
 
 def charts_to_ambient(manifold: Manifold, charts: np.ndarray) -> np.ndarray:
@@ -287,7 +289,7 @@ def sphere_chart_from_ambient(xyz: np.ndarray) -> np.ndarray:
     """Inverse chart for the sphere; longitude snaps to 0 at the poles."""
     xyz = np.asarray(xyz, dtype=float)
     theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(xyz[:, 1], xyz[:, 0]), TWO_PI)
+    phi = _wrap_angle(np.arctan2(xyz[:, 1], xyz[:, 0]))
     polar = np.minimum(theta, math.pi - theta) < _POLE_TOL
     phi = np.where(polar, 0.0, phi)
     return np.column_stack([theta, phi])
@@ -335,7 +337,7 @@ def move_points(manifold: Manifold, charts: np.ndarray, disp) -> np.ndarray:
     if manifold.dim == 1:
         chart = arc_chart(manifold)
         s = chart.forward(charts[:, 0]) + np.asarray(disp, dtype=float).reshape(-1)
-        return chart.inverse(np.mod(s, chart.total)).reshape(-1, 1)
+        return _wrap_angle(chart.inverse(np.mod(s, chart.total))).reshape(-1, 1)
     if manifold.kind == "torus2":
         return _wrap_angle(charts + np.asarray(disp, dtype=float))
     x = charts_to_ambient(manifold, charts)

@@ -190,8 +190,12 @@ def test_move_points_stays_in_canonical_window(kind, rng):
         disp[: n // 2] = (length * meridian)[: n // 2]
         disp[:3] = [[0.0, 0.0, math.pi / 2]] * 3
         charts[:3] = [[math.pi / 2, 0.0], [math.pi / 2, math.pi / 2], [math.pi / 2, math.pi]]
+        # a tiny step to negative longitude must wrap to 0, not to 2pi
+        charts[3], disp[3] = [math.pi / 2, 0.0], [0.0, -1e-17, 0.0]
     else:
         disp = rng.uniform(-50.0, 50.0, n if m.dim == 1 else (n, m.dim))
+        # a tiny step back from chart 0 must wrap to 0, not to 2pi
+        charts[0], disp[0] = 0.0, -1e-17
     out = move_points(m, charts, disp)
     assert out.shape == charts.shape
     if kind == "sphere2":
@@ -215,10 +219,11 @@ def test_move_points_stays_in_canonical_window(kind, rng):
         if kind == "ellipse":
             # arc length travelled forward from the start, by quadrature
             speed = lambda t: math.hypot(m.a_ax * math.sin(t), m.b_ax * math.cos(t))
+            assert out[0, 0] == 0.0
             travel = [integrate.quad(speed, t0, t1 if t1 >= t0 else t1 + 2.0 * math.pi,
                                      epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-                      for t0, t1 in zip(charts[:, 0], out[:, 0])]
-            np.testing.assert_allclose(travel, np.mod(disp, ELL_21), rtol=0.0, atol=1e-11)
+                      for t0, t1 in zip(charts[1:, 0], out[1:, 0])]
+            np.testing.assert_allclose(travel, np.mod(disp[1:], ELL_21), rtol=0.0, atol=1e-11)
             return
         expect = charts_to_ambient(m, charts + (disp[:, None] if m.dim == 1 else disp))
     np.testing.assert_allclose(charts_to_ambient(m, out), expect, rtol=0.0, atol=1e-12)
