@@ -288,7 +288,7 @@ def charts_to_ambient(manifold: Manifold, charts: np.ndarray) -> np.ndarray:
 def sphere_chart_from_ambient(xyz: np.ndarray) -> np.ndarray:
     """Inverse chart for the sphere; longitude snaps to 0 at the poles."""
     xyz = np.asarray(xyz, dtype=float)
-    theta = np.arccos(np.clip(xyz[:, 2], -1.0, 1.0))
+    theta = np.arctan2(np.hypot(xyz[:, 0], xyz[:, 1]), xyz[:, 2])
     phi = _wrap_angle(np.arctan2(xyz[:, 1], xyz[:, 0]))
     polar = np.minimum(theta, math.pi - theta) < _POLE_TOL
     phi = np.where(polar, 0.0, phi)

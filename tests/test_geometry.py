@@ -229,6 +229,15 @@ def test_move_points_stays_in_canonical_window(kind, rng):
     np.testing.assert_allclose(charts_to_ambient(m, out), expect, rtol=0.0, atol=1e-12)
 
 
+
+def test_move_points_keeps_near_pole_colatitude():
+    """A zero step keeps colatitudes near either pole to full precision."""
+    m = make("sphere2")
+    charts = np.array([[1e-9, 0.7], [3e-8, 2.0], [math.pi - 1e-9, 4.0]])
+    out = move_points(m, charts, np.zeros((3, 3)))
+    np.testing.assert_allclose(out, charts, rtol=1e-15, atol=0.0)
+
+
 def test_reference_grid_weights_normalized():
     for kind in ALL_KINDS:
         g = reference_grid(make(kind), 6.0)
