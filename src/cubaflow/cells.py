@@ -115,7 +115,12 @@ def _tri_area_raw(A, B, C):
     b = _arc(C, A)
     c = _arc(A, B)
     s = 0.5 * (a + b + c)
-    t = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
+    t = (
+        np.tan(0.5 * s)
+        * np.tan(0.5 * (s - a))
+        * np.tan(0.5 * (s - b))
+        * np.tan(0.5 * (s - c))
+    )
     return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
 
 
@@ -123,7 +128,9 @@ def _slerp(B, C, t):
     theta = float(_arc(B, C))
     if theta < 1e-15:
         return B
-    w = (math.sin((1.0 - t) * theta) * B + math.sin(t * theta) * C) / math.sin(theta)
+    w = (math.sin((1.0 - t) * theta) * B + math.sin(t * theta) * C) / math.sin(
+        theta
+    )
     return w / np.linalg.norm(w)
 
 
@@ -162,20 +169,16 @@ def _sweep_pieces(V: np.ndarray, t0, t1) -> np.ndarray:
 # each ordered counter-clockwise seen from outside
 _ROOTS = np.array([(B, A, C) if np.dot(np.cross(A, B), C) < 0.0 else (A, B, C) for A, B, C in
                    (np.diag([1.0 - 2.0 * (s >> k & 1) for k in (2, 1, 0)]) for s in range(8))])
-# children of (a, b, c) as rows of (a, b, c, ab, bc, ca), ab the edge midpoint
+# children of (a, b, c) as rows of (a, b, c, ab, bc, ca), ab the normalised
+# midpoint of edge ab
 _KIDS = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
-def _corners_and_mids(V: np.ndarray) -> np.ndarray:
-    """Corners and normalised edge midpoints ``(k, 6, 3)`` of triangles V."""
+def _sphere_children(V: np.ndarray) -> np.ndarray:
+    """The four children ``(k, 4, 3, 3)`` of triangles V ``(k, 3, 3)``."""
     m = V + V[:, [1, 2, 0]]
     m /= np.linalg.norm(m, axis=-1, keepdims=True)
-    return np.concatenate([V, m], axis=1)
-
-
-def _sphere_children(V: np.ndarray) -> np.ndarray:
-    """The four children of triangles V ``(k, 3, 3)``, as ``(4k, 3, 3)``."""
-    return _corners_and_mids(V)[:, _KIDS].reshape(-1, 3, 3)
+    return np.concatenate([V, m], axis=1)[:, _KIDS]
 
 
 def _sphere_tris(level, idx) -> np.ndarray:
@@ -184,14 +187,10 @@ def _sphere_tris(level, idx) -> np.ndarray:
     base-4 digit per level picks the child."""
     idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
     level = np.broadcast_to(np.asarray(level, dtype=np.int64), idx.shape)
-    V = _ROOTS[idx >> 2 * (level - 1)]
-    # digit j picks the child at depth j + 2; rows past their level keep -1
-    shift = 2 * (level[:, None] - np.arange(2, int(level.max(initial=1)) + 1))
-    digits = np.where(shift >= 0, idx[:, None] >> np.maximum(shift, 0) & 3, -1)
-    rows = np.arange(len(idx))[:, None]
-    for d in digits.T:
-        kids = _corners_and_mids(V)[rows, _KIDS[d]]
-        V = kids if d.min() >= 0 else np.where(d[:, None, None] >= 0, kids, V)
+    V, rows = _ROOTS[idx >> 2 * (level - 1)], np.arange(len(idx))
+    for depth in range(2, int(level.max(initial=1)) + 1):
+        kids = _sphere_children(V)[rows, idx >> 2 * np.maximum(level - depth, 0) & 3]
+        V = np.where((level >= depth)[:, None, None], kids, V)
     return V
 
 
@@ -206,7 +205,7 @@ def _sphere_cells(level: int, lo, hi) -> np.ndarray:
         mine = exp == e
         V = _sphere_tris(level - e, start[mine] >> 2 * e)
         for _ in range(e):
-            V = _sphere_children(V)
+            V = _sphere_children(V).reshape(-1, 3, 3)
         out[(first[mine][:, None] + np.arange(1 << 2 * e)).ravel()] = V
     return out
 
@@ -231,7 +230,8 @@ def _sphere_seek(level: int, start: int, stop: int, target: float) -> int:
             acc, j = acc + areas[j], j + 1
         if exp[j] == 0:
             return int(idx[j])
-        idx, exp, V = 4 * idx[j] + np.arange(4), np.full(4, exp[j] - 1), _sphere_children(V[j:j + 1])
+        idx, exp = 4 * idx[j] + np.arange(4), np.full(4, exp[j] - 1)
+        V = _sphere_children(V[j:j + 1])[0]
 
 
 @lru_cache(maxsize=16)
@@ -239,9 +239,7 @@ def _sphere_level_stats(level: int) -> tuple[float, float, float, float]:
     """(smallest, largest) cell measure and (smallest inner, largest outer)
     cell radius of one level.  Coordinate sign flips map the octants onto
     each other exactly, so the cells of octant 0 give them."""
-    V = _ROOTS[:1]
-    for _ in range(level - 1):
-        V = _sphere_children(V)
+    V = _sphere_cells(level, [0], [4 ** (level - 1)])
     area = _sphere_area(V)
     inner, outer = _tri_inner_outer(V[:, 0], V[:, 1], V[:, 2])
     return float(area.min()), float(area.max()), float(inner.min()), float(outer.max())

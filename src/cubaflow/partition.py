@@ -216,7 +216,9 @@ class CellTree:
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         if self._lv.sphere:
             return sphere_chart_from_ambient(_tri_centers(*_sphere_tris(level, idx).swapaxes(0, 1)))
-        return np.column_stack([self._arc_centers(level, i) for i in self._axes(level, idx)])
+        return np.column_stack(
+            [self._arc_centers(level, i) for i in self._axes(level, idx)]
+        )
 
     def cell_radii(self, level: int, idx) -> tuple[np.ndarray, np.ndarray]:
         """(inner, outer) certified geodesic ball radii about the center."""
@@ -305,7 +307,7 @@ class CellTree:
             cells = np.argmax(_edge_sides(_ROOTS[None], p), axis=1)
             V = _ROOTS[cells]
             for _ in range(2, level + 1):
-                kids = _sphere_children(V).reshape(-1, 4, 3, 3)
+                kids = _sphere_children(V)
                 pick = np.argmax(_edge_sides(kids, p), axis=1)
                 cells, V = 4 * cells + pick, kids[np.arange(len(p)), pick]
         return int(cells[0]) if charts.ndim == 1 else cells
@@ -504,7 +506,9 @@ class _MaterialCursor:
             if tree._lv.sphere:
                 c = _sphere_seek(level, s + 1, e - 1, rem)
             else:
-                c = min(max(s + 1 + int(rem * tree.ncells(level)), s + 1), e - 2)
+                n = tree.ncells(level)
+                c = s + 1 + int(rem * n)
+                c = min(max(c, s + 1), e - 2)
             rem_in = rem - tree.range_measure(level, s + 1, c)
             while rem_in < -1e-15 and c > s + 1:
                 c -= 1

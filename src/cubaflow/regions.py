@@ -187,9 +187,9 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
 
 
 def _sphere_whole_geometry(tree: CellTree, level: int, ranges) -> tuple:
-    """Representative cell and radii of one sphere region's whole cells; only
-    cells within the level's largest outer radius of the farthest centre
-    can reach farthest, so only theirs are computed."""
+    """Representative cell and radii of one sphere region's whole cells; radii
+    are computed for the representative and the cells within the level's
+    largest outer radius of the farthest centre, as no other can reach farther."""
     V = _sphere_cells(level, *zip(*ranges))
     centers = sphere_chart_from_ambient(_tri_centers(*V.swapaxes(0, 1)))
     meas = _sphere_area(V)
@@ -205,9 +205,9 @@ def _sphere_whole_geometry(tree: CellTree, level: int, ranges) -> tuple:
         pick = int(np.argmin(dd))
     d = pairwise_distance(tree.manifold, np.tile(centers[pick], (len(V), 1)), centers)
     far = d >= d.max() - _sphere_level_stats(level)[3] - 1e-12
-    inner = _tri_inner_outer(*V[pick:pick + 1].swapaxes(0, 1))[0]
-    outer = _tri_inner_outer(*V[far].swapaxes(0, 1))[1]
-    return centers[pick], float(inner[0]), float(np.max(d[far] + outer))
+    far[pick] = True
+    inner, outer = _tri_inner_outer(*V[far].swapaxes(0, 1))
+    return centers[pick], float(inner[np.count_nonzero(far[:pick])]), float(np.max(d[far] + outer))
 
 
 def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
