@@ -16,7 +16,7 @@ line each and its ``verify/sphere-partition/N<n>/seed<s>`` line.  The case
 tables are read from ``perfbench/workloads.py``; the package comes from
 this checkout's ``src``.  Run it in two checkouts and ``diff`` the outputs:
 equal lines mean byte-identical rules, partitions and verification reports.
-Takes a few minutes on one core.
+Takes about a minute on one core.
 """
 
 import hashlib

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cubaflow.cells import (
     _aligned_blocks,
+    _arc,
     _morton_decode,
     _morton_encode,
     _sphere_area,
@@ -135,6 +136,15 @@ def test_sphere_cells_match_subdivision_oracle():
         for got, want in zip(tree.cell_radii(level, idx), _tri_inner_outer(A, B, C)):
             assert np.array_equal(got, want)
         assert np.array_equal([tree.neighbors(level, i) for i in idx], neighbors[level])
+
+
+def test_arc_matches_cross_product_form():
+    """The explicit arc formula rounds exactly as np.cross and np.sum do."""
+    rng = np.random.default_rng(4)
+    u, v = (x / np.linalg.norm(x, axis=-1, keepdims=True) for x in rng.standard_normal((2, 5000, 3)))
+    for w in (v, u + 1e-9 * v, -u):
+        want = np.arctan2(np.linalg.norm(np.cross(u, w), axis=-1), np.sum(u * w, axis=-1))
+        assert np.array_equal(_arc(u, w), want)
 
 
 def test_sphere_range_measure_sums_cells():
