@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
+from scipy.special import ellipe, ellipeinc
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,99 +112,47 @@ def manifold_from_descriptor(d: dict) -> Manifold:
 # ---------------------------------------------------------------------------
 
 # The arc-length coordinate s = h(t) and its inverse drive the ellipse
-# basis, distance, and flow stepping, and they are evaluated millions of
-# times.  A dense cumulative table plus fixed-order Gauss-Legendre tails
-# and Newton refinement gives ~1e-15 accuracy at O(1) cost per call.
-
-_GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _neumaier_cumsum(x: np.ndarray) -> np.ndarray:
-    """Compensated running sum; plain cumsum drifts past 1e-12 at 4096 terms."""
-    total = 0.0
-    comp = 0.0
-    out = np.empty(len(x))
-    for i, v in enumerate(x):
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-        out[i] = total + comp
-    return out
+# basis, distance and flow stepping.  The speed of (a cos t, b sin t) is
+# b sqrt(1 - m sin^2 t) with m = 1 - (a/b)^2, so h(t) = b E(t | m) is an
+# incomplete elliptic integral of the second kind and the circumference is
+# 4 b E(m) (DLMF 19.30(i)); m < 0 when a > b.
 
 
-class _ArcLengthTable:
-    """Cumulative arc length of the ellipse (a cos t, b sin t) over [0, 2pi]."""
-
-    GRID = 4096
+class _EllipseChart:
+    """Arc length h(t) = b E(t | m) of the ellipse (a cos t, b sin t)."""
 
     def __init__(self, a: float, b: float):
         self.a = a
         self.b = b
-        n = self.GRID
-        self.step = TWO_PI / n
-        t_edges = np.linspace(0.0, TWO_PI, n + 1)
-        mid = 0.5 * (t_edges[:-1] + t_edges[1:])
-        half = 0.5 * self.step
-        # per-interval 10-point Gauss-Legendre, exact to machine precision here
-        nodes = mid[:, None] + half * _GL10_NODES[None, :]
-        seg = half * (self.speed(nodes) @ _GL10_WEIGHTS)
-        self.t_grid = t_edges
-        self.s_grid = np.concatenate([[0.0], _neumaier_cumsum(seg)])
-        self.total = float(self.s_grid[-1])
-        ref, _ = _scipy_integrate.quad(lambda t: float(self.speed(t)), 0.0, TWO_PI,
-                                       epsabs=1e-13, limit=200)
-        if abs(ref - self.total) > 1e-10:
-            raise RuntimeError(
-                f"arc-length table disagrees with adaptive quadrature: {self.total} vs {ref}")
+        self.m = 1.0 - (a / b) ** 2
+        self.total = 4.0 * b * float(ellipe(self.m))
+        # first harmonic of h, h(t) ~ total (t + c sin 2t) / 2pi, fitted at pi/4
+        self._c = TWO_PI * (self.forward(0.25 * math.pi) - 0.125 * self.total) / self.total
+        # Newton steps from that start: 4 up to axis ratio sqrt(10), 5 up to
+        # 10, 7 up to 100; a scan of ratios 1 to 1e4, both orientations,
+        # reaches rounding with these counts everywhere
+        self._steps = 3 + math.ceil(2.0 * math.log10(max(a, b) / min(a, b)))
 
     def speed(self, t):
         return np.hypot(self.a * np.sin(t), self.b * np.cos(t))
 
     def forward(self, t):
-        """h(t) for t in [0, 2pi], vectorized."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        idx = np.clip((t / self.step).astype(int), 0, self.GRID - 1)
-        t0 = self.t_grid[idx]
-        half = 0.5 * (t - t0)
-        nodes = (t0 + half)[:, None] + half[:, None] * _GL10_NODES[None, :]
-        # column by column, not a matrix product: BLAS rounds a batch and
-        # a single row differently, and the chart must not depend on batching
-        weighted = self.speed(nodes) * _GL10_WEIGHTS
-        acc = weighted[..., 0]
-        for j in range(1, len(_GL10_WEIGHTS)):
-            acc = acc + weighted[..., j]
-        out = self.s_grid[idx] + half * acc
-        return float(out[0]) if scalar else out
+        """h(t) for t in [0, 2pi], vectorized; a scalar gives a float."""
+        s = self.b * ellipeinc(t, self.m)
+        return float(s) if np.ndim(s) == 0 else s
 
     def inverse(self, s):
-        """h^{-1}(s) for s in [0, total], vectorized Newton with bracketing start."""
+        """h^{-1}(s) for s in [0, total], vectorized; a scalar gives a float.
+
+        Every element takes the same number of Newton steps, clipped to
+        [0, 2pi], so no result depends on which others share the call.
+        """
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s).copy()
-        idx = np.clip(np.searchsorted(self.s_grid, s, side="right") - 1, 0, self.GRID - 1)
-        seg = self.s_grid[idx + 1] - self.s_grid[idx]
-        t = self.t_grid[idx] + self.step * (s - self.s_grid[idx]) / seg
-        lo = self.t_grid[idx]
-        hi = self.t_grid[idx + 1]
-        for _ in range(4):
-            t -= (self.forward(t) - s) / self.speed(t)
-            t = np.clip(t, lo, hi)
-        return float(t[0]) if scalar else t
-
-
-@lru_cache(maxsize=32)
-def _arc_table(a: float, b: float) -> _ArcLengthTable:
-    return _ArcLengthTable(a, b)
-
-
-def circumference(a_ax: float, b_ax: float) -> float:
-    """Total arc length of the ellipse with semi-axes ``a_ax``, ``b_ax``."""
-    return _arc_table(float(a_ax), float(b_ax)).total
+        tau = TWO_PI * s / self.total
+        t = tau - self._c * np.sin(2.0 * tau)
+        for _ in range(self._steps):
+            t = np.clip(t - (self.forward(t) - s) / self.speed(t), 0.0, TWO_PI)
+        return float(t) if np.ndim(t) == 0 else t
 
 
 class _AngleChart:
@@ -224,39 +172,45 @@ class _AngleChart:
 _ANGLE_CHART = _AngleChart()
 
 
+@lru_cache(maxsize=32)
 def arc_chart(manifold: Manifold):
     """Arc-length chart of a one-dimensional kind or of one torus axis.
 
     The result maps angles t in [0, 2pi] to arc length s in [0, total]
     (``forward``) and back (``inverse``), both vectorized: the ellipse's
-    arc-length table, or the identity with ``total = 2pi`` on the circle
-    and on each axis of the flat torus.
+    elliptic-integral chart, or the identity with ``total = 2pi`` on the
+    circle and on each axis of the flat torus.
     """
     if manifold.kind == "ellipse":
-        return _arc_table(manifold.a_ax, manifold.b_ax)
+        return _EllipseChart(manifold.a_ax, manifold.b_ax)
     if manifold.kind in ("circle", "torus2"):
         return _ANGLE_CHART
     raise ValueError(f"{manifold.kind} has no arc-length chart")
 
 
+def circumference(a_ax: float, b_ax: float) -> float:
+    """Total arc length of the ellipse with semi-axes ``a_ax``, ``b_ax``."""
+    return arc_chart(Manifold("ellipse", a_ax, b_ax)).total
+
+
 def arclength(a_ax: float, b_ax: float, t) -> float:
     """Arc length from angle 0 to angle t along the ellipse, t in [0, 2pi]."""
+    chart = arc_chart(Manifold("ellipse", a_ax, b_ax))
     t_arr = np.asarray(t, dtype=float)
     _require_finite(t_arr, "angle")
     if np.any(t_arr < -1e-9) or np.any(t_arr > TWO_PI + 1e-9):
         raise ValueError("angle outside [0, 2pi]")
-    table = _arc_table(float(a_ax), float(b_ax))
-    return table.forward(np.clip(t_arr, 0.0, TWO_PI))
+    return chart.forward(np.clip(t_arr, 0.0, TWO_PI))
 
 
 def arclength_inverse(a_ax: float, b_ax: float, s) -> float:
     """Angle t with arclength(a_ax, b_ax, t) = s, for s in [0, circumference]."""
-    table = _arc_table(float(a_ax), float(b_ax))
+    chart = arc_chart(Manifold("ellipse", a_ax, b_ax))
     s_arr = np.asarray(s, dtype=float)
     _require_finite(s_arr, "arc length")
-    if np.any(s_arr < -1e-9) or np.any(s_arr > table.total + 1e-9):
+    if np.any(s_arr < -1e-9) or np.any(s_arr > chart.total + 1e-9):
         raise ValueError("arc length outside [0, circumference]")
-    return table.inverse(np.clip(s_arr, 0.0, table.total))
+    return chart.inverse(np.clip(s_arr, 0.0, chart.total))
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +370,7 @@ def _reference_grid_cached(manifold: Manifold, band_int: int) -> QuadratureGrid:
     # thanks to analyticity, so a generous fixed margin reaches 1e-14
     m = 4 * band_int + 128
     t = np.arange(m) * (TWO_PI / m)
-    table = _arc_table(manifold.a_ax, manifold.b_ax)
-    w = table.speed(t)
+    w = arc_chart(manifold).speed(t)
     w /= w.sum()
     return QuadratureGrid(manifold, t.reshape(-1, 1), w, float(2 * band_int))
 

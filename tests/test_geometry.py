@@ -81,15 +81,57 @@ def test_arclength_monotone():
     assert np.all(np.diff(h) > 0.0)
 
 
-def test_arc_chart_batch_independent(rng):
+@pytest.mark.parametrize("axes", [(3.0, 1.0), (2.0, 1.0), (1.0, 3.0)], ids=["3-1", "2-1", "1-3"])
+def test_arc_chart_batch_independent(axes, rng):
     # a result must not depend on which other angles share the call
-    chart = arc_chart(Manifold("ellipse", 3.0, 1.0))
+    chart = arc_chart(Manifold("ellipse", *axes))
     t = rng.uniform(0.0, 2.0 * math.pi, 4000)
     s = rng.uniform(0.0, chart.total, 4000)
     one_by_one = np.concatenate([chart.forward(x) for x in t[:, None]])
     np.testing.assert_array_equal(one_by_one, chart.forward(t))
     one_by_one = np.concatenate([chart.inverse(x) for x in s[:, None]])
     np.testing.assert_array_equal(one_by_one, chart.inverse(s))
+    # a scalar in gives a Python float out, equal to its batched value
+    h = arclength(*axes, t[0])
+    assert type(h) is float and h == chart.forward(t)[0]
+    t_back = arclength_inverse(*axes, s[0])
+    assert type(t_back) is float and t_back == chart.inverse(s)[0]
+
+
+RATIOS = [1.0, 1.5, 2.0, 3.0, 10.0, 100.0]
+
+
+@pytest.mark.parametrize("axes", [(r, 1.0) for r in RATIOS] + [(1.0, r) for r in RATIOS[1:]],
+                         ids=lambda axes: "%g-%g" % axes)
+def test_arc_chart_matches_adaptive_quadrature(axes):
+    """Closed-form chart against adaptive quadrature of the speed; inverse at rounding."""
+    a, b = axes
+    chart = arc_chart(Manifold("ellipse", a, b))
+
+    def h(t):
+        return integrate.quad(lambda x: math.hypot(a * math.sin(x), b * math.cos(x)),
+                              0.0, t, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    assert chart.total == pytest.approx(h(2.0 * math.pi), rel=1e-13)
+    t = np.linspace(0.0, 2.0 * math.pi, 32)
+    np.testing.assert_allclose(chart.forward(t), [h(x) for x in t], rtol=1e-13, atol=0.0)
+    t = np.linspace(0.0, 2.0 * math.pi, 4001)
+    s = chart.forward(t)
+    assert np.all(np.diff(s) > 0.0)
+    t_back = chart.inverse(s)
+    assert np.all((t_back >= 0.0) & (t_back <= 2.0 * math.pi))
+    assert np.max(np.abs(chart.forward(t_back) - s)) <= 1e-15 * chart.total
+
+
+@pytest.mark.parametrize("a, b", [(-2.0, 1.0), (2.0, -1.0), (0.0, 1.0), (1.0, 0.0),
+                                  (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_arc_length_rejects_bad_axes(a, b):
+    with pytest.raises(ValueError):
+        circumference(a, b)
+    with pytest.raises(ValueError):
+        arclength(a, b, 1.0)
+    with pytest.raises(ValueError):
+        arclength_inverse(a, b, 1.0)
 
 
 def test_sphere_ambient_unit_norm(rng):

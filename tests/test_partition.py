@@ -300,9 +300,8 @@ def test_locate_batch_matches_brute_force(kind, level):
         theta = np.arccos(np.clip(np.sum(B * C, axis=1), -1.0, 1.0))[:, None]
         P = (np.sin((1.0 - t)[:, None] * theta) * B + np.sin(t[:, None] * theta) * C) / np.sin(theta)
         assert np.max(np.abs(np.linalg.det(np.stack([A, amb, P], axis=1)))) < 1e-12
-    # row by row; the ellipse's arc table may round t in the last bit per batch size
     single = [tree.sweep_parameter(level, int(c), x) for c, x in zip(cells, charts)]
-    assert np.allclose(t, single, rtol=0.0, atol=1e-15)
+    assert np.array_equal(t, single)
 
 
 def test_locate_caps_last_arc():
@@ -642,16 +641,11 @@ SPREAD_REGIONS = {
 }
 
 
-def _assert_matches_oracle(kind, tree, level, regions, geometry):
+def _assert_matches_oracle(tree, level, regions, geometry):
     for runs, (rep, inner, outer) in zip(regions, geometry):
         want = _region_geometry_oracle(tree, level, runs)
         assert (rep, inner) == want[:2]
-        if kind == "ellipse":
-            # pieces go through the arc chart in one batch, whose matrix
-            # product may round a distance in the last bit
-            assert outer == pytest.approx(want[2], rel=1e-15, abs=0.0)
-        else:
-            assert outer == want[2]
+        assert outer == want[2]
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
@@ -663,14 +657,14 @@ def test_region_geometry_matches_per_cell_oracle(kind):
         branches.add(p.branch)
         runs = [reg.runs for reg in p.regions]
         geometry = [(reg.representative, reg.inner_radius, reg.outer_radius) for reg in p.regions]
-        _assert_matches_oracle(kind, tree, p.fine_level, runs, geometry)
+        _assert_matches_oracle(tree, p.fine_level, runs, geometry)
         multi_run += sum(len(r) > 1 for r in runs)
         pieces_only += sum(not _split_runs(r)[0] for r in runs)
     assert branches == {"direct", "tree"}
     assert multi_run > 0 and pieces_only > 0
     for level, runs in SPREAD_REGIONS[kind]:
         tree = build_cell_tree(make(kind), depth=level)
-        _assert_matches_oracle(kind, tree, level, [runs], _regions_geometry(tree, level, [runs]))
+        _assert_matches_oracle(tree, level, [runs], _regions_geometry(tree, level, [runs]))
 
 
 def test_partition_json_roundtrip():
