@@ -12,7 +12,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from cubaflow import (
     FlowConfig,
-    Manifold,
     random_band_weights,
     rule_to_json,
     solve,

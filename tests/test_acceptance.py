@@ -22,7 +22,6 @@ from cubaflow.engine import (
     residual_vector,
     smooth_cutoff,
     solve,
-    verify_rule,
 )
 from cubaflow.geometry import Manifold, circumference, reference_integrate
 from cubaflow.partition import verify_partition, weighted_partition

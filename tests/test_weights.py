@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubaflow.weights import (
-    BlockAggregation,
     WeightVector,
     block_aggregate,
     concentrated_weights,
