@@ -12,11 +12,15 @@ sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
 0-9, with the weights the ``mz`` workload draws.  Last, sphere partitions
 at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine levels
 9 and 10, which no benchmark case reaches: one ``sphere-partition/N<n>/seed<s>``
-line each and its ``verify/sphere-partition/N<n>/seed<s>`` line.  The case
-tables are read from ``perfbench/workloads.py``; the package comes from
-this checkout's ``src``.  Run it in two checkouts and ``diff`` the outputs:
-equal lines mean byte-identical rules, partitions and verification reports.
-Takes about a minute on one core.
+line each and its ``verify/sphere-partition/N<n>/seed<s>`` line.  Then the
+MZ ratios: one ``mz-ratios/<variant>/N<n>/seed<s>`` line per ``MZ_VARIANTS``
+and ``MZ_NS`` entry at seeds 0-1, the hash of ``repr`` of the ``MZ_TRIALS``
+one-row ratios (``mz_ratio_diffusion`` or ``mz_ratio_algebraic``) on the
+partition and unit coefficient vectors the ``mz`` workload generates.  The
+case tables are read from ``perfbench/workloads.py``; the package comes
+from this checkout's ``src``.  Run it in two checkouts and ``diff`` the
+outputs: equal lines mean byte-identical rules, partitions, verification
+reports and sampling ratios.  Takes about a minute on one core.
 """
 
 import hashlib
@@ -28,11 +32,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from cubaflow import (  # noqa: E402
     FlowConfig,
     Manifold,
+    build_restricted_space,
     concentrated_weights,
+    enumerate_basis,
+    mz_ratio_algebraic,
+    mz_ratio_diffusion,
     partition_to_json,
     random_band_weights,
     rule_to_json,
@@ -43,6 +52,7 @@ from cubaflow import (  # noqa: E402
 
 SEEDS = range(10)
 SPHERE_NS = (40, 150)
+MZ_RATIO_SEEDS = range(2)
 
 
 def _band(n: int, seed: int):
@@ -51,6 +61,26 @@ def _band(n: int, seed: int):
 
 def _emit(case: str, text: str) -> None:
     print(f"{case} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+
+
+def _mz_ratio_lines(seed: int) -> None:
+    circle = Manifold("circle")
+    for variant in workloads.MZ_VARIANTS:
+        if variant == "diffusion":
+            space = enumerate_basis(circle, workloads.MZ_BAND)
+        else:
+            space = build_restricted_space(circle, int(workloads.MZ_BAND))
+        mode = "gradient" if variant == "algebraic-gradient" else "value"
+        coeffs = np.random.default_rng(seed).standard_normal((workloads.MZ_TRIALS, space.dim))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        for n in workloads.MZ_NS:
+            part = weighted_partition(circle, _band(n, seed + n))
+            reps = part.representatives()
+            if variant == "diffusion":
+                ratios = [mz_ratio_diffusion(space, part, reps, c) for c in coeffs]
+            else:
+                ratios = [mz_ratio_algebraic(space, part, reps, c, mode) for c in coeffs]
+            _emit(f"mz-ratios/{variant}/N{n}/seed{seed}", repr(ratios))
 
 
 def main() -> int:
@@ -78,6 +108,8 @@ def main() -> int:
             part = weighted_partition(Manifold("sphere2"), _band(n, seed))
             _emit(f"sphere-partition/N{n}/seed{seed}", partition_to_json(part))
             _emit(f"verify/sphere-partition/N{n}/seed{seed}", repr(verify_partition(part)))
+    for seed in MZ_RATIO_SEEDS:
+        _mz_ratio_lines(seed)
     return 0
 
 

@@ -67,6 +67,7 @@ from .engine import (
     kernel_w,
     mz_ratio_algebraic,
     mz_ratio_diffusion,
+    mz_ratios,
     residual_vector,
     riesz_coefficients,
     rule_from_json,

@@ -51,13 +51,15 @@ def _monomial_values(amb: np.ndarray, expo: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass
+@dataclass(eq=False)
 class RestrictedPolySpace:
     """Orthonormal basis of restricted polynomials with zero mean.
 
     ``coeff_matrix`` maps basis coefficients to monomial coefficients; the
     companion ``coeff_matrix_full`` spans the same space with the constant
-    direction retained (used by the fit-residual diagnostics).
+    direction retained (used by the fit-residual diagnostics).  Equality
+    and hashing are by identity, as for ``SpectralSpace``, so a space can
+    key a cache.
     """
 
     manifold: Manifold

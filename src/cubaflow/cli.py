@@ -171,18 +171,18 @@ def _dyadic(n_max: int):
 
 
 def _cmd_mz(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.nmax < 8:
+        raise ValueError(f"--nmax must be at least 8, the first sweep size, got {args.nmax}")
     manifold = parse_manifold(args.manifold)
     if args.space == "diffusion":
         space = enumerate_basis(manifold, args.L)
-        ratio = lambda part, reps, c: engine.mz_ratio_diffusion(space, part, reps, c)
     else:
         from .algebraic import build_restricted_space
 
         space = build_restricted_space(manifold, int(args.L))
-        mode = "gradient" if args.space == "algebraic-gradient" else "value"
-        ratio = lambda part, reps, c: engine.mz_ratio_algebraic(
-            space, part, reps, c, mode
-        )
+    mode = "value" if args.space == "algebraic-value" else "gradient"
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal((args.trials, space.dim))
     coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
@@ -192,8 +192,7 @@ def _cmd_mz(args) -> int:
     for n in _dyadic(args.nmax):
         w = random_band_weights(n, args.a, args.b, args.seed + n)
         part = weighted_partition(manifold, w)
-        reps = part.representatives()
-        ratios = np.array([ratio(part, reps, c) for c in coeffs])
+        ratios = engine.mz_ratios(space, part, part.representatives(), coeffs, mode)
         frac = float(np.mean(ratios > 0.5))
         rows.append((n, frac, float(ratios.max())))
         if n_star is None and frac == 0.0:

@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .geometry import (
     charts_to_ambient,
     manifold_from_descriptor,
     move_points,
+    reference_grid,
     reference_integrate,
     sphere_tangent_frame,
 )
@@ -50,6 +52,7 @@ __all__ = [
     "residual_vector",
     "flow_run",
     "solve",
+    "mz_ratios",
     "mz_ratio_diffusion",
     "mz_ratio_algebraic",
     "verify_rule",
@@ -595,49 +598,108 @@ def solve(
 # Weighted sampling ratios
 
 
-def _mz_parts(space, part: Partition, samples, coeffs, values_fn):
+def _mz_field(space, charts, mode: str) -> np.ndarray:
+    """Basis field at charts as a matrix with one column per basis element.
+
+    Values give one row per point.  Gradients give one row per point and
+    tangent component, laid out as ``np.tensordot`` lays them out.
+    """
+    if mode == "value":
+        return space.evaluate(charts)
+    g = space.gradients(charts)
+    return g.transpose(0, 2, 1).reshape(-1, g.shape[1])
+
+
+@lru_cache(maxsize=1)
+def _mz_grid(space, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-grid weights and the space's basis field on that grid.
+
+    The integral side of a sampling ratio depends only on the space and
+    the coefficients, never on the partition, so the field is evaluated
+    once per (space, mode).  Spaces are keys by identity.  A sweep uses
+    one key throughout, and one entry bounds the memory kept to one field,
+    which is hundreds of MB on a fine torus grid.  The field is shared by
+    every caller, hence read-only.
+    """
+    grid = reference_grid(space.manifold, _ABS_BAND_FACTOR * (space.band + 4.0))
+    field = _mz_field(space, grid.charts, mode)
+    field.flags.writeable = False
+    return grid.qweights, field
+
+
+def _mz_abs(field: np.ndarray, coeffs: np.ndarray, mode: str, npts: int) -> np.ndarray:
+    """|P| or |grad P| at npts points, with a leading axis per coefficient row.
+
+    Each row takes its own matrix-vector product, the BLAS call a single
+    coefficient vector takes, so a block's values equal the one-row
+    values bit for bit.
+    """
+    vals = (field @ coeffs[..., None])[..., 0]
+    if mode == "value":
+        return np.abs(vals)
+    return np.linalg.norm(vals.reshape(*vals.shape[:-1], npts, -1), axis=-1)
+
+
+def _mz_sum(weights: np.ndarray, vals: np.ndarray):
+    """Weighted sum over the points, one dot product per coefficient row.
+
+    A single matrix-vector product over the block would round differently
+    from the one-row dot product.
+    """
+    return (vals[..., None, :] @ weights)[..., 0]
+
+
+def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
+    """Relative deviation of the weighted |P| or |grad P| sample from its integral.
+
+    ``mode`` is "value" (|P|) or "gradient" (|grad P|).  ``coeffs`` is one
+    coefficient vector of shape (dim,), giving a float, or a (k, dim)
+    block, giving k ratios from one evaluation of the basis at the
+    samples.  The weights are the region measures of the partition, and
+    ``samples`` (one point per region, default its representatives) are
+    where P is sampled.  Ratios at or below one half are the usable
+    sampling regime.
+    """
+    space = _as_space(space)
+    if mode not in ("value", "gradient"):
+        raise ValueError("mode must be 'value' or 'gradient'")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.dim:
+        raise ValueError("coefficient count does not match the basis dimension")
     w = np.asarray(part.weights, dtype=float)
     if samples is None:
         samples = part.representatives()
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if len(samples) != len(w):
         raise ValueError("one sample point per region is required")
-    sampled = float(w @ values_fn(samples))
-    hint = _ABS_BAND_FACTOR * (space.band + 4.0)
-    integral = reference_integrate(space.manifold, values_fn, hint)
-    if not integral > 0.0:
+    sampled = _mz_sum(w, _mz_abs(_mz_field(space, samples, mode), coeffs, mode, len(w)))
+    qweights, grid_field = _mz_grid(space, mode)
+    vals = _mz_abs(grid_field, coeffs, mode, len(qweights))
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("integrand returned non-finite values on the grid")
+    integral = _mz_sum(qweights, vals)
+    if not np.all(integral > 0.0):
         raise ValueError("the integrand vanishes; nonconstant input required")
-    return sampled, integral
+    ratios = np.abs(integral - sampled) / integral
+    return float(ratios) if coeffs.ndim == 1 else ratios
 
 
 def mz_ratio_diffusion(space, part: Partition, samples, P) -> float:
-    """Relative deviation of the weighted |grad P| sample from its integral.
-
-    Ratios at or below one half are the usable sampling regime; the
-    weights are the region measures of the partition.
-    """
+    """One-row ``mz_ratios`` of |grad P|; ``P`` may be a ``DiffusionPoly``."""
     space, coeffs = _poly_coeffs(_as_space(space), P)
-    fn = lambda ch: space.gradient_norms(ch, coeffs)
-    sampled, integral = _mz_parts(space, part, samples, coeffs, fn)
-    return abs(integral - sampled) / integral
+    return mz_ratios(space, part, samples, coeffs, "gradient")
 
 
 def mz_ratio_algebraic(
     space, part: Partition, samples, coeffs, mode: str = "value"
 ) -> float:
-    """Same deviation ratio for restricted polynomials, |P| or |grad P|."""
+    """One-row ``mz_ratios`` over a restricted polynomial basis."""
     space = _as_space(space)
     if space.kind != "algebraic":
         raise ValueError("expected a restricted polynomial basis")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if mode == "value":
-        fn = lambda ch: np.abs(space.evaluate(ch) @ coeffs)
-    elif mode == "gradient":
-        fn = lambda ch: space.gradient_norms(ch, coeffs)
-    else:
-        raise ValueError("mode must be 'value' or 'gradient'")
-    sampled, integral = _mz_parts(space, part, samples, coeffs, fn)
-    return abs(integral - sampled) / integral
+    if np.ndim(coeffs) != 1:
+        raise ValueError("one coefficient vector per call; mz_ratios takes a block")
+    return mz_ratios(space, part, samples, coeffs, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from cubaflow.engine import (
     FlowConfig,
     flow_run,
     kernel_psi,
-    mz_ratio_algebraic,
-    mz_ratio_diffusion,
+    mz_ratios,
     residual_vector,
     smooth_cutoff,
     solve,
@@ -167,16 +166,15 @@ def test_sampling_ratio_threshold_sweep():
     """Fraction of unit members with sample ratio > 1/2 dies off in n."""
     sweep_ns = [8 * 2**k for k in range(10)]  # 8 .. 4096
 
-    def sweep(ratio_fn, dim):
+    def sweep(space, mode):
         rng = np.random.default_rng(606)
-        coeffs = rng.standard_normal((200, dim))
+        coeffs = rng.standard_normal((200, space.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         fracs, n_star = [], None
         for n in sweep_ns:
             w = random_band_weights(n, 0.5, 2.0, 1000 + n)
             part = weighted_partition(CIRCLE, w)
-            reps = part.representatives()
-            ratios = np.array([ratio_fn(part, reps, c) for c in coeffs])
+            ratios = mz_ratios(space, part, part.representatives(), coeffs, mode)
             fracs.append(float(np.mean(ratios > 0.5)))
             if n_star is None and fracs[-1] == 0.0:
                 n_star = n
@@ -186,12 +184,9 @@ def test_sampling_ratio_threshold_sweep():
     spd = enumerate_basis(CIRCLE, 8.0)
     spa = build_restricted_space(CIRCLE, 8)
     results = {
-        "gradient-sample": sweep(
-            lambda p, r, c: mz_ratio_diffusion(spd, p, r, c), spd.dim),
-        "algebraic-value": sweep(
-            lambda p, r, c: mz_ratio_algebraic(spa, p, r, c, "value"), spa.dim),
-        "algebraic-gradient": sweep(
-            lambda p, r, c: mz_ratio_algebraic(spa, p, r, c, "gradient"), spa.dim),
+        "gradient-sample": sweep(spd, "gradient"),
+        "algebraic-value": sweep(spa, "value"),
+        "algebraic-gradient": sweep(spa, "gradient"),
     }
     ok = all(mono and n_star is not None and n_star <= 4096
              for _, n_star, mono in results.values())

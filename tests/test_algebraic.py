@@ -24,6 +24,14 @@ def test_dimensions():
     assert build_restricted_space(make("ellipse"), 3).dim == 6
 
 
+def test_spaces_compare_and_hash_by_identity():
+    a = build_restricted_space(make("circle"), 3)
+    b = build_restricted_space(make("circle"), 3)
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_torus_rejected():
     with pytest.raises(ValueError):
         build_restricted_space(make("torus2"), 2)

@@ -107,8 +107,15 @@ def test_mz_sweep_artifacts(tmp_path, capsys):
     assert len(lines) == 3  # N = 8 and 16
     doc = json.loads((tmp_path / "mz_circle_diffusion_L2.json").read_text())
     assert doc["trials"] == 10
-    if doc["n_star"] is not None:
-        assert code == 0
+    assert code == (0 if doc["n_star"] is not None else 2)
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-1"), ("--nmax", "4")])
+def test_mz_rejects_empty_sweep(tmp_path, capsys, flag, value):
+    code = main(["mz", "--L", "2", flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    assert f"error: {flag} must be at least" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_ellipse_command(tmp_path, capsys):

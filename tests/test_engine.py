@@ -19,6 +19,7 @@ from cubaflow.engine import (
     kernel_w,
     mz_ratio_algebraic,
     mz_ratio_diffusion,
+    mz_ratios,
     residual_vector,
     riesz_coefficients,
     smooth_cutoff,
@@ -356,3 +357,63 @@ def test_mz_input_validation():
         mz_ratio_algebraic(spa, part, part.representatives(), np.ones(spa.dim), mode="other")
     with pytest.raises(ValueError):
         mz_ratio_algebraic(sp, part, part.representatives(), np.ones(sp.dim))
+
+
+def _mz_case(manifold, kind):
+    if kind == "diffusion":
+        sp = enumerate_basis(manifold, 2.0 if manifold.kind == "sphere2" else 4.0)
+    else:
+        sp = build_restricted_space(manifold, 2 if manifold.kind == "sphere2" else 4)
+    part = weighted_partition(manifold, random_band_weights(24, 0.5, 2.0, 3))
+    coeffs = np.random.default_rng(5).standard_normal((25, sp.dim))
+    return sp, part, part.representatives(), coeffs
+
+
+def _mz_one_row(sp, part, reps, c, mode):
+    if sp.kind == "diffusion":
+        return mz_ratio_diffusion(sp, part, reps, c)
+    return mz_ratio_algebraic(sp, part, reps, c, mode)
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, Manifold("sphere2")], ids=lambda m: m.kind)
+@pytest.mark.parametrize(
+    "kind, mode",
+    [("diffusion", "gradient"), ("algebraic", "value"), ("algebraic", "gradient")],
+)
+def test_mz_batch_matches_one_row(manifold, kind, mode):
+    sp, part, reps, coeffs = _mz_case(manifold, kind)
+    one = np.array([_mz_one_row(sp, part, reps, c, mode) for c in coeffs])
+    batch = mz_ratios(sp, part, reps, coeffs, mode)
+    assert batch.shape == (len(coeffs),)
+    np.testing.assert_allclose(batch, one, rtol=1e-13, atol=0.0)
+    single = mz_ratios(sp, part, reps, coeffs[0], mode)
+    assert isinstance(single, float)
+    assert single == one[0]
+
+
+def test_mz_ratios_keep_their_checks():
+    spd, part, reps, _ = _mz_case(CIRCLE, "diffusion")
+    sp, _, _, coeffs = _mz_case(CIRCLE, "algebraic")
+    nan_row = coeffs.copy()
+    nan_row[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        mz_ratios(sp, part, reps, nan_row, "value")
+    with pytest.raises(ValueError, match="non-finite"):
+        mz_ratio_algebraic(sp, part, reps, nan_row[3], "gradient")
+    zero_row = coeffs.copy()
+    zero_row[7] = 0.0
+    with pytest.raises(ValueError, match="integrand vanishes"):
+        mz_ratios(sp, part, reps, zero_row, "gradient")
+    with pytest.raises(ValueError, match="integrand vanishes"):
+        mz_ratio_diffusion(spd, part, reps, np.zeros(spd.dim))
+    for bad in (coeffs[:, :-1], coeffs[:, None, :], np.zeros((4, sp.dim + 1))):
+        with pytest.raises(ValueError, match="coefficient count"):
+            mz_ratios(sp, part, reps, bad, "value")
+    with pytest.raises(ValueError, match="one coefficient vector per call"):
+        mz_ratio_algebraic(sp, part, reps, coeffs, "value")
+    with pytest.raises(ValueError, match="coefficient count"):
+        mz_ratio_diffusion(spd, part, reps, np.ones((2, spd.dim)))
+    with pytest.raises(ValueError, match="one sample point per region"):
+        mz_ratios(sp, part, reps[:-1], coeffs, "value")
+    with pytest.raises(ValueError, match="mode"):
+        mz_ratios(sp, part, reps, coeffs, "other")
