@@ -10,9 +10,10 @@ gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
 ``verify_partition`` report.  Last come the circle partitions of the MZ
 sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
 0-9, with the weights the ``mz`` workload draws.  Last, sphere partitions
-at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine levels
-9 and 10, which no benchmark case reaches: one ``sphere-partition/N<n>/seed<s>``
-line each and its ``verify/sphere-partition/N<n>/seed<s>`` line.  Then the
+at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine level
+11, deeper than the benchmark's sphere case (10): one
+``sphere-partition/N<n>/seed<s>`` line each and its
+``verify/sphere-partition/N<n>/seed<s>`` line.  Then the
 MZ ratios: one ``mz-ratios/<variant>/N<n>/seed<s>`` line per ``MZ_VARIANTS``
 and ``MZ_NS`` entry at seeds 0-1, the hash of ``repr`` of the ``MZ_TRIALS``
 one-row ratios (``mz_ratio_diffusion`` or ``mz_ratio_algebraic``) on the

@@ -6,11 +6,11 @@ ellipse is the arc ``[idx w, (idx + 1) w)``, ``w = total / 2^k``, of the
 arc-length chart (:func:`cubaflow.geometry.arc_chart`, the angle itself
 on the circle), and a torus cell is the product of two circle arcs,
 indexed in Morton order.  Their measures, prefix sums and cuts are closed
-forms.  Sphere cells are octahedral triangles quartered through edge
-midpoints, computed from their index; a range's measure sums the few
-aligned coarser triangles that tile it.  A level-``k`` cell has a center
-``z`` and certified geodesic balls ``B(z, u1 * 2^-k)`` inside it and
-``B(z, u2 * 2^-k)`` around it.
+forms.  A sphere cell is a Morton square of the octahedral equal-area
+chart (:mod:`cubaflow.cells`), so its measure, prefix sums and cuts are the
+torus's closed forms too; only its distances go through the chart.  A
+level-``k`` cell has a center ``z`` and certified geodesic balls
+``B(z, u1 * 2^-k)`` inside it and ``B(z, u2 * 2^-k)`` around it.
 
 ``weighted_partition`` splits the manifold into N regions whose measures
 match a prescribed weight vector exactly.  Large N runs a spanning-tree
@@ -20,10 +20,10 @@ linear sequence, takes a maximal affordable set of still-unassigned
 weights, and passes the remainder to its parent; the root absorbs the
 rest exactly.  Regions are contiguous stretches of material: whole fine
 cells plus at most one new fractional cut each, so region measures are
-prefix sums plus a single root-find, never a quadrature.  Small N skips
-the tree and sweeps one coarse level directly.
+prefix sums plus one linear cut, never a quadrature or a root-find.  Small
+N skips the tree and sweeps one coarse level directly.
 
-Cell index arithmetic and the sphere's triangles live in
+Cell index arithmetic and the sphere's chart live in
 :mod:`cubaflow.cells`; region representatives, radii and the outer-ball
 check of verification in :mod:`cubaflow.regions`.
 """
@@ -36,25 +36,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cells import (
-    _ROOTS,
+    _EDGE_SAMPLES,
+    _STRETCH,
     _arc,
-    _edge_sides,
+    _box_boundary,
     _morton_decode,
     _morton_encode,
-    _sphere_area,
-    _sphere_cells,
-    _sphere_children,
-    _sphere_level_stats,
-    _sphere_neighbors,
-    _sphere_range_measure,
-    _sphere_seek,
-    _sphere_tris,
-    _sweep_pieces,
-    _tri_centers,
-    _tri_inner_outer,
+    _octa_forward,
+    _octa_inverse,
 )
 from .geometry import (
     TWO_PI,
@@ -97,34 +88,23 @@ _MIN_CELL_MEASURE = 1e-9
 
 @dataclass(frozen=True)
 class _Levels:
-    """Level arithmetic of one manifold's cell family."""
+    """Level arithmetic of one manifold's cell family: level 0 is one cell,
+    the whole manifold, and each level splits every cell into
+    ``branching`` cells of equal measure."""
 
-    sphere: bool
-    base: int  # cells at min_level
     branching: int
-    min_level: int
     max_depth: int  # deepest buildable level
     fine_cap: int  # deepest fine level the tree sweep may pick
 
     def ncells(self, level: int) -> int:
-        return self.base * self.branching ** (level - self.min_level)
-
-    def measure_range(self, level: int) -> tuple[float, float]:
-        """Smallest and largest cell measure of one level."""
-        if self.sphere:
-            return _sphere_level_stats(level)[:2]
-        m = 1.0 / self.ncells(level)
-        return m, m
+        return self.branching**level
 
 
 def _levels(manifold: Manifold) -> _Levels:
-    if manifold.kind == "sphere2":
-        # a deeper cap would change the fine level large N picks
-        return _Levels(True, 8, 4, 1, 10, 10)
     branching = 2 if manifold.dim == 1 else 4
-    # deepest level whose flat cells stay above the cut tolerance
+    # deepest level whose cells stay above the cut tolerance
     max_depth = int(math.log(1.0 / _MIN_CELL_MEASURE, branching))
-    return _Levels(False, 1, branching, 0, max_depth, 22 if manifold.dim == 1 else 12)
+    return _Levels(branching, max_depth, 22 if manifold.dim == 1 else 12)
 
 
 def _ring(i: int, m: int) -> list[int]:
@@ -137,11 +117,14 @@ class CellTree:
     """Nested halving cells for one manifold, levels up to ``depth``.
 
     Cells are implicit: arc arithmetic per axis on the flat kinds (see
-    the module docstring), triangles descended from their index on the
-    sphere (:func:`cubaflow.cells._sphere_tris`).
-    Every cell exposes a sweep coordinate t in [0, 1], along the first
-    axis of a flat cell, along which measure-exact cuts are made.
+    the module docstring), Morton squares of the octahedral equal-area
+    chart on the sphere (:mod:`cubaflow.cells`).  Every cell exposes a
+    sweep coordinate t in [0, 1] along its first axis, along which
+    measure-exact cuts are made: the piece [t0, t1] of a cell has measure
+    (t1 - t0) times the cell's.
     """
+
+    min_level = 0
 
     manifold: Manifold
     delta: float
@@ -150,14 +133,9 @@ class CellTree:
     u2: float
 
     def __post_init__(self) -> None:
-        lv = _levels(self.manifold)
-        object.__setattr__(self, "_lv", lv)
-        if not lv.sphere:
+        object.__setattr__(self, "_lv", _levels(self.manifold))
+        if self.manifold.kind != "sphere2":
             object.__setattr__(self, "_chart", arc_chart(self.manifold))
-
-    @property
-    def min_level(self) -> int:
-        return self._lv.min_level
 
     @property
     def branching(self) -> int:
@@ -174,14 +152,10 @@ class CellTree:
     def measures(self, level: int) -> np.ndarray:
         self._check_level(level)
         n = self._lv.ncells(level)
-        if self._lv.sphere:
-            return _sphere_area(_sphere_cells(level, [0], [n]))
         return np.full(n, 1.0 / n)
 
     def range_measure(self, level: int, start: int, stop: int) -> float:
         self._check_level(level)
-        if self._lv.sphere:
-            return _sphere_range_measure(level, start, stop)
         return (stop - start) / self._lv.ncells(level)
 
     def cut_measure(self, level: int, idx: int, t0: float, t1: float) -> float:
@@ -189,9 +163,7 @@ class CellTree:
         self._check_level(level)
         if t1 < t0 - 1e-15:
             raise ValueError("cut interval reversed")
-        if not self._lv.sphere:
-            return (t1 - t0) / self._lv.ncells(level)
-        return float(_sphere_area(_sweep_pieces(_sphere_tris(level, idx), t0, t1))[0])
+        return (t1 - t0) / self._lv.ncells(level)
 
     # -- flat cells: per-axis arcs of the arc-length chart ----------------
 
@@ -201,21 +173,63 @@ class CellTree:
     def _arc_centers(self, level: int, i):
         return self._chart.inverse((i + 0.5) * self._arc_width(level))
 
-    def _arc_position(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Arc-length positions of angles x, in level-cell widths."""
-        return self._chart.forward(x % TWO_PI) / self._arc_width(level)
-
     def _axes(self, level: int, idx):
-        """Per-axis arc indices of flat cells."""
+        """Per-axis indices of cells."""
         return (idx,) if self.manifold.dim == 1 else _morton_decode(idx, level)
+
+    def _positions(self, level: int, rows: np.ndarray) -> list[np.ndarray]:
+        """Per-axis positions of chart rows ``(k, d)`` in level-cell widths:
+        arc length on the flat kinds, the octahedral chart on the sphere."""
+        if self.manifold.kind == "sphere2":
+            u, v = _octa_inverse(charts_to_ambient(self.manifold, rows))
+            return [(u + 1.0) * 2.0 ** (level - 1), (v + 1.0) * 2.0 ** (level - 1)]
+        return [self._chart.forward(x % TWO_PI) / self._arc_width(level) for x in rows.T]
+
+    # -- sphere cells: squares of the octahedral chart -------------------
+
+    def _sphere_points(self, level: int, pos) -> np.ndarray:
+        """Unit vectors ``(..., 3)`` of chart positions ``(..., 2)`` given in
+        level-cell widths from the corner (-1, -1) of the chart square."""
+        uv = -1.0 + np.asarray(pos, dtype=float) * 2.0 ** (1 - level)
+        return _octa_forward(uv[..., 0], uv[..., 1])
+
+    def _piece_boxes(self, level: int, idx, t0, t1) -> tuple[np.ndarray, np.ndarray]:
+        """Corners ``(k, 2)``, in level-cell widths, of the chart boxes of
+        sweep pieces [t0, t1] of cells."""
+        i, j = _morton_decode(idx, level)
+        return np.column_stack([i + t0, j]), np.column_stack([i + t1, j + 1])
+
+    def _sphere_reach(self, level: int, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Certified (nearest, farthest) distances from unit vectors ``z``
+        ``(k, 3)`` to the boundaries of chart boxes from corner ``lo`` to
+        ``hi`` ``(k, 2)`` in level-cell widths: the extreme samples less and
+        plus the slack, and pi as the farthest where the box holds -z.  A
+        box's image is the disk its boundary's image encloses, and the
+        distance from z peaks nowhere but at -z."""
+        pts, slack = _box_boundary(level, lo, hi)
+        d = _arc(z[:, None, :], pts)
+        anti = np.column_stack(self._positions(level, sphere_chart_from_ambient(-z)))
+        holds = np.all((lo < anti) & (anti < hi), axis=1)
+        return d.min(axis=1) - slack, np.where(holds, math.pi, d.max(axis=1) + slack)
+
+    def _sphere_pieces(self, level: int, idx, t0, t1):
+        """(center charts, inner radii, outer radii) of sweep pieces of
+        sphere cells: the center is the image of the chart box's midpoint,
+        the radii its ``_sphere_reach`` (the inner one no less than 0, as on
+        thin pieces the slack may pass it)."""
+        lo, hi = self._piece_boxes(level, idx, t0, t1)
+        c = sphere_chart_from_ambient(self._sphere_points(level, 0.5 * (lo + hi)))
+        inner, outer = self._sphere_reach(level, charts_to_ambient(self.manifold, c), lo, hi)
+        return c, np.maximum(inner, 0.0), outer
 
     # -- geometry --------------------------------------------------------
 
     def centers_chart(self, level: int, idx) -> np.ndarray:
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        if self._lv.sphere:
-            return sphere_chart_from_ambient(_tri_centers(*_sphere_tris(level, idx).swapaxes(0, 1)))
+        if self.manifold.kind == "sphere2":
+            return sphere_chart_from_ambient(self._sphere_points(level, np.column_stack(
+                _morton_decode(idx, level)) + 0.5))
         return np.column_stack(
             [self._arc_centers(level, i) for i in self._axes(level, idx)]
         )
@@ -224,8 +238,8 @@ class CellTree:
         """(inner, outer) certified geodesic ball radii about the center."""
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        if self._lv.sphere:
-            return _tri_inner_outer(*_sphere_tris(level, idx).swapaxes(0, 1))
+        if self.manifold.kind == "sphere2":
+            return self._sphere_pieces(level, idx, 0.0, 1.0)[1:]
         # a flat cell is a segment or square of side w
         half = np.full(len(idx), 0.5 * self._arc_width(level))
         return half, half * math.sqrt(self.manifold.dim)
@@ -241,10 +255,12 @@ class CellTree:
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), idx.shape)
         t1 = np.broadcast_to(np.asarray(t1, dtype=float), idx.shape)
-        c = self.centers_chart(level, idx)
-        inner, outer = (np.array(r, dtype=float) for r in self.cell_radii(level, idx))
-        part = t1 - t0 < 1.0 - 1e-12
-        if part.any() and not self._lv.sphere:
+        if self.manifold.kind == "sphere2":
+            c, inner, outer = self._sphere_pieces(level, idx, t0, t1)
+        else:
+            c = self.centers_chart(level, idx)
+            inner, outer = (np.array(r, dtype=float) for r in self.cell_radii(level, idx))
+            part = t1 - t0 < 1.0 - 1e-12
             # the piece spans [lo, hi] on the sweep axis, whole arcs on the rest
             w = self._arc_width(level)
             first = self._axes(level, idx[part])[0]
@@ -258,24 +274,22 @@ class CellTree:
                 # math.hypot: np.hypot differs from it in the last bit on some inputs
                 inner[part] = 0.5 * np.minimum(side, w)
                 outer[part] = [0.5 * math.hypot(s, w) for s in side.tolist()]
-        elif part.any():
-            A, P0, P1 = _sweep_pieces(_sphere_tris(level, idx[part]), t0[part], t1[part]).swapaxes(0, 1)
-            c[part] = sphere_chart_from_ambient(_tri_centers(A, P0, P1))
-            inner[part], outer[part] = _tri_inner_outer(A, P0, P1)
         if scalar:
             return c[0], float(inner[0]), float(outer[0])
         return c, inner, outer
 
     def neighbors(self, level: int, idx: int) -> np.ndarray:
-        """Adjacent same-level cells (shared boundary), sorted."""
+        """Adjacent same-level cells (shared boundary), sorted.  The sphere's
+        square chart is not wrapped: a grid of squares is connected, and
+        its glued edges are never needed."""
         self._check_level(level)
-        if self._lv.sphere:
-            return _sphere_neighbors(level)[idx]
         m = 2**level
         if self.manifold.dim == 1:
             return np.asarray(_ring(idx, m), dtype=np.int64)
         i, j = (int(a[0]) for a in _morton_decode(np.asarray([idx]), level))
         pairs = [(x, j) for x in _ring(i, m)] + [(i, y) for y in _ring(j, m)]
+        if self.manifold.kind == "sphere2":
+            pairs = [(x, y) for x, y in pairs if abs(x - i) + abs(y - j) == 1]
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         return np.sort(_morton_encode(pairs[:, 0], pairs[:, 1], level))
 
@@ -296,20 +310,8 @@ class CellTree:
         self._check_level(level)
         charts = np.asarray(charts, dtype=float)
         rows = np.atleast_2d(charts)
-        if not self._lv.sphere:
-            axes = [np.minimum(self._arc_position(level, x).astype(np.int64), 2**level - 1)
-                    for x in rows.T]
-            cells = axes[0] if self.manifold.dim == 1 else _morton_encode(*axes, level)
-        else:
-            # descend from the 8 root triangles to the best of 4 children per
-            # level; argmax keeps the first of equal edge sides
-            p = charts_to_ambient(self.manifold, rows)
-            cells = np.argmax(_edge_sides(_ROOTS[None], p), axis=1)
-            V = _ROOTS[cells]
-            for _ in range(2, level + 1):
-                kids = _sphere_children(V)
-                pick = np.argmax(_edge_sides(kids, p), axis=1)
-                cells, V = 4 * cells + pick, kids[np.arange(len(p)), pick]
+        axes = [np.minimum(x.astype(np.int64), 2**level - 1) for x in self._positions(level, rows)]
+        cells = axes[0] if self.manifold.dim == 1 else _morton_encode(*axes, level)
         return int(cells[0]) if charts.ndim == 1 else cells
 
     def sweep_parameter(self, level: int, idx, charts: np.ndarray):
@@ -321,18 +323,7 @@ class CellTree:
         charts = np.asarray(charts, dtype=float)
         rows = np.atleast_2d(charts)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        if not self._lv.sphere:
-            t = self._arc_position(level, rows[:, 0]) - self._axes(level, idx)[0]
-        else:
-            A, B, C = _sphere_tris(level, idx).swapaxes(0, 1)
-            n1 = np.cross(A, charts_to_ambient(self.manifold, rows))
-            q = np.cross(n1, np.cross(B, C))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                q = q / np.linalg.norm(q, axis=1, keepdims=True)
-            q = np.where(np.sum(q * (B + C), axis=1, keepdims=True) < 0.0, -q, q)
-            t = np.clip(_arc(B, q) / _arc(B, C), 0.0, 1.0)
-            # a point at the apex A lies on every sweep line; it gets t = 0
-            t = np.where(np.linalg.norm(n1, axis=1) < 1e-13, 0.0, t)
+        t = self._positions(level, rows)[0] - self._axes(level, idx)[0]
         return float(t[0]) if charts.ndim == 1 else t
 
 
@@ -342,10 +333,12 @@ def _tree_cached(manifold: Manifold, depth: int) -> CellTree:
         # level-k radii are u * 2^-k: half a cell width, times sqrt(dim) outside
         half = 0.5 * arc_chart(manifold).total
         return CellTree(manifold, _DELTA, depth, half, half * math.sqrt(manifold.dim))
-    stats = [_sphere_level_stats(k) for k in range(1, depth + 1)]
-    u1 = min(s[2] / 2.0**-k for k, s in enumerate(stats, 1))
-    u2 = max(s[3] / 2.0**-k for k, s in enumerate(stats, 1))
-    return CellTree(manifold, _DELTA, depth, u1, u2)
+    # a level-k sphere cell is a chart square of side 2^(1-k): its boundary
+    # lies at least pi / _STRETCH 2^-k from its centre and at most
+    # _STRETCH sqrt(2) 2^-k, and its radii are certified to a slack
+    gap = 1.0 / (_EDGE_SAMPLES - 1)
+    return CellTree(manifold, _DELTA, depth, math.pi / _STRETCH - _STRETCH * gap,
+                    _STRETCH * (math.sqrt(2.0) + gap))
 
 
 def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -> CellTree:
@@ -431,11 +424,7 @@ def exact_cut(
         return start
     if target >= rest - 1e-16:
         return 1.0
-    if tree.manifold.kind != "sphere2":
-        return start + target * tree._lv.ncells(level)
-    V = _sphere_tris(level, idx)
-    f = lambda t: float(_sphere_area(_sweep_pieces(V, start, t))[0]) - target
-    return float(brentq(f, start, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200))
+    return start + target * tree._lv.ncells(level)
 
 
 def _run_measure(tree: CellTree, level: int, run) -> float:
@@ -503,12 +492,8 @@ class _MaterialCursor:
         rem = need - m0
         whole = tree.range_measure(level, s + 1, e - 1)
         if rem < whole - _CUT_TOL * 0.5:
-            if tree._lv.sphere:
-                c = _sphere_seek(level, s + 1, e - 1, rem)
-            else:
-                n = tree.ncells(level)
-                c = s + 1 + int(rem * n)
-                c = min(max(c, s + 1), e - 2)
+            c = s + 1 + int(rem * tree.ncells(level))
+            c = min(max(c, s + 1), e - 2)
             rem_in = rem - tree.range_measure(level, s + 1, c)
             while rem_in < -1e-15 and c > s + 1:
                 c -= 1
@@ -581,13 +566,13 @@ class Partition:
 def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):
     """Deepest (or shallowest) buildable level meeting a measure bound."""
     best = None
-    for level in range(lv.min_level, lv.max_depth + 1):
-        lo, hi = lv.measure_range(level)
+    for level in range(lv.max_depth + 1):
+        m = 1.0 / lv.ncells(level)
         if deepest:
-            if lo < threshold:
+            if m < threshold:
                 break
             best = level
-        elif hi <= threshold + 1e-15:
+        elif m <= threshold + 1e-15:
             return level
     return best
 
@@ -667,7 +652,7 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
         fine = None
         mx = math.inf
         for lev in range(k + 1, lv.fine_cap + 1):
-            mx = lv.measure_range(lev)[1]
+            mx = 1.0 / lv.ncells(lev)
             if mx <= fine_threshold:
                 fine = lev
                 break
@@ -934,6 +919,10 @@ def partition_from_json(text: str) -> Partition:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported partition schema version")
     manifold = manifold_from_descriptor(doc["manifold"])
+    for r in doc["regions"]:
+        n = _levels(manifold).ncells(int(r["level"]))
+        if not all(0 <= s < e <= n and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 for s, e, a, b in r["runs"]):
+            raise ValueError(f"a run does not lie in the {n} cells of level {r['level']}")
     regions = tuple(
         Region(
             weight_index=int(r["weight_index"]),

@@ -4,7 +4,9 @@ independent check of their outer balls.
 A region is a list of runs of fine cells (see ``partition.Region``): whole
 cells plus cut pieces.  Its representative is the whole cell nearest its
 measure centroid, or its largest piece when it has no whole cell; its
-outer radius reaches the farthest whole cell or piece.
+outer radius reaches the farthest whole cell or piece.  Flat regions find
+both from a few candidate cells per block; sphere regions quarter their
+blocks until the few cells that can be nearest or farthest remain.
 """
 
 from __future__ import annotations
@@ -14,18 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cells import (
-    _aligned_blocks,
-    _morton_decode,
-    _morton_encode,
-    _sphere_area,
-    _sphere_cells,
-    _sphere_level_stats,
-    _sphere_tris,
-    _sweep_pieces,
-    _tri_centers,
-    _tri_inner_outer,
-)
+from .cells import _STRETCH, _aligned_blocks, _arc, _morton_decode, _morton_encode
 from .geometry import (
     TWO_PI,
     _circle_dist,
@@ -40,6 +31,8 @@ if TYPE_CHECKING:
 
 # regions whose block arrays region geometry and verification hold at once
 _REGION_BATCH = 128
+# corner offsets of the four quarters of a chart square, in its sides
+_QUARTERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def _split_runs(runs) -> tuple[list, list]:
@@ -186,28 +179,89 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
     return reps, np.where(has, cell_in, np.nan), np.where(has, far + cell_out, np.nan)
 
 
-def _sphere_whole_geometry(tree: CellTree, level: int, ranges) -> tuple:
-    """Representative cell and radii of one sphere region's whole cells; radii
-    are computed for the representative and the cells within the level's
-    largest outer radius of the farthest centre, as no other can reach farther."""
-    V = _sphere_cells(level, *zip(*ranges))
-    centers = sphere_chart_from_ambient(_tri_centers(*V.swapaxes(0, 1)))
-    meas = _sphere_area(V)
-    # anchor at the whole cell nearest the measure centroid; long
-    # chain regions then get a certified outer ball of half reach
-    v = meas @ charts_to_ambient(tree.manifold, centers)
-    nv = np.linalg.norm(v)
-    if nv < 1e-9 * meas.sum():
-        pick = int(np.argmax(meas))
-    else:
-        centroid = sphere_chart_from_ambient((v / nv)[None, :])
-        dd = pairwise_distance(tree.manifold, np.repeat(centroid, len(V), axis=0), centers)
-        pick = int(np.argmin(dd))
-    d = pairwise_distance(tree.manifold, np.tile(centers[pick], (len(V), 1)), centers)
-    far = d >= d.max() - _sphere_level_stats(level)[3] - 1e-12
-    far[pick] = True
-    inner, outer = _tri_inner_outer(*V[far].swapaxes(0, 1))
-    return centers[pick], float(inner[np.count_nonzero(far[:pick])]), float(np.max(d[far] + outer))
+# Gauss-Legendre nodes and weights of order 4 on [-1, 1]
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+
+
+def _sphere_extremes(tree: CellTree, level: int, owner, corner, side, z, margin: float,
+                     farthest: bool):
+    """(owner, cell) of the cells whose centres lie within ``margin`` of the
+    centre nearest to (or farthest from) their owner's unit vector, among
+    chart squares ``owner`` owns with lower-left ``corner`` ``(k, 2)`` and
+    ``side`` in level-cell widths.  A square is quartered while one of its
+    cell centres may lie that close: they lie within the chart's stretch
+    times (side - 1) w / sqrt(2) of its centre, and one within the stretch
+    times w / sqrt(2), which bounds the owner's best distance."""
+    w = 2.0 ** (1 - level)
+    sign = -1.0 if farthest else 1.0
+    reach = _STRETCH * w / math.sqrt(2.0) + 1e-12
+    best = np.full(len(z), np.inf)
+    found = [(owner, corner, np.zeros(0))] if not len(side) else []
+    while len(side):
+        key = sign * _arc(z[owner], tree._sphere_points(level, corner + 0.5 * side[:, None]))
+        leaf = side == 1.0
+        np.minimum.at(best, owner, np.where(leaf, key, key + reach))
+        near = key - (side - 1.0) * reach <= best[owner] + margin
+        found.append((owner[leaf & near], corner[leaf & near], key[leaf & near]))
+        split = near & ~leaf
+        half = 0.5 * side[split]
+        corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
+        side = np.repeat(half, 4)
+        owner = np.repeat(owner[split], 4)
+    owner, corner, key = (np.concatenate(x) for x in zip(*found))
+    keep = key <= best[owner] + margin
+    return owner[keep], _morton_encode(*corner[keep].astype(np.int64).T, level)
+
+
+def _sphere_centroids(tree: CellTree, level: int, owner, corner, side, n: int):
+    """Directions ``(n, 3)`` of the measure centroids of the chart squares
+    each owner owns, or the north pole where one degenerates: the chart's
+    Jacobian is constant, so a centroid is the chart integral of the unit
+    vector, taken by a 4 x 4 Gauss rule per square."""
+    u, v = (corner[:, k, None] + 0.5 * side[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
+    grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
+    total, mass = np.zeros((n, 3)), np.zeros(n)
+    np.add.at(total, owner, np.einsum("kabc,a,b,k->kc", tree._sphere_points(level, grid),
+                                      _GAUSS_W, _GAUSS_W, side**2))
+    np.add.at(mass, owner, 4.0 * side**2)
+    norm = np.linalg.norm(total, axis=1)
+    flat = norm <= 1e-9 * mass
+    return np.where(flat[:, None], (0.0, 0.0, 1.0), total / np.where(flat, 1.0, norm)[:, None])
+
+
+def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
+    """Representative cell and radii of each sphere region's whole cells,
+    NaN for regions with none.
+
+    The representative is the lowest-index cell among those within 1e-9
+    cell widths (the side of a square of a cell's area) of the nearest to
+    the measure centroid, so distances equal up to rounding never split a
+    tie.  The outer radius is the farthest ``CellTree._sphere_reach`` of
+    the cells within the level's largest outer radius ``u2 2^-level`` of
+    the farthest centre, as no other can reach farther.  Both searches
+    quarter the regions' aligned blocks, so they visit few cells.
+    """
+    nreg = len(wholes)
+    own, lo, hi = np.array([(r, s, e) for r, ranges in enumerate(wholes) for s, e in ranges],
+                           dtype=np.int64).reshape(-1, 3).T
+    run, start, exp = _aligned_blocks(lo, hi, level)
+    owner, side = own[run], np.ldexp(1.0, exp)
+    corner = np.column_stack(_morton_decode(start, level)).astype(float)
+    goal = _sphere_centroids(tree, level, owner, corner, side, nreg)
+    tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
+    pick = np.full(nreg, np.iinfo(np.int64).max)
+    np.minimum.at(pick, *_sphere_extremes(tree, level, owner, corner, side, goal, tol, False))
+    has = np.zeros(nreg, dtype=bool)
+    has[own] = True
+    reps, inner, outer = np.full((nreg, 2), np.nan), np.full(nreg, np.nan), np.full(nreg, -np.inf)
+    reps[has] = tree.centers_chart(level, pick[has])
+    inner[has] = tree.cell_radii(level, pick[has])[0]
+    z = charts_to_ambient(tree.manifold, np.where(has[:, None], reps, 0.0))
+    margin = tree.u2 * 2.0**-level + 1e-12
+    far_own, far = _sphere_extremes(tree, level, owner, corner, side, z, margin, True)
+    boxes = tree._piece_boxes(level, far, 0.0, 1.0)
+    np.maximum.at(outer, far_own, tree._sphere_reach(level, z[far_own], *boxes)[1])
+    return reps, inner, np.where(has, outer, np.nan)
 
 
 def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
@@ -215,22 +269,21 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
 
     A region with whole cells is represented by the whole cell nearest its
     measure centroid, otherwise by its largest cut piece (the first of
-    equal ones).  The outer radius covers every whole cell and piece.
+    equal ones).  The outer radius covers every whole cell and piece: on
+    the flat kinds their centre's distance plus their outer radius, on the
+    sphere their ``CellTree._sphere_reach``.
     """
     nreg = len(region_runs)
     split = [_split_runs(runs) for runs in region_runs]
     wholes = [w for w, _ in split]
-    if tree._lv.sphere:
-        reps, inner, outer = np.full((nreg, 2), np.nan), np.full(nreg, np.nan), np.full(nreg, np.nan)
-        for r, whole in enumerate(wholes):
-            if whole:
-                reps[r], inner[r], outer[r] = _sphere_whole_geometry(tree, level, whole)
+    if tree.manifold.kind == "sphere2":
+        geometry = lambda batch: _sphere_whole_geometry(tree, level, batch)
     else:
-        # block arrays are built for a bounded number of regions at a time
         pos = _axis_positions(tree, level)
-        reps, inner, outer = (np.concatenate(x) for x in zip(*(
-            _flat_whole_geometry(tree, level, wholes[a:a + _REGION_BATCH], pos)
-            for a in range(0, nreg, _REGION_BATCH))))
+        geometry = lambda batch: _flat_whole_geometry(tree, level, batch, pos)
+    # block arrays are built for a bounded number of regions at a time
+    reps, inner, outer = (np.concatenate(x) for x in zip(*(
+        geometry(wholes[a:a + _REGION_BATCH]) for a in range(0, nreg, _REGION_BATCH))))
     pieces = [(r, *piece) for r, (_, parts) in enumerate(split) for piece in parts]
     if pieces:
         owner, cells, t0, t1 = (np.asarray(x) for x in zip(*pieces))
@@ -239,7 +292,11 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
             mine = np.where(owner == r)[0]
             best = mine[int(np.argmax([tree.cut_measure(level, *pieces[j][1:]) for j in mine]))]
             reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
-        reach = pairwise_distance(tree.manifold, reps[owner], centers) + p_out
+        if tree.manifold.kind == "sphere2":
+            z = charts_to_ambient(tree.manifold, reps[owner])
+            reach = tree._sphere_reach(level, z, *tree._piece_boxes(level, cells, t0, t1))[1]
+        else:
+            reach = pairwise_distance(tree.manifold, reps[owner], centers) + p_out
         np.maximum.at(outer, owner, reach)
     return [(tuple(float(x) for x in reps[r]), float(inner[r]), float(outer[r]))
             for r in range(nreg)]
@@ -249,16 +306,16 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     """Which of the regions reach outside their stored outer ball B(rep, R).
 
     Whole cells are taken as aligned blocks (one arc per run on the circle
-    and the ellipse, aligned squares on the torus, coarser triangles on the
-    sphere), and cut pieces as they are.  All their corners (triangle
-    vertices on the sphere) are measured in one ``pairwise_distance`` call.
-    A box lies in the ball iff its corners do while the ball is
-    geodesically convex over it: on the sphere while R < pi/2; on each flat
-    axis while 2R + side < period, so that the box's arc misses the point
+    and the ellipse, aligned squares on the torus and the sphere), and cut
+    pieces as they are.  On the flat kinds all their corners are measured
+    in one ``pairwise_distance`` call.  A box lies in the ball iff its
+    corners do while the ball is geodesically convex over it: on each axis
+    while 2R + side < period, so that the box's arc misses the point
     antipodal to the representative and the axis distance peaks at an arc
     end (the torus distance is a monotone ``hypot`` of the two).  Boxes
     failing that are checked cell by cell with the centre-plus-cell-radius
-    bound.  None of this reuses how the radii were computed.
+    bound.  Sphere boxes are checked by ``_sphere_outer_misses``.  None of
+    this reuses how the radii were computed.
     """
     if len(regions) > _REGION_BATCH:
         return np.concatenate([_outer_ball_misses(tree, level, regions[a:a + _REGION_BATCH])
@@ -280,32 +337,31 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
         run, b_lo, exp = _aligned_blocks(w_lo, w_hi, level - tree.min_level)
         b_own, b_hi = w_own[run], b_lo + (np.int64(1) << (2 * exp))
     own = np.concatenate([b_own, q_own])
+    if m.kind == "sphere2":
+        i, j = _morton_decode(b_lo, level)
+        side = np.int64(1) << exp
+        q_lo, q_hi = tree._piece_boxes(level, q_cell, t0, t1)
+        lo = np.concatenate([np.column_stack([i, j]), q_lo])
+        hi = np.concatenate([np.column_stack([i + side, j + side]), q_hi])
+        return _sphere_outer_misses(tree, level, reps, reach, own, lo.astype(float), hi)
 
-    if tree._lv.sphere:
-        pieces = _sweep_pieces(_sphere_tris(level, q_cell), t0, t1)
-        verts = np.concatenate([_sphere_tris(level - exp, b_lo >> 2 * exp), pieces])
-        convex = reach[own] < 0.5 * math.pi
-        corners = sphere_chart_from_ambient(verts[convex].reshape(-1, 3))
-        ncorner = 3
+    # per-axis arc-length ends of every box
+    w, period = tree._arc_width(level), tree._chart.total
+    if m.dim == 1:
+        block_ends = [(b_lo * w, b_hi * w)]
+        piece_ends = [(q_cell * w + t0 * w, q_cell * w + t1 * w)]
     else:
-        # per-axis arc-length ends of every box
-        w, period = tree._arc_width(level), tree._chart.total
-        if m.dim == 1:
-            block_ends = [(b_lo * w, b_hi * w)]
-            piece_ends = [(q_cell * w + t0 * w, q_cell * w + t1 * w)]
-        else:
-            side = np.int64(1) << exp
-            block_ends = [(a * w, (a + side) * w) for a in _morton_decode(b_lo, level)]
-            i, j = _morton_decode(q_cell, level)
-            piece_ends = [(i * w + t0 * w, i * w + t1 * w), (j * w, (j + 1) * w)]
-        ends = [np.stack([np.concatenate(x) for x in zip(b, q)], axis=1)
-                for b, q in zip(block_ends, piece_ends)]
-        convex = np.all([2.0 * reach[own] + (e[:, 1] - e[:, 0]) < period for e in ends], axis=0)
-        axes = [tree._chart.inverse(e[convex].ravel()).reshape(-1, 2) for e in ends]
-        grids = np.meshgrid(*([0, 1],) * m.dim, indexing="ij")
-        corners = np.stack([a[:, g.ravel()] for a, g in zip(axes, grids)], axis=-1).reshape(-1, m.dim)
-        ncorner = 2**m.dim
-    owner = np.repeat(own[convex], ncorner)
+        side = np.int64(1) << exp
+        block_ends = [(a * w, (a + side) * w) for a in _morton_decode(b_lo, level)]
+        i, j = _morton_decode(q_cell, level)
+        piece_ends = [(i * w + t0 * w, i * w + t1 * w), (j * w, (j + 1) * w)]
+    ends = [np.stack([np.concatenate(x) for x in zip(b, q)], axis=1)
+            for b, q in zip(block_ends, piece_ends)]
+    convex = np.all([2.0 * reach[own] + (e[:, 1] - e[:, 0]) < period for e in ends], axis=0)
+    axes = [tree._chart.inverse(e[convex].ravel()).reshape(-1, 2) for e in ends]
+    grids = np.meshgrid(*([0, 1],) * m.dim, indexing="ij")
+    corners = np.stack([a[:, g.ravel()] for a, g in zip(axes, grids)], axis=-1).reshape(-1, m.dim)
+    owner = np.repeat(own[convex], 2**m.dim)
     out = pairwise_distance(m, reps[owner], corners) > reach[owner]
     miss = np.zeros(len(regions), dtype=bool)
     miss[owner[out]] = True
@@ -323,4 +379,34 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
         centers, _, outer = tree.piece_geometry(level, q_cell[loose], t0[loose], t1[loose])
         owner = q_own[loose]
         miss[owner[pairwise_distance(m, reps[owner], centers) + outer > reach[owner]]] = True
+    return miss
+
+
+def _sphere_outer_misses(tree: CellTree, level: int, reps, reach, own, lo, hi) -> np.ndarray:
+    """Which sphere regions reach outside B(rep, R), from chart boxes ``own``
+    owns with corners ``lo`` and ``hi`` ``(k, 2)`` in level-cell widths.
+
+    A box lies in the ball if its centre's distance plus the chart's
+    stretch times its half diagonal does not pass R, or else if its
+    farthest ``CellTree._sphere_reach`` does not.  A block failing both is
+    quartered, as its slack halves with its side, so that boxes the size of
+    a cell or piece decide; one of those failing misses.
+    """
+    z = charts_to_ambient(tree.manifold, reps)
+    miss = np.zeros(len(reps), dtype=bool)
+    w = 2.0 ** (1 - level)
+    live = reach[own] < math.pi
+    own, lo, hi = own[live], lo[live], hi[live]
+    while len(own):
+        spread = _STRETCH * np.hypot(*(hi - lo).T) * w / 2.0
+        near = _arc(z[own], tree._sphere_points(level, 0.5 * (lo + hi))) + spread <= reach[own]
+        own, lo, hi = own[~near], lo[~near], hi[~near]
+        out = tree._sphere_reach(level, z[own], lo, hi)[1] > reach[own]
+        big = hi[:, 1] - lo[:, 1] > 1.0
+        miss[own[out & ~big]] = True
+        again = out & big & ~miss[own]
+        half = 0.5 * (hi[again] - lo[again])
+        lo = (lo[again][:, None, :] + _QUARTERS * half[:, None, :]).reshape(-1, 2)
+        hi = lo + np.repeat(half, 4, axis=0)
+        own = np.repeat(own[again], 4)
     return miss

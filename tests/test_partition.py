@@ -1,7 +1,12 @@
 """Cell hierarchies and measure-exact weighted partitions."""
 
 import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,16 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubaflow.cells import (
+    _EDGE_SAMPLES,
+    _STRETCH,
     _aligned_blocks,
     _arc,
     _morton_decode,
     _morton_encode,
-    _sphere_area,
-    _sphere_cells,
-    _sphere_level_stats,
-    _sphere_tris,
-    _tri_centers,
-    _tri_inner_outer,
+    _octa_forward,
+    _octa_inverse,
 )
 from cubaflow.geometry import (
     TWO_PI,
@@ -38,7 +41,13 @@ from cubaflow.partition import (
     verify_partition,
     weighted_partition,
 )
-from cubaflow.regions import _axis_candidates, _regions_geometry, _split_runs
+from cubaflow.regions import (
+    _axis_candidates,
+    _regions_geometry,
+    _sphere_centroids,
+    _sphere_extremes,
+    _split_runs,
+)
 from cubaflow.weights import WeightVector, random_band_weights
 
 
@@ -84,60 +93,6 @@ def test_children_sum_to_parent_sphere():
         assert np.max(np.abs(sums - parent)) < 1e-15
 
 
-def _octahedron_oracle(depth):
-    """Vertex triples of sphere levels 1..depth by recursive midpoint
-    subdivision in plain floats, children of t at 4t..4t+3, and each
-    level's edge-sharing neighbours found through a dict of vertex pairs."""
-
-    def mid(u, v):
-        w = [x + y for x, y in zip(u, v)]
-        n = math.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-        return tuple(x / n for x in w)
-
-    def axis(k, sign):
-        return tuple(sign * 1.0 if i == k else 0.0 for i in range(3))
-
-    tris = []
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for sz in (1, -1):
-                a, b, c = axis(0, sx), axis(1, sy), axis(2, sz)
-                tris.append((b, a, c) if sx * sy * sz < 0 else (a, b, c))
-    levels = {1: tris}
-    for level in range(2, depth + 1):
-        levels[level] = [kid for a, b, c in levels[level - 1] for kid in (
-            (a, mid(a, b), mid(c, a)), (mid(a, b), b, mid(b, c)),
-            (mid(c, a), mid(b, c), c), (mid(a, b), mid(b, c), mid(c, a)))]
-    neighbors = {}
-    for level, tris in levels.items():
-        owners = {}
-        for t, tri in enumerate(tris):
-            for k in range(3):
-                owners.setdefault(frozenset((tri[k], tri[(k + 1) % 3])), []).append(t)
-        nbr = [[] for _ in tris]
-        for pair in owners.values():
-            assert len(pair) == 2
-            nbr[pair[0]].append(pair[1])
-            nbr[pair[1]].append(pair[0])
-        neighbors[level] = np.sort(np.array(nbr), axis=1)
-    return {k: np.array(v) for k, v in levels.items()}, neighbors
-
-
-def test_sphere_cells_match_subdivision_oracle():
-    verts, neighbors = _octahedron_oracle(6)
-    tree = build_cell_tree(make("sphere2"), depth=6)
-    for level, V in verts.items():
-        idx = np.arange(len(V))
-        assert np.array_equal(_sphere_tris(level, idx), V)
-        assert np.array_equal(_sphere_cells(level, [0], [len(V)]), V)
-        A, B, C = V.swapaxes(0, 1)
-        assert np.array_equal(tree.centers_chart(level, idx),
-                              sphere_chart_from_ambient(_tri_centers(A, B, C)))
-        for got, want in zip(tree.cell_radii(level, idx), _tri_inner_outer(A, B, C)):
-            assert np.array_equal(got, want)
-        assert np.array_equal([tree.neighbors(level, i) for i in idx], neighbors[level])
-
-
 def test_arc_matches_cross_product_form():
     """The explicit arc formula rounds exactly as np.cross and np.sum do."""
     rng = np.random.default_rng(4)
@@ -147,22 +102,85 @@ def test_arc_matches_cross_product_form():
         assert np.array_equal(_arc(u, w), want)
 
 
-def test_sphere_range_measure_sums_cells():
-    rng = np.random.default_rng(8)
-    tree = build_cell_tree(make("sphere2"), depth=7)
-    for level in range(3, 8):
-        areas = tree.measures(level)
-        assert np.array_equal(areas, _sphere_area(_sphere_tris(level, np.arange(len(areas)))))
-        for a, b in np.sort(rng.integers(0, len(areas) + 1, (30, 2)), axis=1):
-            assert abs(tree.range_measure(level, a, b) - math.fsum(areas[a:b])) <= 1e-15
+# ---------------------------------------------------------------------------
+# the sphere's octahedral equal-area chart
 
 
-def test_sphere_level_stats_cover_every_octant():
-    for level in range(1, 8):
-        V = _sphere_cells(level, [0], [8 * 4 ** (level - 1)])
-        inner, outer = _tri_inner_outer(*V.swapaxes(0, 1))
-        area = _sphere_area(V)
-        assert _sphere_level_stats(level) == (area.min(), area.max(), inner.min(), outer.max())
+def _chart_jacobian(u, v, h=1e-7):
+    """Central-difference columns ``(k, 3, 2)`` of the chart map."""
+    du = (_octa_forward(u + h, v) - _octa_forward(u - h, v)) / (2.0 * h)
+    dv = (_octa_forward(u, v + h) - _octa_forward(u, v - h)) / (2.0 * h)
+    return np.stack([du, dv], axis=-1)
+
+
+def test_octa_chart_has_jacobian_pi_and_bounded_stretch():
+    rng = np.random.default_rng(6)
+    u, v = rng.uniform(-1.0, 1.0, (2, 20_000))
+    # away from the axes and the fold, where the map is smooth
+    ok = np.min(np.abs([u, v, np.abs(u) + np.abs(v) - 1.0]), axis=0) > 1e-5
+    sv = np.linalg.svd(_chart_jacobian(u[ok], v[ok]), compute_uv=False)
+    assert np.allclose(sv[:, 0] * sv[:, 1], math.pi, rtol=1e-7, atol=0.0)
+    assert sv[:, 0].max() <= _STRETCH * (1.0 + 1e-7)
+    # the stretch peaks on the axes at the equator
+    t = np.linspace(1e-4, 1e-3, 10)
+    peak = np.linalg.svd(_chart_jacobian(1.0 - 2.0 * t, t), compute_uv=False)[:, 0]
+    assert peak.max() == pytest.approx(_STRETCH, rel=1e-3)
+
+
+def test_octa_chart_round_trip():
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-1.0, 1.0, 4000)
+    side = np.where(rng.uniform(size=4000) < 0.5, -1.0, 1.0)
+    poles = (np.array([0.0, 0.0, 1.0, -1.0]), np.array([0.0, -0.0, 1.0, -1.0]))
+    # random points, the fold |u| + |v| = 1, the axes and the north pole
+    for u, v in (rng.uniform(-1.0, 1.0, (2, 20_000)), (t, side * (1.0 - np.abs(t))),
+                 (t, 0.0 * t), (0.0 * t, t), ([0.0, -0.0], [0.0, 0.0])):
+        back = _octa_inverse(_octa_forward(u, v))
+        assert np.max(np.abs(np.subtract(back, (u, v)))) <= 1e-15
+    # the square's edges are glued and its corners are all the south pole, so
+    # there the round trip is taken on the sphere
+    one = np.ones_like(t)
+    for u, v in ((t, one), (t, -one), (one, t), (-one, t), poles):
+        p = _octa_forward(u, v)
+        assert np.max(np.abs(_octa_forward(*_octa_inverse(p)) - p)) <= 1e-15
+    assert np.array_equal(_octa_forward(*poles), [[0.0, 0.0, 1.0]] * 2 + [[0.0, 0.0, -1.0]] * 2)
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_sphere_radii_bound_dense_boundary(level):
+    """Every cell and random pieces keep 1025 samples per boundary edge, and
+    a grid inside, between their certified inner and outer radii; cell radii
+    lie within the level bounds u1 2^-level and u2 2^-level."""
+    tree = build_cell_tree(make("sphere2"), depth=level)
+    rng = np.random.default_rng(level)
+    cells = np.arange(tree.ncells(level))
+    some = rng.integers(0, len(cells), 200)
+    ends = np.sort(rng.uniform(0.0, 1.0, (2, 200)), axis=0)
+    w = 2.0 / 2**level
+    s = np.linspace(0.0, 1.0, 1025)
+    grid = np.linspace(0.0, 1.0, 17)
+    bu = np.concatenate([s, np.ones_like(s), s, np.zeros_like(s), *[np.full(17, g) for g in grid]])
+    bv = np.concatenate([np.zeros_like(s), s, np.ones_like(s), s, *[grid] * 17])
+    for idx, t0, t1 in ((cells, 0.0 * cells, 1.0 + 0.0 * cells), (some, *ends)):
+        c, inner, outer = tree.piece_geometry(level, idx, t0, t1)
+        whole = t1 - t0 == 1.0
+        assert np.all(inner[whole] >= tree.u1 * 2.0**-level) and np.all(inner >= 0.0)
+        assert np.all(outer <= tree.u2 * 2.0**-level)
+        i, j = _unmorton_loop(idx, level)
+        for a in range(0, len(idx), 64):
+            k = slice(a, a + 64)
+            u = -1.0 + (i[k, None] + t0[k, None] + bu * (t1 - t0)[k, None]) * w
+            v = -1.0 + (j[k, None] + bv) * w
+            d = _arc(charts_to_ambient(tree.manifold, c[k])[:, None, :], _octa_forward(u, v))
+            assert np.all(d[:, :4 * 1025].min(axis=1) >= inner[k])
+            assert np.all(d.max(axis=1) <= outer[k])
+
+
+def test_sphere_locate_inverts_centers():
+    tree = build_cell_tree(make("sphere2"), depth=9)
+    for level in range(10):
+        idx = np.arange(tree.ncells(level))
+        assert np.array_equal(tree.locate(level, tree.centers_chart(level, idx)), idx)
 
 
 def test_flat_cell_measures_exact():
@@ -178,7 +196,7 @@ def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
         build_cell_tree(make("circle"), depth=0)
     with pytest.raises(ValueError):
-        build_cell_tree(make("sphere2"), depth=11)
+        build_cell_tree(make("sphere2"), depth=15)
 
 
 @pytest.mark.parametrize("kind,level", [("circle", 4), ("torus2", 3), ("sphere2", 2), ("ellipse", 4)])
@@ -262,17 +280,6 @@ def _random_charts(manifold, n, seed):
     return rng.uniform(0.0, 2.0 * math.pi, (n, manifold.dim))
 
 
-def _edge_sides_all(tree, level, p):
-    """Smallest signed edge distance of every point to every level triangle."""
-    V = _sphere_cells(level, [0], [tree.ncells(level)])
-    out = np.full((len(p), len(V)), np.inf)
-    for a in range(3):
-        nvec = np.cross(V[:, a], V[:, (a + 1) % 3])
-        nvec /= np.linalg.norm(nvec, axis=1, keepdims=True)
-        out = np.minimum(out, p @ nvec.T)
-    return out
-
-
 @pytest.mark.parametrize("kind,level", [("circle", 4), ("torus2", 3), ("sphere2", 4), ("ellipse", 4)])
 def test_locate_batch_matches_brute_force(kind, level):
     m = make(kind)
@@ -282,9 +289,13 @@ def test_locate_batch_matches_brute_force(kind, level):
     assert cells.shape == (500,)
     assert np.array_equal(cells, [tree.locate(level, c) for c in charts])
     if kind == "sphere2":
+        # the chart point of each row lies in its cell's square
         amb = charts_to_ambient(m, charts)
-        sides = _edge_sides_all(tree, level, amb)
-        assert np.all(sides[np.arange(500), cells] >= -1e-12)
+        u, v = _octa_inverse(amb)
+        w = 2.0 / 2**level
+        i, j = _unmorton_loop(cells, level)
+        for x, k in ((u, i), (v, j)):
+            assert np.all((-1.0 + k * w <= x + 1e-15) & (x <= -1.0 + (k + 1) * w + 1e-15))
     else:
         chart = arc_chart(m)
         w = chart.total / 2**level
@@ -295,11 +306,8 @@ def test_locate_batch_matches_brute_force(kind, level):
     assert t.shape == (500,)
     assert np.all((t >= -1e-12) & (t <= 1.0 + 1e-12))
     if kind == "sphere2":
-        # the sweep point at t on edge BC lies on the great circle through A and p
-        A, B, C = _sphere_tris(level, cells).swapaxes(0, 1)
-        theta = np.arccos(np.clip(np.sum(B * C, axis=1), -1.0, 1.0))[:, None]
-        P = (np.sin((1.0 - t)[:, None] * theta) * B + np.sin(t[:, None] * theta) * C) / np.sin(theta)
-        assert np.max(np.abs(np.linalg.det(np.stack([A, amb, P], axis=1)))) < 1e-12
+        # t places the row along its cell's first chart axis
+        assert np.max(np.abs(_octa_forward(-1.0 + (i + t) * w, v) - amb)) < 1e-14
     single = [tree.sweep_parameter(level, int(c), x) for c, x in zip(cells, charts)]
     assert np.array_equal(t, single)
 
@@ -378,7 +386,7 @@ def test_u_constants_flats():
 
 @pytest.mark.parametrize(
     "kind,level,ncells",
-    [("circle", 3, 8), ("torus2", 2, 16), ("sphere2", 1, 8), ("ellipse", 3, 8)],
+    [("circle", 3, 8), ("torus2", 2, 16), ("sphere2", 1, 4), ("ellipse", 3, 8)],
 )
 def test_spanning_tree_counts(kind, level, ncells):
     tree = build_cell_tree(make(kind), depth=level)
@@ -399,14 +407,13 @@ def test_exact_cut_endpoints_and_half():
     assert exact_cut(tree, 1, 0, 0.5 * mu) == pytest.approx(0.5)
 
 
-def test_exact_cut_roundtrip_sphere():
-    tree = build_cell_tree(make("sphere2"), depth=2)
-    for idx in (0, 5, 17):
-        mu = float(tree.measures(2)[idx])
-        for frac in (0.25, 0.5, 0.9):
-            t = exact_cut(tree, 2, idx, frac * mu)
-            back = tree.cut_measure(2, idx, 0.0, t)
-            assert back == pytest.approx(frac * mu, abs=1e-14)
+def test_import_leaves_scipy_optimize_out():
+    """Cuts are closed forms, so the package needs no root-finder."""
+    src = pathlib.Path(__import__("cubaflow").__file__).resolve().parents[1]
+    code = "import sys, cubaflow; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_cut_rejects_overfull():
@@ -572,6 +579,36 @@ def test_representatives_inside_own_region():
         assert inside
 
 
+# the sphere partitions the benchmark fingerprints: its N16 partition case
+# (weight seeds shifted by 7) and the N40 and N150 tree-branch partitions
+FINGERPRINT_SPHERES = [(16, seed + 7) for seed in range(10)] + [(n, seed) for n in (40, 150)
+                                                                 for seed in range(3)]
+
+
+@pytest.mark.parametrize("n,seed", FINGERPRINT_SPHERES)
+def test_sphere_representatives_hold_under_one_ulp(n, seed):
+    """Moving a region's centroid by one ulp moves no sphere representative."""
+    p = weighted_partition(make("sphere2"), random_band_weights(n, 0.5, 2.0, seed))
+    level = p.fine_level
+    tree = build_cell_tree(make("sphere2"), depth=level)
+    tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
+    # the centroid, then each coordinate one ulp down and up: 7 searches per region
+    moves = np.vstack([np.zeros(3), np.repeat(np.eye(3), 2, axis=0) * np.tile([-1.0, 1.0], 3)[:, None]])
+    for reg in p.regions:
+        whole = _split_runs(reg.runs)[0]
+        if not whole:
+            continue
+        owner, corner, side = _sphere_region_blocks(level, whole)
+        goal = _sphere_centroids(tree, level, owner, corner, side, 1)
+        goals = np.where(moves == 0.0, goal, np.nextafter(goal, np.copysign(np.inf, moves)))
+        owners = np.repeat(np.arange(7), len(side))
+        found = _sphere_extremes(tree, level, owners, np.tile(corner, (7, 1)), np.tile(side, 7),
+                                 goals, tol, False)
+        picks = [found[1][found[0] == k].min() for k in range(7)]
+        assert picks == [picks[0]] * 7
+        assert tuple(tree.centers_chart(level, picks[0])[0]) == reg.representative
+
+
 def test_region_radii_certified():
     w = random_band_weights(24, 0.5, 2.0, 9)
     p = weighted_partition(make("torus2"), w)
@@ -579,12 +616,21 @@ def test_region_radii_certified():
         assert 0.0 < reg.inner_radius <= reg.outer_radius
 
 
-def _centroid_oracle(manifold, charts, meas):
-    """Measure-weighted mean position, or None when it degenerates."""
+def _sphere_region_blocks(level, whole):
+    """Owner (all 0), corners and sides of the chart squares of the aligned
+    blocks tiling one region's whole-cell ranges."""
+    lo, hi = np.array(whole).T
+    _, start, exp = _aligned_blocks(lo, hi, level)
+    corner = np.column_stack(_morton_decode(start, level)).astype(float)
+    return np.zeros(len(start), dtype=np.int64), corner, np.ldexp(1.0, exp)
+
+
+def _centroid_oracle(manifold, charts, meas, tree=None, level=None, whole=None):
+    """Measure-weighted mean position, or None when it degenerates; on the
+    sphere the Gauss-rule integral of the region's chart squares."""
     if manifold.kind == "sphere2":
-        v = meas @ charts_to_ambient(manifold, charts)
-        nv = np.linalg.norm(v)
-        return None if nv < 1e-9 * meas.sum() else sphere_chart_from_ambient((v / nv)[None, :])[0]
+        goal = _sphere_centroids(tree, level, *_sphere_region_blocks(level, whole), 1)
+        return sphere_chart_from_ambient(goal)[0]
     chart = arc_chart(manifold)
     out = []
     for col in range(charts.shape[1]):
@@ -596,29 +642,67 @@ def _centroid_oracle(manifold, charts, meas):
     return np.asarray(out, dtype=float)
 
 
+def _sphere_box_reach(z, level, lo, hi):
+    """Farthest boundary sample of one chart box (corners in level-cell
+    widths) from unit vector z plus the slack, or pi if the box holds -z."""
+    w = 2.0 / 2**level
+    (u0, v0), (u1, v1) = -1.0 + np.asarray(lo, dtype=float) * w, -1.0 + np.asarray(hi, dtype=float) * w
+    n = _EDGE_SAMPLES - 1
+    s = np.arange(n) / n
+    u = np.concatenate([u0 + s * (u1 - u0), np.full(n, u1), u1 - s * (u1 - u0), np.full(n, u0)])
+    v = np.concatenate([np.full(n, v0), v0 + s * (v1 - v0), np.full(n, v1), v1 - s * (v1 - v0)])
+    a = np.array(_octa_inverse(-z))
+    if u0 < a[0] < u1 and v0 < a[1] < v1:
+        return math.pi
+    return float(_arc(z, _octa_forward(u, v)).max()) + _STRETCH * max(u1 - u0, v1 - v0) / (2 * n)
+
+
 def _region_geometry_oracle(tree, level, runs):
-    """Representative, inner and outer radius of one region, cell by cell."""
+    """Representative, inner and outer radius of one region, cell by cell.
+
+    On the sphere the representative is the lowest-index cell within 1e-9
+    cell widths of the nearest, and every box reaches as far as its
+    boundary samples plus the slack; cells, too many at a fine level, are
+    taken within the certified level bound ``u2 2^-level`` of the farthest
+    centre.
+    """
     m = tree.manifold
+    sphere = m.kind == "sphere2"
     whole, partials = _split_runs(runs)
     outer_r = 0.0
     if whole:
         cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
         centers = tree.centers_chart(level, cells)
-        inner, outer = tree.cell_radii(level, cells)
-        meas = (_sphere_area(_sphere_tris(level, cells)) if m.kind == "sphere2"
-                else np.full(len(cells), 1.0 / tree.ncells(level)))
-        centroid = _centroid_oracle(m, centers, meas)
+        meas = np.full(len(cells), 1.0 / tree.ncells(level))
+        centroid = _centroid_oracle(m, centers, meas, tree, level, whole)
         if centroid is None:
-            pick = int(np.argmax(meas))
+            pick = 0
         else:
-            pick = int(np.argmin(pairwise_distance(m, np.tile(centroid, (len(cells), 1)), centers)))
-        rep, inner_r = centers[pick], float(inner[pick])
+            dd = pairwise_distance(m, np.tile(centroid, (len(cells), 1)), centers)
+            if sphere:
+                tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
+                near = np.flatnonzero(dd <= dd.min() + tol)
+                pick = int(near[np.argmin(cells[near])])
+            else:
+                pick = int(np.argmin(dd))
+        rep, inner_r = centers[pick], float(tree.cell_radii(level, cells[pick])[0][0])
         d = pairwise_distance(m, np.tile(rep, (len(cells), 1)), centers)
-        outer_r = float(np.max(d + outer))
+        if sphere:
+            z = charts_to_ambient(m, rep[None, :])[0]
+            far = cells[d >= d.max() - tree.u2 * 2.0**-level]
+            outer_r = max(_sphere_box_reach(z, level, (i, j), (i + 1, j + 1))
+                          for i, j in zip(*_unmorton_loop(far, level)))
+        else:
+            outer_r = float(np.max(d + tree.cell_radii(level, cells)[1]))
     else:
         best = max(partials, key=lambda piece: tree.cut_measure(level, *piece))
         rep, inner_r, _ = tree.piece_geometry(level, *best)
     for c, t0, t1 in partials:
+        if sphere:
+            i, j = _unmorton_loop(np.array(c), level)
+            z = charts_to_ambient(m, np.asarray(rep)[None, :])[0]
+            outer_r = max(outer_r, _sphere_box_reach(z, level, (i + t0, j), (i + t1, j + 1)))
+            continue
         pc, _, po = tree.piece_geometry(level, c, t0, t1)
         d = pairwise_distance(m, rep[None, :], pc[None, :])[0]
         outer_r = max(outer_r, float(d) + po)
@@ -628,7 +712,7 @@ def _region_geometry_oracle(tree, level, runs):
 # (N, weight seed): a direct-branch partition with a region of cut pieces
 # only, and a tree-branch one with regions of several runs
 ORACLE_INPUTS = {"circle": ((4, 0), (64, 64)), "torus2": ((6, 0), (64, 64)),
-                 "ellipse": ((4, 0), (64, 64)), "sphere2": ((4, 0), (40, 40))}
+                 "ellipse": ((4, 0), (64, 64)), "sphere2": ((6, 0), (40, 40))}
 # (level, runs) of spread-out regions: on the flat kinds the point antipodal
 # to the representative falls inside one arc, or two candidate cells tie
 SPREAD_REGIONS = {
@@ -637,15 +721,17 @@ SPREAD_REGIONS = {
     "ellipse": ((8, ((0, 48, 0.0, 1.0), (120, 200, 0.0, 1.0))),),
     "torus2": ((4, ((0, 48, 0.0, 1.0), (128, 256, 0.0, 1.0))),
                (4, ((0, 32, 0.0, 1.0), (160, 224, 0.0, 1.0)))),
-    "sphere2": ((4, ((0, 40, 0.0, 1.0), (300, 380, 0.0, 0.5))),),
+    "sphere2": ((5, ((0, 40, 0.0, 1.0), (300, 380, 0.0, 0.5))),),
 }
 
 
 def _assert_matches_oracle(tree, level, regions, geometry):
+    # sphere distances go through the chart in the oracle, not in the search
+    tol = 1e-14 if tree.manifold.kind == "sphere2" else 0.0
     for runs, (rep, inner, outer) in zip(regions, geometry):
         want = _region_geometry_oracle(tree, level, runs)
         assert (rep, inner) == want[:2]
-        assert outer == want[2]
+        assert outer == pytest.approx(want[2], rel=0.0, abs=tol)
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
@@ -675,6 +761,23 @@ def test_partition_json_roundtrip():
     assert partition_to_json(q) == text
     assert q.n == p.n
     assert verify_partition(q).passed
+
+
+def test_json_rejects_runs_outside_the_level():
+    # a sphere partition of octahedral triangles, 8 of them at level 1, where
+    # the chart has 4 squares
+    old = (pathlib.Path(__file__).parent / "data" / "sphere_triangle_partition.json").read_text()
+    with pytest.raises(ValueError, match="does not lie in the 4 cells of level 1"):
+        partition_from_json(old)
+    text = partition_to_json(weighted_partition(make("sphere2"), np.array([0.5, 0.3, 0.2])))
+    partition_from_json(text)
+    first = json.loads(text)["regions"][0]["runs"][0]
+    for bad in ([-1, *first[1:]], [first[0], first[0], *first[2:]], [*first[:2], -0.5, first[3]],
+                [*first[:3], 1.5]):
+        doc = json.loads(text)
+        doc["regions"][0]["runs"][0] = bad
+        with pytest.raises(ValueError, match="does not lie in"):
+            partition_from_json(json.dumps(doc))
 
 
 def test_json_rejects_unknown_schema():
