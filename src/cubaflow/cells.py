@@ -175,17 +175,22 @@ _STRETCH = math.sqrt(0.5 * (_T + math.sqrt(_T * _T - 4.0 * math.pi**2)))
 _EDGE_SAMPLES = 33
 
 
+def _grid_points(level: int, pos) -> np.ndarray:
+    """Unit vectors ``(..., 3)`` of chart positions ``(..., 2)`` given in
+    level-cell widths from the corner (-1, -1) of the chart square."""
+    uv = -1.0 + np.asarray(pos, dtype=float) * 2.0 ** (1 - level)
+    return _octa_forward(uv[..., 0], uv[..., 1])
+
+
 def _box_boundary(level: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors ``(k, 4 (_EDGE_SAMPLES - 1), 3)`` sampled around the
     boundaries of chart boxes from corner ``lo`` to ``hi``, ``(k, 2)`` in
     level-cell widths, and each box's slack: no boundary point is farther
     than that from its nearest sample."""
-    w = 2.0 ** (1 - level)
-    (u0, v0), (u1, v1) = (-1.0 + np.asarray(x, dtype=float).T[:, :, None] * w for x in (lo, hi))
-    s = np.arange(_EDGE_SAMPLES - 1) / (_EDGE_SAMPLES - 1)
-    du, dv = u1 - u0, v1 - v0
-    # counter-clockwise from (u0, v0), each corner once
-    u = np.concatenate([u0 + s * du, u1 + 0.0 * s, u1 - s * du, u0 + 0.0 * s], axis=1)
-    v = np.concatenate([v0 + 0.0 * s, v0 + s * dv, v1 + 0.0 * s, v1 - s * dv], axis=1)
-    slack = _STRETCH * np.maximum(du, dv)[:, 0] / (2.0 * (_EDGE_SAMPLES - 1))
-    return _octa_forward(u, v), slack
+    lo, hi = (np.asarray(x, dtype=float)[:, None, :] for x in (lo, hi))
+    u, v = (hi - lo) * [[1.0, 0.0]], (hi - lo) * [[0.0, 1.0]]
+    s = np.arange(_EDGE_SAMPLES - 1)[:, None] / (_EDGE_SAMPLES - 1)
+    # counter-clockwise from lo, each corner once
+    pos = np.concatenate([lo + s * u, lo + u + s * v, hi - s * u, hi - u - s * v], axis=1)
+    slack = _STRETCH * 2.0 ** (1 - level) * np.max(hi - lo, axis=2)[:, 0] / (2.0 * (_EDGE_SAMPLES - 1))
+    return _grid_points(level, pos), slack

@@ -42,9 +42,9 @@ from .cells import (
     _STRETCH,
     _arc,
     _box_boundary,
+    _grid_points,
     _morton_decode,
     _morton_encode,
-    _octa_forward,
     _octa_inverse,
 )
 from .geometry import (
@@ -80,6 +80,8 @@ _DELTA = 0.5
 _CUT_TOL = 1e-12
 # cells close to the cut tolerance make exact measures meaningless
 _MIN_CELL_MEASURE = 1e-9
+# sphere boxes whose boundary samples are held at once
+_BOX_BATCH = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +90,8 @@ _MIN_CELL_MEASURE = 1e-9
 
 @dataclass(frozen=True)
 class _Levels:
-    """Level arithmetic of one manifold's cell family: level 0 is one cell,
-    the whole manifold, and each level splits every cell into
-    ``branching`` cells of equal measure."""
+    """Level arithmetic of one manifold's cell family: level 0 is the whole
+    manifold, and each level splits every cell into ``branching`` equal ones."""
 
     branching: int
     max_depth: int  # deepest buildable level
@@ -187,12 +188,6 @@ class CellTree:
 
     # -- sphere cells: squares of the octahedral chart -------------------
 
-    def _sphere_points(self, level: int, pos) -> np.ndarray:
-        """Unit vectors ``(..., 3)`` of chart positions ``(..., 2)`` given in
-        level-cell widths from the corner (-1, -1) of the chart square."""
-        uv = -1.0 + np.asarray(pos, dtype=float) * 2.0 ** (1 - level)
-        return _octa_forward(uv[..., 0], uv[..., 1])
-
     def _piece_boxes(self, level: int, idx, t0, t1) -> tuple[np.ndarray, np.ndarray]:
         """Corners ``(k, 2)``, in level-cell widths, of the chart boxes of
         sweep pieces [t0, t1] of cells."""
@@ -206,6 +201,10 @@ class CellTree:
         plus the slack, and pi as the farthest where the box holds -z.  A
         box's image is the disk its boundary's image encloses, and the
         distance from z peaks nowhere but at -z."""
+        if len(z) > _BOX_BATCH:
+            return tuple(np.concatenate(x) for x in zip(*(
+                self._sphere_reach(level, *(a[b:b + _BOX_BATCH] for a in (z, lo, hi)))
+                for b in range(0, len(z), _BOX_BATCH))))
         pts, slack = _box_boundary(level, lo, hi)
         d = _arc(z[:, None, :], pts)
         anti = np.column_stack(self._positions(level, sphere_chart_from_ambient(-z)))
@@ -218,7 +217,7 @@ class CellTree:
         the radii its ``_sphere_reach`` (the inner one no less than 0, as on
         thin pieces the slack may pass it)."""
         lo, hi = self._piece_boxes(level, idx, t0, t1)
-        c = sphere_chart_from_ambient(self._sphere_points(level, 0.5 * (lo + hi)))
+        c = sphere_chart_from_ambient(_grid_points(level, 0.5 * (lo + hi)))
         inner, outer = self._sphere_reach(level, charts_to_ambient(self.manifold, c), lo, hi)
         return c, np.maximum(inner, 0.0), outer
 
@@ -228,8 +227,8 @@ class CellTree:
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         if self.manifold.kind == "sphere2":
-            return sphere_chart_from_ambient(self._sphere_points(level, np.column_stack(
-                _morton_decode(idx, level)) + 0.5))
+            pos = np.column_stack(_morton_decode(idx, level)) + 0.5
+            return sphere_chart_from_ambient(_grid_points(level, pos))
         return np.column_stack(
             [self._arc_centers(level, i) for i in self._axes(level, idx)]
         )
@@ -279,16 +278,14 @@ class CellTree:
         return c, inner, outer
 
     def neighbors(self, level: int, idx: int) -> np.ndarray:
-        """Adjacent same-level cells (shared boundary), sorted.  The sphere's
-        square chart is not wrapped: a grid of squares is connected, and
-        its glued edges are never needed."""
+        """Adjacent same-level cells (shared boundary), sorted."""
         self._check_level(level)
         m = 2**level
         if self.manifold.dim == 1:
             return np.asarray(_ring(idx, m), dtype=np.int64)
         i, j = (int(a[0]) for a in _morton_decode(np.asarray([idx]), level))
         pairs = [(x, j) for x in _ring(i, m)] + [(i, y) for y in _ring(j, m)]
-        if self.manifold.kind == "sphere2":
+        if self.manifold.kind == "sphere2":  # its chart square does not wrap
             pairs = [(x, y) for x, y in pairs if abs(x - i) + abs(y - j) == 1]
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         return np.sort(_morton_encode(pairs[:, 0], pairs[:, 1], level))

@@ -16,14 +16,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cells import _STRETCH, _aligned_blocks, _arc, _morton_decode, _morton_encode
+from .cells import _STRETCH, _aligned_blocks, _arc, _grid_points, _morton_decode, _morton_encode
 from .geometry import (
     TWO_PI,
     _circle_dist,
     _wrap_angle,
     charts_to_ambient,
     pairwise_distance,
-    sphere_chart_from_ambient,
 )
 
 if TYPE_CHECKING:
@@ -183,8 +182,7 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
 
 
-def _sphere_extremes(tree: CellTree, level: int, owner, corner, side, z, margin: float,
-                     farthest: bool):
+def _sphere_extremes(level: int, owner, corner, side, z, margin: float, farthest: bool):
     """(owner, cell) of the cells whose centres lie within ``margin`` of the
     centre nearest to (or farthest from) their owner's unit vector, among
     chart squares ``owner`` owns with lower-left ``corner`` ``(k, 2)`` and
@@ -198,7 +196,7 @@ def _sphere_extremes(tree: CellTree, level: int, owner, corner, side, z, margin:
     best = np.full(len(z), np.inf)
     found = [(owner, corner, np.zeros(0))] if not len(side) else []
     while len(side):
-        key = sign * _arc(z[owner], tree._sphere_points(level, corner + 0.5 * side[:, None]))
+        key = sign * _arc(z[owner], _grid_points(level, corner + 0.5 * side[:, None]))
         leaf = side == 1.0
         np.minimum.at(best, owner, np.where(leaf, key, key + reach))
         near = key - (side - 1.0) * reach <= best[owner] + margin
@@ -213,7 +211,7 @@ def _sphere_extremes(tree: CellTree, level: int, owner, corner, side, z, margin:
     return owner[keep], _morton_encode(*corner[keep].astype(np.int64).T, level)
 
 
-def _sphere_centroids(tree: CellTree, level: int, owner, corner, side, n: int):
+def _sphere_centroids(level: int, owner, corner, side, n: int):
     """Directions ``(n, 3)`` of the measure centroids of the chart squares
     each owner owns, or the north pole where one degenerates: the chart's
     Jacobian is constant, so a centroid is the chart integral of the unit
@@ -221,7 +219,7 @@ def _sphere_centroids(tree: CellTree, level: int, owner, corner, side, n: int):
     u, v = (corner[:, k, None] + 0.5 * side[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
     grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
     total, mass = np.zeros((n, 3)), np.zeros(n)
-    np.add.at(total, owner, np.einsum("kabc,a,b,k->kc", tree._sphere_points(level, grid),
+    np.add.at(total, owner, np.einsum("kabc,a,b,k->kc", _grid_points(level, grid),
                                       _GAUSS_W, _GAUSS_W, side**2))
     np.add.at(mass, owner, 4.0 * side**2)
     norm = np.linalg.norm(total, axis=1)
@@ -247,10 +245,10 @@ def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     run, start, exp = _aligned_blocks(lo, hi, level)
     owner, side = own[run], np.ldexp(1.0, exp)
     corner = np.column_stack(_morton_decode(start, level)).astype(float)
-    goal = _sphere_centroids(tree, level, owner, corner, side, nreg)
+    goal = _sphere_centroids(level, owner, corner, side, nreg)
     tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
     pick = np.full(nreg, np.iinfo(np.int64).max)
-    np.minimum.at(pick, *_sphere_extremes(tree, level, owner, corner, side, goal, tol, False))
+    np.minimum.at(pick, *_sphere_extremes(level, owner, corner, side, goal, tol, False))
     has = np.zeros(nreg, dtype=bool)
     has[own] = True
     reps, inner, outer = np.full((nreg, 2), np.nan), np.full(nreg, np.nan), np.full(nreg, -np.inf)
@@ -258,7 +256,7 @@ def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     inner[has] = tree.cell_radii(level, pick[has])[0]
     z = charts_to_ambient(tree.manifold, np.where(has[:, None], reps, 0.0))
     margin = tree.u2 * 2.0**-level + 1e-12
-    far_own, far = _sphere_extremes(tree, level, owner, corner, side, z, margin, True)
+    far_own, far = _sphere_extremes(level, owner, corner, side, z, margin, True)
     boxes = tree._piece_boxes(level, far, 0.0, 1.0)
     np.maximum.at(outer, far_own, tree._sphere_reach(level, z[far_own], *boxes)[1])
     return reps, inner, np.where(has, outer, np.nan)
@@ -399,7 +397,7 @@ def _sphere_outer_misses(tree: CellTree, level: int, reps, reach, own, lo, hi) -
     own, lo, hi = own[live], lo[live], hi[live]
     while len(own):
         spread = _STRETCH * np.hypot(*(hi - lo).T) * w / 2.0
-        near = _arc(z[own], tree._sphere_points(level, 0.5 * (lo + hi))) + spread <= reach[own]
+        near = _arc(z[own], _grid_points(level, 0.5 * (lo + hi))) + spread <= reach[own]
         own, lo, hi = own[~near], lo[~near], hi[~near]
         out = tree._sphere_reach(level, z[own], lo, hi)[1] > reach[own]
         big = hi[:, 1] - lo[:, 1] > 1.0

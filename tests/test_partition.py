@@ -599,10 +599,10 @@ def test_sphere_representatives_hold_under_one_ulp(n, seed):
         if not whole:
             continue
         owner, corner, side = _sphere_region_blocks(level, whole)
-        goal = _sphere_centroids(tree, level, owner, corner, side, 1)
+        goal = _sphere_centroids(level, owner, corner, side, 1)
         goals = np.where(moves == 0.0, goal, np.nextafter(goal, np.copysign(np.inf, moves)))
         owners = np.repeat(np.arange(7), len(side))
-        found = _sphere_extremes(tree, level, owners, np.tile(corner, (7, 1)), np.tile(side, 7),
+        found = _sphere_extremes(level, owners, np.tile(corner, (7, 1)), np.tile(side, 7),
                                  goals, tol, False)
         picks = [found[1][found[0] == k].min() for k in range(7)]
         assert picks == [picks[0]] * 7
@@ -629,7 +629,7 @@ def _centroid_oracle(manifold, charts, meas, tree=None, level=None, whole=None):
     """Measure-weighted mean position, or None when it degenerates; on the
     sphere the Gauss-rule integral of the region's chart squares."""
     if manifold.kind == "sphere2":
-        goal = _sphere_centroids(tree, level, *_sphere_region_blocks(level, whole), 1)
+        goal = _sphere_centroids(level, *_sphere_region_blocks(level, whole), 1)
         return sphere_chart_from_ambient(goal)[0]
     chart = arc_chart(manifold)
     out = []
