@@ -206,6 +206,9 @@ def test_neighbors_symmetric(kind, level):
         for j in tree.neighbors(level, i):
             assert i in tree.neighbors(level, j)
             assert j != i
+    if kind == "sphere2":
+        # the chart square does not wrap, so its corner cell has two neighbours
+        assert list(tree.neighbors(level, 0)) == [1, 2]
 
 
 def test_locate_finds_cell_centers():
@@ -552,7 +555,8 @@ def test_verify_catches_short_outer_ball(kind):
     ("sphere2", [0.6, 0.4]),
 ])
 def test_verify_checks_outer_ball_of_large_regions(kind, weights):
-    """Balls too large to be convex over a block are checked cell by cell."""
+    """Balls too large to be convex over a block are checked cell by cell
+    (on the sphere, box by quartered box)."""
     p = weighted_partition(make(kind), np.array(weights))
     assert verify_partition(p).passed
     for r in range(p.n):
