@@ -10,8 +10,8 @@ gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
 ``verify_partition`` report.  Last come the circle partitions of the MZ
 sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
 0-9, with the weights the ``mz`` workload draws.  Last, sphere partitions
-at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine level
-11, deeper than the benchmark's sphere case (10): one
+at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine
+levels 9 and 11 (the benchmark's sphere case has 9): one
 ``sphere-partition/N<n>/seed<s>`` line each and its
 ``verify/sphere-partition/N<n>/seed<s>`` line.  Then the
 MZ ratios: one ``mz-ratios/<variant>/N<n>/seed<s>`` line per ``MZ_VARIANTS``

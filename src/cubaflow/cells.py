@@ -1,26 +1,29 @@
-"""Index arithmetic of the nested Morton cells, and the sphere's chart.
+"""Index arithmetic of the nested square cells, and the sphere's chart.
 
-Cells of the two-dimensional kinds are squares of a square chart indexed
-in Morton order: bit p of the first axis index goes to bit 2p, of the
-second to bit 2p + 1, so an aligned block of 4^e consecutive indices is a
-square of 2^e by 2^e cells.  The torus squares its angle chart.  The
-sphere squares [-1, 1]^2 under the octahedral equal-area map (Holhos and
-Rosca, Comput. Math. Appl. 67, 2014; Clarberg, J. Graphics Tools 13,
-2008), whose Jacobian is pi everywhere, so each of the 4^k level-k sphere
-cells has measure exactly 4^-k.  Its cells are not geodesic polygons, so
-their radii come from distances to samples along their boundaries, made
-certain by the map's largest stretch.
+Cells of the two-dimensional kinds are squares of a square chart.  The
+torus squares its angle chart and indexes the squares in Morton order:
+bit p of the first axis index goes to bit 2p, of the second to bit
+2p + 1.  The sphere squares [-1, 1]^2 under the octahedral equal-area map
+(Holhos and Rosca, Comput. Math. Appl. 67, 2014; Clarberg, J. Graphics
+Tools 13, 2008), whose Jacobian is pi everywhere, so each of the 4^k
+level-k sphere cells has measure exactly 4^-k, and indexes them along a
+Hilbert curve, whose consecutive squares share an edge.  In both orders
+an aligned block of 4^e consecutive indices is a square of 2^e by 2^e
+cells.  Sphere cells are not geodesic polygons, so their radii come from
+distances to samples along their boundaries, made certain by the map's
+largest stretches along an axis and a diagonal.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Morton index arithmetic
+# Morton and Hilbert index arithmetic
 
 
 # bit masks of the five spread steps: step s moves bits by 2^s
@@ -52,6 +55,44 @@ def _morton_encode(i, j, k: int):
     mask = (1 << k) - 1
     i = _spread(np.asarray(i, dtype=np.int64) & mask)
     return i | (_spread(np.asarray(j, dtype=np.int64) & mask) << 1)
+
+
+def _hilbert_turn(n, i, j, rx, ry):
+    """Orient a sub-square of side n as Hilbert quadrant (rx, ry) needs:
+    transposed in the lower two, also reversed in the lower right."""
+    flip = (rx == 1) & (ry == 0)
+    i, j = np.where(flip, n - 1 - i, i), np.where(flip, n - 1 - j, j)
+    low = ry == 0
+    return np.where(low, j, i), np.where(low, i, j)
+
+
+def _hilbert_decode(h, k: int):
+    """Axis indices (i, j) of Hilbert indices h among 2^k by 2^k squares.
+
+    The curve runs from square (0, 0) to (2^k - 1, 0), consecutive indices
+    are squares sharing an edge, and an aligned block of 4^e indices is a
+    2^e by 2^e square, as in Morton order.
+    """
+    h = np.asarray(h, dtype=np.int64)
+    i, j = np.zeros_like(h), np.zeros_like(h)
+    for s in range(k):
+        rx = (h >> (2 * s + 1)) & 1
+        ry = ((h >> (2 * s)) & 1) ^ rx
+        i, j = _hilbert_turn(np.int64(1) << s, i, j, rx, ry)
+        i, j = i + (rx << s), j + (ry << s)
+    return i, j
+
+
+def _hilbert_encode(i, j, k: int):
+    """Hilbert indices of axis indices (i, j); inverts ``_hilbert_decode``."""
+    n = np.int64(1) << k
+    i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64) % n, np.asarray(j, dtype=np.int64) % n)
+    h = np.zeros_like(i)
+    for s in range(k - 1, -1, -1):
+        rx, ry = (i >> s) & 1, (j >> s) & 1
+        h = h + (((3 * rx) ^ ry) << (2 * s))
+        i, j = _hilbert_turn(n, i, j, rx, ry)
+    return h
 
 
 def _aligned_blocks(lo, hi, top: int):
@@ -95,8 +136,6 @@ def _aligned_blocks(lo, hi, top: int):
     if not np.array_equal(covered, hi - lo):
         raise RuntimeError("aligned blocks do not tile their cell range")
     return run, start, exp
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +189,36 @@ def _octa_inverse(xyz) -> tuple[np.ndarray, np.ndarray]:
     return np.copysign(0.5 * (d - s), x), np.copysign(0.5 * (d + s), y)
 
 
-# Largest stretch of the chart, chart length to arc length.  On the
-# triangle u, v >= 0, u + v <= 1 put r = u + v: the map is Lambert's
-# azimuthal projection, r = sqrt(2) sin(theta / 2) for colatitude theta,
-# with longitude phi = (pi / 2) v / r.  With c = cos(theta / 2) the
-# Jacobian's rows in the (theta, phi) frame are sqrt(2) / c (1, 1) and
-# pi c / (sqrt(2) r) (-v, u): its determinant is pi, and its squared
-# singular values sum to T = 4 / c^2 + (pi^2 c^2 / 2)(u^2 + v^2) / r^2.
-# T peaks on the axes (u^2 + v^2 = r^2) at the equator (c^2 = 1/2) at
-# 8 + pi^2 / 4, so the stretch is at most sqrt((T + sqrt(T^2 - 4 pi^2)) / 2)
-# there, 3.0691.  Sign flips of u and v and the fold (u, v) -> (1 - v, 1 - u)
-# carry the other seven triangles isometrically onto this one, and the map
-# is continuous, so two chart points at distance s along a segment are at
-# most _STRETCH * s apart on the sphere; the inverse stretches by at most
-# _STRETCH / pi, the singular values multiplying to pi.
-_T = 8.0 + 0.25 * math.pi**2
-_STRETCH = math.sqrt(0.5 * (_T + math.sqrt(_T * _T - 4.0 * math.pi**2)))
+# Largest stretches of the chart, chart length to arc length, along an axis
+# and along a diagonal.  On the triangle u, v >= 0, u + v <= 1 put r = u + v:
+# the map is Lambert's azimuthal projection, r = sqrt(2) sin(theta / 2) for
+# colatitude theta, with longitude phi = (pi / 2) v / r.  With c = cos(theta / 2),
+# c^2 in [1/2, 1], the Jacobian's rows in the (theta, phi) frame are
+# sqrt(2) / c (1, 1) and pi c / (sqrt(2) r) (-v, u), its determinant pi.  So
+# |J e_u|^2 = 2 / c^2 + (pi^2 c^2 / 2) v^2 / r^2 <= 2 / c^2 + pi^2 c^2 / 2, convex
+# in c^2 and largest at c^2 = 1: 2 + pi^2 / 2, and likewise |J e_v|.  And
+# |J (1, 1)|^2 <= 8 / c^2 + pi^2 c^2 / 2 peaks at c^2 = 1/2 at 16 + pi^2 / 4,
+# while |J (1, -1)|^2 = pi^2 c^2 / 2.  Sign flips of u and v and the fold
+# (u, v) -> (1 - v, 1 - u) carry the other seven triangles isometrically onto
+# this one, permuting the axes and the diagonals up to sign, and the map is
+# continuous.  So, for a chart box about a centre c:
+# - each point of it at offsets |x|, |y| <= m from c lies within _DIAG m of
+#   the image of c, as |J (x, y)| is convex in (x, y), largest at a corner;
+# - the ball about the image of c of radius (pi / _AXIS) times its smaller
+#   half side lies in its image: a path leaving it must travel that far
+#   along one axis, which costs at least det J / |J e| >= pi / _AXIS per unit
+#   of chart length;
+# - each boundary point lies within _AXIS s / 2 of a sample at spacing s.
+_AXIS = math.sqrt(2.0 + 0.5 * math.pi**2)
+_DIAG = math.sqrt(16.0 + 0.25 * math.pi**2)
 
-# Samples per edge of a chart box.  Every boundary point lies within half a
-# spacing of a sample, so sampled distances are certified up to a slack of
-# _STRETCH * side / (2 (n - 1)).  The smallest inner radius of a box of side
-# h is pi h / (2 _STRETCH), so with 33 samples the slack stays under
-# _STRETCH^2 / (32 pi) < 0.094 of it.
+# Samples per edge of a chart box.  Sampled distances are certified up to a
+# slack of _AXIS side / (2 (n - 1)); the smallest inner radius of a box of
+# side h is pi h / (2 _AXIS), so with 33 samples the slack stays under
+# _AXIS^2 / (32 pi) < 0.07 of it.
 _EDGE_SAMPLES = 33
+# chart boxes whose boundary samples are held at once
+_BOX_BATCH = 256
 
 
 def _grid_points(level: int, pos) -> np.ndarray:
@@ -192,5 +238,42 @@ def _box_boundary(level: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     s = np.arange(_EDGE_SAMPLES - 1)[:, None] / (_EDGE_SAMPLES - 1)
     # counter-clockwise from lo, each corner once
     pos = np.concatenate([lo + s * u, lo + u + s * v, hi - s * u, hi - u - s * v], axis=1)
-    slack = _STRETCH * 2.0 ** (1 - level) * np.max(hi - lo, axis=2)[:, 0] / (2.0 * (_EDGE_SAMPLES - 1))
+    slack = _AXIS * 2.0 ** (1 - level) * np.max(hi - lo, axis=2)[:, 0] / (2.0 * (_EDGE_SAMPLES - 1))
     return _grid_points(level, pos), slack
+
+
+def _box_reach(level: int, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Certified (nearest, farthest) distances from unit vectors ``z``
+    ``(k, 3)`` to the boundaries of chart boxes from corner ``lo`` to
+    ``hi`` ``(k, 2)`` in level-cell widths: the extreme samples less and
+    plus the slack, and pi as the farthest where the box holds -z.  A
+    box's image is the disk its boundary's image encloses, and the
+    distance from z peaks nowhere but at -z."""
+    if len(z) > _BOX_BATCH:
+        return tuple(np.concatenate(x) for x in zip(*(
+            _box_reach(level, *(a[b:b + _BOX_BATCH] for a in (z, lo, hi)))
+            for b in range(0, len(z), _BOX_BATCH))))
+    pts, slack = _box_boundary(level, lo, hi)
+    d = _arc(z[:, None, :], pts)
+    anti = (np.column_stack(_octa_inverse(-z)) + 1.0) * 2.0 ** (level - 1)
+    holds = np.all((lo < anti) & (anti < hi), axis=1)
+    return d.min(axis=1) - slack, np.where(holds, math.pi, d.max(axis=1) + slack)
+
+
+# Levels whose cell radii are measured; deeper levels take the derived
+# bounds, which hold at every level: the inner radius of a cell of side
+# 2 * 2^-k is at least pi / _AXIS 2^-k, its outer at most _DIAG 2^-k, each
+# certified to a slack of _AXIS / (_EDGE_SAMPLES - 1) 2^-k.
+_MEASURED_LEVELS = 5
+_RADII_BOUNDS = (math.pi / _AXIS - _AXIS / (_EDGE_SAMPLES - 1), _DIAG + _AXIS / (_EDGE_SAMPLES - 1))
+
+
+@lru_cache(maxsize=None)
+def _level_radii(level: int) -> tuple[float, float]:
+    """(smallest inner, largest outer) certified radius of the level's
+    cells, in units of 2^-level."""
+    if level > _MEASURED_LEVELS:
+        return _RADII_BOUNDS
+    lo = np.indices((1 << level,) * 2).reshape(2, -1).T.astype(float)
+    inner, outer = _box_reach(level, _grid_points(level, lo + 0.5), lo, lo + 1.0)
+    return float(inner.min()) * 2**level, float(outer.max()) * 2**level

@@ -6,11 +6,13 @@ ellipse is the arc ``[idx w, (idx + 1) w)``, ``w = total / 2^k``, of the
 arc-length chart (:func:`cubaflow.geometry.arc_chart`, the angle itself
 on the circle), and a torus cell is the product of two circle arcs,
 indexed in Morton order.  Their measures, prefix sums and cuts are closed
-forms.  A sphere cell is a Morton square of the octahedral equal-area
-chart (:mod:`cubaflow.cells`), so its measure, prefix sums and cuts are the
-torus's closed forms too; only its distances go through the chart.  A
-level-``k`` cell has a center ``z`` and certified geodesic balls
-``B(z, u1 * 2^-k)`` inside it and ``B(z, u2 * 2^-k)`` around it.
+forms.  A sphere cell is a square of the octahedral equal-area chart
+(:mod:`cubaflow.cells`), indexed along a Hilbert curve, so its measure,
+prefix sums and cuts are the torus's closed forms too; only its distances
+go through the chart.  A level-``k`` cell has a center ``z`` and certified
+geodesic balls ``B(z, u1 * 2^-k)`` inside it and ``B(z, u2 * 2^-k)``
+around it: u1 and u2 are the extremes over levels 1 .. depth, measured on
+the sphere's coarse levels and derived from the chart's stretch below.
 
 ``weighted_partition`` splits the manifold into N regions whose measures
 match a prescribed weight vector exactly.  Large N runs a spanning-tree
@@ -18,7 +20,8 @@ sweep over a coarse level: each node receives material (its own
 fine-level cells plus the unused remainders of its tree children) as a
 linear sequence, takes a maximal affordable set of still-unassigned
 weights, and passes the remainder to its parent; the root absorbs the
-rest exactly.  Regions are contiguous stretches of material: whole fine
+rest exactly.  On the sphere the tree is the Hilbert path, so a region is
+one contiguous stretch of the fine level's curve.  Regions are contiguous stretches of material: whole fine
 cells plus at most one new fractional cut each, so region measures are
 prefix sums plus one linear cut, never a quadrature or a root-find.  Small
 N skips the tree and sweeps one coarse level directly.
@@ -38,11 +41,11 @@ from functools import lru_cache
 import numpy as np
 
 from .cells import (
-    _EDGE_SAMPLES,
-    _STRETCH,
-    _arc,
-    _box_boundary,
+    _box_reach,
     _grid_points,
+    _hilbert_decode,
+    _hilbert_encode,
+    _level_radii,
     _morton_decode,
     _morton_encode,
     _octa_inverse,
@@ -80,8 +83,6 @@ _DELTA = 0.5
 _CUT_TOL = 1e-12
 # cells close to the cut tolerance make exact measures meaningless
 _MIN_CELL_MEASURE = 1e-9
-# sphere boxes whose boundary samples are held at once
-_BOX_BATCH = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +119,12 @@ class CellTree:
     """Nested halving cells for one manifold, levels up to ``depth``.
 
     Cells are implicit: arc arithmetic per axis on the flat kinds (see
-    the module docstring), Morton squares of the octahedral equal-area
-    chart on the sphere (:mod:`cubaflow.cells`).  Every cell exposes a
+    the module docstring), squares of the octahedral equal-area chart in
+    Hilbert order on the sphere (:mod:`cubaflow.cells`).  Every cell exposes a
     sweep coordinate t in [0, 1] along its first axis, along which
     measure-exact cuts are made: the piece [t0, t1] of a cell has measure
     (t1 - t0) times the cell's.
     """
-
-    min_level = 0
 
     manifold: Manifold
     delta: float
@@ -143,8 +142,8 @@ class CellTree:
         return self._lv.branching
 
     def _check_level(self, level: int) -> None:
-        if not (self.min_level <= level <= self.depth):
-            raise ValueError(f"level {level} outside [{self.min_level}, {self.depth}]")
+        if not (0 <= level <= self.depth):
+            raise ValueError(f"level {level} outside [0, {self.depth}]")
 
     def ncells(self, level: int) -> int:
         self._check_level(level)
@@ -175,8 +174,15 @@ class CellTree:
         return self._chart.inverse((i + 0.5) * self._arc_width(level))
 
     def _axes(self, level: int, idx):
-        """Per-axis indices of cells."""
-        return (idx,) if self.manifold.dim == 1 else _morton_decode(idx, level)
+        """Per-axis indices of cells: Morton order on the torus, Hilbert
+        order on the sphere."""
+        if self.manifold.dim == 1:
+            return (idx,)
+        return (_hilbert_decode if self.manifold.kind == "sphere2" else _morton_decode)(idx, level)
+
+    def _index(self, level: int, i, j):
+        """Cells of per-axis indices, inverting ``_axes`` on the 2-D kinds."""
+        return (_hilbert_encode if self.manifold.kind == "sphere2" else _morton_encode)(i, j, level)
 
     def _positions(self, level: int, rows: np.ndarray) -> list[np.ndarray]:
         """Per-axis positions of chart rows ``(k, d)`` in level-cell widths:
@@ -191,35 +197,18 @@ class CellTree:
     def _piece_boxes(self, level: int, idx, t0, t1) -> tuple[np.ndarray, np.ndarray]:
         """Corners ``(k, 2)``, in level-cell widths, of the chart boxes of
         sweep pieces [t0, t1] of cells."""
-        i, j = _morton_decode(idx, level)
+        i, j = self._axes(level, idx)
         return np.column_stack([i + t0, j]), np.column_stack([i + t1, j + 1])
-
-    def _sphere_reach(self, level: int, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Certified (nearest, farthest) distances from unit vectors ``z``
-        ``(k, 3)`` to the boundaries of chart boxes from corner ``lo`` to
-        ``hi`` ``(k, 2)`` in level-cell widths: the extreme samples less and
-        plus the slack, and pi as the farthest where the box holds -z.  A
-        box's image is the disk its boundary's image encloses, and the
-        distance from z peaks nowhere but at -z."""
-        if len(z) > _BOX_BATCH:
-            return tuple(np.concatenate(x) for x in zip(*(
-                self._sphere_reach(level, *(a[b:b + _BOX_BATCH] for a in (z, lo, hi)))
-                for b in range(0, len(z), _BOX_BATCH))))
-        pts, slack = _box_boundary(level, lo, hi)
-        d = _arc(z[:, None, :], pts)
-        anti = np.column_stack(self._positions(level, sphere_chart_from_ambient(-z)))
-        holds = np.all((lo < anti) & (anti < hi), axis=1)
-        return d.min(axis=1) - slack, np.where(holds, math.pi, d.max(axis=1) + slack)
 
     def _sphere_pieces(self, level: int, idx, t0, t1):
         """(center charts, inner radii, outer radii) of sweep pieces of
         sphere cells: the center is the image of the chart box's midpoint,
-        the radii its ``_sphere_reach`` (the inner one no less than 0, as on
-        thin pieces the slack may pass it)."""
+        the radii its ``cells._box_reach`` (the inner one no less than 0, as
+        on thin pieces the slack may pass it)."""
         lo, hi = self._piece_boxes(level, idx, t0, t1)
-        c = sphere_chart_from_ambient(_grid_points(level, 0.5 * (lo + hi)))
-        inner, outer = self._sphere_reach(level, charts_to_ambient(self.manifold, c), lo, hi)
-        return c, np.maximum(inner, 0.0), outer
+        z = _grid_points(level, 0.5 * (lo + hi))
+        inner, outer = _box_reach(level, z, lo, hi)
+        return sphere_chart_from_ambient(z), np.maximum(inner, 0.0), outer
 
     # -- geometry --------------------------------------------------------
 
@@ -227,7 +216,7 @@ class CellTree:
         self._check_level(level)
         idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
         if self.manifold.kind == "sphere2":
-            pos = np.column_stack(_morton_decode(idx, level)) + 0.5
+            pos = np.column_stack(self._axes(level, idx)) + 0.5
             return sphere_chart_from_ambient(_grid_points(level, pos))
         return np.column_stack(
             [self._arc_centers(level, i) for i in self._axes(level, idx)]
@@ -278,17 +267,22 @@ class CellTree:
         return c, inner, outer
 
     def neighbors(self, level: int, idx: int) -> np.ndarray:
-        """Adjacent same-level cells (shared boundary), sorted."""
+        """Same-level cells sharing an edge in the chart, sorted.
+
+        The chart wraps on the circle, the ellipse and the torus.  On the
+        sphere it does not: cells meeting across the square's glued edges
+        are left out.
+        """
         self._check_level(level)
         m = 2**level
         if self.manifold.dim == 1:
             return np.asarray(_ring(idx, m), dtype=np.int64)
-        i, j = (int(a[0]) for a in _morton_decode(np.asarray([idx]), level))
+        i, j = (int(a[0]) for a in self._axes(level, np.asarray([idx])))
         pairs = [(x, j) for x in _ring(i, m)] + [(i, y) for y in _ring(j, m)]
-        if self.manifold.kind == "sphere2":  # its chart square does not wrap
+        if self.manifold.kind == "sphere2":
             pairs = [(x, y) for x, y in pairs if abs(x - i) + abs(y - j) == 1]
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return np.sort(_morton_encode(pairs[:, 0], pairs[:, 1], level))
+        return np.sort(self._index(level, pairs[:, 0], pairs[:, 1]))
 
     def descendants(self, level: int, idx: int, target_level: int) -> tuple[int, int]:
         """Contiguous index range of a cell's descendants at a finer level."""
@@ -308,7 +302,7 @@ class CellTree:
         charts = np.asarray(charts, dtype=float)
         rows = np.atleast_2d(charts)
         axes = [np.minimum(x.astype(np.int64), 2**level - 1) for x in self._positions(level, rows)]
-        cells = axes[0] if self.manifold.dim == 1 else _morton_encode(*axes, level)
+        cells = axes[0] if self.manifold.dim == 1 else self._index(level, *axes)
         return int(cells[0]) if charts.ndim == 1 else cells
 
     def sweep_parameter(self, level: int, idx, charts: np.ndarray):
@@ -330,12 +324,9 @@ def _tree_cached(manifold: Manifold, depth: int) -> CellTree:
         # level-k radii are u * 2^-k: half a cell width, times sqrt(dim) outside
         half = 0.5 * arc_chart(manifold).total
         return CellTree(manifold, _DELTA, depth, half, half * math.sqrt(manifold.dim))
-    # a level-k sphere cell is a chart square of side 2^(1-k): its boundary
-    # lies at least pi / _STRETCH 2^-k from its centre and at most
-    # _STRETCH sqrt(2) 2^-k, and its radii are certified to a slack
-    gap = 1.0 / (_EDGE_SAMPLES - 1)
-    return CellTree(manifold, _DELTA, depth, math.pi / _STRETCH - _STRETCH * gap,
-                    _STRETCH * (math.sqrt(2.0) + gap))
+    # the extreme certified radii of the sphere's levels 1 .. depth
+    inner, outer = zip(*(_level_radii(k) for k in range(1, depth + 1)))
+    return CellTree(manifold, _DELTA, depth, min(inner), max(outer))
 
 
 def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -> CellTree:
@@ -356,7 +347,12 @@ def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Deterministic BFS tree over the adjacency graph of one cell level."""
+    """Deterministic spanning tree of the adjacency graph of one cell level.
+
+    On the flat kinds it is the BFS tree from cell 0.  On the sphere it is
+    the Hilbert curve's path, rooted at its last cell: consecutive cells
+    share an edge, and material swept along it stays contiguous.
+    """
 
     level: int
     root: int
@@ -375,6 +371,10 @@ class SpanningTree:
 
 def spanning_tree(tree: CellTree, level: int) -> SpanningTree:
     n = tree.ncells(level)
+    if tree.manifold.kind == "sphere2":
+        return SpanningTree(level=level, root=n - 1, order=tuple(range(n - 1, -1, -1)),
+                            parent=tuple(range(1, n)) + (-1,),
+                            children=((),) + tuple((c,) for c in range(n - 1)))
     parent = np.full(n, -2, dtype=np.int64)
     parent[0] = -1
     order = [0]

@@ -7,6 +7,8 @@ measure centroid, or its largest piece when it has no whole cell; its
 outer radius reaches the farthest whole cell or piece.  Flat regions find
 both from a few candidate cells per block; sphere regions quarter their
 blocks until the few cells that can be nearest or farthest remain.
+Verification quarters sphere boxes with nothing but the chart's derived
+stretch, independent of the boundary samples that certified the radii.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cells import _STRETCH, _aligned_blocks, _arc, _grid_points, _morton_decode, _morton_encode
+from .cells import (
+    _DIAG,
+    _aligned_blocks,
+    _arc,
+    _box_reach,
+    _grid_points,
+    _morton_decode,
+    _morton_encode,
+)
 from .geometry import (
     TWO_PI,
     _circle_dist,
@@ -30,8 +40,11 @@ if TYPE_CHECKING:
 
 # regions whose block arrays region geometry and verification hold at once
 _REGION_BATCH = 128
-# corner offsets of the four quarters of a chart square, in its sides
+# corners of the unit square: offsets of a chart box's corners in its sides, of
+# its quarters' corners in its half sides
 _QUARTERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+# sphere boxes the outer-ball check quarters down to this side, in cells
+_SMALLEST_BOX = 2.0**-10
 
 
 def _split_runs(runs) -> tuple[list, list]:
@@ -180,19 +193,24 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
 
 # Gauss-Legendre nodes and weights of order 4 on [-1, 1]
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
+# chart side down to which centroid squares on the chart's kinks are
+# quartered, where cells are larger; it keeps centroids within 1e-3 cell
+# widths of a per-cell quadrature
+_KINKED_SIDE = 2.0**-8
 
 
-def _sphere_extremes(level: int, owner, corner, side, z, margin: float, farthest: bool):
+def _sphere_extremes(tree: CellTree, level: int, owner, corner, side, z, margin: float,
+                     farthest: bool):
     """(owner, cell) of the cells whose centres lie within ``margin`` of the
     centre nearest to (or farthest from) their owner's unit vector, among
     chart squares ``owner`` owns with lower-left ``corner`` ``(k, 2)`` and
     ``side`` in level-cell widths.  A square is quartered while one of its
-    cell centres may lie that close: they lie within the chart's stretch
-    times (side - 1) w / sqrt(2) of its centre, and one within the stretch
-    times w / sqrt(2), which bounds the owner's best distance."""
+    cell centres may lie that close: they lie within ``_DIAG`` (side - 1) w / 2
+    of its centre, and one within ``_DIAG`` w / 2, which bounds the owner's
+    best distance."""
     w = 2.0 ** (1 - level)
     sign = -1.0 if farthest else 1.0
-    reach = _STRETCH * w / math.sqrt(2.0) + 1e-12
+    reach = _DIAG * w / 2.0 + 1e-12
     best = np.full(len(z), np.inf)
     found = [(owner, corner, np.zeros(0))] if not len(side) else []
     while len(side):
@@ -208,14 +226,32 @@ def _sphere_extremes(level: int, owner, corner, side, z, margin: float, farthest
         owner = np.repeat(owner[split], 4)
     owner, corner, key = (np.concatenate(x) for x in zip(*found))
     keep = key <= best[owner] + margin
-    return owner[keep], _morton_encode(*corner[keep].astype(np.int64).T, level)
+    return owner[keep], tree._index(level, *corner[keep].astype(np.int64).T)
 
 
 def _sphere_centroids(level: int, owner, corner, side, n: int):
     """Directions ``(n, 3)`` of the measure centroids of the chart squares
     each owner owns, or the north pole where one degenerates: the chart's
     Jacobian is constant, so a centroid is the chart integral of the unit
-    vector, taken by a 4 x 4 Gauss rule per square."""
+    vector, taken by a 4 x 4 Gauss rule per square.  The map is smooth on
+    each of the eight triangles the axes and the fold |u| + |v| = 1 cut the
+    chart into, but only there, and its derivatives grow without bound at
+    the poles, so squares crossing a cut or touching a pole are quartered
+    first, down to a cell or chart side ``_KINKED_SIDE``, the smaller."""
+    w = 2.0 ** (1 - level)
+    finest = min(w, _KINKED_SIDE)
+    smooth = []
+    while len(side):
+        uv = -1.0 + (corner[:, None, :] + _QUARTERS * side[:, None, None]) * w
+        fold = np.abs(uv).sum(axis=2, keepdims=True) - 1.0
+        cuts = np.concatenate([uv, fold], axis=2)
+        split = np.any(cuts.min(axis=1) * cuts.max(axis=1) < 0.0, axis=1)
+        split = (split | np.any(np.abs(fold[..., 0]) == 1.0, axis=1)) & (side * w > finest)
+        smooth.append((owner[~split], corner[~split], side[~split]))
+        half = 0.5 * side[split]
+        corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
+        side, owner = np.repeat(half, 4), np.repeat(owner[split], 4)
+    owner, corner, side = (np.concatenate(x) for x in zip(*smooth))
     u, v = (corner[:, k, None] + 0.5 * side[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
     grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
     total, mass = np.zeros((n, 3)), np.zeros(n)
@@ -234,31 +270,32 @@ def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     The representative is the lowest-index cell among those within 1e-9
     cell widths (the side of a square of a cell's area) of the nearest to
     the measure centroid, so distances equal up to rounding never split a
-    tie.  The outer radius is the farthest ``CellTree._sphere_reach`` of
-    the cells within the level's largest outer radius ``u2 2^-level`` of
-    the farthest centre, as no other can reach farther.  Both searches
-    quarter the regions' aligned blocks, so they visit few cells.
+    tie.  The outer radius is the farthest ``cells._box_reach`` of
+    the cells within ``(u2 - u1) 2^-level`` of the farthest centre: the
+    farthest cell reaches at least its inner radius past its centre, no
+    cell more than its outer radius, so no other can reach farther.  Both
+    searches quarter the regions' aligned blocks, so they visit few cells.
     """
     nreg = len(wholes)
     own, lo, hi = np.array([(r, s, e) for r, ranges in enumerate(wholes) for s, e in ranges],
                            dtype=np.int64).reshape(-1, 3).T
     run, start, exp = _aligned_blocks(lo, hi, level)
     owner, side = own[run], np.ldexp(1.0, exp)
-    corner = np.column_stack(_morton_decode(start, level)).astype(float)
+    corner = np.column_stack([(a >> exp) << exp for a in tree._axes(level, start)]).astype(float)
     goal = _sphere_centroids(level, owner, corner, side, nreg)
     tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
     pick = np.full(nreg, np.iinfo(np.int64).max)
-    np.minimum.at(pick, *_sphere_extremes(level, owner, corner, side, goal, tol, False))
+    np.minimum.at(pick, *_sphere_extremes(tree, level, owner, corner, side, goal, tol, False))
     has = np.zeros(nreg, dtype=bool)
     has[own] = True
     reps, inner, outer = np.full((nreg, 2), np.nan), np.full(nreg, np.nan), np.full(nreg, -np.inf)
     reps[has] = tree.centers_chart(level, pick[has])
     inner[has] = tree.cell_radii(level, pick[has])[0]
     z = charts_to_ambient(tree.manifold, np.where(has[:, None], reps, 0.0))
-    margin = tree.u2 * 2.0**-level + 1e-12
-    far_own, far = _sphere_extremes(level, owner, corner, side, z, margin, True)
+    margin = (tree.u2 - tree.u1) * 2.0**-level + 1e-12
+    far_own, far = _sphere_extremes(tree, level, owner, corner, side, z, margin, True)
     boxes = tree._piece_boxes(level, far, 0.0, 1.0)
-    np.maximum.at(outer, far_own, tree._sphere_reach(level, z[far_own], *boxes)[1])
+    np.maximum.at(outer, far_own, _box_reach(level, z[far_own], *boxes)[1])
     return reps, inner, np.where(has, outer, np.nan)
 
 
@@ -269,7 +306,7 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
     measure centroid, otherwise by its largest cut piece (the first of
     equal ones).  The outer radius covers every whole cell and piece: on
     the flat kinds their centre's distance plus their outer radius, on the
-    sphere their ``CellTree._sphere_reach``.
+    sphere their ``cells._box_reach``.
     """
     nreg = len(region_runs)
     split = [_split_runs(runs) for runs in region_runs]
@@ -292,7 +329,7 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
             reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
         if tree.manifold.kind == "sphere2":
             z = charts_to_ambient(tree.manifold, reps[owner])
-            reach = tree._sphere_reach(level, z, *tree._piece_boxes(level, cells, t0, t1))[1]
+            reach = _box_reach(level, z, *tree._piece_boxes(level, cells, t0, t1))[1]
         else:
             reach = pairwise_distance(tree.manifold, reps[owner], centers) + p_out
         np.maximum.at(outer, owner, reach)
@@ -332,11 +369,11 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     if m.dim == 1:
         b_own, b_lo, b_hi = w_own, w_lo, w_hi
     else:
-        run, b_lo, exp = _aligned_blocks(w_lo, w_hi, level - tree.min_level)
+        run, b_lo, exp = _aligned_blocks(w_lo, w_hi, level)
         b_own, b_hi = w_own[run], b_lo + (np.int64(1) << (2 * exp))
     own = np.concatenate([b_own, q_own])
     if m.kind == "sphere2":
-        i, j = _morton_decode(b_lo, level)
+        i, j = ((a >> exp) << exp for a in tree._axes(level, b_lo))
         side = np.int64(1) << exp
         q_lo, q_hi = tree._piece_boxes(level, q_cell, t0, t1)
         lo = np.concatenate([np.column_stack([i, j]), q_lo])
@@ -384,11 +421,12 @@ def _sphere_outer_misses(tree: CellTree, level: int, reps, reach, own, lo, hi) -
     """Which sphere regions reach outside B(rep, R), from chart boxes ``own``
     owns with corners ``lo`` and ``hi`` ``(k, 2)`` in level-cell widths.
 
-    A box lies in the ball if its centre's distance plus the chart's
-    stretch times its half diagonal does not pass R, or else if its
-    farthest ``CellTree._sphere_reach`` does not.  A block failing both is
-    quartered, as its slack halves with its side, so that boxes the size of
-    a cell or piece decide; one of those failing misses.
+    A box lies in the ball if its centre's distance plus ``_DIAG`` times
+    its larger half side does not pass R.  A box failing that is
+    quartered; it misses once its centre lies outside the ball, or once its
+    side falls below ``_SMALLEST_BOX`` cells undecided.  This takes nothing
+    but the chart's derived stretch, none of the boundary samples that
+    certified the radii.
     """
     z = charts_to_ambient(tree.manifold, reps)
     miss = np.zeros(len(reps), dtype=bool)
@@ -396,15 +434,13 @@ def _sphere_outer_misses(tree: CellTree, level: int, reps, reach, own, lo, hi) -
     live = reach[own] < math.pi
     own, lo, hi = own[live], lo[live], hi[live]
     while len(own):
-        spread = _STRETCH * np.hypot(*(hi - lo).T) * w / 2.0
-        near = _arc(z[own], _grid_points(level, 0.5 * (lo + hi))) + spread <= reach[own]
-        own, lo, hi = own[~near], lo[~near], hi[~near]
-        out = tree._sphere_reach(level, z[own], lo, hi)[1] > reach[own]
-        big = hi[:, 1] - lo[:, 1] > 1.0
-        miss[own[out & ~big]] = True
-        again = out & big & ~miss[own]
-        half = 0.5 * (hi[again] - lo[again])
-        lo = (lo[again][:, None, :] + _QUARTERS * half[:, None, :]).reshape(-1, 2)
-        hi = lo + np.repeat(half, 4, axis=0)
+        half = 0.5 * (hi - lo)
+        d = _arc(z[own], _grid_points(level, lo + half))
+        far = d + _DIAG * half.max(axis=1) * w > reach[own]
+        own, lo, half, d = own[far], lo[far], half[far], d[far]
+        miss[own[(d > reach[own]) | (half.max(axis=1) < 0.5 * _SMALLEST_BOX)]] = True
+        again = ~miss[own]
+        lo = (lo[again][:, None, :] + _QUARTERS * half[again][:, None, :]).reshape(-1, 2)
+        hi = lo + np.repeat(half[again], 4, axis=0)
         own = np.repeat(own[again], 4)
     return miss

@@ -14,10 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubaflow.cells import (
+    _AXIS,
+    _DIAG,
     _EDGE_SAMPLES,
-    _STRETCH,
+    _MEASURED_LEVELS,
+    _RADII_BOUNDS,
     _aligned_blocks,
     _arc,
+    _hilbert_decode,
+    _hilbert_encode,
+    _level_radii,
     _morton_decode,
     _morton_encode,
     _octa_forward,
@@ -73,6 +79,27 @@ def _unmorton_loop(m, k):
     return i, j
 
 
+def _hilbert_loop(h, k):
+    """Textbook Hilbert index to (i, j), one index at a time."""
+    out = []
+    for t in np.ravel(h).tolist():
+        x = y = 0
+        s = 1
+        while s < 2**k:
+            rx = 1 & (t // 2)
+            ry = 1 & (t ^ rx)
+            if ry == 0:
+                if rx == 1:
+                    x, y = s - 1 - x, s - 1 - y
+                x, y = y, x
+            x, y = x + s * rx, y + s * ry
+            t //= 4
+            s *= 2
+        out.append((x, y))
+    i, j = np.array(out, dtype=np.int64).reshape(-1, 2).T
+    return i.reshape(np.shape(h)), j.reshape(np.shape(h))
+
+
 # ---------------------------------------------------------------------------
 # cell trees
 
@@ -80,7 +107,7 @@ def _unmorton_loop(m, k):
 @pytest.mark.parametrize("kind,depth", [("circle", 8), ("torus2", 5), ("sphere2", 4), ("ellipse", 7)])
 def test_level_measures_tile_one(kind, depth):
     tree = build_cell_tree(make(kind), depth=depth)
-    for level in range(tree.min_level, depth + 1):
+    for level in range(depth + 1):
         assert math.fsum(tree.measures(level)) == pytest.approx(1.0, abs=5e-15)
 
 
@@ -113,6 +140,13 @@ def _chart_jacobian(u, v, h=1e-7):
     return np.stack([du, dv], axis=-1)
 
 
+def _axis_and_diagonal_stretch(u, v):
+    """Largest of |J e_u|, |J e_v| and of |J (1, 1)|, |J (1, -1)|."""
+    ju, jv = np.moveaxis(_chart_jacobian(u, v), -1, 0)
+    norm = lambda x: np.linalg.norm(x, axis=-1)
+    return np.maximum(norm(ju), norm(jv)), np.maximum(norm(ju + jv), norm(ju - jv))
+
+
 def test_octa_chart_has_jacobian_pi_and_bounded_stretch():
     rng = np.random.default_rng(6)
     u, v = rng.uniform(-1.0, 1.0, (2, 20_000))
@@ -120,11 +154,13 @@ def test_octa_chart_has_jacobian_pi_and_bounded_stretch():
     ok = np.min(np.abs([u, v, np.abs(u) + np.abs(v) - 1.0]), axis=0) > 1e-5
     sv = np.linalg.svd(_chart_jacobian(u[ok], v[ok]), compute_uv=False)
     assert np.allclose(sv[:, 0] * sv[:, 1], math.pi, rtol=1e-7, atol=0.0)
-    assert sv[:, 0].max() <= _STRETCH * (1.0 + 1e-7)
-    # the stretch peaks on the axes at the equator
+    axis, diag = _axis_and_diagonal_stretch(u[ok], v[ok])
+    assert axis.max() <= _AXIS * (1.0 + 1e-7) and diag.max() <= _DIAG * (1.0 + 1e-7)
+    # the axis stretch peaks at the poles along an axis, the diagonal one
+    # on the axes at the equator
     t = np.linspace(1e-4, 1e-3, 10)
-    peak = np.linalg.svd(_chart_jacobian(1.0 - 2.0 * t, t), compute_uv=False)[:, 0]
-    assert peak.max() == pytest.approx(_STRETCH, rel=1e-3)
+    assert _axis_and_diagonal_stretch(1e-3 * t, t)[0].max() == pytest.approx(_AXIS, rel=1e-3)
+    assert _axis_and_diagonal_stretch(1.0 - 2.0 * t, t)[1].max() == pytest.approx(_DIAG, rel=1e-3)
 
 
 def test_octa_chart_round_trip():
@@ -166,7 +202,7 @@ def test_sphere_radii_bound_dense_boundary(level):
         whole = t1 - t0 == 1.0
         assert np.all(inner[whole] >= tree.u1 * 2.0**-level) and np.all(inner >= 0.0)
         assert np.all(outer <= tree.u2 * 2.0**-level)
-        i, j = _unmorton_loop(idx, level)
+        i, j = _hilbert_loop(idx, level)
         for a in range(0, len(idx), 64):
             k = slice(a, a + 64)
             u = -1.0 + (i[k, None] + t0[k, None] + bu * (t1 - t0)[k, None]) * w
@@ -174,6 +210,20 @@ def test_sphere_radii_bound_dense_boundary(level):
             d = _arc(charts_to_ambient(tree.manifold, c[k])[:, None, :], _octa_forward(u, v))
             assert np.all(d[:, :4 * 1025].min(axis=1) >= inner[k])
             assert np.all(d.max(axis=1) <= outer[k])
+
+
+def test_level_radii_are_the_extremes_of_every_cell():
+    """The measured levels' extremes are those of ``cell_radii``, and the
+    derived bounds of the deeper levels hold at them."""
+    tree = build_cell_tree(make("sphere2"), depth=_MEASURED_LEVELS + 1)
+    for level in range(1, _MEASURED_LEVELS + 1):
+        inner, outer = tree.cell_radii(level, np.arange(tree.ncells(level)))
+        assert _level_radii(level) == (inner.min() * 2**level, outer.max() * 2**level)
+        assert _RADII_BOUNDS[0] <= _level_radii(level)[0] < _level_radii(level)[1] <= _RADII_BOUNDS[1]
+    assert _level_radii(_MEASURED_LEVELS + 1) == _RADII_BOUNDS
+    u = [_level_radii(k) for k in range(1, _MEASURED_LEVELS + 2)]
+    assert (tree.u1, tree.u2) == (min(a for a, _ in u), max(b for _, b in u))
+    assert build_cell_tree(make("sphere2"), depth=1).u2 == _level_radii(1)[1]
 
 
 def test_sphere_locate_inverts_centers():
@@ -208,13 +258,13 @@ def test_neighbors_symmetric(kind, level):
             assert j != i
     if kind == "sphere2":
         # the chart square does not wrap, so its corner cell has two neighbours
-        assert list(tree.neighbors(level, 0)) == [1, 2]
+        assert list(tree.neighbors(level, 0)) == sorted(_hilbert_encode([1, 0], [0, 1], level))
 
 
 def test_locate_finds_cell_centers():
     for kind in ("circle", "torus2", "sphere2", "ellipse"):
         tree = build_cell_tree(make(kind), depth=3)
-        level = max(tree.min_level, 3)
+        level = 3
         centers = tree.centers_chart(level, np.arange(tree.ncells(level)))
         for idx in range(tree.ncells(level)):
             assert tree.locate(level, centers[idx]) == idx
@@ -228,6 +278,25 @@ def test_morton_matches_bit_loop():
         assert all(np.array_equal(a, b) for a, b in zip(_morton_decode(m, k), (i, j)))
         assert np.array_equal(_morton_encode(i, j, k), m)
         assert np.array_equal(_morton_loop(i, j, k), m)
+
+
+def test_hilbert_matches_loop_and_walks_edge_to_edge():
+    rng = np.random.default_rng(8)
+    for k in (*range(10), 14, 20):
+        h = np.arange(4**k) if k <= 7 else rng.integers(0, 4**k, 20_000)
+        i, j = _hilbert_decode(h, k)
+        assert all(np.array_equal(a, b) for a, b in zip((i, j), _hilbert_loop(h, k)))
+        assert np.array_equal(_hilbert_encode(i, j, k), h)
+        if k > 7:
+            continue
+        # it starts at (0, 0), ends at (2^k - 1, 0) and steps to a neighbour
+        assert (i[0], j[0], i[-1], j[-1]) == (0, 0, 2**k - 1, 0)
+        assert np.all(np.abs(np.diff(i)) + np.abs(np.diff(j)) == 1)
+        # aligned blocks of 4^e indices are aligned squares of side 2^e
+        for e in range(k + 1):
+            for axis in (i.reshape(-1, 4**e), j.reshape(-1, 4**e)):
+                assert np.all(axis.min(axis=1) % 2**e == 0)
+                assert np.all(axis.max(axis=1) - axis.min(axis=1) == 2**e - 1)
 
 
 def test_aligned_blocks_tile_morton_range():
@@ -296,7 +365,7 @@ def test_locate_batch_matches_brute_force(kind, level):
         amb = charts_to_ambient(m, charts)
         u, v = _octa_inverse(amb)
         w = 2.0 / 2**level
-        i, j = _unmorton_loop(cells, level)
+        i, j = _hilbert_loop(cells, level)
         for x, k in ((u, i), (v, j)):
             assert np.all((-1.0 + k * w <= x + 1e-15) & (x <= -1.0 + (k + 1) * w + 1e-15))
     else:
@@ -396,10 +465,20 @@ def test_spanning_tree_counts(kind, level, ncells):
     st_ = spanning_tree(tree, level)
     assert st_.nodes == ncells
     assert st_.edges == ncells - 1
-    assert st_.root == 0
-    # every non-root node hangs off its parent
+    assert st_.root == st_.order[0] == (ncells - 1 if kind == "sphere2" else 0)
+    # every non-root node hangs off its parent, a neighbour
     for node in st_.order[1:]:
         assert node in st_.children[st_.parent[node]]
+        assert st_.parent[node] in tree.neighbors(level, node)
+
+
+def test_sphere_spanning_tree_is_the_hilbert_path():
+    tree = build_cell_tree(make("sphere2"), depth=4)
+    for level in (1, 2, 4):
+        n = tree.ncells(level)
+        st_ = spanning_tree(tree, level)
+        assert st_.parent == tuple(range(1, n)) + (-1,)
+        assert all(c + 1 in tree.neighbors(level, c) for c in range(n - 1))
 
 
 def test_exact_cut_endpoints_and_half():
@@ -566,6 +645,25 @@ def test_verify_checks_outer_ball_of_large_regions(kind, weights):
         assert rep.notes == (f"outer ball of region {r} too small",)
 
 
+def test_sphere_outer_check_is_independent_and_tight(monkeypatch):
+    """The sphere outer-ball check takes no boundary samples, and catches a
+    radius short by a tenth of a cell width, less than the sampling slack."""
+    p = weighted_partition(make("sphere2"), random_band_weights(16, 0.5, 2.0, 7))
+
+    def no_samples(*args):
+        raise AssertionError("verification sampled a box boundary")
+
+    monkeypatch.setattr("cubaflow.regions._box_reach", no_samples)
+    monkeypatch.setattr("cubaflow.partition._box_reach", no_samples)
+    assert verify_partition(p).passed
+    for r in (0, 7, 15):
+        regions = list(p.regions)
+        short = regions[r].outer_radius - 0.1 * 2.0**-p.fine_level
+        regions[r] = dataclasses.replace(regions[r], outer_radius=short)
+        rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+        assert rep.notes == (f"outer ball of region {r} too small",)
+
+
 def test_branches_by_size():
     assert weighted_partition(make("circle"), np.full(4, 0.25)).branch == "direct"
     assert weighted_partition(make("circle"), np.full(64, 1.0 / 64)).branch == "tree"
@@ -606,7 +704,7 @@ def test_sphere_representatives_hold_under_one_ulp(n, seed):
         goal = _sphere_centroids(level, owner, corner, side, 1)
         goals = np.where(moves == 0.0, goal, np.nextafter(goal, np.copysign(np.inf, moves)))
         owners = np.repeat(np.arange(7), len(side))
-        found = _sphere_extremes(level, owners, np.tile(corner, (7, 1)), np.tile(side, 7),
+        found = _sphere_extremes(tree, level, owners, np.tile(corner, (7, 1)), np.tile(side, 7),
                                  goals, tol, False)
         picks = [found[1][found[0] == k].min() for k in range(7)]
         assert picks == [picks[0]] * 7
@@ -625,15 +723,29 @@ def _sphere_region_blocks(level, whole):
     blocks tiling one region's whole-cell ranges."""
     lo, hi = np.array(whole).T
     _, start, exp = _aligned_blocks(lo, hi, level)
-    corner = np.column_stack(_morton_decode(start, level)).astype(float)
+    corner = np.column_stack([(a >> exp) << exp for a in _hilbert_loop(start, level)]).astype(float)
     return np.zeros(len(start), dtype=np.int64), corner, np.ldexp(1.0, exp)
 
 
-def _centroid_oracle(manifold, charts, meas, tree=None, level=None, whole=None):
-    """Measure-weighted mean position, or None when it degenerates; on the
-    sphere the Gauss-rule integral of the region's chart squares."""
+def _centroid_oracle(manifold, charts, meas, level=None, cells=None, whole=None):
+    """Measure-weighted mean position, or None when it degenerates.
+
+    On the sphere it is the sum over the region's cells of a 3 x 3 Gauss
+    rule per square of side at most 2^-6 in the chart, which must agree
+    with ``_sphere_centroids`` to 1e-3 2^-level; the search then starts
+    from the latter, so that the representative can be compared exactly.
+    """
     if manifold.kind == "sphere2":
+        x, wt = np.polynomial.legendre.leggauss(3)
+        sub = 2 ** max(0, 7 - level)
+        q = (np.arange(sub)[:, None] + 0.5 * (1.0 + x)).ravel() / sub
+        wt = np.tile(wt, sub)
+        i, j = _hilbert_loop(cells, level)
+        u, v = (-1.0 + (a[:, None, None] + b) * 2.0 / 2**level
+                for a, b in ((i, q[:, None]), (j, q[None, :])))
+        total = np.einsum("kabc,a,b->c", _octa_forward(*np.broadcast_arrays(u, v)), wt, wt)
         goal = _sphere_centroids(level, *_sphere_region_blocks(level, whole), 1)
+        assert _arc(goal[0], total / np.linalg.norm(total)) <= 1e-3 * 2.0**-level
         return sphere_chart_from_ambient(goal)[0]
     chart = arc_chart(manifold)
     out = []
@@ -658,7 +770,7 @@ def _sphere_box_reach(z, level, lo, hi):
     a = np.array(_octa_inverse(-z))
     if u0 < a[0] < u1 and v0 < a[1] < v1:
         return math.pi
-    return float(_arc(z, _octa_forward(u, v)).max()) + _STRETCH * max(u1 - u0, v1 - v0) / (2 * n)
+    return float(_arc(z, _octa_forward(u, v)).max()) + _AXIS * max(u1 - u0, v1 - v0) / (2 * n)
 
 
 def _region_geometry_oracle(tree, level, runs):
@@ -678,7 +790,7 @@ def _region_geometry_oracle(tree, level, runs):
         cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
         centers = tree.centers_chart(level, cells)
         meas = np.full(len(cells), 1.0 / tree.ncells(level))
-        centroid = _centroid_oracle(m, centers, meas, tree, level, whole)
+        centroid = _centroid_oracle(m, centers, meas, level, cells, whole)
         if centroid is None:
             pick = 0
         else:
@@ -695,7 +807,7 @@ def _region_geometry_oracle(tree, level, runs):
             z = charts_to_ambient(m, rep[None, :])[0]
             far = cells[d >= d.max() - tree.u2 * 2.0**-level]
             outer_r = max(_sphere_box_reach(z, level, (i, j), (i + 1, j + 1))
-                          for i, j in zip(*_unmorton_loop(far, level)))
+                          for i, j in zip(*_hilbert_loop(far, level)))
         else:
             outer_r = float(np.max(d + tree.cell_radii(level, cells)[1]))
     else:
@@ -703,7 +815,7 @@ def _region_geometry_oracle(tree, level, runs):
         rep, inner_r, _ = tree.piece_geometry(level, *best)
     for c, t0, t1 in partials:
         if sphere:
-            i, j = _unmorton_loop(np.array(c), level)
+            i, j = _hilbert_loop(np.array(c), level)
             z = charts_to_ambient(m, np.asarray(rep)[None, :])[0]
             outer_r = max(outer_r, _sphere_box_reach(z, level, (i + t0, j), (i + t1, j + 1)))
             continue
