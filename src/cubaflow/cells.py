@@ -1,15 +1,13 @@
 """Index arithmetic of the nested square cells, and the sphere's chart.
 
-Cells of the two-dimensional kinds are squares of a square chart.  The
-torus squares its angle chart and indexes the squares in Morton order:
-bit p of the first axis index goes to bit 2p, of the second to bit
-2p + 1.  The sphere squares [-1, 1]^2 under the octahedral equal-area map
-(Holhos and Rosca, Comput. Math. Appl. 67, 2014; Clarberg, J. Graphics
-Tools 13, 2008), whose Jacobian is pi everywhere, so each of the 4^k
-level-k sphere cells has measure exactly 4^-k, and indexes them along a
-Hilbert curve, whose consecutive squares share an edge.  In both orders
-an aligned block of 4^e consecutive indices is a square of 2^e by 2^e
-cells.  Sphere cells are not geodesic polygons, so their radii come from
+Cells of the two-dimensional kinds are squares of a square chart, indexed
+along a Hilbert curve: consecutive squares share an edge, and an aligned
+block of 4^e consecutive indices is a square of 2^e by 2^e cells.  The
+torus squares its angle chart.  The sphere squares [-1, 1]^2 under the
+octahedral equal-area map (Holhos and Rosca, Comput. Math. Appl. 67,
+2014; Clarberg, J. Graphics Tools 13, 2008), whose Jacobian is pi
+everywhere, so each of the 4^k level-k sphere cells has measure exactly
+4^-k.  Sphere cells are not geodesic polygons, so their radii come from
 distances to samples along their boundaries, made certain by the map's
 largest stretches along an axis and a diagonal.
 """
@@ -23,38 +21,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Morton and Hilbert index arithmetic
-
-
-# bit masks of the five spread steps: step s moves bits by 2^s
-_BITS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-         0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
-
-
-def _spread(v):
-    """Move bit p of v (p < 32) to bit 2p."""
-    for s in range(4, -1, -1):
-        v = (v | (v << (1 << s))) & _BITS[s]
-    return v
-
-
-def _compact(v):
-    """Move bit 2p of v to bit p, dropping odd bits; inverts ``_spread``."""
-    v = v & _BITS[0]
-    for s in range(5):
-        v = (v | (v >> (1 << s))) & _BITS[s + 1]
-    return v
-
-
-def _morton_decode(m, k: int):
-    m = np.asarray(m, dtype=np.int64) & ((1 << 2 * k) - 1)
-    return _compact(m), _compact(m >> 1)
-
-
-def _morton_encode(i, j, k: int):
-    mask = (1 << k) - 1
-    i = _spread(np.asarray(i, dtype=np.int64) & mask)
-    return i | (_spread(np.asarray(j, dtype=np.int64) & mask) << 1)
+# Hilbert index arithmetic
 
 
 def _hilbert_turn(n, i, j, rx, ry):
@@ -66,20 +33,62 @@ def _hilbert_turn(n, i, j, rx, ry):
     return np.where(low, j, i), np.where(low, i, j)
 
 
+def _orient(state, i, j):
+    """Bits (i, j) under a sub-square orientation: bit 0 of ``state``
+    transposes, bit 1 reverses both axes.  The four orientations (identity,
+    transpose, half turn, anti-transpose) compose by xor."""
+    swap, flip = state & 1, state >> 1
+    return np.where(swap, j, i) ^ flip, np.where(swap, i, j) ^ flip
+
+
+def _hilbert_tables():
+    """Top-down decode tables of 4 Hilbert levels at once, indexed by
+    ``state << 8 | digits``: the i bits, the j bits and the next state,
+    already shifted to its place in the next key.  The one-level table is
+    read off ``_hilbert_turn``: digit d puts its quadrant (rx, ry) under
+    the current orientation and turns the orientation by the one that
+    carries the bit pairs as the quadrant's turn does."""
+    a, b = np.indices((2, 2)).reshape(2, -1)
+    turn = []
+    for d in range(4):
+        rx, ry = d >> 1, (d & 1) ^ (d >> 1)
+        want = _hilbert_turn(2, a, b, rx, ry)
+        turn.append(next(t for t in range(4) if np.array_equal(_orient(t, a, b), want)))
+    turn = np.asarray(turn, dtype=np.int64)
+    key = np.arange(4 << 8, dtype=np.int64)
+    state, i, j = key >> 8, np.zeros_like(key), np.zeros_like(key)
+    for s in range(3, -1, -1):
+        d = (key >> 2 * s) & 3
+        bi, bj = _orient(state, d >> 1, (d & 1) ^ (d >> 1))
+        i, j, state = (i << 1) | bi, (j << 1) | bj, state ^ turn[d]
+    return i, j, state << 8
+
+
+_HILBERT_I, _HILBERT_J, _HILBERT_NEXT = _hilbert_tables()
+
+
 def _hilbert_decode(h, k: int):
-    """Axis indices (i, j) of Hilbert indices h among 2^k by 2^k squares.
+    """Axis indices (i, j) of level-k Hilbert indices h among 2^k by 2^k
+    squares.
 
     The curve runs from square (0, 0) to (2^k - 1, 0), consecutive indices
     are squares sharing an edge, and an aligned block of 4^e indices is a
-    2^e by 2^e square, as in Morton order.
+    2^e by 2^e square.  The decode reads 4 levels at a time from the top:
+    padded to 4 ceil(k / 4) levels, h gains leading zero digits, each of
+    which transposes, so it starts transposed when their count is odd.
     """
     h = np.asarray(h, dtype=np.int64)
+    top = -(-k // 4) * 4
     i, j = np.zeros_like(h), np.zeros_like(h)
-    for s in range(k):
-        rx = (h >> (2 * s + 1)) & 1
-        ry = ((h >> (2 * s)) & 1) ^ rx
-        i, j = _hilbert_turn(np.int64(1) << s, i, j, rx, ry)
-        i, j = i + (rx << s), j + (ry << s)
+    state = np.full_like(h, ((top - k) & 1) << 8)
+    for shift in range(2 * top - 8, -1, -8):
+        key = (h >> shift) & 255
+        key |= state
+        i <<= 4
+        i |= _HILBERT_I.take(key)
+        j <<= 4
+        j |= _HILBERT_J.take(key)
+        state = _HILBERT_NEXT.take(key)
     return i, j
 
 
@@ -100,8 +109,9 @@ def _aligned_blocks(lo, hi, top: int):
 
     Returns ``(run, start, exp)`` sorted by run and start: block b holds
     cells ``start .. start + 4**exp`` of range ``run``, with ``start`` a
-    multiple of ``4**exp`` and ``exp <= top``.  A Morton block is an
-    aligned square of cells.
+    multiple of ``4**exp`` and ``exp <= top``.  A block is an aligned
+    square of 2^exp by 2^exp cells, whose lower-left corner is any of its
+    cells' axis indices rounded down to a multiple of 2^exp.
     Each range splits into at most 3 blocks per side and level below
     ``top``, plus its whole ``4**top`` units.
     """

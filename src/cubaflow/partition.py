@@ -4,27 +4,28 @@ Each model manifold carries a nested family of cells.  Flat cells are
 dyadic arcs in arc length: a level-``k`` cell of the circle or the
 ellipse is the arc ``[idx w, (idx + 1) w)``, ``w = total / 2^k``, of the
 arc-length chart (:func:`cubaflow.geometry.arc_chart`, the angle itself
-on the circle), and a torus cell is the product of two circle arcs,
-indexed in Morton order.  Their measures, prefix sums and cuts are closed
-forms.  A sphere cell is a square of the octahedral equal-area chart
-(:mod:`cubaflow.cells`), indexed along a Hilbert curve, so its measure,
-prefix sums and cuts are the torus's closed forms too; only its distances
-go through the chart.  A level-``k`` cell has a center ``z`` and certified
-geodesic balls ``B(z, u1 * 2^-k)`` inside it and ``B(z, u2 * 2^-k)``
-around it: u1 and u2 are the extremes over levels 1 .. depth, measured on
-the sphere's coarse levels and derived from the chart's stretch below.
+on the circle), and a torus cell is the product of two circle arcs.  A
+sphere cell is a square of the octahedral equal-area chart
+(:mod:`cubaflow.cells`).  Both two-dimensional kinds index their squares
+along a Hilbert curve, so consecutive indices share an edge on every
+kind.  Measures, prefix sums and cuts are closed forms on every kind;
+only sphere distances go through the chart.  A level-``k`` cell has a
+center ``z`` and certified geodesic balls ``B(z, u1 * 2^-k)`` inside it
+and ``B(z, u2 * 2^-k)`` around it: u1 and u2 are the extremes over
+levels 1 .. depth, measured on the sphere's coarse levels and derived
+from the chart's stretch below.
 
 ``weighted_partition`` splits the manifold into N regions whose measures
 match a prescribed weight vector exactly.  Large N runs a spanning-tree
 sweep over a coarse level: each node receives material (its own
-fine-level cells plus the unused remainders of its tree children) as a
-linear sequence, takes a maximal affordable set of still-unassigned
-weights, and passes the remainder to its parent; the root absorbs the
-rest exactly.  On the sphere the tree is the Hilbert path, so a region is
-one contiguous stretch of the fine level's curve.  Regions are contiguous stretches of material: whole fine
-cells plus at most one new fractional cut each, so region measures are
-prefix sums plus one linear cut, never a quadrature or a root-find.  Small
-N skips the tree and sweeps one coarse level directly.
+fine-level cells plus the unused remainder of its child) as a linear
+sequence, takes a maximal affordable set of still-unassigned weights, and
+passes the remainder to its parent; the root absorbs the rest exactly.
+The tree is the path of the coarse cells in index order, so a region is
+one contiguous stretch of the fine level's cells: whole fine cells plus
+at most one new fractional cut, so region measures are prefix sums plus
+one linear cut, never a quadrature or a root-find.  Small N skips the
+tree and sweeps one coarse level directly.
 
 Cell index arithmetic and the sphere's chart live in
 :mod:`cubaflow.cells`; region representatives, radii and the outer-ball
@@ -46,8 +47,6 @@ from .cells import (
     _hilbert_decode,
     _hilbert_encode,
     _level_radii,
-    _morton_decode,
-    _morton_encode,
     _octa_inverse,
 )
 from .geometry import (
@@ -77,7 +76,8 @@ __all__ = [
     "partition_from_json",
 ]
 
-SCHEMA_VERSION = 1
+# version 2: torus cell indices name squares along the Hilbert curve
+SCHEMA_VERSION = 2
 
 _DELTA = 0.5
 _CUT_TOL = 1e-12
@@ -109,21 +109,16 @@ def _levels(manifold: Manifold) -> _Levels:
     return _Levels(branching, max_depth, 22 if manifold.dim == 1 else 12)
 
 
-def _ring(i: int, m: int) -> list[int]:
-    """Neighbours of arc i among m arcs closing a circle."""
-    return sorted({(i - 1) % m, (i + 1) % m} - {i})
-
-
 @dataclass(frozen=True)
 class CellTree:
     """Nested halving cells for one manifold, levels up to ``depth``.
 
     Cells are implicit: arc arithmetic per axis on the flat kinds (see
-    the module docstring), squares of the octahedral equal-area chart in
-    Hilbert order on the sphere (:mod:`cubaflow.cells`).  Every cell exposes a
-    sweep coordinate t in [0, 1] along its first axis, along which
-    measure-exact cuts are made: the piece [t0, t1] of a cell has measure
-    (t1 - t0) times the cell's.
+    the module docstring) and squares of the octahedral equal-area chart
+    on the sphere, the squares of both 2-D kinds in Hilbert order
+    (:mod:`cubaflow.cells`).  Every cell exposes a sweep coordinate t in
+    [0, 1] along its first axis, along which measure-exact cuts are made:
+    the piece [t0, t1] of a cell has measure (t1 - t0) times the cell's.
     """
 
     manifold: Manifold
@@ -174,15 +169,13 @@ class CellTree:
         return self._chart.inverse((i + 0.5) * self._arc_width(level))
 
     def _axes(self, level: int, idx):
-        """Per-axis indices of cells: Morton order on the torus, Hilbert
-        order on the sphere."""
-        if self.manifold.dim == 1:
-            return (idx,)
-        return (_hilbert_decode if self.manifold.kind == "sphere2" else _morton_decode)(idx, level)
+        """Per-axis indices of cells: the index itself on one axis, the
+        Hilbert square's axis indices on two."""
+        return (idx,) if self.manifold.dim == 1 else _hilbert_decode(idx, level)
 
     def _index(self, level: int, i, j):
         """Cells of per-axis indices, inverting ``_axes`` on the 2-D kinds."""
-        return (_hilbert_encode if self.manifold.kind == "sphere2" else _morton_encode)(i, j, level)
+        return _hilbert_encode(i, j, level)
 
     def _positions(self, level: int, rows: np.ndarray) -> list[np.ndarray]:
         """Per-axis positions of chart rows ``(k, d)`` in level-cell widths:
@@ -266,24 +259,6 @@ class CellTree:
             return c[0], float(inner[0]), float(outer[0])
         return c, inner, outer
 
-    def neighbors(self, level: int, idx: int) -> np.ndarray:
-        """Same-level cells sharing an edge in the chart, sorted.
-
-        The chart wraps on the circle, the ellipse and the torus.  On the
-        sphere it does not: cells meeting across the square's glued edges
-        are left out.
-        """
-        self._check_level(level)
-        m = 2**level
-        if self.manifold.dim == 1:
-            return np.asarray(_ring(idx, m), dtype=np.int64)
-        i, j = (int(a[0]) for a in self._axes(level, np.asarray([idx])))
-        pairs = [(x, j) for x in _ring(i, m)] + [(i, y) for y in _ring(j, m)]
-        if self.manifold.kind == "sphere2":
-            pairs = [(x, y) for x, y in pairs if abs(x - i) + abs(y - j) == 1]
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        return np.sort(self._index(level, pairs[:, 0], pairs[:, 1]))
-
     def descendants(self, level: int, idx: int, target_level: int) -> tuple[int, int]:
         """Contiguous index range of a cell's descendants at a finer level."""
         self._check_level(level)
@@ -347,11 +322,12 @@ def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Deterministic spanning tree of the adjacency graph of one cell level.
+    """Spanning tree of the adjacency graph of one cell level: the path of
+    the cells in index order, rooted at the last cell.
 
-    On the flat kinds it is the BFS tree from cell 0.  On the sphere it is
-    the Hilbert curve's path, rooted at its last cell: consecutive cells
-    share an edge, and material swept along it stays contiguous.
+    Consecutive cells share an edge on every kind (neighbouring arcs, or
+    neighbouring squares of the Hilbert curve), and material swept along
+    the path stays contiguous.
     """
 
     level: int
@@ -371,34 +347,9 @@ class SpanningTree:
 
 def spanning_tree(tree: CellTree, level: int) -> SpanningTree:
     n = tree.ncells(level)
-    if tree.manifold.kind == "sphere2":
-        return SpanningTree(level=level, root=n - 1, order=tuple(range(n - 1, -1, -1)),
-                            parent=tuple(range(1, n)) + (-1,),
-                            children=((),) + tuple((c,) for c in range(n - 1)))
-    parent = np.full(n, -2, dtype=np.int64)
-    parent[0] = -1
-    order = [0]
-    head = 0
-    while head < len(order):
-        cur = order[head]
-        head += 1
-        for nb in tree.neighbors(level, cur):
-            nb = int(nb)
-            if parent[nb] == -2:
-                parent[nb] = cur
-                order.append(nb)
-    if len(order) != n:
-        raise RuntimeError("cell adjacency graph is disconnected")
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return SpanningTree(
-        level=level,
-        root=0,
-        order=tuple(order),
-        parent=tuple(int(p) for p in parent),
-        children=tuple(tuple(c) for c in children),
-    )
+    return SpanningTree(level=level, root=n - 1, order=tuple(range(n - 1, -1, -1)),
+                        parent=tuple(range(1, n)) + (-1,),
+                        children=((),) + tuple((c,) for c in range(n - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ independent check of their outer balls.
 A region is a list of runs of fine cells (see ``partition.Region``): whole
 cells plus cut pieces.  Its representative is the whole cell nearest its
 measure centroid, or its largest piece when it has no whole cell; its
-outer radius reaches the farthest whole cell or piece.  Flat regions find
-both from a few candidate cells per block; sphere regions quarter their
-blocks until the few cells that can be nearest or farthest remain.
+outer radius reaches the farthest whole cell or piece.  Whole cells are
+taken as blocks: arcs on the circle and the ellipse, and on the torus and
+the sphere aligned squares, whose corners come from the Hilbert axes of
+their first cell.  Flat regions find both from a few candidate cells per
+block; sphere regions quarter their blocks until the few cells that can
+be nearest or farthest remain.
 Verification quarters sphere boxes with nothing but the chart's derived
 stretch, independent of the boundary samples that certified the radii.
 """
@@ -24,8 +27,6 @@ from .cells import (
     _arc,
     _box_reach,
     _grid_points,
-    _morton_decode,
-    _morton_encode,
 )
 from .geometry import (
     TWO_PI,
@@ -157,8 +158,8 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
         run, start, exp = _aligned_blocks(lo, hi, level)
         owner, offset = owner[run], offset[run] + start - lo[run]
         side = np.int64(1) << exp
-        box = [(a, a + side) for a in _morton_decode(start, level)]
-        local = lambda cells, row: (_morton_encode(cells[0][:, :, None], cells[1][:, None, :], level)
+        box = [(a, a + side) for a in [(x >> exp) << exp for x in tree._axes(level, start)]]
+        local = lambda cells, row: (tree._index(level, cells[0][:, :, None], cells[1][:, None, :])
                                     - start[row][:, None, None]).reshape(len(row), 4)
 
     # nearest cell to the centroid; a degenerate centroid keeps the first cell
@@ -371,13 +372,13 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     else:
         run, b_lo, exp = _aligned_blocks(w_lo, w_hi, level)
         b_own, b_hi = w_own[run], b_lo + (np.int64(1) << (2 * exp))
+        corner = [(a >> exp) << exp for a in tree._axes(level, b_lo)]
+        side = np.int64(1) << exp
     own = np.concatenate([b_own, q_own])
     if m.kind == "sphere2":
-        i, j = ((a >> exp) << exp for a in tree._axes(level, b_lo))
-        side = np.int64(1) << exp
         q_lo, q_hi = tree._piece_boxes(level, q_cell, t0, t1)
-        lo = np.concatenate([np.column_stack([i, j]), q_lo])
-        hi = np.concatenate([np.column_stack([i + side, j + side]), q_hi])
+        lo = np.concatenate([np.column_stack(corner), q_lo])
+        hi = np.concatenate([np.column_stack(corner) + side[:, None], q_hi])
         return _sphere_outer_misses(tree, level, reps, reach, own, lo.astype(float), hi)
 
     # per-axis arc-length ends of every box
@@ -386,9 +387,8 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
         block_ends = [(b_lo * w, b_hi * w)]
         piece_ends = [(q_cell * w + t0 * w, q_cell * w + t1 * w)]
     else:
-        side = np.int64(1) << exp
-        block_ends = [(a * w, (a + side) * w) for a in _morton_decode(b_lo, level)]
-        i, j = _morton_decode(q_cell, level)
+        block_ends = [(a * w, (a + side) * w) for a in corner]
+        i, j = tree._axes(level, q_cell)
         piece_ends = [(i * w + t0 * w, i * w + t1 * w), (j * w, (j + 1) * w)]
     ends = [np.stack([np.concatenate(x) for x in zip(b, q)], axis=1)
             for b, q in zip(block_ends, piece_ends)]

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ from cubaflow.cells import (
     _hilbert_decode,
     _hilbert_encode,
     _level_radii,
-    _morton_decode,
-    _morton_encode,
     _octa_forward,
     _octa_inverse,
 )
@@ -38,6 +37,7 @@ from cubaflow.geometry import (
     sphere_chart_from_ambient,
 )
 from cubaflow.partition import (
+    SCHEMA_VERSION,
     _affordable,
     build_cell_tree,
     exact_cut,
@@ -59,24 +59,6 @@ from cubaflow.weights import WeightVector, random_band_weights
 
 def make(kind):
     return Manifold("ellipse", 2.0, 1.0) if kind == "ellipse" else Manifold(kind)
-
-
-def _morton_loop(i, j, k):
-    """Bit-by-bit Morton interleave, bit p of i to 2p and of j to 2p + 1."""
-    m = np.zeros_like(i)
-    for p in range(k):
-        m |= ((i >> p) & 1) << (2 * p)
-        m |= ((j >> p) & 1) << (2 * p + 1)
-    return m
-
-
-def _unmorton_loop(m, k):
-    i = np.zeros_like(m)
-    j = np.zeros_like(m)
-    for p in range(k):
-        i |= ((m >> (2 * p)) & 1) << p
-        j |= ((m >> (2 * p + 1)) & 1) << p
-    return i, j
 
 
 def _hilbert_loop(h, k):
@@ -249,18 +231,6 @@ def test_build_rejects_bad_input():
         build_cell_tree(make("sphere2"), depth=15)
 
 
-@pytest.mark.parametrize("kind,level", [("circle", 4), ("torus2", 3), ("sphere2", 2), ("ellipse", 4)])
-def test_neighbors_symmetric(kind, level):
-    tree = build_cell_tree(make(kind), depth=level)
-    for i in range(tree.ncells(level)):
-        for j in tree.neighbors(level, i):
-            assert i in tree.neighbors(level, j)
-            assert j != i
-    if kind == "sphere2":
-        # the chart square does not wrap, so its corner cell has two neighbours
-        assert list(tree.neighbors(level, 0)) == sorted(_hilbert_encode([1, 0], [0, 1], level))
-
-
 def test_locate_finds_cell_centers():
     for kind in ("circle", "torus2", "sphere2", "ellipse"):
         tree = build_cell_tree(make(kind), depth=3)
@@ -268,16 +238,6 @@ def test_locate_finds_cell_centers():
         centers = tree.centers_chart(level, np.arange(tree.ncells(level)))
         for idx in range(tree.ncells(level)):
             assert tree.locate(level, centers[idx]) == idx
-
-
-def test_morton_matches_bit_loop():
-    rng = np.random.default_rng(5)
-    for k in (*range(15), 20, 31):
-        m = np.arange(4**k) if k <= 9 else rng.integers(0, 4**k, 20_000)
-        i, j = _unmorton_loop(m, k)
-        assert all(np.array_equal(a, b) for a, b in zip(_morton_decode(m, k), (i, j)))
-        assert np.array_equal(_morton_encode(i, j, k), m)
-        assert np.array_equal(_morton_loop(i, j, k), m)
 
 
 def test_hilbert_matches_loop_and_walks_edge_to_edge():
@@ -299,7 +259,7 @@ def test_hilbert_matches_loop_and_walks_edge_to_edge():
                 assert np.all(axis.max(axis=1) - axis.min(axis=1) == 2**e - 1)
 
 
-def test_aligned_blocks_tile_morton_range():
+def test_aligned_blocks_tile_cell_range():
     rng = np.random.default_rng(12)
     for level in range(1, 13):
         n = 4**level
@@ -316,9 +276,9 @@ def test_aligned_blocks_tile_morton_range():
             cells = np.concatenate([np.arange(a, a + b) for a, b in zip(start[mine], size[mine])])
             assert np.array_equal(cells, np.arange(lo[r], hi[r]))
             assert mine.sum() <= 6 * level
-        # every block is an aligned square of side 2^exp in the torus grid
+        # every block is an aligned square of side 2^exp in the Hilbert grid
         for a, e in zip(start[:60], exp[:60]):
-            i, j = _morton_decode(np.arange(a, a + 4**e), level)
+            i, j = _hilbert_decode(np.arange(a, a + 4**e), level)
             for axis in (i, j):
                 assert axis.min() % 2**e == 0
                 assert axis.max() - axis.min() + 1 == 2**e
@@ -372,8 +332,7 @@ def test_locate_batch_matches_brute_force(kind, level):
         chart = arc_chart(m)
         w = chart.total / 2**level
         axes = [np.array([math.floor(chart.forward(float(x)) / w) for x in col]) for col in charts.T]
-        expect = axes[0] if m.dim == 1 else _morton_loop(axes[0], axes[1], level)
-        assert np.array_equal(cells, expect)
+        assert np.array_equal((cells,) if m.dim == 1 else _hilbert_loop(cells, level), axes)
     t = tree.sweep_parameter(level, cells, charts)
     assert t.shape == (500,)
     assert np.all((t >= -1e-12) & (t <= 1.0 + 1e-12))
@@ -461,24 +420,23 @@ def test_u_constants_flats():
     [("circle", 3, 8), ("torus2", 2, 16), ("sphere2", 1, 4), ("ellipse", 3, 8)],
 )
 def test_spanning_tree_counts(kind, level, ncells):
-    tree = build_cell_tree(make(kind), depth=level)
-    st_ = spanning_tree(tree, level)
-    assert st_.nodes == ncells
-    assert st_.edges == ncells - 1
-    assert st_.root == st_.order[0] == (ncells - 1 if kind == "sphere2" else 0)
-    # every non-root node hangs off its parent, a neighbour
-    for node in st_.order[1:]:
-        assert node in st_.children[st_.parent[node]]
-        assert st_.parent[node] in tree.neighbors(level, node)
-
-
-def test_sphere_spanning_tree_is_the_hilbert_path():
-    tree = build_cell_tree(make("sphere2"), depth=4)
-    for level in (1, 2, 4):
-        n = tree.ncells(level)
-        st_ = spanning_tree(tree, level)
+    """Every kind's tree is the path of its cells in index order, rooted at
+    the last cell, and consecutive cells share an edge: across the chart's
+    wrap on the flat kinds, inside the chart square on the sphere."""
+    tree = build_cell_tree(make(kind), depth=level + 3)
+    assert tree.ncells(level) == ncells
+    for lev in range(level, level + 4):
+        n = tree.ncells(lev)
+        st_ = spanning_tree(tree, lev)
+        assert (st_.nodes, st_.edges) == (n, n - 1)
+        assert st_.root == st_.order[0] == n - 1
         assert st_.parent == tuple(range(1, n)) + (-1,)
-        assert all(c + 1 in tree.neighbors(level, c) for c in range(n - 1))
+        for node in st_.order[1:]:
+            assert node in st_.children[st_.parent[node]]
+        step = np.abs(np.diff(np.array(tree._axes(lev, np.arange(n))), axis=1))
+        if kind != "sphere2":
+            step = np.minimum(step, 2**lev - step)
+        assert np.all(step.sum(axis=0) == 1)
 
 
 def test_exact_cut_endpoints_and_half():
@@ -662,6 +620,47 @@ def test_sphere_outer_check_is_independent_and_tight(monkeypatch):
         regions[r] = dataclasses.replace(regions[r], outer_radius=short)
         rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
         assert rep.notes == (f"outer ball of region {r} too small",)
+
+
+@lru_cache(maxsize=None)
+def _band_partition(kind, n, seed):
+    m = Manifold("ellipse", 3.0, 1.0) if kind == "ellipse3" else make(kind)
+    return weighted_partition(m, random_band_weights(n, 0.5, 2.0, seed))
+
+
+# tree-branch inputs of every kind, among them the benchmark's partition cases
+SWEEP_INPUTS = [("circle", 128), ("circle", 1024), ("ellipse3", 128), ("torus2", 100),
+                ("torus2", 256), ("sphere2", 16), ("sphere2", 40)]
+
+
+@pytest.mark.parametrize("kind,n", SWEEP_INPUTS)
+def test_region_runs_join_end_to_end(kind, n):
+    """The tree sweeps the cells in index order, so each region's runs join
+    end to end: run r ends at the fine-level position where run r + 1
+    starts."""
+    for seed in (7, 8, 9):
+        p = _band_partition(kind, n, seed)
+        assert p.branch == "tree"
+        for reg in p.regions:
+            for (_, stop, _, t_last), (start, _, t_first, _) in zip(reg.runs, reg.runs[1:]):
+                assert stop - 1 + t_last == start + t_first
+
+
+# the benchmark's partition cases, weights seeds 7-9: (largest c4, smallest c3)
+# frozen from their values with headroom
+C4_BOUNDS_C3_FLOORS = {("torus2", 128): (9.0, 0.17), ("torus2", 256): (9.0, 0.12),
+                       ("circle", 1024): (4.0, 0.16), ("ellipse3", 128): (9.0, 0.33),
+                       ("sphere2", 16): (6.0, 0.02)}
+
+
+@pytest.mark.parametrize("kind,n", list(C4_BOUNDS_C3_FLOORS))
+def test_tree_partition_radius_constants(kind, n):
+    """Regions stay inside outer balls of radius about N^(-1/d): c4 is
+    bounded on every kind, and c3 keeps its floor."""
+    bound, floor = C4_BOUNDS_C3_FLOORS[kind, n]
+    for seed in (7, 8, 9):
+        p = _band_partition(kind, n, seed)
+        assert p.c4 <= bound and p.c3 >= floor, (seed, p.c3, p.c4)
 
 
 def test_branches_by_size():
@@ -880,10 +879,10 @@ def test_partition_json_roundtrip():
 
 
 def test_json_rejects_runs_outside_the_level():
-    # a sphere partition of octahedral triangles, 8 of them at level 1, where
-    # the chart has 4 squares
+    # a version-1 sphere partition of octahedral triangles, 8 of them at
+    # level 1, where the chart has 4 squares: the schema check refuses it
     old = (pathlib.Path(__file__).parent / "data" / "sphere_triangle_partition.json").read_text()
-    with pytest.raises(ValueError, match="does not lie in the 4 cells of level 1"):
+    with pytest.raises(ValueError, match="unsupported partition schema version"):
         partition_from_json(old)
     text = partition_to_json(weighted_partition(make("sphere2"), np.array([0.5, 0.3, 0.2])))
     partition_from_json(text)
@@ -899,9 +898,19 @@ def test_json_rejects_runs_outside_the_level():
 def test_json_rejects_unknown_schema():
     w = random_band_weights(4, 0.5, 2.0, 1)
     p = weighted_partition(make("circle"), w)
-    text = partition_to_json(p).replace('"schema_version": 1', '"schema_version": 99')
+    text = partition_to_json(p).replace(f'"schema_version": {SCHEMA_VERSION}', '"schema_version": 99')
     with pytest.raises(ValueError):
         partition_from_json(text)
+
+
+def test_json_rejects_version_one_torus():
+    """Version 1 indexed torus squares in another order, so its runs would
+    name the wrong cells."""
+    p = weighted_partition(make("torus2"), random_band_weights(12, 0.5, 2.0, 21))
+    doc = json.loads(partition_to_json(p))
+    doc["schema_version"] = 1
+    with pytest.raises(ValueError, match="unsupported partition schema version"):
+        partition_from_json(json.dumps(doc))
 
 
 def test_verify_catches_tampered_runs():
