@@ -439,6 +439,18 @@ def test_spanning_tree_counts(kind, level, ncells):
         assert np.all(step.sum(axis=0) == 1)
 
 
+def test_sphere_spanning_tree_is_the_hilbert_path():
+    """The sphere's tree is the Hilbert path of its octahedral cells, and
+    consecutive cells share an edge of the chart square."""
+    tree = build_cell_tree(make("sphere2"), depth=4)
+    for level in (1, 2, 4):
+        n = tree.ncells(level)
+        st_ = spanning_tree(tree, level)
+        assert st_.parent == tuple(range(1, n)) + (-1,)
+        step = np.abs(np.diff(np.array(tree._axes(level, np.arange(n))), axis=1))
+        assert np.all(step.sum(axis=0) == 1)
+
+
 def test_exact_cut_endpoints_and_half():
     tree = build_cell_tree(make("circle"), depth=2)
     mu = float(tree.measures(1)[0])
