@@ -136,6 +136,8 @@ def _cmd_solve(args) -> int:
     summary = [
         f"manifold {manifold.descriptor()}  space {args.space}  L {args.L:g}  N {w.n}",
         f"mode {args.mode}  restarts used {rule.stats['restarts_used']}",
+        f"stop reason {rule.stats['stop_reason']}  restarts by reason: "
+        + ", ".join(f"{k} {v}" for k, v in rule.stats["stop_reasons"].items()),
         f"residual_linf {rule.residual_linf:.6e}",
         f"residual_l2 {rule.residual_l2:.6e}",
         f"converged {rule.converged}",

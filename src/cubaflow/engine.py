@@ -69,6 +69,13 @@ SOLVER_MODES = ("flow", "descent")
 # restart of the "flow" mode
 _MAX_NEWTON_ITERS = 500
 _FLOW_ROUNDS = 8
+# a descent restart stops once its best max residual has not halved over
+# this many iterations; converging restarts need 7-32 iterations in all
+_STAGNATION_WINDOW = 50
+# bound on the stacked gradient array of one lockstep chunk of restarts
+_LOCKSTEP_BYTES = 1 << 25
+# why a restart stopped, as recorded in the rule stats
+STOP_REASONS = ("converged", "stagnated", "damping exhausted", "iteration cap")
 
 # quadrature band inflation for integrands with absolute values (not
 # band-limited; the reference grids converge at second order on them)
@@ -194,15 +201,22 @@ def _weight_values(weights) -> np.ndarray:
 
 
 def residual_vector(space, points, weights) -> np.ndarray:
-    """r_k = sum_j w_j phi_k(x_j) over the space's basis."""
+    """r_k = sum_j w_j phi_k(x_j) over the space's basis.
+
+    ``points`` is one (n, c) node set, or a (k, n, c) stack of node sets
+    sharing the weights, giving a (k, dim) stack of residuals from one
+    basis evaluation; each row equals the single set's residual bit for
+    bit.
+    """
     space = _as_space(space)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = _weight_values(weights)
-    if len(pts) != len(w):
+    if pts.shape[-2] != len(w):
         raise ValueError("points and weights lengths differ")
-    if pts.shape[1] != space.manifold.dim:
+    if pts.shape[-1] != space.manifold.dim:
         raise ValueError("chart arity does not match the space's manifold")
-    return space.evaluate(pts).T @ w
+    vals = space.evaluate(pts.reshape(-1, pts.shape[-1]))
+    return vals.reshape(*pts.shape[:-1], -1).swapaxes(-1, -2) @ w
 
 
 def residual_norms(r: np.ndarray) -> tuple[float, float]:
@@ -417,69 +431,143 @@ def _uniform_points(manifold: Manifold, n: int, rng: np.random.Generator):
     return chart.inverse(rng.uniform(0.0, chart.total, n))[:, None]
 
 
-def _descent(space, pts, w, cfg: FlowConfig):
-    """Damped Gauss-Newton on the residual with retraction updates.
+def _jacobians(space, pts, w):
+    """Weighted residual Jacobians of a (k, n, c) stack of node sets.
+
+    Returns the (k, dim, n * dof) stack and, on the sphere, the (k, n, 3)
+    tangent frames its columns refer to.  The basis is evaluated once on
+    all k n points.  Each slice has the memory layout of a single set's
+    Jacobian, because BLAS rounds a product of a transposed operand
+    differently.
+    """
+    k, n, c = pts.shape
+    flat = pts.reshape(-1, c)
+    g = space.gradients(flat)  # (k n, m, tdim)
+    m = g.shape[1]
+    if space.manifold.kind != "sphere2":
+        jac = (g.reshape(k, n, m, -1) * w[:, None, None]).transpose(0, 2, 1, 3)
+        return jac.reshape(k, m, -1), None
+    e1, e2 = sphere_tangent_frame(flat)
+    j1 = np.einsum("nmt,nt->nm", g, e1).reshape(k, n, m)
+    j2 = np.einsum("nmt,nt->nm", g, e2).reshape(k, n, m)
+    jac = np.concatenate([j1 * w[:, None], j2 * w[:, None]], axis=1).transpose(0, 2, 1)
+    return jac, (e1.reshape(k, n, 3), e2.reshape(k, n, 3))
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray):
+    """Solve each slice a_i z_i = b_i; returns z and a mask of the solvable slices.
+
+    A stacked solve raises when any slice is singular, so that case
+    retries slice by slice and leaves the others unaffected.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        z, ok = np.zeros(b.shape), np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                z[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return z, ok
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, one dot product per row as np.linalg.norm takes."""
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
+def _descent(space, starts, w, cfg: FlowConfig):
+    """Damped Gauss-Newton on the residual for a stack of restarts in lockstep.
 
     The step solves the damped dual normal equations, i.e. the
     minimum-norm update of the node displacements; with far more node
     degrees of freedom than basis elements this generically drives the
     residual to machine precision.
+
+    ``starts`` is a (k, n, c) stack of seed sets.  Each step evaluates
+    the basis once on every active restart's points and makes one stacked
+    solve per damping trial.  Each restart keeps its own damping, accepted
+    state and best iterate, and every stacked product equals the single
+    restart's one bit for bit, so a restart's result does not depend on
+    the others in its stack.  A restart stops when its max residual
+    reaches tol / 1000 ("converged"), when no damping trial lowers its
+    residual norm ("damping exhausted"), when its best max residual has
+    not halved over the last ``_STAGNATION_WINDOW`` iterations
+    ("stagnated"), or after ``_MAX_NEWTON_ITERS`` ("iteration cap").
+    Returns the best points and residuals, and per restart the iteration
+    count and the stop reason.
     """
     mf = space.manifold
-    sphere = mf.kind == "sphere2"
-    pts = np.array(pts, dtype=float)
+    pts = np.array(starts, dtype=float)
+    k, n, c = pts.shape
     r = residual_vector(space, pts, w)
     best_pts, best_r = pts.copy(), r.copy()
-    mu = 1e-8
-    iters = 0
-    for iters in range(1, _MAX_NEWTON_ITERS + 1):
-        if np.max(np.abs(r)) <= cfg.tol * 1e-3 or mu > 1e12:
+    # best max residual after each iteration, for the stagnation window
+    best_hist = np.empty((_MAX_NEWTON_ITERS + 1, k))
+    best_hist[0] = np.max(np.abs(r), axis=1)
+    mu = np.full(k, 1e-8)
+    iters = np.full(k, _MAX_NEWTON_ITERS)
+    reasons = ["iteration cap"] * k
+    active = np.arange(k)
+    diag = np.arange(space.dim)
+    for it in range(1, _MAX_NEWTON_ITERS + 1):
+        conv = np.max(np.abs(r[active]), axis=1) <= cfg.tol * 1e-3
+        damp = ~conv & (mu[active] > 1e12)
+        stag = np.zeros_like(conv)
+        if it > _STAGNATION_WINDOW:
+            window = best_hist[[it - 1, it - 1 - _STAGNATION_WINDOW]][:, active]
+            stag = ~(conv | damp) & (window[0] > 0.5 * window[1])
+        for mask, reason in ((conv, "converged"), (damp, "damping exhausted"),
+                             (stag, "stagnated")):
+            for i in active[mask]:
+                iters[i], reasons[i] = it, reason
+        active = active[~(conv | damp | stag)]
+        if len(active) == 0:
             break
-        g = space.gradients(pts)  # (n, m, tdim)
-        if sphere:
-            e1, e2 = sphere_tangent_frame(pts)
-            j1 = np.einsum("nmt,nt->nm", g, e1)
-            j2 = np.einsum("nmt,nt->nm", g, e2)
-            jac = np.concatenate([j1 * w[:, None], j2 * w[:, None]], axis=0).T
-        else:
-            dof = g.shape[2]
-            jac = (g * w[:, None, None]).transpose(1, 0, 2).reshape(
-                space.dim, len(pts) * dof
-            )
-        gram = jac @ jac.T
-        diag = np.diag_indices_from(gram)
-        accepted = False
+        x = pts[active]
+        jac, frames = _jacobians(space, x, w)
+        gram = jac @ jac.transpose(0, 2, 1)
+        trying = np.ones(len(active), dtype=bool)
         for _ in range(12):
-            a = gram.copy()
-            a[diag] += mu
-            try:
-                z = np.linalg.solve(a, r)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                continue
-            step = -(jac.T @ z)
-            if sphere:
-                half = len(pts)
-                disp = step[:half, None] * e1 + step[half:, None] * e2
-            else:
-                disp = step.reshape(len(pts), -1)
-                if disp.shape[1] == 1:
-                    disp = disp[:, 0]
-            trial = move_points(mf, pts, disp)
-            tr = residual_vector(space, trial, w)
-            if np.linalg.norm(tr) < np.linalg.norm(r):
-                pts, r = trial, tr
-                mu = max(mu / 3.0, 1e-14)
-                accepted = True
+            sel = np.flatnonzero(trying)
+            if len(sel) == 0:
                 break
-            mu *= 10.0
-        if not accepted:
-            break
-        if np.max(np.abs(r)) < np.max(np.abs(best_r)):
-            best_pts, best_r = pts.copy(), r.copy()
-    if np.max(np.abs(r)) < np.max(np.abs(best_r)):
-        best_pts, best_r = pts, r
-    return best_pts, best_r, iters
+            rows = active[sel]
+            a = gram[sel]
+            a[:, diag, diag] += mu[rows, None]
+            z_sel, ok = _solve_stack(a, r[rows])
+            mu[rows[~ok]] *= 10.0
+            sel, rows = sel[ok], rows[ok]
+            if len(sel) == 0:
+                continue
+            # steps for the whole stack keep each Jacobian slice in its own layout
+            z = np.zeros((len(active), space.dim))
+            z[sel] = z_sel[ok]
+            step = -(jac.transpose(0, 2, 1) @ z[..., None])[sel, :, 0]
+            if frames is None:
+                disp = step.reshape(len(sel) * n, -1)
+            else:
+                e1, e2 = frames[0][sel], frames[1][sel]
+                disp = (step[:, :n, None] * e1 + step[:, n:, None] * e2).reshape(-1, 3)
+            trial = move_points(mf, x[sel].reshape(-1, c), disp).reshape(len(sel), n, c)
+            tr = residual_vector(space, trial, w)
+            better = _norms(tr) < _norms(r[rows])
+            acc = rows[better]
+            pts[acc], r[acc] = trial[better], tr[better]
+            mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
+            mu[rows[~better]] *= 10.0
+            trying[sel[better]] = False
+        for i in active[trying]:
+            iters[i], reasons[i] = it, "damping exhausted"
+        active = active[~trying]
+        linf = np.max(np.abs(r[active]), axis=1)
+        gain = linf < best_hist[it - 1, active]
+        best_hist[it] = best_hist[it - 1]
+        best_hist[it, active[gain]] = linf[gain]
+        gain = active[gain]
+        best_pts[gain], best_r[gain] = pts[gain], r[gain]
+    return best_pts, best_r, iters.tolist(), reasons
 
 
 def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float):
@@ -502,15 +590,38 @@ def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float):
     r = residual_vector(space, pts, w)
     for _ in range(_FLOW_ROUNDS):
         if np.max(np.abs(r)) <= cfg.tol:
-            break
-        if np.linalg.norm(r) == 0.0:
-            break
+            return pts, r, "converged"
         res = flow_run(space, -r, pts, run_cfg, weights=w)
         new_r = residual_vector(space, res.endpoints, w)
         if np.linalg.norm(new_r) >= np.linalg.norm(r):
-            break
+            return pts, r, "stagnated"
         pts, r = res.endpoints, new_r
-    return pts, r
+    return pts, r, "iteration cap"
+
+
+def _restart_runs(space, seeds, w, cfg: FlowConfig, horizon: float):
+    """Yield (points, residual, Newton iterations, stop reason) per restart, in order.
+
+    ``seeds(i)`` gives restart i's starting nodes.  Descent runs restarts
+    in lockstep chunks of 1, 1, 2, 4, 8, ... restarts, each chunk's
+    stacked gradient array capped at ``_LOCKSTEP_BYTES``; a consumer that
+    stops early leaves the later chunks unrun.  Flow restarts run one by
+    one.
+    """
+    if cfg.mode == "flow":
+        for i in range(cfg.restarts):
+            pts, r, reason = _flow_phase(space, seeds(i), w, cfg, horizon)
+            yield pts, r, 0, reason
+        return
+    n, m = len(w), space.dim
+    tdim = 3 if space.manifold.kind == "sphere2" else space.manifold.dim
+    cap = max(1, _LOCKSTEP_BYTES // (n * m * tdim * 8))
+    start = 0
+    while start < cfg.restarts:
+        size = min(max(start, 1), cap)  # 1, 1, 2, 4, 8, ...
+        chunk = range(start, min(start + size, cfg.restarts))
+        yield from zip(*_descent(space, np.stack([seeds(i) for i in chunk]), w, cfg))
+        start = chunk.stop
 
 
 def solve(
@@ -549,27 +660,24 @@ def solve(
         part.c4, b_hi, n, d
     )
 
-    best = None
-    used_restarts = 0
-    for i in range(cfg.restarts):
-        used_restarts = i + 1
+    def seeds(i):
         if i == 0:
-            pts = part.representatives()
-        else:
-            rng = np.random.default_rng((cfg.seed, i))
-            pts = _uniform_points(manifold, n, rng)
-        iters = 0
-        if cfg.mode == "flow":
-            pts, r = _flow_phase(space, pts, w, cfg, horizon)
-        else:
-            pts, r, iters = _descent(space, pts, w, cfg)
+            return part.representatives()
+        return _uniform_points(manifold, n, np.random.default_rng((cfg.seed, i)))
+
+    best = None
+    reasons = dict.fromkeys(STOP_REASONS, 0)
+    for i, (pts, r, iters, reason) in enumerate(
+        _restart_runs(space, seeds, w, cfg, horizon)
+    ):
+        reasons[reason] += 1
         linf = float(np.max(np.abs(r)))
         if best is None or linf < best[0]:
-            best = (linf, pts, r, iters)
+            best = (linf, pts, r, iters, reason)
         if linf <= cfg.tol:
             break
 
-    linf, pts, r, iters = best
+    linf, pts, r, iters, reason = best
     l2 = float(np.linalg.norm(r))
     return CubatureRule(
         manifold=manifold,
@@ -584,8 +692,10 @@ def solve(
         seed=cfg.seed,
         stats={
             "mode": cfg.mode,
-            "restarts_used": used_restarts,
+            "restarts_used": i + 1,
             "newton_iters_last": iters,
+            "stop_reason": reason,
+            "stop_reasons": reasons,
             "horizon": horizon,
             "partition_branch": part.branch,
             "partition_c4": part.c4,

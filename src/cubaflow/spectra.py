@@ -38,6 +38,14 @@ from .geometry import Manifold, TWO_PI, arc_chart
 _EPS = 1e-9  # slack for "frequency <= band" comparisons on float bands
 
 
+def _alternate(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Interleave two (n, p) column blocks into the (n, 2p) cos/sin column order."""
+    out = np.empty((len(even), 2 * even.shape[1]))
+    out[:, 0::2] = even
+    out[:, 1::2] = odd
+    return out
+
+
 class SpectralSpace:
     """Orthonormal eigenbasis of a model manifold up to a frequency band.
 
@@ -77,7 +85,6 @@ class SpectralSpace:
                 self.freqs.append(k * base_freq)
         self._base_freq = base_freq
         self._ks = np.asarray([lab[0] for lab in self.labels], dtype=float)
-        self._is_cos = np.asarray([lab[1] == "cos" for lab in self.labels])
 
     def _init_torus(self):
         kmax = int(math.floor(self.band + _EPS))
@@ -98,7 +105,6 @@ class SpectralSpace:
                 self.labels.append((k1, k2, kindtag))
                 self.freqs.append(lam)
         self._kvecs = np.asarray([(lab[0], lab[1]) for lab in self.labels], dtype=float)
-        self._is_cos = np.asarray([lab[2] == "cos" for lab in self.labels])
 
     def _init_sphere(self):
         lmax = 0
@@ -131,11 +137,11 @@ class SpectralSpace:
         kind = self.manifold.kind
         if self.manifold.dim == 1:
             s = self._arc_coordinate(charts)
-            phase = np.outer(s, self._ks * self._base_freq)
-            return math.sqrt(2.0) * np.where(self._is_cos[None, :], np.cos(phase), np.sin(phase))
+            phase = np.outer(s, self._ks[0::2] * self._base_freq)
+            return math.sqrt(2.0) * _alternate(np.cos(phase), np.sin(phase))
         if kind == "torus2":
-            phase = charts @ self._kvecs.T
-            return math.sqrt(2.0) * np.where(self._is_cos[None, :], np.cos(phase), np.sin(phase))
+            phase = (charts @ self._kvecs.T)[:, 0::2]
+            return math.sqrt(2.0) * _alternate(np.cos(phase), np.sin(phase))
         vals, _ = self._sphere_eval(charts, want_grad=False)
         return vals
 
@@ -145,13 +151,12 @@ class SpectralSpace:
         if self.manifold.dim == 1:
             s = self._arc_coordinate(charts)
             freqs = self._ks * self._base_freq
-            phase = np.outer(s, freqs)
-            g = math.sqrt(2.0) * freqs[None, :] * np.where(
-                self._is_cos[None, :], -np.sin(phase), np.cos(phase))
+            phase = np.outer(s, freqs[0::2])
+            g = math.sqrt(2.0) * freqs[None, :] * _alternate(-np.sin(phase), np.cos(phase))
             return g[:, :, None]
         if kind == "torus2":
-            phase = charts @ self._kvecs.T
-            radial = math.sqrt(2.0) * np.where(self._is_cos[None, :], -np.sin(phase), np.cos(phase))
+            phase = (charts @ self._kvecs.T)[:, 0::2]
+            radial = math.sqrt(2.0) * _alternate(-np.sin(phase), np.cos(phase))
             return radial[:, :, None] * self._kvecs[None, :, :]
         _, grads = self._sphere_eval(charts, want_grad=True)
         return grads

@@ -41,7 +41,8 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     rule_path = tmp_path / "rule_circle_diffusion_L2_N8.json"
     csv_path = tmp_path / "rule_circle_diffusion_L2_N8.csv"
     assert rule_path.exists() and csv_path.exists()
-    assert (tmp_path / "rule_circle_diffusion_L2_N8_summary.txt").exists()
+    summary = (tmp_path / "rule_circle_diffusion_L2_N8_summary.txt").read_text()
+    assert "stop reason converged  restarts by reason: converged 1, stagnated 0," in summary
     doc = json.loads(rule_path.read_text())
     assert doc["converged"] is True
     assert len(doc["points"]) == 8

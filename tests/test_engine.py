@@ -1,5 +1,6 @@
 """Kernels, the smoothed ascent flow, the node solver, and diagnostics."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -249,6 +250,193 @@ def test_solve_reports_obstruction():
         rule = solve(CIRCLE, "diffusion", 2.0, w, FlowConfig(mode="descent", restarts=5, seed=0))
     assert not rule.converged
     assert rule.residual_linf >= 2.0 * w.values[0] - 1.0 - 1e-9
+    assert rule.stats["stop_reason"] in engine.STOP_REASONS[1:]
+    assert sum(rule.stats["stop_reasons"].values()) == rule.stats["restarts_used"] == 5
+
+
+# ---------------------------------------------------------------------------
+# lockstep descent against the one-restart loop
+
+
+def _sequential_descent(space, pts, w, cfg):
+    """Oracle: damped Gauss-Newton on one restart, one step at a time.
+
+    This is the single-restart loop the lockstep stack replaced, plus the
+    stagnation stop; the iteration cap and stagnation window are read
+    from the engine so tests can shrink them.
+    """
+    mf = space.manifold
+    sphere = mf.kind == "sphere2"
+    pts = np.array(pts, dtype=float)
+    r = residual_vector(space, pts, w)
+    best_pts, best_r = pts.copy(), r.copy()
+    best_hist = [np.max(np.abs(r))]
+    mu = 1e-8
+    iters, reason = engine._MAX_NEWTON_ITERS, "iteration cap"
+    window = engine._STAGNATION_WINDOW
+    for it in range(1, engine._MAX_NEWTON_ITERS + 1):
+        if np.max(np.abs(r)) <= cfg.tol * 1e-3 or mu > 1e12:
+            conv = np.max(np.abs(r)) <= cfg.tol * 1e-3
+            iters, reason = it, "converged" if conv else "damping exhausted"
+            break
+        if it > window and best_hist[it - 1] > 0.5 * best_hist[it - 1 - window]:
+            iters, reason = it, "stagnated"
+            break
+        g = space.gradients(pts)  # (n, m, tdim)
+        if sphere:
+            e1, e2 = engine.sphere_tangent_frame(pts)
+            j1 = np.einsum("nmt,nt->nm", g, e1)
+            j2 = np.einsum("nmt,nt->nm", g, e2)
+            jac = np.concatenate([j1 * w[:, None], j2 * w[:, None]], axis=0).T
+        else:
+            dof = g.shape[2]
+            jac = (g * w[:, None, None]).transpose(1, 0, 2).reshape(
+                space.dim, len(pts) * dof
+            )
+        gram = jac @ jac.T
+        diag = np.diag_indices_from(gram)
+        accepted = False
+        for _ in range(12):
+            a = gram.copy()
+            a[diag] += mu
+            try:
+                z = np.linalg.solve(a, r)
+            except np.linalg.LinAlgError:
+                mu *= 10.0
+                continue
+            step = -(jac.T @ z)
+            if sphere:
+                half = len(pts)
+                disp = step[:half, None] * e1 + step[half:, None] * e2
+            else:
+                disp = step.reshape(len(pts), -1)
+                if disp.shape[1] == 1:
+                    disp = disp[:, 0]
+            trial = engine.move_points(mf, pts, disp)
+            tr = residual_vector(space, trial, w)
+            if np.linalg.norm(tr) < np.linalg.norm(r):
+                pts, r = trial, tr
+                mu = max(mu / 3.0, 1e-14)
+                accepted = True
+                break
+            mu *= 10.0
+        if not accepted:
+            iters, reason = it, "damping exhausted"
+            break
+        if np.max(np.abs(r)) < np.max(np.abs(best_r)):
+            best_pts, best_r = pts.copy(), r.copy()
+        best_hist.append(np.max(np.abs(best_r)))
+    return best_pts, best_r, iters, reason
+
+
+# (manifold, space kind, band, N) near the node-count threshold, so that
+# restarts of one stack stop at different iterations and for different reasons
+_THRESHOLD_CASES = [
+    (CIRCLE, "diffusion", 4.0, 9),
+    (Manifold("ellipse", 2.0, 1.0), "diffusion", 3.0, 6),
+    (TORUS, "diffusion", 2.0, 8),
+    (Manifold("sphere2"), "diffusion", 2.5, 5),
+    (CIRCLE, "algebraic", 6, 14),
+]
+
+
+def _stack_case(manifold, kind, band, n, k=6):
+    space = engine._make_space(manifold, kind, band)
+    w = random_band_weights(n, 0.5, 2.0, 3).values
+    rng = np.random.default_rng(11)
+    starts = np.stack([engine._uniform_points(manifold, n, rng) for _ in range(k)])
+    return space, w, starts
+
+
+def _assert_matches_oracle(space, w, starts, cfg):
+    best_pts, best_r, iters, reasons = engine._descent(space, starts, w, cfg)
+    for i, start in enumerate(starts):
+        o_pts, o_r, o_iters, o_reason = _sequential_descent(space, start, w, cfg)
+        assert np.array_equal(best_pts[i], o_pts)
+        assert np.array_equal(best_r[i], o_r)
+        assert (iters[i], reasons[i]) == (o_iters, o_reason)
+    return iters, reasons
+
+
+@pytest.mark.parametrize("manifold, kind, band, n", _THRESHOLD_CASES,
+                         ids=lambda v: getattr(v, "kind", v))
+def test_lockstep_descent_matches_sequential(manifold, kind, band, n):
+    space, w, starts = _stack_case(manifold, kind, band, n)
+    iters, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
+    assert len(set(iters)) > 1
+    assert len(set(reasons)) > 1
+
+
+def test_lockstep_descent_mixes_every_stop_reason(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 30)
+    monkeypatch.setattr(engine, "_STAGNATION_WINDOW", 25)
+    space, w, starts = _stack_case(CIRCLE, "diffusion", 4.0, 9, k=8)
+    _, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
+    assert set(reasons) == set(engine.STOP_REASONS)
+
+
+def test_lockstep_descent_singular_slice_leaves_others(monkeypatch):
+    """A stacked solve that raises for one slice falls back slice by slice."""
+    space, w, starts = _stack_case(TORUS, "diffusion", 2.0, 9, k=4)
+    clean = engine._descent(space, starts, w, FlowConfig())
+    # the solve fails whenever the residual's first entry exceeds a level
+    # only restart 2 starts above
+    r0 = residual_vector(space, starts, w)[:, 0]
+    level = 0.5 * (r0[2] + np.max(np.delete(r0, 2)))
+    assert r0[2] > level
+    real_solve = np.linalg.solve
+    raised = []
+
+    def solve(a, b):
+        if np.any(np.reshape(b, (-1, a.shape[-1]))[:, 0] > level):
+            raised.append(a.shape)
+            raise np.linalg.LinAlgError("singular slice")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    iters, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
+    assert any(len(shape) == 3 and shape[0] > 1 for shape in raised)
+    assert (iters[2], reasons[2]) == (1, "damping exhausted")
+    for i in (0, 1, 3):
+        assert iters[i] == clean[2][i] and reasons[i] == clean[3][i] == "converged"
+
+
+def test_residual_vector_stack_rows_match():
+    space, w, starts = _stack_case(Manifold("sphere2"), "diffusion", 2.5, 5)
+    stacked = residual_vector(space, starts, w)
+    for row, start in zip(stacked, starts):
+        assert np.array_equal(row, residual_vector(space, start, w))
+
+
+def test_stagnating_restarts_stop_before_the_cap():
+    w = random_band_weights(16, 0.5, 2.0, 0)  # the benchmark's torus2-N16-L6 at seed 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rule = solve(TORUS, "diffusion", 6.0, w, FlowConfig(mode="descent", restarts=5, seed=0))
+    assert not rule.converged
+    counts = rule.stats["stop_reasons"]
+    assert counts["iteration cap"] == 0 and counts["converged"] == 0
+    assert counts["stagnated"] + counts["damping exhausted"] == 5
+    assert rule.stats["newton_iters_last"] < engine._MAX_NEWTON_ITERS
+
+
+@pytest.mark.parametrize("manifold, band, n, seed, restarts_used, digest", [
+    (CIRCLE, 8.0, 19, 1, 5,
+     "95450093c00783e6ea68cd1f3504d57a3c20164e9214a9372028d4e89b7a9b90"),
+    (Manifold("ellipse", 2.0, 1.0), 3.0, 9, 0, 7,
+     "b01b5660bbf543656b79e1e6d3e7b044b569cb28d81a04a9e10c699c439465b3"),
+])
+def test_converging_solve_keeps_its_rule(manifold, band, n, seed, restarts_used, digest):
+    """Later restarts of a converging chunk are discarded; the rule is unchanged.
+
+    The digests are of the rules the one-restart-at-a-time solver wrote.
+    """
+    w = random_band_weights(n, 0.5, 2.0, seed)
+    rule = solve(manifold, "diffusion", band, w, FlowConfig(mode="descent", seed=seed))
+    assert rule.converged and rule.stats["stop_reason"] == "converged"
+    assert rule.stats["restarts_used"] == restarts_used
+    assert rule.stats["stop_reasons"]["converged"] == 1
+    assert hashlib.sha256(engine.rule_to_json(rule).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
