@@ -401,6 +401,18 @@ def test_lockstep_descent_singular_slice_leaves_others(monkeypatch):
         assert iters[i] == clean[2][i] and reasons[i] == clean[3][i] == "converged"
 
 
+def test_chunk_byte_budget_does_not_change_the_rule(monkeypatch):
+    w = random_band_weights(9, 0.5, 2.0, 1)  # no restart of eight converges
+    cfg = FlowConfig(mode="descent", seed=1)
+    chunked = solve(CIRCLE, "diffusion", 4.0, w, cfg)
+    monkeypatch.setattr(engine, "_LOCKSTEP_BYTES", 1)  # one restart per chunk
+    single = solve(CIRCLE, "diffusion", 4.0, w, cfg)
+    assert chunked.stats["restarts_used"] == single.stats["restarts_used"] == 8
+    assert engine.rule_to_json(chunked) == engine.rule_to_json(single)
+    for key in ("newton_iters_last", "stop_reason", "stop_reasons"):
+        assert chunked.stats[key] == single.stats[key]
+
+
 def test_residual_vector_stack_rows_match():
     space, w, starts = _stack_case(Manifold("sphere2"), "diffusion", 2.5, 5)
     stacked = residual_vector(space, starts, w)
