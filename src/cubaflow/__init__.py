@@ -49,7 +49,6 @@ from .partition import (
     PartitionReport,
     Region,
     build_cell_tree,
-    exact_cut,
     partition_from_json,
     partition_to_json,
     spanning_tree,
@@ -78,6 +77,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,16 +16,17 @@ levels 1 .. depth, measured on the sphere's coarse levels and derived
 from the chart's stretch below.
 
 ``weighted_partition`` splits the manifold into N regions whose measures
-match a prescribed weight vector exactly.  Large N runs a spanning-tree
-sweep over a coarse level: each node receives material (its own
-fine-level cells plus the unused remainder of its child) as a linear
-sequence, takes a maximal affordable set of still-unassigned weights, and
-passes the remainder to its parent; the root absorbs the rest exactly.
-The tree is the path of the coarse cells in index order, so a region is
-one contiguous stretch of the fine level's cells: whole fine cells plus
-at most one new fractional cut, so region measures are prefix sums plus
-one linear cut, never a quadrature or a root-find.  Small N skips the
-tree and sweeps one coarse level directly.
+match a prescribed weight vector exactly.  Every cell of a level has
+measure 1/n, and the spanning tree of a coarse level is the path of its
+cells in index order, so the sweep walks one line of n equal fine cells:
+a position (cell, t) starts at the first cell, and in each coarse cell
+(node) of the path a maximal affordable set of still-unassigned weights
+advances it by w n cells each; the unused remainder passes on to the
+next node, and the last node, the root, absorbs the rest exactly.  A cut
+within ``_SNAP`` of measure of a cell boundary goes onto it.  A region
+is one contiguous stretch of fine cells, so its measure is a closed form
+in its end positions, never a quadrature or a root-find.  Small N skips
+the tree and sweeps a single coarse level as one node.
 
 Cell index arithmetic and the sphere's chart live in
 :mod:`cubaflow.cells`; region representatives, radii and the outer-ball
@@ -69,7 +70,6 @@ __all__ = [
     "PartitionReport",
     "build_cell_tree",
     "spanning_tree",
-    "exact_cut",
     "weighted_partition",
     "verify_partition",
     "partition_to_json",
@@ -80,9 +80,11 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 _DELTA = 0.5
-_CUT_TOL = 1e-12
-# cells close to the cut tolerance make exact measures meaningless
+# the smallest cell measure a level may have: smaller cells leave too few
+# bits above the snap tolerance for exact measures
 _MIN_CELL_MEASURE = 1e-9
+# cuts closer than this, in measure, to a cell boundary go onto it
+_SNAP = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +150,6 @@ class CellTree:
         self._check_level(level)
         n = self._lv.ncells(level)
         return np.full(n, 1.0 / n)
-
-    def range_measure(self, level: int, start: int, stop: int) -> float:
-        self._check_level(level)
-        return (stop - start) / self._lv.ncells(level)
-
-    def cut_measure(self, level: int, idx: int, t0: float, t1: float) -> float:
-        """Measure of the sweep piece [t0, t1] of one cell."""
-        self._check_level(level)
-        if t1 < t0 - 1e-15:
-            raise ValueError("cut interval reversed")
-        return (t1 - t0) / self._lv.ncells(level)
 
     # -- flat cells: per-axis arcs of the arc-length chart ----------------
 
@@ -259,15 +250,6 @@ class CellTree:
             return c[0], float(inner[0]), float(outer[0])
         return c, inner, outer
 
-    def descendants(self, level: int, idx: int, target_level: int) -> tuple[int, int]:
-        """Contiguous index range of a cell's descendants at a finer level."""
-        self._check_level(level)
-        self._check_level(target_level)
-        if target_level < level:
-            raise ValueError("target level must not be coarser")
-        f = self.branching ** (target_level - level)
-        return idx * f, (idx + 1) * f
-
     def locate(self, level: int, charts: np.ndarray):
         """Indices of the level cells containing chart rows ``(k, d)``.
 
@@ -353,110 +335,110 @@ def spanning_tree(tree: CellTree, level: int) -> SpanningTree:
 
 
 # ---------------------------------------------------------------------------
-# Measure-exact cuts and the material sweep
+# The position sweep
 
 
-def exact_cut(
-    tree: CellTree, level: int, idx: int, target: float, start: float = 0.0
-) -> float:
-    """Sweep coordinate closing a piece of the given measure.
-
-    The piece [start, t] of the cell has measure ``target`` to 1e-12;
-    target 0 returns the empty piece, the full remaining measure returns
-    the whole cell.
-    """
-    rest = tree.cut_measure(level, idx, start, 1.0)
-    if target < -_CUT_TOL or target > rest + _CUT_TOL:
-        raise ValueError("cut target outside the remaining cell measure")
-    if target <= 1e-16:
-        return start
-    if target >= rest - 1e-16:
-        return 1.0
-    return start + target * tree._lv.ncells(level)
-
-
-def _run_measure(tree: CellTree, level: int, run) -> float:
+def _run_measure(n: int, run) -> float:
+    """Measure of a run of the cells of a level of ``n`` cells."""
     s, e, tf, tl = run
-    if e <= s:
-        return 0.0
-    if e == s + 1:
-        return tree.cut_measure(level, s, tf, tl)
-    out = tree.cut_measure(level, s, tf, 1.0)
-    out += tree.range_measure(level, s + 1, e - 1)
-    out += tree.cut_measure(level, e - 1, 0.0, tl)
-    return out
+    return ((e - s - 1) + tl - tf) / n
 
 
-class _MaterialCursor:
-    """Run queue consumed front to back with measure-exact slicing."""
+def _advance(cell: int, t: float, cells: float, n: int) -> tuple[int, float]:
+    """The position ``cells`` fine cells past (cell, t), snapped onto a cell
+    boundary within ``_SNAP`` of measure."""
+    x = t + cells
+    whole = math.floor(x)
+    cell, t = cell + whole, x - whole
+    if t < _SNAP * n:
+        return cell, 0.0
+    if 1.0 - t < _SNAP * n:
+        return cell + 1, 0.0
+    return cell, t
 
-    def __init__(self, tree: CellTree, level: int, runs):
-        self.tree = tree
-        self.level = level
-        self.runs = [list(r) for r in runs if _run_measure(tree, level, r) > 1e-16]
 
-    def total(self) -> float:
-        return math.fsum(_run_measure(self.tree, self.level, r) for r in self.runs)
+def _runs(start, stop, per: int) -> tuple:
+    """Runs of the stretch from position ``start`` to ``stop``, split where
+    it enters a new node's block of ``per`` cells."""
+    (cell, t), (last, t_last) = start, stop
+    runs = []
+    edge = (cell // per + 1) * per
+    while (last, t_last) > (edge, 0.0):
+        runs.append((cell, edge, t, 1.0))
+        cell, t, edge = edge, 0.0, edge + per
+    runs.append((cell, last + 1, t, t_last) if t_last > 0.0 else (cell, last, t, 1.0))
+    return tuple(runs)
 
-    def take_all(self) -> list[tuple]:
-        out = [tuple(r) for r in self.runs]
-        self.runs = []
-        return out
 
-    def take(self, target: float) -> list[tuple]:
-        tree, level = self.tree, self.level
-        out: list[tuple] = []
-        need = target
-        while need > 1e-15 and self.runs:
-            run = self.runs[0]
-            m = _run_measure(tree, level, run)
-            if m <= 1e-16:
-                self.runs.pop(0)
-                continue
-            if m <= need + 1e-15:
-                out.append(tuple(run))
-                self.runs.pop(0)
-                need -= m
-                continue
-            piece, rest = self._split(run, need)
-            out.append(piece)
-            self.runs[0] = rest
-            need = 0.0
-        if need > 1e-11:
-            raise RuntimeError("material exhausted before the weight was filled")
-        return out
+def _affordable(unused: list, vals, room: float, smallest: float) -> tuple[list, list]:
+    """Greedy scan of ``unused`` weight indices in order: those whose
+    running sum stays within ``room`` are chosen, the rest stay unused.
 
-    def _split(self, run, need: float):
-        """Cut ``need`` measure off the front of one run (need < measure)."""
-        tree, level = self.tree, self.level
-        s, e, tf, tl = run
-        first_hi = tl if e == s + 1 else 1.0
-        m0 = tree.cut_measure(level, s, tf, first_hi)
-        if need <= m0 - _CUT_TOL * 0.5:
-            t = exact_cut(tree, level, s, need, tf)
-            return (s, s + 1, tf, t), [s, e, t, tl]
-        if abs(need - m0) <= _CUT_TOL * 0.5 or e == s + 1:
-            return (s, s + 1, tf, first_hi), [s + 1, e, 0.0, tl]
-        rem = need - m0
-        whole = tree.range_measure(level, s + 1, e - 1)
-        if rem < whole - _CUT_TOL * 0.5:
-            c = s + 1 + int(rem * tree.ncells(level))
-            c = min(max(c, s + 1), e - 2)
-            rem_in = rem - tree.range_measure(level, s + 1, c)
-            while rem_in < -1e-15 and c > s + 1:
-                c -= 1
-                rem_in = rem - tree.range_measure(level, s + 1, c)
-            t = exact_cut(tree, level, c, max(rem_in, 0.0))
-            if t <= 1e-15:
-                return (s, c, tf, 1.0), [c, e, 0.0, tl]
-            if t >= 1.0 - 1e-15:
-                return (s, c + 1, tf, 1.0), [c + 1, e, 0.0, tl]
-            return (s, c + 1, tf, t), [c, e, t, tl]
-        if abs(rem - whole) <= _CUT_TOL * 0.5:
-            return (s, e - 1, tf, 1.0), [e - 1, e, 0.0, tl]
-        rem2 = rem - whole
-        t = exact_cut(tree, level, e - 1, rem2)
-        return (s, e, tf, t), [e - 1, e, t, tl]
+    The scan ends once not even the ``smallest`` weight fits.
+    """
+    chosen, still = [], []
+    acc = 0.0
+    for pos, j in enumerate(unused):
+        if acc + vals[j] <= room:
+            chosen.append(j)
+            acc += vals[j]
+        elif acc + smallest > room:
+            still += unused[pos:]
+            break
+        else:
+            still.append(j)
+    return chosen, still
+
+
+def _sweep(tree: CellTree, level: int, nodes: int, vals, bound: float):
+    """Runs of every weight's region, swept along the cells of ``level`` in
+    index order by ``nodes`` nodes of equal blocks, and the sweep's largest
+    balance error and node remainder.
+
+    Each node but the last takes a maximal affordable set of the unused
+    weights from its material, the remainder its predecessor passed on
+    plus its own block, and passes on at most ``bound`` of it; the last
+    node takes every weight left, its last weight all material left.
+    """
+    n = tree.ncells(level)
+    per = n // nodes
+    unused = list(range(len(vals)))
+    v_min = float(vals.min())
+    spans = [None] * len(vals)
+    cell, t = 0, 0.0
+    balance = top = 0.0
+    for node in range(nodes):
+        end = (node + 1) * per
+        mu = ((end - cell) - t) / n
+        root = node == nodes - 1
+        if root:
+            chosen, unused = unused, []
+            if abs(math.fsum(vals[j] for j in chosen) - mu) > 1e-9:
+                raise RuntimeError("root material does not balance the weights")
+        else:
+            chosen, unused = _affordable(unused, vals, mu + 1e-13, v_min)
+            if not unused:
+                raise RuntimeError("weights exhausted before the root")
+        for pos, j in enumerate(chosen):
+            start = (cell, t)
+            if root and pos == len(chosen) - 1:
+                cell, t = end, 0.0
+            else:
+                cell, t = _advance(cell, t, float(vals[j]) * n, n)
+            if (cell, t) > (end, 0.0):
+                if ((cell - end) + t) / n > 1e-11:
+                    raise RuntimeError("material exhausted before the weight was filled")
+                cell, t = end, 0.0
+            spans[j] = (start, (cell, t))
+        rest = ((end - cell) - t) / n
+        if not root:
+            if rest > bound + 1e-9:
+                raise RuntimeError("node remainder exceeded its bound")
+            if cell < node * per:
+                raise RuntimeError("remainder escaped its cell")
+            top = max(top, rest)
+        balance = max(balance, abs(mu - math.fsum(vals[j] for j in chosen) - rest))
+    return [_runs(*span, per) for span in spans], balance, top
 
 
 # ---------------------------------------------------------------------------
@@ -525,33 +507,57 @@ def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):
     return best
 
 
-def _affordable(unused: list, vals, room: float, smallest: float) -> tuple[list, list]:
-    """Greedy scan of ``unused`` weight indices in order: those whose
-    running sum stays within ``room`` are chosen, the rest stay unused.
+def _plan(manifold: Manifold, weights) -> tuple[str, int, int, int, dict]:
+    """(branch, coarse level, fine level, node count, stats) of a sweep.
 
-    The scan ends once not even the ``smallest`` weight fits.
+    Large N takes the tree branch over a coarse level whose cells all have
+    measure at least 2b/N; small N takes the direct branch, one node over
+    a single level whose cells are no larger than the smallest weight.
     """
-    chosen, still = [], []
-    acc = 0.0
-    for pos, j in enumerate(unused):
-        if acc + vals[j] <= room:
-            chosen.append(j)
-            acc += vals[j]
-        elif acc + smallest > room:
-            still += unused[pos:]
+    N = weights.n
+    a_fit, b_fit = weights.fitted_band()
+    c1, c2 = doubling_constants(manifold)
+    d = manifold.dim
+    small_threshold = 2.0 * b_fit / (c1 * _DELTA**d * manifold.diameter**d)
+    lv = _levels(manifold)
+
+    k = None
+    if N >= small_threshold:
+        k = _pick_coarse_level(lv, 2.0 * b_fit / N, deepest=True)
+    if k is None or k < 1:
+        k = _pick_coarse_level(lv, a_fit / N, deepest=False)
+        if k is None:
+            raise ValueError("weights too small for the supported tree depth")
+        # its one node passes no remainder on
+        return "direct", k, k, 1, {"small_threshold": small_threshold,
+                                   "sweep_balance_error": 0.0,
+                                   "nodes": lv.ncells(k), "edges": 0}
+    tree0 = build_cell_tree(manifold, depth=k)
+    C = (c2 / c1) * (tree0.u2 / tree0.u1) ** d * (2.0 / _DELTA**d) * 3.0**d * (b_fit / a_fit)
+    fine_threshold = a_fit / (C * N)
+    # the conservative threshold can outrun the buildable depth; then
+    # cap, provided fine cells stay well below the smallest region
+    fine = None
+    mx = math.inf
+    for lev in range(k + 1, lv.fine_cap + 1):
+        mx = 1.0 / lv.ncells(lev)
+        if mx <= fine_threshold:
+            fine = lev
             break
+    if fine is None:
+        if mx <= a_fit / (8.0 * N):
+            fine = lv.fine_cap
         else:
-            still.append(j)
-    return chosen, still
+            raise ValueError("fine level for this N exceeds the supported depth")
+    st = spanning_tree(build_cell_tree(manifold, depth=fine), k)
+    return "tree", k, fine, st.nodes, {"small_threshold": small_threshold,
+                                       "volume_factor": C,
+                                       "nodes": st.nodes, "edges": st.edges}
 
 
 def weighted_partition(manifold: Manifold, weights) -> Partition:
-    """Split the manifold into regions with measures exactly the weights.
-
-    Large N uses the spanning-tree material sweep over a coarse level
-    whose cells all have measure at least 2b/N; small N sweeps a single
-    level whose cells are no larger than the smallest weight.
-    """
+    """Split the manifold into regions with measures exactly the weights,
+    by one position sweep along the fine cells (see the module docstring)."""
     from .weights import WeightVector
 
     if not isinstance(weights, WeightVector):
@@ -559,116 +565,18 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
     vals = weights.values
     N = len(vals)
     a_fit, b_fit = weights.fitted_band()
-    c1, c2 = doubling_constants(manifold)
     d = manifold.dim
-    diam = manifold.diameter
-    small_threshold = 2.0 * b_fit / (c1 * _DELTA**d * diam**d)
-    lv = _levels(manifold)
+    branch, k, fine, nodes, stats = _plan(manifold, weights)
+    tree = build_cell_tree(manifold, depth=max(fine, 1))
+    region_runs, balance, max_remainder = _sweep(tree, fine, nodes, vals, b_fit / N)
+    if branch == "tree":
+        stats.update(sweep_balance_error=balance, max_node_remainder=max_remainder)
 
-    coarse = None
-    if N >= small_threshold:
-        coarse = _pick_coarse_level(lv, 2.0 * b_fit / N, deepest=True)
-        if coarse is not None and coarse < 1:
-            coarse = None
-    branch = "tree" if coarse is not None else "direct"
-
-    if branch == "direct":
-        k = _pick_coarse_level(lv, a_fit / N, deepest=False)
-        if k is None:
-            raise ValueError("weights too small for the supported tree depth")
-        tree = build_cell_tree(manifold, depth=max(k, 1))
-        cursor = _MaterialCursor(tree, k, [(0, tree.ncells(k), 0.0, 1.0)])
-        region_runs: list[list[tuple]] = []
-        for j in range(N - 1):
-            region_runs.append(cursor.take(vals[j]))
-        region_runs.append(cursor.take_all())
-        stats = {
-            "small_threshold": small_threshold,
-            "sweep_balance_error": 0.0,
-            "nodes": tree.ncells(k),
-            "edges": 0,
-        }
-        fine = k
-    else:
-        k = coarse
-        tree0 = build_cell_tree(manifold, depth=max(k, 1))
-        u1, u2 = tree0.u1, tree0.u2
-        C = (c2 / c1) * (u2 / u1) ** d * (2.0 / _DELTA**d) * 3.0**d * (b_fit / a_fit)
-        fine_threshold = a_fit / (C * N)
-        # the conservative threshold can outrun the buildable depth; then
-        # cap, provided fine cells stay well below the smallest region
-        fine = None
-        mx = math.inf
-        for lev in range(k + 1, lv.fine_cap + 1):
-            mx = 1.0 / lv.ncells(lev)
-            if mx <= fine_threshold:
-                fine = lev
-                break
-        if fine is None:
-            if mx <= a_fit / (8.0 * N):
-                fine = lv.fine_cap
-            else:
-                raise ValueError("fine level for this N exceeds the supported depth")
-        tree = build_cell_tree(manifold, depth=fine)
-        st = spanning_tree(tree, k)
-
-        unused = list(range(N))
-        v_min = float(vals.min())
-        assigned: dict[int, list[tuple]] = {}
-        remainder: dict[int, list] = {}
-        balance = 0.0
-        max_remainder = 0.0
-        for node in reversed(st.order):
-            runs = []
-            for ch in st.children[node]:
-                runs.extend(remainder.pop(ch))
-            runs.append((*tree.descendants(k, node, fine), 0.0, 1.0))
-            cursor = _MaterialCursor(tree, fine, runs)
-            mu = cursor.total()
-            if node == st.root:
-                chosen = list(unused)
-                unused = []
-                total_w = math.fsum(vals[j] for j in chosen)
-                if abs(total_w - mu) > 1e-9:
-                    raise RuntimeError("root material does not balance the weights")
-            else:
-                chosen, unused = _affordable(unused, vals, mu + 1e-13, v_min)
-                if not unused:
-                    raise RuntimeError("weights exhausted before the root")
-            for pos, j in enumerate(chosen):
-                if node == st.root and pos == len(chosen) - 1:
-                    assigned[j] = cursor.take_all()
-                else:
-                    assigned[j] = cursor.take(vals[j])
-            rest = cursor.runs
-            w_alpha = math.fsum(
-                _run_measure(tree, fine, r) for r in rest
-            )
-            if node != st.root:
-                if w_alpha > b_fit / N + 1e-9:
-                    raise RuntimeError("node remainder exceeded its bound")
-                own_start = tree.descendants(k, node, fine)[0]
-                if rest and rest[0][0] < own_start:
-                    raise RuntimeError("remainder escaped its cell")
-                max_remainder = max(max_remainder, w_alpha)
-            taken = math.fsum(vals[j] for j in chosen)
-            balance = max(balance, abs(mu - taken - w_alpha))
-            remainder[node] = rest
-        region_runs = [assigned[j] for j in range(N)]
-        stats = {
-            "small_threshold": small_threshold,
-            "volume_factor": C,
-            "sweep_balance_error": balance,
-            "max_node_remainder": max_remainder,
-            "nodes": st.nodes,
-            "edges": st.edges,
-        }
-
-    region_runs = [tuple(tuple(r) for r in runs) for runs in region_runs]
     regions = []
+    ncells = tree.ncells(fine)
     for j, (runs, (rep, inner_r, outer_r)) in enumerate(
             zip(region_runs, _regions_geometry(tree, fine, region_runs))):
-        meas = math.fsum(_run_measure(tree, fine, r) for r in runs)
+        meas = math.fsum(_run_measure(ncells, r) for r in runs)
         s, e, tf, tl = runs[-1]
         cut = (int(e - 1), float(tl)) if tl < 1.0 - 1e-12 else None
         regions.append(
@@ -764,12 +672,13 @@ def verify_partition(p: Partition) -> PartitionReport:
     """Re-check measures, tiling, and ball containments from raw data."""
     tree = build_cell_tree(p.manifold, p.delta, max(p.fine_level, 1))
     level = p.fine_level
+    ncells = tree.ncells(level)
     notes: list[str] = []
 
     max_err = 0.0
-    for r, w in zip(p.regions, p.weights):
-        m = math.fsum(_run_measure(tree, level, run) for run in r.runs)
-        max_err = max(max_err, abs(m - w))
+    for r in p.regions:
+        m = math.fsum(_run_measure(ncells, run) for run in r.runs)
+        max_err = max(max_err, abs(m - p.weights[r.weight_index]))
     measures_ok = max_err <= 1e-11
 
     intervals = []
@@ -777,7 +686,6 @@ def verify_partition(p: Partition) -> PartitionReport:
         for s, e, tf, tl in r.runs:
             intervals.append((s + tf, (e - 1) + tl, ridx))
     intervals.sort()
-    ncells = tree.ncells(level)
     gap = abs(intervals[0][0])
     overlap_ok = True
     for (s0, e0, _), (s1, e1, _) in zip(intervals, intervals[1:]):
@@ -867,10 +775,17 @@ def partition_from_json(text: str) -> Partition:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported partition schema version")
     manifold = manifold_from_descriptor(doc["manifold"])
+    fine = int(doc["fine_level"])
+    n = _levels(manifold).ncells(fine)
+    if not doc["regions"]:
+        raise ValueError("a partition needs at least one region")
+    if sorted(int(r["weight_index"]) for r in doc["regions"]) != list(range(len(doc["weights"]))):
+        raise ValueError("regions do not match the weights one to one")
     for r in doc["regions"]:
-        n = _levels(manifold).ncells(int(r["level"]))
+        if int(r["level"]) != fine:
+            raise ValueError(f"a region of level {r['level']} in a partition of fine level {fine}")
         if not all(0 <= s < e <= n and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 for s, e, a, b in r["runs"]):
-            raise ValueError(f"a run does not lie in the {n} cells of level {r['level']}")
+            raise ValueError(f"a run does not lie in the {n} cells of level {fine}")
     regions = tuple(
         Region(
             weight_index=int(r["weight_index"]),
@@ -900,6 +815,6 @@ def partition_from_json(text: str) -> Partition:
         delta=float(doc["delta"]),
         branch=str(doc["branch"]),
         coarse_level=int(doc["coarse_level"]),
-        fine_level=int(doc["fine_level"]),
+        fine_level=fine,
         stats=dict(doc["stats"]),
     )

@@ -326,7 +326,7 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
         centers, p_in, p_out = tree.piece_geometry(level, cells, t0, t1)
         for r in np.unique(owner[np.isnan(outer[owner])]):
             mine = np.where(owner == r)[0]
-            best = mine[int(np.argmax([tree.cut_measure(level, *pieces[j][1:]) for j in mine]))]
+            best = mine[int(np.argmax(t1[mine] - t0[mine]))]
             reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
         if tree.manifold.kind == "sphere2":
             z = charts_to_ambient(tree.manifold, reps[owner])
