@@ -17,11 +17,14 @@ levels 9 and 11 (the benchmark's sphere case has 9): one
 MZ ratios: one ``mz-ratios/<variant>/N<n>/seed<s>`` line per ``MZ_VARIANTS``
 and ``MZ_NS`` entry at seeds 0-1, the hash of ``repr`` of the ``MZ_TRIALS``
 one-row ratios (``mz_ratio_diffusion`` or ``mz_ratio_algebraic``) on the
-partition and unit coefficient vectors the ``mz`` workload generates.  The
-case tables are read from ``perfbench/workloads.py``; the package comes
-from this checkout's ``src``.  Run it in two checkouts and ``diff`` the
-outputs: equal lines mean byte-identical rules, partitions, verification
-reports and sampling ratios.  Takes about a minute on one core.
+partition and unit coefficient vectors the ``mz`` workload generates.  Each
+is followed by its ``mz-block/<variant>/N<n>/seed<s>`` line, the hash of
+``repr`` of the same ratios from the one block ``mz_ratios`` call that
+``cubaflow mz`` makes, as a list of floats, so the two lines of a pair are
+equal.  The case tables are read from ``perfbench/workloads.py``; the
+package comes from this checkout's ``src``.  Run it in two checkouts and
+``diff`` the outputs: equal lines mean byte-identical rules, partitions,
+verification reports and sampling ratios.  Takes about 15 s on one core.
 """
 
 import hashlib
@@ -43,6 +46,7 @@ from cubaflow import (  # noqa: E402
     enumerate_basis,
     mz_ratio_algebraic,
     mz_ratio_diffusion,
+    mz_ratios,
     partition_to_json,
     random_band_weights,
     rule_to_json,
@@ -71,7 +75,7 @@ def _mz_ratio_lines(seed: int) -> None:
             space = enumerate_basis(circle, workloads.MZ_BAND)
         else:
             space = build_restricted_space(circle, int(workloads.MZ_BAND))
-        mode = "gradient" if variant == "algebraic-gradient" else "value"
+        mode = "value" if variant == "algebraic-value" else "gradient"
         coeffs = np.random.default_rng(seed).standard_normal((workloads.MZ_TRIALS, space.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         for n in workloads.MZ_NS:
@@ -82,6 +86,8 @@ def _mz_ratio_lines(seed: int) -> None:
             else:
                 ratios = [mz_ratio_algebraic(space, part, reps, c, mode) for c in coeffs]
             _emit(f"mz-ratios/{variant}/N{n}/seed{seed}", repr(ratios))
+            block = mz_ratios(space, part, reps, coeffs, mode).tolist()
+            _emit(f"mz-block/{variant}/N{n}/seed{seed}", repr(block))
 
 
 def main() -> int:

@@ -20,7 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -72,8 +72,9 @@ _FLOW_ROUNDS = 8
 # a descent restart stops once its best max residual has not halved over
 # this many iterations; converging restarts need 7-32 iterations in all
 _STAGNATION_WINDOW = 50
-# bound on the stacked gradient array of one lockstep chunk of restarts
-_LOCKSTEP_BYTES = 1 << 25
+# bound on one stacked intermediate: the gradient array of a lockstep chunk
+# of restarts, or the grid values of a chunk of MZ coefficient rows
+_BLOCK_BYTES = 1 << 25
 # why a restart stopped, as recorded in the rule stats
 STOP_REASONS = ("converged", "stagnated", "damping exhausted", "iteration cap")
 
@@ -604,7 +605,7 @@ def _restart_runs(space, seeds, w, cfg: FlowConfig, horizon: float):
 
     ``seeds(i)`` gives restart i's starting nodes.  Descent runs restarts
     in lockstep chunks of 1, 1, 2, 4, 8, ... restarts, each chunk's
-    stacked gradient array capped at ``_LOCKSTEP_BYTES``; a consumer that
+    stacked gradient array capped at ``_BLOCK_BYTES``; a consumer that
     stops early leaves the later chunks unrun.  Flow restarts run one by
     one.
     """
@@ -615,7 +616,7 @@ def _restart_runs(space, seeds, w, cfg: FlowConfig, horizon: float):
         return
     n, m = len(w), space.dim
     tdim = 3 if space.manifold.kind == "sphere2" else space.manifold.dim
-    cap = max(1, _LOCKSTEP_BYTES // (n * m * tdim * 8))
+    cap = max(1, _BLOCK_BYTES // (n * m * tdim * 8))
     start = 0
     while start < cfg.restarts:
         size = min(max(start, 1), cap)  # 1, 1, 2, 4, 8, ...
@@ -708,46 +709,80 @@ def solve(
 # Weighted sampling ratios
 
 
+def _one_slot(fn):
+    """Cache the last result of ``fn`` under its arguments, one entry at most.
+
+    A miss drops the old entry before it computes the new one, so a change
+    of key never holds two results at once.  Keys compare with ``==``;
+    spaces define no equality, so they compare by identity.
+    """
+    slot = {}
+
+    @wraps(fn)
+    def cached(*key):
+        if slot.get("key") != key:
+            slot.clear()
+            slot["value"] = fn(*key)
+            slot["key"] = key
+        return slot["value"]
+
+    return cached
+
+
 def _mz_field(space, charts, mode: str) -> np.ndarray:
-    """Basis field at charts as a matrix with one column per basis element.
+    """Read-only basis field at charts, one column per basis element.
 
     Values give one row per point.  Gradients give one row per point and
     tangent component, laid out as ``np.tensordot`` lays them out.
     """
     if mode == "value":
-        return space.evaluate(charts)
-    g = space.gradients(charts)
-    return g.transpose(0, 2, 1).reshape(-1, g.shape[1])
+        field = space.evaluate(charts)
+    else:
+        g = space.gradients(charts)
+        field = g.transpose(0, 2, 1).reshape(-1, g.shape[1])
+    field.flags.writeable = False
+    return field
 
 
-@lru_cache(maxsize=1)
+@_one_slot
+def _mz_samples(space, mode: str, shape: tuple, data: bytes) -> np.ndarray:
+    """Basis field at the sample charts stored in ``data``.
+
+    A sweep asks for many coefficient rows at one point set, one row per
+    call, so the field is evaluated once per (space, mode, samples).  The
+    key holds the samples' bytes, not the array, so an array changed in
+    place gets a fresh field.
+    """
+    return _mz_field(space, np.frombuffer(data).reshape(shape), mode)
+
+
+@_one_slot
 def _mz_grid(space, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Reference-grid weights and the space's basis field on that grid.
 
     The integral side of a sampling ratio depends only on the space and
     the coefficients, never on the partition, so the field is evaluated
-    once per (space, mode).  Spaces are keys by identity.  A sweep uses
+    once per (space, mode).  Spaces are keyed by identity.  A sweep uses
     one key throughout, and one entry bounds the memory kept to one field,
-    which is hundreds of MB on a fine torus grid.  The field is shared by
-    every caller, hence read-only.
+    which is hundreds of MB on a fine torus grid.
     """
     grid = reference_grid(space.manifold, _ABS_BAND_FACTOR * (space.band + 4.0))
-    field = _mz_field(space, grid.charts, mode)
-    field.flags.writeable = False
-    return grid.qweights, field
+    return grid.qweights, _mz_field(space, grid.charts, mode)
 
 
 def _mz_abs(field: np.ndarray, coeffs: np.ndarray, mode: str, npts: int) -> np.ndarray:
-    """|P| or |grad P| at npts points, with a leading axis per coefficient row.
+    """|P| or |grad P| at npts points, one row per coefficient row.
 
     Each row takes its own matrix-vector product, the BLAS call a single
     coefficient vector takes, so a block's values equal the one-row
-    values bit for bit.
+    values bit for bit.  Gradient norms take ``np.linalg.norm``'s own
+    arithmetic, squared in place to spare its two temporaries.
     """
     vals = (field @ coeffs[..., None])[..., 0]
     if mode == "value":
         return np.abs(vals)
-    return np.linalg.norm(vals.reshape(*vals.shape[:-1], npts, -1), axis=-1)
+    vals *= vals
+    return np.sqrt(np.add.reduce(vals.reshape(len(coeffs), npts, -1), axis=-1))
 
 
 def _mz_sum(weights: np.ndarray, vals: np.ndarray):
@@ -759,16 +794,34 @@ def _mz_sum(weights: np.ndarray, vals: np.ndarray):
     return (vals[..., None, :] @ weights)[..., 0]
 
 
+def _mz_integrals(space, rows: np.ndarray, mode: str) -> np.ndarray:
+    """Reference-grid integrals of |P| or |grad P|, one per coefficient row.
+
+    Rows are contracted in chunks whose grid values fit ``_BLOCK_BYTES``,
+    so a large block on a fine grid never holds all its values at once.
+    """
+    qweights, field = _mz_grid(space, mode)
+    step = max(1, _BLOCK_BYTES // (field.shape[0] * 8))
+    out = []
+    for start in range(0, len(rows), step):
+        vals = _mz_abs(field, rows[start : start + step], mode, len(qweights))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("integrand returned non-finite values on the grid")
+        out.append(_mz_sum(qweights, vals))
+    return np.concatenate(out)
+
+
 def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
     """Relative deviation of the weighted |P| or |grad P| sample from its integral.
 
     ``mode`` is "value" (|P|) or "gradient" (|grad P|).  ``coeffs`` is one
     coefficient vector of shape (dim,), giving a float, or a (k, dim)
-    block, giving k ratios from one evaluation of the basis at the
-    samples.  The weights are the region measures of the partition, and
-    ``samples`` (one point per region, default its representatives) are
-    where P is sampled.  Ratios at or below one half are the usable
-    sampling regime.
+    block, giving k ratios.  The weights are the region measures of the
+    partition, and ``samples`` (one point per region, default its
+    representatives) are where P is sampled.  The basis fields at the
+    samples and on the reference grid are cached, so repeated calls on
+    one point set evaluate neither again.  Ratios at or below one half
+    are the usable sampling regime.
     """
     space = _as_space(space)
     if mode not in ("value", "gradient"):
@@ -782,16 +835,14 @@ def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if len(samples) != len(w):
         raise ValueError("one sample point per region is required")
-    sampled = _mz_sum(w, _mz_abs(_mz_field(space, samples, mode), coeffs, mode, len(w)))
-    qweights, grid_field = _mz_grid(space, mode)
-    vals = _mz_abs(grid_field, coeffs, mode, len(qweights))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values on the grid")
-    integral = _mz_sum(qweights, vals)
+    rows = np.atleast_2d(coeffs)
+    field = _mz_samples(space, mode, samples.shape, samples.tobytes())
+    sampled = _mz_sum(w, _mz_abs(field, rows, mode, len(w)))
+    integral = _mz_integrals(space, rows, mode)
     if not np.all(integral > 0.0):
         raise ValueError("the integrand vanishes; nonconstant input required")
     ratios = np.abs(integral - sampled) / integral
-    return float(ratios) if coeffs.ndim == 1 else ratios
+    return float(ratios[0]) if coeffs.ndim == 1 else ratios
 
 
 def mz_ratio_diffusion(space, part: Partition, samples, P) -> float:

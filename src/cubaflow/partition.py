@@ -675,11 +675,15 @@ def verify_partition(p: Partition) -> PartitionReport:
     ncells = tree.ncells(level)
     notes: list[str] = []
 
-    max_err = 0.0
-    for r in p.regions:
+    max_err, worst = 0.0, 0
+    for ridx, r in enumerate(p.regions):
         m = math.fsum(_run_measure(ncells, run) for run in r.runs)
-        max_err = max(max_err, abs(m - p.weights[r.weight_index]))
+        err = abs(m - p.weights[r.weight_index])
+        if err > max_err:
+            max_err, worst = err, ridx
     measures_ok = max_err <= 1e-11
+    if not measures_ok:
+        notes.append(f"measure of region {worst} off by {max_err:.3e}")
 
     intervals = []
     for ridx, r in enumerate(p.regions):
@@ -688,10 +692,11 @@ def verify_partition(p: Partition) -> PartitionReport:
     intervals.sort()
     gap = abs(intervals[0][0])
     overlap_ok = True
-    for (s0, e0, _), (s1, e1, _) in zip(intervals, intervals[1:]):
+    for (s0, e0, r0), (s1, e1, r1) in zip(intervals, intervals[1:]):
         gap = max(gap, abs(s1 - e0))
-        if s1 < e0 - 1e-9:
+        if s1 < e0 - 1e-9 and overlap_ok:
             overlap_ok = False
+            notes.append(f"regions {r0} and {r1} overlap at cell position {s1:.6g}")
     gap = max(gap, abs(intervals[-1][1] - ncells))
     cover_ok = gap <= 1e-9 and len(intervals) > 0
     if not cover_ok:

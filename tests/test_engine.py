@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from cubaflow.engine import (
     solve,
     verify_rule,
 )
-from cubaflow.geometry import Manifold, reference_integrate
+from cubaflow.geometry import Manifold, reference_grid, reference_integrate
 from cubaflow.partition import weighted_partition
 from cubaflow.spectra import DiffusionPoly, enumerate_basis
 from cubaflow.weights import concentrated_weights, random_band_weights
@@ -405,7 +406,7 @@ def test_chunk_byte_budget_does_not_change_the_rule(monkeypatch):
     w = random_band_weights(9, 0.5, 2.0, 1)  # no restart of eight converges
     cfg = FlowConfig(mode="descent", seed=1)
     chunked = solve(CIRCLE, "diffusion", 4.0, w, cfg)
-    monkeypatch.setattr(engine, "_LOCKSTEP_BYTES", 1)  # one restart per chunk
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # one restart per chunk
     single = solve(CIRCLE, "diffusion", 4.0, w, cfg)
     assert chunked.stats["restarts_used"] == single.stats["restarts_used"] == 8
     assert engine.rule_to_json(chunked) == engine.rule_to_json(single)
@@ -585,7 +586,7 @@ def test_mz_batch_matches_one_row(manifold, kind, mode):
     one = np.array([_mz_one_row(sp, part, reps, c, mode) for c in coeffs])
     batch = mz_ratios(sp, part, reps, coeffs, mode)
     assert batch.shape == (len(coeffs),)
-    np.testing.assert_allclose(batch, one, rtol=1e-13, atol=0.0)
+    assert batch.tolist() == one.tolist()
     single = mz_ratios(sp, part, reps, coeffs[0], mode)
     assert isinstance(single, float)
     assert single == one[0]
@@ -617,3 +618,95 @@ def test_mz_ratios_keep_their_checks():
         mz_ratios(sp, part, reps[:-1], coeffs, "value")
     with pytest.raises(ValueError, match="mode"):
         mz_ratios(sp, part, reps, coeffs, "other")
+
+
+def _mz_uncached(sp, part, reps, c, mode):
+    """One-row ratio from fields evaluated afresh, bypassing both caches."""
+    grid = reference_grid(sp.manifold, engine._ABS_BAND_FACTOR * (sp.band + 4.0))
+    w = np.asarray(part.weights, dtype=float)
+    row = c[None, :]
+
+    def weighted(weights, charts):
+        vals = engine._mz_abs(engine._mz_field(sp, charts, mode), row, mode, len(weights))
+        return engine._mz_sum(weights, vals)[0]
+
+    integral = weighted(grid.qweights, grid.charts)
+    return float(abs(integral - weighted(w, reps)) / integral)
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, Manifold("sphere2")], ids=lambda m: m.kind)
+@pytest.mark.parametrize(
+    "kind, mode",
+    [("diffusion", "gradient"), ("algebraic", "value"), ("algebraic", "gradient")],
+)
+def test_mz_cached_fields_match_uncached_oracle(manifold, kind, mode):
+    sp, part, reps, coeffs = _mz_case(manifold, kind)
+    for c in coeffs:
+        assert _mz_one_row(sp, part, reps, c, mode) == _mz_uncached(sp, part, reps, c, mode)
+
+
+def test_mz_samples_changed_in_place_get_a_fresh_field():
+    sp, part, reps, coeffs = _mz_case(CIRCLE, "diffusion")
+    reps = reps.copy()
+    before = mz_ratio_diffusion(sp, part, reps, coeffs[0])
+    reps += 0.1
+    after = mz_ratio_diffusion(sp, part, reps, coeffs[0])
+    assert after != before
+    assert after == _mz_uncached(sp, part, reps, coeffs[0], "gradient")
+
+
+def test_mz_spaces_and_modes_interleave():
+    """Equal-dimension spaces and both modes on one point set keep apart."""
+    spd = enumerate_basis(CIRCLE, 4.0)
+    spa = build_restricted_space(CIRCLE, 4)
+    assert spd.dim == spa.dim
+    _, part, reps, _ = _mz_case(CIRCLE, "diffusion")
+    coeffs = np.random.default_rng(8).standard_normal((3, spd.dim))
+    for c in coeffs:
+        for sp, mode in ((spd, "gradient"), (spa, "value"), (spa, "gradient"), (spd, "gradient")):
+            got = mz_ratios(sp, part, reps, c, mode)
+            assert got == _mz_uncached(sp, part, reps, c, mode)
+
+
+def test_mz_cached_fields_are_read_only():
+    sp, part, reps, coeffs = _mz_case(CIRCLE, "algebraic")
+    mz_ratios(sp, part, reps, coeffs, "value")
+    field = engine._mz_samples(sp, "value", reps.shape, reps.tobytes())
+    _, grid_field = engine._mz_grid(sp, "value")
+    for f in (field, grid_field):
+        assert not f.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0] = 1.0
+
+
+def test_mz_interleaved_partitions_match_each_alone():
+    sp = enumerate_basis(CIRCLE, 4.0)
+    parts = [weighted_partition(CIRCLE, random_band_weights(n, 0.5, 2.0, s)) for n, s in ((24, 1), (24, 2), (40, 3))]
+    coeffs = np.random.default_rng(9).standard_normal((6, sp.dim))
+    alone = [[mz_ratio_diffusion(sp, p, p.representatives(), c) for c in coeffs] for p in parts]
+    mixed = [[] for _ in parts]
+    for c in coeffs:
+        for p, out in zip(parts, mixed):
+            out.append(mz_ratio_diffusion(sp, p, p.representatives(), c))
+    assert mixed == alone
+
+
+def test_mz_block_memory_is_bounded_per_chunk():
+    """A 200-row block on a grid whose values exceed the chunk cap holds one
+    chunk at a time, and its ratios equal the one-row ratios bit for bit."""
+    sp = enumerate_basis(TORUS, 2.0)
+    part = weighted_partition(TORUS, random_band_weights(24, 0.5, 2.0, 4))
+    reps = part.representatives()
+    coeffs = np.random.default_rng(10).standard_normal((200, sp.dim))
+    one = [mz_ratio_diffusion(sp, part, reps, c) for c in coeffs]  # fills both caches
+    rows = engine._mz_grid(sp, "gradient")[1].shape[0]
+    block_bytes = len(coeffs) * rows * 8
+    assert block_bytes > 3 * engine._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        block = mz_ratios(sp, part, reps, coeffs, "gradient")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * engine._BLOCK_BYTES
+    assert block.tolist() == one

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -1110,6 +1111,31 @@ def test_verify_catches_tampered_runs():
     rep = verify_partition(bad)
     assert not rep.passed
     assert (not rep.measures_ok) or rep.max_cover_gap > 1e-9
+
+
+def test_verify_names_worst_measure():
+    """Weights paired with the wrong regions fail with a note naming one."""
+    p = weighted_partition(make("circle"), np.array([0.5, 0.3, 0.2]))
+    rep = verify_partition(dataclasses.replace(p, weights=(0.3, 0.5, 0.2)))
+    assert not rep.measures_ok and not rep.passed
+    assert rep.cover_ok and rep.disjoint_ok and rep.inner_ok and rep.outer_ok
+    assert len(rep.notes) == 1
+    assert re.fullmatch(r"measure of region [01] off by 2\.000e-01", rep.notes[0])
+
+
+def test_verify_names_first_overlap():
+    """A run pulled back one cell into its neighbour names both regions."""
+    p = weighted_partition(make("circle"), np.array([0.5, 0.3, 0.2]))
+    regions = list(p.regions)
+    s, e, tf, tl = regions[1].runs[0]
+    regions[1] = dataclasses.replace(regions[1], runs=((s - 1, e, tf, tl), *regions[1].runs[1:]))
+    rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+    assert not rep.disjoint_ok
+    assert rep.notes == (
+        "measure of region 1 off by 1.250e-01",
+        f"regions 0 and 1 overlap at cell position {s - 1 + tf:.6g}",
+        "tiling gap 1.000e+00",
+    )
 
 
 @pytest.mark.parametrize("n", [2, 9, 17, 64, 300])
