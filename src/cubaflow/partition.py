@@ -690,14 +690,15 @@ def verify_partition(p: Partition) -> PartitionReport:
         for s, e, tf, tl in r.runs:
             intervals.append((s + tf, (e - 1) + tl, ridx))
     intervals.sort()
-    gap = abs(intervals[0][0])
+    # a gap is where an interval starts past the furthest end so far
+    gap, reach = abs(intervals[0][0]), intervals[0][1]
     overlap_ok = True
     for (s0, e0, r0), (s1, e1, r1) in zip(intervals, intervals[1:]):
-        gap = max(gap, abs(s1 - e0))
+        gap, reach = max(gap, s1 - reach), max(reach, e1)
         if s1 < e0 - 1e-9 and overlap_ok:
             overlap_ok = False
             notes.append(f"regions {r0} and {r1} overlap at cell position {s1:.6g}")
-    gap = max(gap, abs(intervals[-1][1] - ncells))
+    gap = max(gap, abs(reach - ncells))
     cover_ok = gap <= 1e-9 and len(intervals) > 0
     if not cover_ok:
         notes.append(f"tiling gap {gap:.3e}")

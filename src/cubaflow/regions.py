@@ -3,13 +3,15 @@ independent check of their outer balls.
 
 A region is a list of runs of fine cells (see ``partition.Region``): whole
 cells plus cut pieces.  Its representative is the whole cell nearest its
-measure centroid, or its largest piece when it has no whole cell; its
-outer radius reaches the farthest whole cell or piece.  Whole cells are
-taken as blocks: arcs on the circle and the ellipse, and on the torus and
-the sphere aligned squares, whose corners come from the Hilbert axes of
-their first cell.  Flat regions find both from a few candidate cells per
-block; sphere regions quarter their blocks until the few cells that can
-be nearest or farthest remain.
+measure centroid, the lowest-index one among those within 1e-9 cell widths
+of the nearest, or its largest piece when it has no whole cell; its outer
+radius reaches the farthest whole cell or piece.  Whole cells are taken as
+blocks: arcs on the circle and the ellipse, and on the torus and the
+sphere aligned squares, whose corners come from the Hilbert axes of their
+first cell.  Flat regions work in cell widths from cell indices: a
+block's centroid sums are in closed form and both searches look at a few
+candidate cells per block, so they cost O(blocks).  Sphere regions quarter
+their blocks until the few cells that can be nearest or farthest remain.
 Verification quarters sphere boxes with nothing but the chart's derived
 stretch, independent of the boundary samples that certified the radii.
 """
@@ -31,7 +33,6 @@ from .cells import (
 from .geometry import (
     TWO_PI,
     _circle_dist,
-    _wrap_angle,
     charts_to_ambient,
     pairwise_distance,
 )
@@ -63,133 +64,134 @@ def _split_runs(runs) -> tuple[list, list]:
     return whole, partials
 
 
-def _axis_positions(tree: CellTree, level: int) -> np.ndarray:
-    """Arc-length positions of a flat level's cell centres on one axis,
-    as ``pairwise_distance`` measures them; the chart runs once, in chunks."""
-    pos = np.empty(2**level)
-    for a in range(0, len(pos), 4096):
-        i = np.arange(a, min(a + 4096, len(pos)))
-        pos[i] = tree._chart.forward(_wrap_angle(tree._arc_centers(level, i)))
-    return pos
+def _whole_ranges(wholes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owner, start and stop of every whole-cell range of the regions."""
+    return np.array([(r, s, e) for r, ranges in enumerate(wholes) for s, e in ranges],
+                    dtype=np.int64).reshape(-1, 3).T
 
 
-def _axis_candidates(pos, lo, hi, around, origin, period, farthest: bool):
+def _flat_blocks(tree: CellTree, level: int, own, lo, hi) -> tuple[np.ndarray, list]:
+    """Owner and per-axis cell ranges ``[a, b)`` of the blocks tiling the
+    whole-cell ranges ``own`` owns: the ranges themselves on one axis, the
+    aligned squares of ``cells._aligned_blocks`` on the torus."""
+    if tree.manifold.dim == 1:
+        return own, [(lo, hi)]
+    run, start, exp = _aligned_blocks(lo, hi, level)
+    side = np.int64(1) << exp
+    return own[run], [(a, a + side) for a in [(x >> exp) << exp for x in tree._axes(level, start)]]
+
+
+def _flat_centroids(level: int, owner, box, nreg: int) -> np.ndarray:
+    """Measure centroids ``(nreg, d)`` of flat regions in cell widths per
+    axis, from the blocks ``owner`` owns with per-axis cell ranges ``box``;
+    NaN rows where a circular mean degenerates.
+
+    Every cell has the same measure and cell i sits at i + 1/2 widths on
+    each axis (the ellipse's cells are equal in arc length), so an arc
+    [a, a + m) sums in closed form: the sum of e^{i theta (i + 1/2)} is
+    e^{i theta (a + m/2)} sin(m theta / 2) / sin(theta / 2), theta =
+    2 pi / 2^level.  A torus square adds its side times its arc's sum on
+    each axis.
+    """
+    theta = TWO_PI / 2**level
+    side = [b - a for a, b in box]
+    size = np.prod(side, axis=0)
+    count = np.bincount(owner, weights=size, minlength=nreg)
+    goal = np.empty((nreg, len(box)))
+    for k, (a, _) in enumerate(box):
+        amp = (size // side[k]) * np.sin(0.5 * theta * side[k]) / math.sin(0.5 * theta)
+        phase = theta * (a + 0.5 * side[k])
+        c = np.bincount(owner, weights=amp * np.cos(phase), minlength=nreg)
+        s = np.bincount(owner, weights=amp * np.sin(phase), minlength=nreg)
+        goal[:, k] = np.where(np.hypot(c, s) < 1e-9 * count, np.nan,
+                              (np.arctan2(s, c) % TWO_PI) / theta)
+    goal[np.isnan(goal).any(axis=1)] = np.nan
+    return goal
+
+
+def _axis_candidates(lo, hi, around, origin, n: int, farthest: bool):
     """The two cells of each arc ``[lo, hi)`` nearest to ``origin`` (or
-    farthest from it), as ``(k, 2)`` cells, mask and distances.
+    farthest from it), as ``(k, 2)`` cells, mask and distances, all in
+    cell widths on an axis of ``n`` cells.
 
     The best cell is an arc end or one of the three cells about
-    ``around`` (``origin`` itself, or its antipode): cell positions step
-    by one width.  The runner-up is kept only where it nearly ties the
-    best, since a ``hypot`` with the other axis may round the two equal.
+    ``around`` (``origin`` itself, or its antipode), since cell i sits at
+    i + 1/2; the runner-up is the best of the rest.  Any third cell lies a
+    whole width farther than the best.
     """
-    n = len(pos)
-    k = np.floor(around * (n / period)).astype(np.int64)
+    k = np.floor(around).astype(np.int64)
     cells = np.column_stack([lo, hi - 1, (k - 1) % n, k % n, (k + 1) % n])
     ok = (cells >= lo[:, None]) & (cells < hi[:, None])
     for c in range(1, cells.shape[1]):
         ok[:, c] &= ~np.any(cells[:, :c] == cells[:, c:c + 1], axis=1)
-    d = _circle_dist(origin[:, None], pos[cells], period)
+    d = _circle_dist(origin[:, None], cells + 0.5, n)
     two = np.argsort(np.where(ok, -d if farthest else d, np.inf), axis=1, kind="stable")[:, :2]
-    cells, ok, d = (np.take_along_axis(x, two, axis=1) for x in (cells, ok, d))
-    ok[:, 1] &= np.abs(d[:, 1] - d[:, 0]) <= 1e-6 * d[:, 0]
-    return cells, ok, d
+    return tuple(np.take_along_axis(x, two, axis=1) for x in (cells, ok, d))
 
 
-def _block_distances(axes, fill: float) -> np.ndarray:
-    """Distances of every candidate cell of each block, ``fill`` where
-    masked: ``(k, 2)`` on one axis, ``(k, 4)`` for the torus's pairs."""
-    if len(axes) == 1:
-        _, ok, d = axes[0]
-        return np.where(ok, d, fill)
-    (_, ok0, d0), (_, ok1, d1) = axes
-    ok = ok0[:, :, None] & ok1[:, None, :]
-    return np.where(ok, np.hypot(d0[:, :, None], d1[:, None, :]), fill).reshape(len(d0), 4)
+def _flat_extremes(level: int, box, origin, farthest: bool) -> tuple[list, np.ndarray]:
+    """Per-axis candidate cells ``(k, 2)`` of each block nearest to (or
+    farthest from) its row of ``origin`` ``(k, d)``, and their distances
+    ``(k, 2^d)`` in cell widths, infinite where masked: the torus pairs its
+    axes' candidates, its distance a ``hypot`` of two monotone ones."""
+    n = 2**level
+    around = (origin + 0.5 * n) % n if farthest else origin
+    axes = [_axis_candidates(a, b, around[:, k], origin[:, k], n, farthest)
+            for k, (a, b) in enumerate(box)]
+    _, ok, d = axes[0]
+    if len(axes) == 2:
+        _, ok1, d1 = axes[1]
+        ok = (ok[:, :, None] & ok1[:, None, :]).reshape(-1, 4)
+        d = np.hypot(d[:, :, None], d1[:, None, :]).reshape(-1, 4)
+    return [c for c, _, _ in axes], np.where(ok, d, -np.inf if farthest else np.inf)
 
 
-def _flat_whole_geometry(tree: CellTree, level: int, wholes, pos) -> tuple:
-    """Representative cell and radii of each flat region's whole cells.
+def _flat_nearest(tree: CellTree, level: int, owner, box, goal, nreg: int) -> np.ndarray:
+    """Per owner, the lowest-index cell among those within 1e-9 cell widths
+    of the cell nearest its ``goal`` row, over the blocks it owns."""
+    cells, dist = _flat_extremes(level, box, goal[owner], False)
+    best = np.full(nreg, np.inf)
+    np.minimum.at(best, owner, dist.min(axis=1))
+    row, col = np.nonzero(dist <= best[owner, None] + 1e-9)
+    per_axis = np.unravel_index(col, (2,) * len(cells))
+    axes = [c[row, i] for c, i in zip(cells, per_axis)]
+    pick = np.full(nreg, np.iinfo(np.int64).max)
+    np.minimum.at(pick, owner[row], axes[0] if len(axes) == 1 else tree._index(level, *axes))
+    return pick
 
-    ``wholes[r]`` lists region r's whole-cell ranges and ``pos`` the axis
-    positions of the level's cells.  The measure centroid is a per-cell
-    sum in region cell order; all else comes from a few candidate cells
-    per block (a range on the circle and the ellipse, an aligned square on
-    the torus, whose distance is a ``hypot`` of two monotone axis
-    distances).  Representatives are the cells nearest the centroid, ties
-    to the first in region cell order as ``argmin`` takes them; outer radii
-    the farthest cell's distance plus the cell radius.  Returns ``(reps,
-    inner, outer)``, NaN for regions with no whole cell.
+
+def _flat_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
+    """Representative cell and radii of each flat region's whole cells,
+    NaN for regions with none.
+
+    All is taken in cell widths from cell indices, per block (a range on
+    the circle and the ellipse, an aligned square on the torus), and
+    scaled by the width at the end; only the representatives go through
+    the arc chart.  The representative is the lowest-index cell within
+    1e-9 cell widths of the nearest to the closed-form measure centroid
+    (``_flat_centroids``), or the lowest-index cell where it degenerates;
+    the outer radius the farthest cell's distance plus the cell radius.
+    Both searches take two candidate cells per axis and block.
     """
-    chart, dim = tree._chart, tree.manifold.dim
-    period, n = chart.total, len(pos)
-    cell_in, cell_out = (float(x[0]) for x in tree.cell_radii(level, 0))
-    meas_cell = 1.0 / tree.ncells(level)
-
     nreg = len(wholes)
-    owner, lo, hi, offset = [], [], [], []
-    angle = np.full((nreg, dim), np.nan)
-    pick = np.zeros((nreg, dim), dtype=np.int64)
-    for r, ranges in enumerate(wholes):
-        if not ranges:
-            continue
-        owner += [r] * len(ranges)
-        lo += [s for s, _ in ranges]
-        hi += [e for _, e in ranges]
-        offset += np.cumsum([0] + [e - s for s, e in ranges[:-1]]).tolist()
-        axes = tree._axes(level, np.concatenate([np.arange(s, e) for s, e in ranges]))
-        pick[r] = [a[0] for a in axes]
-        meas = np.full(len(axes[0]), meas_cell)
-        # circular mean per axis, taken in arc length
-        for col, i in enumerate(axes):
-            h = pos[i] * (TWO_PI / period)
-            c, s = meas @ np.cos(h), meas @ np.sin(h)
-            if math.hypot(c, s) < 1e-9 * meas.sum():
-                angle[r] = np.nan
-                break
-            angle[r, col] = (math.atan2(s, c) % TWO_PI) * (period / TWO_PI)
-    owner, lo, hi, offset = (np.asarray(x, dtype=np.int64) for x in (owner, lo, hi, offset))
-    has = np.zeros(nreg, dtype=bool)
-    has[owner] = True
-
-    # blocks: per-axis cell ranges, and each block's first position in its region
-    if dim == 1:
-        box = [(lo, hi)]
-        local = lambda cells, row: cells[0] - lo[row][:, None]
-    else:
-        run, start, exp = _aligned_blocks(lo, hi, level)
-        owner, offset = owner[run], offset[run] + start - lo[run]
-        side = np.int64(1) << exp
-        box = [(a, a + side) for a in [(x >> exp) << exp for x in tree._axes(level, start)]]
-        local = lambda cells, row: (tree._index(level, cells[0][:, :, None], cells[1][:, None, :])
-                                    - start[row][:, None, None]).reshape(len(row), 4)
-
-    # nearest cell to the centroid; a degenerate centroid keeps the first cell
-    rows = np.where(~np.isnan(angle[owner, 0]))[0]
-    goal = np.where(np.isnan(angle), 0.0, angle)
-    goal = np.column_stack([chart.inverse(goal[:, k]) for k in range(dim)])[owner[rows]]
-    if dim == 1:
-        goal = chart.forward(_wrap_angle(goal))
-    axes = [_axis_candidates(pos, b[0][rows], b[1][rows], goal[:, k], goal[:, k], period, False)
-            for k, b in enumerate(box)]
-    dist = _block_distances(axes, np.inf)
-    vmin = dist.min(axis=1)
-    # positions in region cell order of the cells at the block minimum
-    place = np.where(dist == vmin[:, None], local([c for c, _, _ in axes], rows), n**dim)
-    combo = place.argmin(axis=1)
-    order = np.lexsort((place[np.arange(len(rows)), combo] + offset[rows], vmin, owner[rows]))
-    win = order[np.diff(owner[rows][order], prepend=-1) != 0]
-    per_axis = np.unravel_index(combo[win], (2,) * dim)
-    for k, (cells, _, _) in enumerate(axes):
-        pick[owner[rows][win], k] = cells[win, per_axis[k]]
+    own, lo, hi = _whole_ranges(wholes)
+    owner, box = _flat_blocks(tree, level, own, lo, hi)
+    goal = _flat_centroids(level, owner, box, nreg)
+    live = ~np.isnan(goal[owner, 0])
+    pick = _flat_nearest(tree, level, owner[live], [(a[live], b[live]) for a, b in box], goal, nreg)
+    dead = np.isnan(goal[own, 0])
+    np.minimum.at(pick, own[dead], lo[dead])
+    has = np.bincount(own, minlength=nreg) > 0
 
     # farthest cell from the representative: arc ends and cells near its antipode
-    origin = pos[pick][owner]
-    axes = [_axis_candidates(pos, b[0], b[1], (origin[:, k] + 0.5 * period) % period,
-                             origin[:, k], period, True) for k, b in enumerate(box)]
+    origin = np.column_stack(tree._axes(level, np.where(has, pick, 0))) + 0.5
     far = np.full(nreg, -np.inf)
-    np.maximum.at(far, owner, _block_distances(axes, -np.inf).max(axis=1))
-    reps = np.column_stack([tree._arc_centers(level, pick[:, k]) for k in range(dim)])
-    reps[~has] = np.nan
-    return reps, np.where(has, cell_in, np.nan), np.where(has, far + cell_out, np.nan)
+    np.maximum.at(far, owner, _flat_extremes(level, box, origin[owner], True)[1].max(axis=1))
+    cell_in, cell_out = (float(x[0]) for x in tree.cell_radii(level, 0))
+    reps = np.full((nreg, tree.manifold.dim), np.nan)
+    reps[has] = tree.centers_chart(level, pick[has])
+    outer = far * tree._arc_width(level) + cell_out
+    return reps, np.where(has, cell_in, np.nan), np.where(has, outer, np.nan)
 
 
 # Gauss-Legendre nodes and weights of order 4 on [-1, 1]
@@ -278,8 +280,7 @@ def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     searches quarter the regions' aligned blocks, so they visit few cells.
     """
     nreg = len(wholes)
-    own, lo, hi = np.array([(r, s, e) for r, ranges in enumerate(wholes) for s, e in ranges],
-                           dtype=np.int64).reshape(-1, 3).T
+    own, lo, hi = _whole_ranges(wholes)
     run, start, exp = _aligned_blocks(lo, hi, level)
     owner, side = own[run], np.ldexp(1.0, exp)
     corner = np.column_stack([(a >> exp) << exp for a in tree._axes(level, start)]).astype(float)
@@ -312,14 +313,10 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
     nreg = len(region_runs)
     split = [_split_runs(runs) for runs in region_runs]
     wholes = [w for w, _ in split]
-    if tree.manifold.kind == "sphere2":
-        geometry = lambda batch: _sphere_whole_geometry(tree, level, batch)
-    else:
-        pos = _axis_positions(tree, level)
-        geometry = lambda batch: _flat_whole_geometry(tree, level, batch, pos)
+    whole_geometry = _sphere_whole_geometry if tree.manifold.kind == "sphere2" else _flat_whole_geometry
     # block arrays are built for a bounded number of regions at a time
     reps, inner, outer = (np.concatenate(x) for x in zip(*(
-        geometry(wholes[a:a + _REGION_BATCH]) for a in range(0, nreg, _REGION_BATCH))))
+        whole_geometry(tree, level, wholes[a:a + _REGION_BATCH]) for a in range(0, nreg, _REGION_BATCH))))
     pieces = [(r, *piece) for r, (_, parts) in enumerate(split) for piece in parts]
     if pieces:
         owner, cells, t0, t1 = (np.asarray(x) for x in zip(*pieces))
@@ -360,9 +357,7 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     reps = np.array([r.representative for r in regions])
     reach = np.array([r.outer_radius for r in regions]) + 1e-9
     split = [_split_runs(r.runs) for r in regions]
-    w_own, w_lo, w_hi = np.array(
-        [(k, lo, hi) for k, (whole, _) in enumerate(split) for lo, hi in whole],
-        dtype=np.int64).reshape(-1, 3).T
+    w_own, w_lo, w_hi = _whole_ranges([whole for whole, _ in split])
     q_own, q_cell, t0, t1 = np.array(
         [(k, *piece) for k, (_, parts) in enumerate(split) for piece in parts],
         dtype=float).reshape(-1, 4).T

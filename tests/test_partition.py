@@ -51,10 +51,14 @@ from cubaflow.partition import (
 )
 from cubaflow.regions import (
     _axis_candidates,
+    _flat_blocks,
+    _flat_centroids,
+    _flat_nearest,
     _regions_geometry,
     _sphere_centroids,
     _sphere_extremes,
     _split_runs,
+    _whole_ranges,
 )
 from cubaflow.weights import WeightVector, random_band_weights
 
@@ -288,22 +292,27 @@ def test_aligned_blocks_tile_cell_range():
 
 
 def test_axis_candidates_keep_ties():
-    """A cell tying the nearest or farthest one stays a candidate, so the
-    region cell order decides between them as argmin does."""
-    w = 2.0 * math.pi / 16
-    pos = (np.arange(16) + 0.5) * w
+    """A cell tying the nearest or farthest one stays a candidate, and the
+    nearest search takes the lowest index among the cells within 1e-9 cell
+    widths of the nearest, whichever way the centroid rounds."""
+    tree = build_cell_tree(make("circle"), depth=4)
     lo, hi = np.array([0]), np.array([16])
-    for origin in (4 * w, np.nextafter(4 * w, 0.0)):
+    for origin in (4.0, np.nextafter(4.0, 0.0), np.nextafter(4.0, 5.0), 4.0 + 4e-10):
         o = np.array([origin])
-        cells, ok, _ = _axis_candidates(pos, lo, hi, o, o, 2.0 * math.pi, False)
+        cells, ok, _ = _axis_candidates(lo, hi, o, o, 16, False)
         assert sorted(cells[0][ok[0]]) == [3, 4]
-        cells, ok, _ = _axis_candidates(pos, lo, hi, (o + math.pi) % (2.0 * math.pi), o,
-                                        2.0 * math.pi, True)
+        cells, ok, _ = _axis_candidates(lo, hi, (o + 8.0) % 16, o, 16, True)
         assert sorted(cells[0][ok[0]]) == [11, 12]
-    # away from a boundary only the one nearest cell remains
-    o = np.array([4.5 * w])
-    cells, ok, _ = _axis_candidates(pos, lo, hi, o, o, 2.0 * math.pi, False)
-    assert list(cells[0][ok[0]]) == [4]
+        assert _flat_nearest(tree, 4, np.array([0]), [(lo, hi)], o[:, None], 1)[0] == 3
+    # past 1e-9 cell widths the nearer cell wins
+    for origin, want in ((4.0 + 2e-9, 4), (4.5, 4), (3.5, 3)):
+        assert _flat_nearest(tree, 4, np.array([0]), [(lo, hi)], np.array([[origin]]), 1)[0] == want
+    # on the torus the four cells about a grid corner tie
+    torus = build_cell_tree(make("torus2"), depth=2)
+    side = (np.array([0]), np.array([4]))
+    pick = _flat_nearest(torus, 2, np.array([0]), [side, side], np.array([[2.0, 2.0]]), 1)[0]
+    assert pick == min(_hilbert_encode(np.array([i]), np.array([j]), 2)[0]
+                       for i in (1, 2) for j in (1, 2))
 
 
 def _random_charts(manifold, n, seed):
@@ -869,6 +878,39 @@ def test_sphere_representatives_hold_under_one_ulp(n, seed):
         assert tuple(tree.centers_chart(level, picks[0])[0]) == reg.representative
 
 
+# the flat partition cases of the benchmark at weights seeds 7-16
+FLAT_FINGERPRINT_CASES = [("circle", (), 1024), ("ellipse", (3.0, 1.0), 128),
+                          ("torus2", (), 128), ("torus2", (), 256)]
+
+
+@pytest.mark.parametrize("kind,axes,n", FLAT_FINGERPRINT_CASES,
+                         ids=[f"{k}-N{n}" for k, _, n in FLAT_FINGERPRINT_CASES])
+def test_flat_representatives_hold_under_one_ulp(kind, axes, n):
+    """Moving a region's centroid by one ulp on any axis moves no flat
+    representative."""
+    m = Manifold(kind, *axes)
+    for seed in range(7, 17):
+        p = weighted_partition(m, random_band_weights(n, 0.5, 2.0, seed))
+        level = p.fine_level
+        tree = build_cell_tree(m, depth=level)
+        own, lo, hi = _whole_ranges([_split_runs(reg.runs)[0] for reg in p.regions])
+        owner, box = _flat_blocks(tree, level, own, lo, hi)
+        goal = _flat_centroids(level, owner, box, p.n)
+        live = ~np.isnan(goal[owner, 0])
+        owner, box = owner[live], [(a[live], b[live]) for a, b in box]
+        # the centroid, then each axis one ulp down and up
+        goals = [goal] + [np.where(np.arange(m.dim) == k, np.nextafter(goal, to), goal)
+                          for k in range(m.dim) for to in (-np.inf, np.inf)]
+        picks = _flat_nearest(tree, level, np.concatenate([owner + t * p.n for t in range(len(goals))]),
+                              [(np.tile(a, len(goals)), np.tile(b, len(goals))) for a, b in box],
+                              np.concatenate(goals), len(goals) * p.n).reshape(len(goals), p.n)
+        rows = np.unique(owner)
+        assert np.all(picks[:, rows] == picks[0, rows]), seed
+        assert len(rows) > 0.9 * p.n
+        want = np.array([p.regions[r].representative for r in rows])
+        assert np.array_equal(tree.centers_chart(level, picks[0, rows]), want)
+
+
 def test_region_radii_certified():
     w = random_band_weights(24, 0.5, 2.0, 9)
     p = weighted_partition(make("torus2"), w)
@@ -885,13 +927,17 @@ def _sphere_region_blocks(level, whole):
     return np.zeros(len(start), dtype=np.int64), corner, np.ldexp(1.0, exp)
 
 
-def _centroid_oracle(manifold, charts, meas, level=None, cells=None, whole=None):
-    """Measure-weighted mean position, or None when it degenerates.
+def _centroid_oracle(manifold, level, cells, whole):
+    """Measure centroid of a region's whole cells, or None where it degenerates.
 
     On the sphere it is the sum over the region's cells of a 3 x 3 Gauss
     rule per square of side at most 2^-6 in the chart, which must agree
     with ``_sphere_centroids`` to 1e-3 2^-level; the search then starts
     from the latter, so that the representative can be compared exactly.
+    On the flat kinds it is the circular mean per axis of every cell's
+    position i + 1/2, in cell widths, summed cell by cell; it must agree
+    with the closed form of ``_flat_centroids`` to 1e-6 cell widths, and
+    the search starts from it.
     """
     if manifold.kind == "sphere2":
         x, wt = np.polynomial.legendre.leggauss(3)
@@ -905,15 +951,18 @@ def _centroid_oracle(manifold, charts, meas, level=None, cells=None, whole=None)
         goal = _sphere_centroids(level, *_sphere_region_blocks(level, whole), 1)
         assert _arc(goal[0], total / np.linalg.norm(total)) <= 1e-3 * 2.0**-level
         return sphere_chart_from_ambient(goal)[0]
-    chart = arc_chart(manifold)
-    out = []
-    for col in range(charts.shape[1]):
-        h = chart.forward(charts[:, col]) * (TWO_PI / chart.total)
-        c, s = meas @ np.cos(h), meas @ np.sin(h)
-        if math.hypot(c, s) < 1e-9 * meas.sum():
-            return None
-        out.append(chart.inverse((math.atan2(s, c) % TWO_PI) * (chart.total / TWO_PI)))
-    return np.asarray(out, dtype=float)
+    n = 2**level
+    tree = build_cell_tree(manifold, depth=level)
+    h = (np.column_stack(tree._axes(level, cells)) + 0.5) * (TWO_PI / n)
+    c, s = np.cos(h).sum(axis=0), np.sin(h).sum(axis=0)
+    closed = _flat_centroids(level, *_flat_blocks(tree, level, *_whole_ranges([whole])), 1)[0]
+    if np.any(np.hypot(c, s) < 1e-9 * len(cells)):
+        assert np.all(np.isnan(closed))
+        return None
+    goal = (np.arctan2(s, c) % TWO_PI) * (n / TWO_PI)
+    miss = np.abs(goal - closed) % n
+    assert np.all(np.minimum(miss, n - miss) <= 1e-6)
+    return goal
 
 
 def _sphere_box_reach(z, level, lo, hi):
@@ -934,11 +983,13 @@ def _sphere_box_reach(z, level, lo, hi):
 def _region_geometry_oracle(tree, level, runs):
     """Representative, inner and outer radius of one region, cell by cell.
 
-    On the sphere the representative is the lowest-index cell within 1e-9
-    cell widths of the nearest, and every box reaches as far as its
-    boundary samples plus the slack; cells, too many at a fine level, are
-    taken within the certified level bound ``u2 2^-level`` of the farthest
-    centre.
+    The representative is the lowest-index cell within 1e-9 cell widths
+    of the nearest to the centroid (the lowest-index cell where a flat
+    centroid degenerates).  On the flat kinds distances are taken in cell
+    widths from cell indices.  On the sphere every box reaches as far as
+    its boundary samples plus the slack; cells, too many at a fine level,
+    are taken within the certified level bound ``u2 2^-level`` of the
+    farthest centre.
     """
     m = tree.manifold
     sphere = m.kind == "sphere2"
@@ -947,27 +998,33 @@ def _region_geometry_oracle(tree, level, runs):
     if whole:
         cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole])
         centers = tree.centers_chart(level, cells)
-        meas = np.full(len(cells), 1.0 / tree.ncells(level))
-        centroid = _centroid_oracle(m, centers, meas, level, cells, whole)
-        if centroid is None:
-            pick = 0
-        else:
-            dd = pairwise_distance(m, np.tile(centroid, (len(cells), 1)), centers)
-            if sphere:
-                tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
-                near = np.flatnonzero(dd <= dd.min() + tol)
-                pick = int(near[np.argmin(cells[near])])
-            else:
-                pick = int(np.argmin(dd))
-        rep, inner_r = centers[pick], float(tree.cell_radii(level, cells[pick])[0][0])
-        d = pairwise_distance(m, np.tile(rep, (len(cells), 1)), centers)
+        centroid = _centroid_oracle(m, level, cells, whole)
         if sphere:
+            dd = pairwise_distance(m, np.tile(centroid, (len(cells), 1)), centers)
+            tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
+        else:
+            n = 2**level
+            pos = np.column_stack(tree._axes(level, cells)) + 0.5
+
+            def flat_dist(origin):
+                d = np.abs(pos - origin) % n
+                return np.hypot(*np.minimum(d, n - d).T) if m.dim == 2 else np.minimum(d, n - d)[:, 0]
+
+            dd = np.zeros(len(cells)) if centroid is None else flat_dist(centroid)
+            tol = 1e-9
+        near = np.flatnonzero(dd <= dd.min() + tol)
+        pick = int(near[np.argmin(cells[near])])
+        rep, inner_r = centers[pick], float(tree.cell_radii(level, cells[pick])[0][0])
+        if sphere:
+            d = pairwise_distance(m, np.tile(rep, (len(cells), 1)), centers)
             z = charts_to_ambient(m, rep[None, :])[0]
             far = cells[d >= d.max() - tree.u2 * 2.0**-level]
             outer_r = max(_sphere_box_reach(z, level, (i, j), (i + 1, j + 1))
                           for i, j in zip(*_hilbert_loop(far, level)))
         else:
-            outer_r = float(np.max(d + tree.cell_radii(level, cells)[1]))
+            # distances in cell widths, scaled by the width: cells are equal in arc length
+            far = float(flat_dist(pos[pick]).max())
+            outer_r = far * tree._arc_width(level) + float(tree.cell_radii(level, cells[pick])[1][0])
     else:
         best = max(partials, key=lambda piece: piece[2] - piece[1])
         rep, inner_r, _ = tree.piece_geometry(level, *best)
@@ -988,10 +1045,12 @@ def _region_geometry_oracle(tree, level, runs):
 ORACLE_INPUTS = {"circle": ((4, 0), (64, 64)), "torus2": ((6, 0), (64, 64)),
                  "ellipse": ((4, 0), (64, 64)), "sphere2": ((6, 0), (40, 40))}
 # (level, runs) of spread-out regions: on the flat kinds the point antipodal
-# to the representative falls inside one arc, or two candidate cells tie
+# to the representative falls inside one arc, or two candidate cells tie; a
+# long circle range at level 21 sums millions of cells in closed form
 SPREAD_REGIONS = {
     "circle": ((8, ((0, 48, 0.0, 1.0), (120, 200, 0.0, 1.0))),
-               (8, ((0, 49, 0.0, 0.4), (119, 200, 0.7, 1.0)))),
+               (8, ((0, 49, 0.0, 0.4), (119, 200, 0.7, 1.0))),
+               (21, ((5, 600001, 0.0, 1.0), (900000, 1400003, 0.0, 1.0)))),
     "ellipse": ((8, ((0, 48, 0.0, 1.0), (120, 200, 0.0, 1.0))),),
     "torus2": ((4, ((0, 48, 0.0, 1.0), (128, 256, 0.0, 1.0))),
                (4, ((0, 32, 0.0, 1.0), (160, 224, 0.0, 1.0)))),
@@ -1131,10 +1190,28 @@ def test_verify_names_first_overlap():
     regions[1] = dataclasses.replace(regions[1], runs=((s - 1, e, tf, tl), *regions[1].runs[1:]))
     rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
     assert not rep.disjoint_ok
+    # the overlapping runs still cover every cell, so no gap is reported
+    assert rep.cover_ok and rep.max_cover_gap == 0.0
     assert rep.notes == (
         "measure of region 1 off by 1.250e-01",
         f"regions 0 and 1 overlap at cell position {s - 1 + tf:.6g}",
+    )
+
+
+def test_verify_names_true_gap():
+    """A run shortened by one cell leaves a gap of one cell after its neighbour."""
+    p = weighted_partition(make("circle"), np.array([0.5, 0.3, 0.2]))
+    regions = list(p.regions)
+    s, e, tf, tl = regions[1].runs[0]
+    regions[1] = dataclasses.replace(regions[1], runs=((s + 1, e, tf, tl), *regions[1].runs[1:]))
+    rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+    assert rep.disjoint_ok and not rep.cover_ok
+    assert rep.max_cover_gap == 1.0
+    # the representative's cell is the one left out
+    assert rep.notes == (
+        "measure of region 1 off by 1.250e-01",
         "tiling gap 1.000e+00",
+        "inner ball of region 1 leaks",
     )
 
 
