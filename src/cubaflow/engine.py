@@ -829,7 +829,7 @@ def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.dim:
         raise ValueError("coefficient count does not match the basis dimension")
-    w = np.asarray(part.weights, dtype=float)
+    w = part.weight_array
     if samples is None:
         samples = part.representatives()
     samples = np.atleast_2d(np.asarray(samples, dtype=float))

@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import ellipe, ellipeinc
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,6 +74,9 @@ class Manifold:
                 raise ValueError("ellipse semi-axes must be positive")
             object.__setattr__(self, "a_ax", float(self.a_ax))
             object.__setattr__(self, "b_ax", float(self.b_ax))
+            # build the cached arc chart now, so that loading scipy.special
+            # and any out-of-range axes fall here, not in a later solve
+            arc_chart(self)
         else:
             object.__setattr__(self, "a_ax", 1.0)
             object.__setattr__(self, "b_ax", 1.0)
@@ -119,26 +121,40 @@ def manifold_from_descriptor(d: dict) -> Manifold:
 
 
 class _EllipseChart:
-    """Arc length h(t) = b E(t | m) of the ellipse (a cos t, b sin t)."""
+    """Arc length h(t) = b E(t | m) of the ellipse (a cos t, b sin t).
+
+    Only this chart needs ``scipy.special``, so it is imported here and
+    ``import cubaflow`` does not load it.  Semi-axes whose ratio or size
+    overflows the chart's arithmetic raise ``ValueError``.
+    """
 
     def __init__(self, a: float, b: float):
+        from scipy.special import ellipe, ellipeinc
+
         self.a = a
         self.b = b
-        self.m = 1.0 - (a / b) ** 2
+        self._ellipeinc = ellipeinc
+        out_of_range = f"ellipse semi-axes a={a!r}, b={b!r} overflow the arc-length chart"
+        try:
+            self.m = 1.0 - (a / b) ** 2
+            # Newton steps from the start below: 4 up to axis ratio
+            # sqrt(10), 5 up to 10, 7 up to 100; a scan of ratios 1 to 1e4,
+            # both orientations, reaches rounding with these counts everywhere
+            self._steps = 3 + math.ceil(2.0 * math.log10(max(a, b) / min(a, b)))
+        except OverflowError:
+            raise ValueError(out_of_range) from None
         self.total = 4.0 * b * float(ellipe(self.m))
         # first harmonic of h, h(t) ~ total (t + c sin 2t) / 2pi, fitted at pi/4
         self._c = TWO_PI * (self.forward(0.25 * math.pi) - 0.125 * self.total) / self.total
-        # Newton steps from that start: 4 up to axis ratio sqrt(10), 5 up to
-        # 10, 7 up to 100; a scan of ratios 1 to 1e4, both orientations,
-        # reaches rounding with these counts everywhere
-        self._steps = 3 + math.ceil(2.0 * math.log10(max(a, b) / min(a, b)))
+        if not math.isfinite(self._c):  # the circumference overflowed
+            raise ValueError(out_of_range)
 
     def speed(self, t):
         return np.hypot(self.a * np.sin(t), self.b * np.cos(t))
 
     def forward(self, t):
         """h(t) for t in [0, 2pi], vectorized; a scalar gives a float."""
-        s = self.b * ellipeinc(t, self.m)
+        s = self.b * self._ellipeinc(t, self.m)
         return float(s) if np.ndim(s) == 0 else s
 
     def inverse(self, s):

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -488,6 +488,13 @@ class Partition:
     @property
     def n(self) -> int:
         return len(self.regions)
+
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        """``weights`` as a read-only float64 array, built on first use."""
+        w = np.asarray(self.weights, dtype=float)
+        w.flags.writeable = False
+        return w
 
     def representatives(self) -> np.ndarray:
         return np.asarray([r.representative for r in self.regions], dtype=float)

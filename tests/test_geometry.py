@@ -45,6 +45,21 @@ def test_manifold_validation():
     assert (m.a_ax, m.b_ax) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1e-300), (1e300, 1.0), (1e-200, 1e200)])
+def test_ellipse_axes_that_overflow_the_chart_fail_at_construction(a, b):
+    with pytest.raises(ValueError, match="semi-axes"):
+        Manifold("ellipse", a, b)
+    with pytest.raises(ValueError, match="semi-axes"):
+        manifold_from_descriptor({"kind": "ellipse", "a": a, "b": b})
+
+
+def test_ellipse_axis_ratio_1e8_constructs():
+    for a, b in ((1e8, 1.0), (1.0, 1e8)):
+        m = manifold_from_descriptor({"kind": "ellipse", "a": a, "b": b})
+        assert m == Manifold("ellipse", a, b)
+        assert arc_chart(m)._steps == 19
+
+
 def test_descriptor_roundtrip():
     for kind in ALL_KINDS:
         m = make(kind)

@@ -460,13 +460,28 @@ def test_sphere_spanning_tree_is_the_hilbert_path():
         assert np.all(step.sum(axis=0) == 1)
 
 
+_COLD_RUN = """
+import sys
+from cubaflow import FlowConfig, Manifold, random_band_weights, solve, weighted_partition
+for kind, band, n in (("circle", 4.0, 16), ("torus2", 2.0, 24), ("sphere2", 1.5, 16)):
+    w = random_band_weights(n, 0.5, 2.0, 0)
+    weighted_partition(Manifold(kind), w)
+    solve(Manifold(kind), "diffusion", band, w, FlowConfig(seed=0))
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate", "scipy.special") if m in sys.modules))
+Manifold("ellipse", 2.0, 1.0)
+print("scipy.special" in sys.modules)
+"""
+
+
 def test_import_leaves_scipy_optimize_out():
-    """Cuts are closed forms, so the package needs no root-finder."""
+    """Cuts are closed forms, so the package needs no root-finder, and only
+    the ellipse's arc chart needs ``scipy.special``: circle, torus and sphere
+    runs leave it unloaded, and making an ellipse loads it."""
     src = pathlib.Path(__import__("cubaflow").__file__).resolve().parents[1]
-    code = "import sys, cubaflow; print('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _COLD_RUN], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -1094,6 +1109,16 @@ def test_partition_json_roundtrip():
     assert partition_to_json(q) == text
     assert q.n == p.n
     assert verify_partition(q).passed
+
+
+def test_weight_array_is_a_cached_read_only_copy():
+    p = weighted_partition(make("circle"), random_band_weights(12, 0.5, 2.0, 21))
+    text = partition_to_json(p)
+    w = p.weight_array
+    assert w is p.weight_array and w.dtype == np.float64 and not w.flags.writeable
+    assert w.tolist() == list(p.weights)
+    # the cache is no field: equality and JSON ignore it
+    assert p == partition_from_json(text) and partition_to_json(p) == text
 
 
 def test_json_rejects_runs_outside_the_level():
