@@ -24,7 +24,11 @@ is followed by its ``mz-block/<variant>/N<n>/seed<s>`` line, the hash of
 equal.  The case tables are read from ``perfbench/workloads.py``; the
 package comes from this checkout's ``src``.  Run it in two checkouts and
 ``diff`` the outputs: equal lines mean byte-identical rules, partitions,
-verification reports and sampling ratios.  Takes about 15 s on one core.
+verification reports, sampling ratios and algebraic bases.  Last, one
+``algebraic-basis/<kind>-deg<L>`` line per ``ALGEBRAIC_BASES`` entry hashes
+``repr`` of a restricted space's ``evaluate`` and ``gradients`` on the
+reference grid of its degree, so a change to the ellipse or sphere basis
+shows as well as one to the circle's.  Takes about 15 s on one core.
 """
 
 import hashlib
@@ -49,6 +53,7 @@ from cubaflow import (  # noqa: E402
     mz_ratios,
     partition_to_json,
     random_band_weights,
+    reference_grid,
     rule_to_json,
     solve,
     verify_partition,
@@ -58,6 +63,12 @@ from cubaflow import (  # noqa: E402
 SEEDS = range(10)
 SPHERE_NS = (40, 150)
 MZ_RATIO_SEEDS = range(2)
+ALGEBRAIC_BASES = (
+    ("circle", ("circle",), 8),
+    ("ellipse2", ("ellipse", 2.0, 1.0), 12),
+    ("ellipse3", ("ellipse", 3.0, 1.0), 24),
+    ("sphere2", ("sphere2",), 6),
+)
 
 
 def _band(n: int, seed: int):
@@ -117,6 +128,12 @@ def main() -> int:
             _emit(f"verify/sphere-partition/N{n}/seed{seed}", repr(verify_partition(part)))
     for seed in MZ_RATIO_SEEDS:
         _mz_ratio_lines(seed)
+    for name, args, deg in ALGEBRAIC_BASES:
+        manifold = Manifold(*args)
+        space = build_restricted_space(manifold, deg)
+        charts = reference_grid(manifold, deg).charts
+        text = repr(space.evaluate(charts).tolist()) + repr(space.gradients(charts).tolist())
+        _emit(f"algebraic-basis/{name}-deg{deg}", text)
     return 0
 
 

@@ -4,8 +4,9 @@ The package builds, for a target band L and a prescribed weight vector,
 node configurations whose weighted point evaluations reproduce integrals
 of all band-L diffusion or algebraic polynomials.  The pipeline follows
 the constructive route: a measure-exact weighted area partition seeds the
-nodes, a smoothed gradient flow and a damped Gauss-Newton descent drive
-the spectral residual to zero, and weighted sampling ratios plus
+nodes, and a damped Gauss-Newton descent (the default solve) drives the
+residual to zero; the smoothed gradient flow of the existence argument
+runs only as ``mode="flow"``.  Weighted sampling ratios plus
 reproducing-kernel identities provide the diagnostics.
 """
 
@@ -77,6 +78,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -183,7 +183,7 @@ def _cmd_mz(args) -> int:
     else:
         from .algebraic import build_restricted_space
 
-        space = build_restricted_space(manifold, int(args.L))
+        space = build_restricted_space(manifold, args.L)
     mode = "value" if args.space == "algebraic-value" else "gradient"
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal((args.trials, space.dim))

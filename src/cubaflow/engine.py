@@ -361,7 +361,7 @@ def _make_space(manifold: Manifold, space_kind: str, band: float):
     if space_kind == "diffusion":
         return enumerate_basis(manifold, band)
     if space_kind == "algebraic":
-        return build_restricted_space(manifold, int(band))
+        return build_restricted_space(manifold, band)
     raise ValueError("space kind must be 'diffusion' or 'algebraic'")
 
 
@@ -663,7 +663,7 @@ def solve(
 
     def seeds(i):
         if i == 0:
-            return part.representatives()
+            return part.representatives().copy()  # a flow rule may keep its seeds
         return _uniform_points(manifold, n, np.random.default_rng((cfg.seed, i)))
 
     best = None
@@ -887,7 +887,7 @@ def verify_rule(rule: CubatureRule, tol: float) -> RuleReport:
     if rule.space_kind == "diffusion":
         space = SpectralSpace(rule.manifold, rule.band)
     else:
-        space = build_restricted_space(rule.manifold, int(rule.band))
+        space = build_restricted_space(rule.manifold, rule.band)
     r = residual_vector(space, rule.points, rule.weights)
     linf, l2 = residual_norms(r)
     stored_ok = (

@@ -496,8 +496,15 @@ class Partition:
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def _representative_array(self) -> np.ndarray:
+        reps = np.asarray([r.representative for r in self.regions], dtype=float)
+        reps.flags.writeable = False
+        return reps
+
     def representatives(self) -> np.ndarray:
-        return np.asarray([r.representative for r in self.regions], dtype=float)
+        """Region representatives as a read-only (N, d) float64 array, built on first use."""
+        return self._representative_array
 
 
 def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):

@@ -1,12 +1,13 @@
 """Restricted ambient polynomials: spans, gradients, fit residuals."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cubaflow.algebraic import build_restricted_space, restriction_fit_residual
-from cubaflow.geometry import Manifold, reference_grid, sphere_tangent_frame
+from cubaflow.geometry import Manifold, charts_to_ambient, reference_grid, sphere_tangent_frame
 from cubaflow.spectra import enumerate_basis
 
 
@@ -14,14 +15,21 @@ def make(kind, a=2.0, b=1.0):
     return Manifold("ellipse", a, b) if kind == "ellipse" else Manifold(kind)
 
 
+SHAPES = {"circle": ("circle",), "ellipse": ("ellipse", 2.0, 1.0),
+          "ellipse3:1": ("ellipse", 3.0, 1.0), "sphere2": ("sphere2",)}
+CURVES = ("circle", "ellipse", "ellipse3:1")
+
+
 def test_dimensions():
-    # circle: span{cos kt, sin kt, k<=s} minus constants
-    for s in (1, 2, 5, 8):
-        assert build_restricted_space(make("circle"), s).dim == 2 * s
-    # sphere: harmonics l=1..s
-    assert build_restricted_space(make("sphere2"), 1).dim == 3
-    assert build_restricted_space(make("sphere2"), 2).dim == 8
-    assert build_restricted_space(make("ellipse"), 3).dim == 6
+    # curves: span{cos kt, sin kt, k <= deg} minus constants; sphere:
+    # harmonics of degree 1..deg.  The curve degrees pass those where a
+    # 1e-10 rank cutoff on restricted monomials drops dimensions (axes
+    # 3:1 from degree 19, 2:1 from 24, the circle from 35).
+    cases = [(c, d) for c in CURVES for d in (1, 2, 5, 8, 19, 24, 35, 40)]
+    cases += [("sphere2", d) for d in (1, 2, 6, 12, 16)]
+    for shape, deg in cases:
+        dim = (deg + 1) ** 2 - 1 if shape == "sphere2" else 2 * deg
+        assert build_restricted_space(Manifold(*SHAPES[shape]), deg).dim == dim, (shape, deg)
 
 
 def test_spaces_compare_and_hash_by_identity():
@@ -37,17 +45,52 @@ def test_torus_rejected():
         build_restricted_space(make("torus2"), 2)
 
 
-@pytest.mark.parametrize("kind,deg", [("circle", 8), ("sphere2", 2), ("ellipse", 4)])
-def test_orthonormal_basis(kind, deg):
-    m = make(kind)
+@pytest.mark.parametrize(
+    "shape,deg",
+    [(c, d) for c in CURVES for d in (4, 8, 19, 24, 40)] + [("sphere2", d) for d in (2, 6, 16)],
+)
+def test_orthonormal_basis(shape, deg):
+    m = Manifold(*SHAPES[shape])
     sp = build_restricted_space(m, deg)
     assert sp.kind == "algebraic"
     grid = reference_grid(m, 4.0 * deg + 8.0)
     vals = sp.evaluate(grid.charts)
     gram = vals.T @ (grid.qweights[:, None] * vals)
-    assert np.max(np.abs(gram - np.eye(sp.dim))) < 1e-9
+    assert np.max(np.abs(gram - np.eye(sp.dim))) < (1e-9 if m.kind == "sphere2" else 1e-12)
     # constants projected out
     assert np.max(np.abs(grid.qweights @ vals)) < 1e-10
+
+
+def _restricted_monomials(manifold, deg, charts):
+    """Every ambient monomial of total degree <= deg, restricted to chart rows."""
+    amb = charts_to_ambient(manifold, charts)
+    exps = [e for e in itertools.product(range(deg + 1), repeat=amb.shape[1]) if sum(e) <= deg]
+    return np.column_stack([np.prod(amb ** np.asarray(e), axis=1) for e in exps])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("deg", range(1, 7))
+def test_restricted_monomials_lie_in_the_span(shape, deg):
+    """Independent oracle for the closed-form families: least squares on a grid."""
+    m = Manifold(*SHAPES[shape])
+    sp = build_restricted_space(m, deg)
+    grid = reference_grid(m, 4.0 * deg + 8.0)
+    span = np.column_stack([np.ones(len(grid.charts)), sp.evaluate(grid.charts)])
+    mono = _restricted_monomials(m, deg, grid.charts)
+    coef = np.linalg.lstsq(span, mono, rcond=None)[0]
+    rel = np.linalg.norm(span @ coef - mono, axis=0) / np.linalg.norm(mono, axis=0)
+    assert np.max(rel) < 1e-10
+
+
+@pytest.mark.parametrize("deg", [6.7, math.inf, math.nan, 0, -1])
+def test_degree_must_be_integral_and_positive(deg):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        build_restricted_space(make("circle"), deg)
+
+
+def test_integral_float_degree_accepted():
+    sp = build_restricted_space(make("circle"), 6.0)
+    assert sp.band == 6.0 and sp.dim == 12
 
 
 def test_circle_restriction_is_trig_span():
@@ -127,8 +170,6 @@ def test_manifest_and_conditioning():
     man = sp.manifest()
     assert man["dim"] == sp.dim
     assert sp.condition < 1e6
-    assert sp.rank_full >= sp.dim
-    assert sp.dropped >= 0
 
 
 def test_restricted_diffusion_agree_on_circle(rng):

@@ -119,6 +119,18 @@ def test_mz_rejects_empty_sweep(tmp_path, capsys, flag, value):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--space", "algebraic", "--L", "inf", "--N", "8"],
+    ["solve", "--space", "algebraic", "--L", "6.7", "--N", "8"],
+    ["mz", "--space", "algebraic-value", "--L", "inf"],
+    ["mz", "--space", "algebraic-gradient", "--L", "nan"],
+])
+def test_algebraic_degree_must_be_integral(tmp_path, capsys, argv):
+    assert main(argv + ["--manifold", "circle", "--out", str(tmp_path)]) == 1
+    assert "error: degree must be an integer of at least 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_ellipse_command(tmp_path, capsys):
     code = main(["ellipse", "--a", "2", "--b", "1", "--max-deg", "6",
                  "--out", str(tmp_path)])

@@ -1121,6 +1121,17 @@ def test_weight_array_is_a_cached_read_only_copy():
     assert p == partition_from_json(text) and partition_to_json(p) == text
 
 
+@pytest.mark.parametrize("kind", ["circle", "sphere2"])
+def test_representatives_are_a_cached_read_only_array(kind):
+    p = weighted_partition(make(kind), random_band_weights(12, 0.5, 2.0, 21))
+    text = partition_to_json(p)
+    reps = p.representatives()
+    assert reps is p.representatives() and reps.dtype == np.float64 and not reps.flags.writeable
+    assert reps.shape == (p.n, p.manifold.dim)
+    assert [tuple(row) for row in reps.tolist()] == [tuple(r.representative) for r in p.regions]
+    assert p == partition_from_json(text) and partition_to_json(p) == text
+
+
 def test_json_rejects_runs_outside_the_level():
     # a version-1 sphere partition of octahedral triangles, 8 of them at
     # level 1, where the chart has 4 squares: the schema check refuses it
