@@ -4,7 +4,8 @@ Usage: python3 scripts/cold_start.py
 
 For each manifold kind, starts five interpreters under ``-X importtime`` and
 times the import plus one ``Manifold(kind)`` inside each.  Prints the median
-time, the ``scipy.*`` modules loaded, and the ten largest cumulative
+time, the ``scipy.*`` modules loaded, whether ``numpy.ma`` was loaded (numpy
+imports it lazily, e.g. from ``np.unique``), and the ten largest cumulative
 ``-X importtime`` lines of the run with the median time.  A module that puts
 something heavy back on the import path shows up here without a benchmark
 run.  The package comes from this checkout's ``src``.
@@ -27,7 +28,8 @@ t0 = time.perf_counter()
 import cubaflow
 cubaflow.Manifold(sys.argv[1])
 elapsed = time.perf_counter() - t0
-print(json.dumps({"s": elapsed, "scipy": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+print(json.dumps({"s": elapsed, "scipy": sorted(m for m in sys.modules if m.startswith("scipy.")),
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -50,7 +52,8 @@ def main() -> None:
         median, lines = runs[RUNS // 2]
         print(f"{kind}: median {1e3 * median['s']:.0f} ms (min {1e3 * runs[0][0]['s']:.0f}, "
               f"max {1e3 * runs[-1][0]['s']:.0f}) over {RUNS} runs")
-        print(f"  scipy modules ({len(median['scipy'])}): {' '.join(median['scipy']) or '-'}")
+        print(f"  scipy modules ({len(median['scipy'])}): {' '.join(median['scipy']) or '-'}; "
+              f"numpy.ma loaded: {'yes' if median['numpy.ma'] else 'no'}")
         print("  largest cumulative import times [ms]:")
         for cum, name in sorted(lines, reverse=True)[:TOP]:
             print(f"  {cum / 1e3:9.1f} {name}")

@@ -78,6 +78,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -230,15 +230,18 @@ class CellTree:
         if self.manifold.kind == "sphere2":
             c, inner, outer = self._sphere_pieces(level, idx, t0, t1)
         else:
-            c = self.centers_chart(level, idx)
             inner, outer = (np.array(r, dtype=float) for r in self.cell_radii(level, idx))
             part = t1 - t0 < 1.0 - 1e-12
-            # the piece spans [lo, hi] on the sweep axis, whole arcs on the rest
+            # the piece spans [lo, hi] on the sweep axis, whole arcs on the
+            # rest; the sweep axis takes one chart call for every piece
             w = self._arc_width(level)
-            first = self._axes(level, idx[part])[0]
+            axes = self._axes(level, idx)
+            first = axes[0][part]
             lo = first * w + t0[part] * w
             hi = first * w + t1[part] * w
-            c[part, 0] = self._chart.inverse(0.5 * (lo + hi))
+            arc = (axes[0] + 0.5) * w
+            arc[part] = 0.5 * (lo + hi)
+            c = np.column_stack([self._chart.inverse(arc)] + [self._arc_centers(level, i) for i in axes[1:]])
             side = hi - lo
             if self.manifold.dim == 1:
                 inner[part], outer[part] = 0.5 * side, 0.5 * np.abs(side)

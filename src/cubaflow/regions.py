@@ -161,13 +161,13 @@ def _flat_nearest(tree: CellTree, level: int, owner, box, goal, nreg: int) -> np
 
 
 def _flat_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
-    """Representative cell and radii of each flat region's whole cells,
-    NaN for regions with none.
+    """Representative cell and outer radius of each flat region's whole
+    cells, -1 and NaN for regions with none.
 
     All is taken in cell widths from cell indices, per block (a range on
     the circle and the ellipse, an aligned square on the torus), and
-    scaled by the width at the end; only the representatives go through
-    the arc chart.  The representative is the lowest-index cell within
+    scaled by the width at the end, without the arc chart.  The
+    representative is the lowest-index cell within
     1e-9 cell widths of the nearest to the closed-form measure centroid
     (``_flat_centroids``), or the lowest-index cell where it degenerates;
     the outer radius the farthest cell's distance plus the cell radius.
@@ -187,11 +187,8 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     origin = np.column_stack(tree._axes(level, np.where(has, pick, 0))) + 0.5
     far = np.full(nreg, -np.inf)
     np.maximum.at(far, owner, _flat_extremes(level, box, origin[owner], True)[1].max(axis=1))
-    cell_in, cell_out = (float(x[0]) for x in tree.cell_radii(level, 0))
-    reps = np.full((nreg, tree.manifold.dim), np.nan)
-    reps[has] = tree.centers_chart(level, pick[has])
-    outer = far * tree._arc_width(level) + cell_out
-    return reps, np.where(has, cell_in, np.nan), np.where(has, outer, np.nan)
+    outer = far * tree._arc_width(level) + float(tree.cell_radii(level, 0)[1][0])
+    return np.where(has, pick, -1), np.where(has, outer, np.nan)
 
 
 # Gauss-Legendre nodes and weights of order 4 on [-1, 1]
@@ -267,8 +264,8 @@ def _sphere_centroids(level: int, owner, corner, side, n: int):
 
 
 def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
-    """Representative cell and radii of each sphere region's whole cells,
-    NaN for regions with none.
+    """Representative cell and outer radius of each sphere region's whole
+    cells, -1 and NaN for regions with none.
 
     The representative is the lowest-index cell among those within 1e-9
     cell widths (the side of a square of a cell's area) of the nearest to
@@ -290,15 +287,14 @@ def _sphere_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     np.minimum.at(pick, *_sphere_extremes(tree, level, owner, corner, side, goal, tol, False))
     has = np.zeros(nreg, dtype=bool)
     has[own] = True
-    reps, inner, outer = np.full((nreg, 2), np.nan), np.full(nreg, np.nan), np.full(nreg, -np.inf)
+    reps, outer = np.zeros((nreg, 2)), np.full(nreg, -np.inf)
     reps[has] = tree.centers_chart(level, pick[has])
-    inner[has] = tree.cell_radii(level, pick[has])[0]
-    z = charts_to_ambient(tree.manifold, np.where(has[:, None], reps, 0.0))
+    z = charts_to_ambient(tree.manifold, reps)
     margin = (tree.u2 - tree.u1) * 2.0**-level + 1e-12
     far_own, far = _sphere_extremes(tree, level, owner, corner, side, z, margin, True)
     boxes = tree._piece_boxes(level, far, 0.0, 1.0)
     np.maximum.at(outer, far_own, _box_reach(level, z[far_own], *boxes)[1])
-    return reps, inner, np.where(has, outer, np.nan)
+    return np.where(has, pick, -1), np.where(has, outer, np.nan)
 
 
 def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
@@ -315,16 +311,27 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
     wholes = [w for w, _ in split]
     whole_geometry = _sphere_whole_geometry if tree.manifold.kind == "sphere2" else _flat_whole_geometry
     # block arrays are built for a bounded number of regions at a time
-    reps, inner, outer = (np.concatenate(x) for x in zip(*(
+    pick, outer = (np.concatenate(x) for x in zip(*(
         whole_geometry(tree, level, wholes[a:a + _REGION_BATCH]) for a in range(0, nreg, _REGION_BATCH))))
-    pieces = [(r, *piece) for r, (_, parts) in enumerate(split) for piece in parts]
-    if pieces:
-        owner, cells, t0, t1 = (np.asarray(x) for x in zip(*pieces))
-        centers, p_in, p_out = tree.piece_geometry(level, cells, t0, t1)
-        for r in np.unique(owner[np.isnan(outer[owner])]):
-            mine = np.where(owner == r)[0]
-            best = mine[int(np.argmax(t1[mine] - t0[mine]))]
-            reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
+    owner, cells, t0, t1 = np.array(
+        [(r, *piece) for r, (_, parts) in enumerate(split) for piece in parts],
+        dtype=float).reshape(-1, 4).T
+    owner, cells = owner.astype(np.int64), cells.astype(np.int64)
+    # representatives are whole cells, pieces [0, 1] of them: one call
+    # takes the chart and radii of both
+    has = pick >= 0
+    nrep = int(has.sum())
+    centers, p_in, p_out = tree.piece_geometry(
+        level, np.concatenate([pick[has], cells]),
+        np.concatenate([np.zeros(nrep), t0]), np.concatenate([np.ones(nrep), t1]))
+    reps, inner = np.full((nreg, tree.manifold.dim), np.nan), np.full(nreg, np.nan)
+    reps[has], inner[has] = centers[:nrep], p_in[:nrep]
+    centers, p_in, p_out = centers[nrep:], p_in[nrep:], p_out[nrep:]
+    for r in np.flatnonzero(np.isnan(outer) & (np.bincount(owner, minlength=nreg) > 0)):
+        mine = np.where(owner == r)[0]
+        best = mine[int(np.argmax(t1[mine] - t0[mine]))]
+        reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
+    if len(owner):
         if tree.manifold.kind == "sphere2":
             z = charts_to_ambient(tree.manifold, reps[owner])
             reach = _box_reach(level, z, *tree._piece_boxes(level, cells, t0, t1))[1]

@@ -437,12 +437,14 @@ def test_stagnating_restarts_stop_before_the_cap():
     (CIRCLE, 8.0, 19, 1, 5,
      "95450093c00783e6ea68cd1f3504d57a3c20164e9214a9372028d4e89b7a9b90"),
     (Manifold("ellipse", 2.0, 1.0), 3.0, 9, 0, 7,
-     "b01b5660bbf543656b79e1e6d3e7b044b569cb28d81a04a9e10c699c439465b3"),
+     "bcd6d090957bfb7a99884f8f4ab79fbd7cf987883880fc86f345b8e13226e61e"),
 ])
 def test_converging_solve_keeps_its_rule(manifold, band, n, seed, restarts_used, digest):
     """Later restarts of a converging chunk are discarded; the rule is unchanged.
 
-    The digests are of the rules the one-restart-at-a-time solver wrote.
+    The digests are of the rules the one-restart-at-a-time solver wrote,
+    the ellipse one re-frozen when its arc chart moved from scipy's
+    elliptic integrals to Carlson's (the nodes moved by 1.8e-13).
     """
     w = random_band_weights(n, 0.5, 2.0, seed)
     rule = solve(manifold, "diffusion", band, w, FlowConfig(mode="descent", seed=seed))

@@ -138,6 +138,25 @@ def test_arc_chart_matches_adaptive_quadrature(axes):
     assert np.max(np.abs(chart.forward(t_back) - s)) <= 1e-15 * chart.total
 
 
+@pytest.mark.parametrize("major", ["a", "b"])
+@pytest.mark.parametrize("ratio", [1.0, 1.001, 2.0, 3.0, 10.0, 1e2, 1e4, 1e8])
+def test_arc_chart_matches_scipy_elliptic_integrals(ratio, major):
+    """The numpy-only chart against scipy's E(phi | m) and E(m), in both
+    orientations: h(t) = b E(t | m) with m = 1 - (a/b)^2, exact at the ends."""
+    from scipy import special
+
+    a, b = (ratio, 1.0) if major == "a" else (1.0, ratio)
+    chart = arc_chart(Manifold("ellipse", a, b))
+    m = 1.0 - (a / b) ** 2
+    t = np.linspace(0.0, 2.0 * math.pi, 4001)
+    h = chart.forward(t)
+    assert np.max(np.abs(h - b * special.ellipeinc(t, m))) <= 1e-15 * chart.total
+    assert abs(chart.total - 4.0 * b * special.ellipe(m)) <= 1e-15 * chart.total
+    assert chart.forward(0.0) == 0.0
+    assert chart.forward(2.0 * math.pi) == chart.total
+    assert np.all(np.diff(h) > 0.0)
+
+
 @pytest.mark.parametrize("a, b", [(-2.0, 1.0), (2.0, -1.0), (0.0, 1.0), (1.0, 0.0),
                                   (math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
 def test_arc_length_rejects_bad_axes(a, b):
