@@ -28,7 +28,10 @@ verification reports, sampling ratios and algebraic bases.  Last, one
 ``algebraic-basis/<kind>-deg<L>`` line per ``ALGEBRAIC_BASES`` entry hashes
 ``repr`` of a restricted space's ``evaluate`` and ``gradients`` on the
 reference grid of its degree, so a change to the ellipse or sphere basis
-shows as well as one to the circle's.  Takes about 15 s on one core.
+shows as well as one to the circle's.  The ``diffusion-basis/sphere-L<band>``
+lines do the same for the sphere harmonics of bands 4.5 and 12.5 (degrees
+4 and 12) on the reference grid of that band.  Takes about 15 s on one
+core.
 """
 
 import hashlib
@@ -69,6 +72,7 @@ ALGEBRAIC_BASES = (
     ("ellipse3", ("ellipse", 3.0, 1.0), 24),
     ("sphere2", ("sphere2",), 6),
 )
+SPHERE_BANDS = (4.5, 12.5)
 
 
 def _band(n: int, seed: int):
@@ -101,6 +105,12 @@ def _mz_ratio_lines(seed: int) -> None:
             _emit(f"mz-block/{variant}/N{n}/seed{seed}", repr(block))
 
 
+def _basis_text(space, band: float) -> str:
+    """``repr`` of a space's values and gradients on the reference grid of ``band``."""
+    charts = reference_grid(space.manifold, band).charts
+    return repr(space.evaluate(charts).tolist()) + repr(space.gradients(charts).tolist())
+
+
 def main() -> int:
     for name, args, kind, band, n in workloads.SOLVE_CASES:
         for seed in SEEDS:
@@ -130,10 +140,9 @@ def main() -> int:
         _mz_ratio_lines(seed)
     for name, args, deg in ALGEBRAIC_BASES:
         manifold = Manifold(*args)
-        space = build_restricted_space(manifold, deg)
-        charts = reference_grid(manifold, deg).charts
-        text = repr(space.evaluate(charts).tolist()) + repr(space.gradients(charts).tolist())
-        _emit(f"algebraic-basis/{name}-deg{deg}", text)
+        _emit(f"algebraic-basis/{name}-deg{deg}", _basis_text(build_restricted_space(manifold, deg), deg))
+    for band in SPHERE_BANDS:
+        _emit(f"diffusion-basis/sphere-L{band}", _basis_text(enumerate_basis(Manifold("sphere2"), band), band))
     return 0
 
 

@@ -381,27 +381,41 @@ def rule_to_json(rule: CubatureRule) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _rule_field(doc: dict, name: str, cast):
+    """``cast(doc[name])``; a missing or malformed field raises ValueError naming it."""
+    try:
+        return cast(doc[name])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"rule field {name!r} is missing or malformed: {exc!r}") from None
+
+
 def rule_from_json(text: str) -> CubatureRule:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a rule file holds one JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported rule schema version: {version}")
-    manifold = manifold_from_descriptor(doc["manifold"])
-    pts = np.asarray(doc["points"], dtype=float)
-    w = np.asarray(doc["weights"], dtype=float)
-    space = _make_space(manifold, doc["space"], doc["L"])
+    manifold = _rule_field(doc, "manifold", manifold_from_descriptor)
+    pts = _rule_field(doc, "points", lambda v: np.asarray(v, dtype=float))
+    w = _rule_field(doc, "weights", lambda v: np.asarray(v, dtype=float))
+    if pts.ndim != 2 or w.ndim != 1:
+        raise ValueError("rule fields 'points' and 'weights' must be a list of rows and a list")
+    space_kind = _rule_field(doc, "space", str)
+    band = _rule_field(doc, "L", float)
+    space = _make_space(manifold, space_kind, band)
     r = residual_vector(space, pts, w)
     return CubatureRule(
         manifold=manifold,
-        space_kind=str(doc["space"]),
-        band=float(doc["L"]),
+        space_kind=space_kind,
+        band=band,
         points=pts,
         weights=w,
         residual=r,
-        residual_linf=float(doc["residual_linf"]),
-        residual_l2=float(doc["residual_l2"]),
-        converged=bool(doc["converged"]),
-        seed=int(doc["seed"]),
+        residual_linf=_rule_field(doc, "residual_linf", float),
+        residual_l2=_rule_field(doc, "residual_l2", float),
+        converged=_rule_field(doc, "converged", bool),
+        seed=_rule_field(doc, "seed", int),
     )
 
 

@@ -18,9 +18,11 @@ eigenspace, so bases of nested bands are prefixes of one another.
 
 Gradients follow the tangent conventions of :mod:`cubaflow.geometry`:
 signed arc-length derivative (circle/ellipse), chart-frame vector
-(torus2), tangential ambient vector (sphere2).  Sphere values and
-gradients come from explicit polynomials in the ambient coordinates, so
-there are no pole singularities anywhere.
+(torus2), tangential ambient vector (sphere2).  The sphere harmonic (l, m)
+is Re (m >= 0) or Im (m < 0) of (x + i y)^|m| T[l, |m|], where one table
+T[l, k] = N_lk d^k P_l(z) comes from the normalized associated-Legendre
+recurrence in l and d/dz T[l, k] is a constant times T[l, k + 1].  They are
+polynomials in the ambient coordinates, so there are no pole singularities.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
-from .geometry import Manifold, TWO_PI, arc_chart
+from .geometry import Manifold, TWO_PI, arc_chart, charts_to_ambient
 
 _EPS = 1e-9  # slack for "frequency <= band" comparisons on float bands
 
@@ -110,25 +110,27 @@ class SpectralSpace:
         lmax = 0
         while math.sqrt((lmax + 1) * (lmax + 2)) <= self.band + _EPS:
             lmax += 1
-        self.labels = []
-        self.freqs = []
-        self._sph = []  # per column: (l, m, norm, poly coeffs of d^{|m|} P_l)
-        for l in range(1, lmax + 1):
-            lam = math.sqrt(l * (l + 1))
-            e = np.zeros(l + 1)
-            e[l] = 1.0
-            p = npleg.leg2poly(e)  # power-basis coefficients of P_l, exact dyadics
-            for m in range(-l, l + 1):
-                mu = abs(m)
-                q = nppoly.polyder(p, mu) if mu else p
-                if m == 0:
-                    norm = math.sqrt(2 * l + 1)
-                else:
-                    norm = math.sqrt(2.0 * (2 * l + 1) * math.factorial(l - mu) / math.factorial(l + mu))
-                self.labels.append((l, m))
-                self.freqs.append(lam)
-                self._sph.append((l, m, norm, np.asarray(q, dtype=float)))
-        self._sph_mmax = lmax
+        self.labels = [(l, m) for l in range(1, lmax + 1) for m in range(-l, l + 1)]
+        self.freqs = [math.sqrt(l * (l + 1)) for l, _ in self.labels]
+        l, m = np.array(self.labels, dtype=int).reshape(-1, 2).T
+        mu = np.abs(m)
+        # T[l, k] = a z T[l-1, k] - b T[l-2, k] for k < l (Holmes & Featherstone,
+        # J. Geodesy 76, 2002), from the constant T[k, k] = N_kk (2k - 1)!!
+        self._sph_rec = []
+        for row in range(1, lmax + 1):
+            k = np.arange(row)
+            a = np.sqrt((4.0 * row * row - 1) / ((row - k) * (row + k)))
+            b = np.sqrt((2.0 * row + 1) * (row + k - 1) * (row - k - 1)
+                        / ((row - k) * (row + k) * max(2 * row - 3, 1)))  # 0 on row 1
+            self._sph_rec.append((a, b))
+        k = np.arange(lmax + 1)
+        sectoral = np.where(k > 0, 2.0, 1.0) * np.cumprod((2.0 * k + 1) / np.maximum(2 * k, 1))
+        self._sph_t0 = np.zeros((lmax + 1, lmax + 2))  # T[l, l + 1] = N d^{l+1} P_l = 0
+        self._sph_t0[k, k] = np.sqrt(sectoral)  # T[k, k]^2 = 2 (2k + 1)!! / (2k)!!, half at k = 0
+        self._sph_cols = l * (lmax + 2) + mu  # flat index of T[l, |m|]
+        self._sph_mu = mu
+        self._sph_phase = np.where(m >= 0, 1.0, -1j)  # Im(w) = Re(-i w)
+        self._sph_dz = np.sqrt((l + mu + 1) * (l - mu) / np.where(mu > 0, 1.0, 2.0))  # N_lm / N_l,m+1
 
     # -- evaluation ------------------------------------------------------
 
@@ -142,8 +144,7 @@ class SpectralSpace:
         if kind == "torus2":
             phase = (charts @ self._kvecs.T)[:, 0::2]
             return math.sqrt(2.0) * _alternate(np.cos(phase), np.sin(phase))
-        vals, _ = self._sphere_eval(charts, want_grad=False)
-        return vals
+        return self._sphere_eval(charts, want_grad=False)
 
     def gradients(self, charts: np.ndarray) -> np.ndarray:
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
@@ -158,50 +159,30 @@ class SpectralSpace:
             phase = (charts @ self._kvecs.T)[:, 0::2]
             radial = math.sqrt(2.0) * _alternate(-np.sin(phase), np.cos(phase))
             return radial[:, :, None] * self._kvecs[None, :, :]
-        _, grads = self._sphere_eval(charts, want_grad=True)
-        return grads
+        return self._sphere_eval(charts, want_grad=True)
 
     def _arc_coordinate(self, charts: np.ndarray) -> np.ndarray:
         return arc_chart(self.manifold).forward(np.mod(charts[:, 0], TWO_PI))
 
     def _sphere_eval(self, charts, want_grad):
-        theta, phi = charts[:, 0], charts[:, 1]
-        st = np.sin(theta)
-        x = st * np.cos(phi)
-        y = st * np.sin(phi)
-        z = np.cos(theta)
-        xyz = np.column_stack([x, y, z])
-        # powers of (x + i y): real part m sin^m(theta) cos(m phi), imaginary
-        # part the sine companion
-        w = np.empty((self._sph_mmax + 1, len(theta)), dtype=complex)
-        w[0] = 1.0
-        base = x + 1j * y
-        for m in range(1, self._sph_mmax + 1):
-            w[m] = w[m - 1] * base
-        n = len(self._sph)
-        vals = np.empty((len(theta), n))
-        grads = np.empty((len(theta), n, 3)) if want_grad else None
-        for col, (l, m, norm, q) in enumerate(self._sph):
-            mu = abs(m)
-            qz = nppoly.polyval(z, q)
-            ang = w[mu].real if m >= 0 else w[mu].imag
-            vals[:, col] = norm * ang * qz
-            if not want_grad:
-                continue
-            qdz = nppoly.polyval(z, nppoly.polyder(q))
-            if mu == 0:
-                gx = np.zeros_like(z)
-                gy = np.zeros_like(z)
-            elif m > 0:
-                gx = mu * w[mu - 1].real * qz
-                gy = -mu * w[mu - 1].imag * qz
-            else:
-                gx = mu * w[mu - 1].imag * qz
-                gy = mu * w[mu - 1].real * qz
-            g = norm * np.column_stack([gx, gy, ang * qdz])
-            g -= np.sum(g * xyz, axis=1, keepdims=True) * xyz
-            grads[:, col, :] = g
-        return vals, grads
+        xyz = charts_to_ambient(self.manifold, charts)
+        n, lmax, z = len(xyz), len(self._sph_rec), xyz[:, 2:]
+        t = np.repeat(self._sph_t0[None], n, axis=0)
+        for row, (a, b) in enumerate(self._sph_rec, start=1):
+            t[:, row, :row] = a * z * t[:, row - 1, :row] - (b * t[:, row - 2, :row] if row > 1 else 0.0)
+        t = t.reshape(n, self._sph_t0.size)
+        w = np.ones((n, lmax + 1), dtype=complex)  # powers of x + i y
+        w[:, 1:] = np.cumprod(np.broadcast_to((xyz[:, 0] + 1j * xyz[:, 1])[:, None], (n, lmax)), axis=1)
+        # np.take keeps the columns C-ordered, the layout BLAS callers round against
+        mu, tcol = self._sph_mu, np.take(t, self._sph_cols, axis=1)
+        ang = (self._sph_phase * np.take(w, mu, axis=1)).real
+        if not want_grad:
+            return ang * tcol
+        dw = self._sph_phase * mu * np.take(w, np.maximum(mu - 1, 0), axis=1)  # d/dx w^mu = -i d/dy w^mu
+        dtz = self._sph_dz * np.take(t, self._sph_cols + 1, axis=1)
+        grads = np.stack([dw.real * tcol, -dw.imag * tcol, ang * dtz], axis=2)
+        grads -= np.sum(grads * xyz[:, None, :], axis=2, keepdims=True) * xyz[:, None, :]
+        return grads
 
     # -- misc ------------------------------------------------------------
 

@@ -77,6 +77,34 @@ def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     bad_path.write_text(json.dumps(doc))
     assert main(["verify", "--rule", str(bad_path)]) == 2
 
+    bad_path.write_text("[1, 2]")
+    assert main(["verify", "--rule", str(bad_path)]) == 2
+    assert "verification failed" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def circle_rule_doc(tmp_path_factory):
+    out = tmp_path_factory.mktemp("rule")
+    assert main(["solve", "--manifold", "circle", "--L", "2", "--N", "8", "--out", str(out)]) == 0
+    return json.loads((out / "rule_circle_diffusion_L2_N8.json").read_text())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("L", None),
+    ("seed", None),
+    ("residual_linf", None),
+    ("manifold", "circle"),
+    ("manifold", {"kind": "ellipse", "a": None, "b": 1.0}),
+    ("points", None),
+    ("weights", None),
+])
+def test_verify_malformed_field_names_it(circle_rule_doc, tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(circle_rule_doc, **{field: value})))
+    assert main(["verify", "--rule", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "verification failed" in err and repr(field) in err
+
 
 def test_verify_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--rule", str(tmp_path / "nope.json")]) == 1

@@ -12,6 +12,7 @@ CASES = [
     ("circle", 8.0, 16),
     ("torus2", 4.0, 48),
     ("sphere2", 3.0, 8),
+    ("sphere2", 8.5, 80),
     ("ellipse", 3.0, 8),
 ]
 
@@ -41,6 +42,17 @@ def test_orthonormal_and_centered(kind, band, dim):
     assert np.max(np.abs(gram - np.eye(dim))) < tol
     means = grid.qweights @ vals
     assert np.max(np.abs(means)) < tol
+
+
+@pytest.mark.parametrize("deg", [10, 20, 30, 40])
+def test_sphere_basis_orthonormal_at_high_degree(deg):
+    m = make("sphere2")
+    sp = enumerate_basis(m, math.sqrt(deg * (deg + 1)))
+    assert sp.dim == (deg + 1) ** 2 - 1
+    grid = reference_grid(m, 2.0 * deg + 2.0)
+    vals = sp.evaluate(grid.charts)
+    gram = vals.T @ (grid.qweights[:, None] * vals)
+    assert np.max(np.abs(gram - np.eye(sp.dim))) <= 1e-12
 
 
 def test_frequencies_sorted_ascending():
