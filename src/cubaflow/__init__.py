@@ -6,8 +6,10 @@ of all band-L diffusion or algebraic polynomials.  The pipeline follows
 the constructive route: a measure-exact weighted area partition seeds the
 nodes, and a damped Gauss-Newton descent (the default solve) drives the
 residual to zero; the smoothed gradient flow of the existence argument
-runs only as ``mode="flow"``.  Weighted sampling ratios plus
-reproducing-kernel identities provide the diagnostics.
+runs only as ``mode="flow"``.  Weighted sampling ratios and an
+independent quadrature check of each rule provide the diagnostics.  On
+the circle and the sphere the algebraic space of degree L is the
+diffusion space of band L or sqrt(L (L + 1)).
 """
 
 from .geometry import (
@@ -42,7 +44,6 @@ from .weights import (
     concentrated_weights,
     random_band_weights,
     validate_weights,
-    weight_energy,
 )
 from .partition import (
     CellTree,
@@ -63,13 +64,10 @@ from .engine import (
     RuleReport,
     SmootherV,
     flow_run,
-    kernel_psi,
-    kernel_w,
     mz_ratio_algebraic,
     mz_ratio_diffusion,
     mz_ratios,
     residual_vector,
-    riesz_coefficients,
     rule_from_json,
     rule_to_csv,
     rule_to_json,
@@ -78,6 +76,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,11 +4,13 @@ Ambient polynomials of degree <= L restricted to the manifold are, in
 closed form (Etayo, Marzo & Ortega-Cerda, Monatsh. Math. 186, 2018), the
 trigonometric polynomials of degree <= L in the angle t on the circle and
 the ellipse (a cos t, b sin t), and the harmonics of degree <= L on the
-sphere.  That family, degree-ordered with the constant first, is
+sphere.  On the circle and the sphere that span is the diffusion space of
+band L or sqrt(L (L + 1)), so its eigenbasis is returned, tagged as
+algebraic.  On the ellipse the angle is not the arc-length coordinate:
+the trigonometric family, degree-ordered with the constant first, is
 orthonormalized against the reference quadrature by one QR; the constant
 stays the first orthonormal function, so the others have zero mean and
-form the basis.  Gradients are the family's tangent gradients: d/dt over
-the speed on the curves, the harmonics' own on the sphere.
+form the basis.  Gradients are d/dt over the speed.
 
 The best-approximation residual curve measures how far a given function
 is from these spaces degree by degree; a residual floor that refuses to
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Manifold, reference_grid
-from .spectra import enumerate_basis
+from .spectra import SpectralSpace, enumerate_basis
 
 
 def _check_degree(max_deg) -> int:
@@ -37,15 +39,13 @@ def _check_degree(max_deg) -> int:
 def _family(manifold: Manifold, deg: int, charts: np.ndarray, grad: bool) -> np.ndarray:
     """Degree-ordered spanning family at chart rows, constant first.
 
-    Values are (n, nf); tangent gradients are (n, tdim, nf), the layout
-    that contracts with a coefficient matrix in one product.
+    Values are (n, nf); tangent gradients of the curves' family are
+    (n, 1, nf), the layout that contracts with a coefficient matrix in one
+    product.  The sphere's family gives values only.
     """
     if manifold.kind == "sphere2":
         harmonics = enumerate_basis(manifold, math.sqrt(deg * (deg + 1)))
-        if not grad:
-            return np.column_stack([np.ones(len(charts)), harmonics.evaluate(charts)])
-        g = harmonics.gradients(charts).transpose(0, 2, 1)
-        return np.concatenate([np.zeros((len(charts), 3, 1)), g], axis=2)
+        return np.column_stack([np.ones(len(charts)), harmonics.evaluate(charts)])
     if manifold.dim != 1:
         raise ValueError("restricted polynomial spaces are defined for embedded kinds only")
     t = charts[:, 0]
@@ -63,7 +63,7 @@ def _family(manifold: Manifold, deg: int, charts: np.ndarray, grad: bool) -> np.
 
 @dataclass(eq=False)
 class RestrictedPolySpace:
-    """Orthonormal basis of restricted polynomials with zero mean.
+    """Orthonormal basis of the ellipse's restricted polynomials with zero mean.
 
     ``coeff_matrix`` maps the degree-ordered spanning family (constant
     first) to the basis.  Equality and hashing are by identity, as for
@@ -106,13 +106,21 @@ class RestrictedPolySpace:
         }
 
 
-def build_restricted_space(manifold: Manifold, max_deg) -> RestrictedPolySpace:
-    """Orthonormalize the degree-``max_deg`` family and drop the constant.
+def build_restricted_space(manifold: Manifold, max_deg) -> SpectralSpace | RestrictedPolySpace:
+    """Orthonormal zero-mean basis of the restricted polynomials of degree <= ``max_deg``.
 
+    On the circle and the sphere this is a fresh diffusion space (never the
+    cached one) with ``kind`` "algebraic" and ``band`` the degree; on the
+    ellipse the QR of the trigonometric family, without the constant.
     ``max_deg`` must be an integral value of at least 1 (6.0 is accepted);
     anything else raises ``ValueError``.
     """
     deg = _check_degree(max_deg)
+    if manifold.kind in ("circle", "sphere2"):
+        band = deg if manifold.kind == "circle" else math.sqrt(deg * (deg + 1))
+        space = SpectralSpace(manifold, band)
+        space.kind, space.band = "algebraic", float(deg)
+        return space
     grid = reference_grid(manifold, deg)
     r = np.linalg.qr(np.sqrt(grid.qweights)[:, None] * _family(manifold, deg, grid.charts, False), mode="r")
     # F inv(R) is orthonormal with the constant first, so the other

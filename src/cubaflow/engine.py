@@ -1,7 +1,7 @@
 """Cubature construction and verification engine.
 
-The pieces, bottom up: a smooth frequency cutoff and the localized
-kernels built from it; a norm smoother that turns the ascent field
+The pieces, bottom up: a smooth frequency cutoff (the window H of the
+paper's localized kernels); a norm smoother that turns the ascent field
 grad P / |grad P| into a globally smooth vector field; residual
 bookkeeping over an orthonormal basis; a gradient-flow integrator; and
 a node solver with two modes: the ascent flow, or damped Gauss-Newton
@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import wraps
@@ -46,9 +47,6 @@ __all__ = [
     "CubatureRule",
     "RuleReport",
     "smooth_cutoff",
-    "kernel_w",
-    "kernel_psi",
-    "riesz_coefficients",
     "residual_vector",
     "flow_run",
     "solve",
@@ -150,49 +148,13 @@ class SmootherV:
 
 
 # ---------------------------------------------------------------------------
-# Kernels and residuals
+# Residuals
 
 
 def _as_space(space):
     if not isinstance(space, (SpectralSpace, RestrictedPolySpace)):
         raise TypeError("expected an enumerated basis object")
     return space
-
-
-def _kernel(space, x, y, band: float, inverse_square: bool) -> float:
-    space = _as_space(space)
-    if space.kind != "diffusion":
-        raise ValueError("kernels are defined over a diffusion basis")
-    if space.band < 2.0 * band - 1e-9:
-        raise ValueError("basis band must reach twice the kernel cutoff")
-    vx = space.evaluate(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-    vy = space.evaluate(np.atleast_2d(np.asarray(y, dtype=float)))[0]
-    h = smooth_cutoff(space.freqs / band)
-    if inverse_square:
-        h = h / space.freqs**2
-    return float(np.sum(h * vx * vy))
-
-
-def kernel_w(space, x, y, band: float) -> float:
-    """Green-type kernel: sum over modes of H(freq/band) freq^-2 phi phi."""
-    return _kernel(space, x, y, band, inverse_square=True)
-
-
-def kernel_psi(space, x, y, band: float) -> float:
-    """Localized reproducing kernel: sum of H(freq/band) phi(x) phi(y)."""
-    return _kernel(space, x, y, band, inverse_square=False)
-
-
-def riesz_coefficients(space, x) -> np.ndarray:
-    """Coefficients of the point-evaluation representer at x.
-
-    In an orthonormal basis these are just the basis values, so the
-    inner product of the representer with any member returns its value
-    at x, and a rule is exact precisely when the weighted sum of the
-    representers at its nodes vanishes.
-    """
-    space = _as_space(space)
-    return space.evaluate(np.atleast_2d(np.asarray(x, dtype=float)))[0].copy()
 
 
 def _weight_values(weights) -> np.ndarray:
@@ -389,6 +351,12 @@ def _rule_field(doc: dict, name: str, cast):
         raise ValueError(f"rule field {name!r} is missing or malformed: {exc!r}") from None
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def rule_from_json(text: str) -> CubatureRule:
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -414,8 +382,8 @@ def rule_from_json(text: str) -> CubatureRule:
         residual=r,
         residual_linf=_rule_field(doc, "residual_linf", float),
         residual_l2=_rule_field(doc, "residual_l2", float),
-        converged=_rule_field(doc, "converged", bool),
-        seed=_rule_field(doc, "seed", int),
+        converged=_rule_field(doc, "converged", _json_bool),
+        seed=_rule_field(doc, "seed", operator.index),
     )
 
 

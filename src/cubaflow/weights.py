@@ -1,4 +1,4 @@
-"""Weight vectors: validation, generators, block aggregation, energy diagnostic.
+"""Weight vectors: validation, generators, block aggregation.
 
 A weight vector is a list of positive reals summing to one.  Its *band*
 ``(a, b)`` with ``0 < a <= 1 <= b`` constrains every entry to
@@ -20,7 +20,6 @@ __all__ = [
     "block_aggregate",
     "concentrated_weights",
     "random_band_weights",
-    "weight_energy",
 ]
 
 _SUM_TOL = 1e-12
@@ -217,15 +216,3 @@ def random_band_weights(n: int, a: float, b: float, seed: int) -> WeightVector:
     if vals.min() < lo - _BAND_TOL / n or vals.max() > hi + _BAND_TOL / n:
         raise RuntimeError("band projection failed to converge")
     return WeightVector(vals, a, b)
-
-
-def weight_energy(weights: WeightVector, band: float, dim: int) -> float:
-    """Concentration diagnostic band^dim * sum(w_j^2).
-
-    Bounded above by an absolute constant for any cubature of strength
-    ``band``; equals band^dim / n for equal weights.  Reported raw since
-    the constant depends on the manifold.
-    """
-    if band < 0.0:
-        raise ValueError("band must be nonnegative")
-    return float(band) ** dim * float(np.sum(weights.values**2))

@@ -9,14 +9,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.integrate
 
 from cubaflow.algebraic import build_restricted_space, restriction_fit_residual
 from cubaflow.engine import (
     FlowConfig,
     flow_run,
-    kernel_psi,
     mz_ratios,
     residual_vector,
     smooth_cutoff,
@@ -232,12 +230,6 @@ def test_kernel_reproduces_point_values():
         h = smooth_cutoff(sp2.freqs / L)
         lo = np.zeros(manifold.dim)
         hi = np.full(manifold.dim, 2.0 * math.pi)
-        # vectorized kernel row, cross-checked against the scalar entry point
-        x0 = rng.uniform(lo, hi)
-        y0 = rng.uniform(lo, hi)
-        vx0 = sp2.evaluate(x0[None, :])[0]
-        direct = float((sp2.evaluate(y0[None, :])[0] * h) @ vx0)
-        assert direct == pytest.approx(kernel_psi(sp2, x0, y0, L), abs=1e-12)
         for _ in range(50):
             x = rng.uniform(lo, hi)
             c = rng.standard_normal(sp.dim)

@@ -103,6 +103,19 @@ def test_circle_restriction_is_trig_span():
             assert res[k - 2] > 0.5
 
 
+def test_sphere_restriction_fit_residual():
+    m = make("sphere2")
+
+    def f(ch):
+        x, y, z = charts_to_ambient(m, ch).T
+        return z * z - 1.0 / 3.0 + x * y
+
+    res = restriction_fit_residual(m, f, 4)
+    # degree-2 harmonics: exact from degree 2, far off at degree 1
+    assert res[0] > 0.5
+    assert np.all(res[1:] < 1e-12)
+
+
 def test_fit_residual_nonincreasing():
     m = make("ellipse")
     f = lambda ch: np.exp(np.cos(ch[:, 0]))
@@ -166,10 +179,27 @@ def test_gradient_norms_consistent(rng):
 
 
 def test_manifest_and_conditioning():
-    sp = build_restricted_space(make("sphere2"), 2)
+    # only the ellipse's space comes from a QR, so only it has a condition number
+    sp = build_restricted_space(Manifold(*SHAPES["ellipse3:1"]), 2)
     man = sp.manifest()
-    assert man["dim"] == sp.dim
+    assert man["dim"] == sp.dim and man["space"] == "algebraic"
     assert sp.condition < 1e6
+
+
+@pytest.mark.parametrize("shape,deg", [("circle", 1), ("circle", 8), ("sphere2", 2), ("sphere2", 6)])
+def test_circle_and_sphere_spaces_are_diffusion_spaces(shape, deg, rng):
+    """Same span, same basis: the restricted space is the diffusion space, tagged."""
+    m = Manifold(*SHAPES[shape])
+    band = float(deg) if shape == "circle" else math.sqrt(deg * (deg + 1))
+    alg = build_restricted_space(m, deg)
+    diff = enumerate_basis(m, band)
+    assert alg is not diff
+    assert alg.kind == "algebraic" and alg.band == deg
+    charts = rng.uniform(0.2, 2.9, (25, m.dim))
+    assert np.array_equal(alg.evaluate(charts), diff.evaluate(charts))
+    assert np.array_equal(alg.gradients(charts), diff.gradients(charts))
+    # the cached diffusion space is not the one that was retagged
+    assert enumerate_basis(m, band).kind == "diffusion" and diff.band == band
 
 
 def test_restricted_diffusion_agree_on_circle(rng):

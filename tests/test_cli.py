@@ -2,13 +2,22 @@
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import cubaflow
 from cubaflow.cli import main, parse_manifold, parse_weights
 
 ELL_21 = "9.688448220548"  # circumference of the 2:1 ellipse at print precision
+
+
+def test_package_version_matches_pyproject():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == cubaflow.__version__
 
 
 def test_weights_ex1_literal(capsys):
@@ -97,6 +106,9 @@ def circle_rule_doc(tmp_path_factory):
     ("manifold", {"kind": "ellipse", "a": None, "b": 1.0}),
     ("points", None),
     ("weights", None),
+    ("seed", 1.5),
+    ("converged", "false"),
+    ("converged", None),
 ])
 def test_verify_malformed_field_names_it(circle_rule_doc, tmp_path, capsys, field, value):
     path = tmp_path / "bad.json"

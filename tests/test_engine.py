@@ -1,4 +1,4 @@
-"""Kernels, the smoothed ascent flow, the node solver, and diagnostics."""
+"""The cutoff and smoother, the smoothed ascent flow, the node solver, and diagnostics."""
 
 import hashlib
 import json
@@ -17,18 +17,15 @@ from cubaflow.engine import (
     FlowConfig,
     SmootherV,
     flow_run,
-    kernel_psi,
-    kernel_w,
     mz_ratio_algebraic,
     mz_ratio_diffusion,
     mz_ratios,
     residual_vector,
-    riesz_coefficients,
     smooth_cutoff,
     solve,
     verify_rule,
 )
-from cubaflow.geometry import Manifold, reference_grid, reference_integrate
+from cubaflow.geometry import Manifold, reference_grid
 from cubaflow.partition import weighted_partition
 from cubaflow.spectra import DiffusionPoly, enumerate_basis
 from cubaflow.weights import concentrated_weights, random_band_weights
@@ -73,49 +70,7 @@ def test_smoother_rejects_bad_scale():
 
 
 # ---------------------------------------------------------------------------
-# kernels and residuals
-
-
-def test_kernels_circle_band_one():
-    """At cutoff 1 only the first pair survives: both kernels are 2 cos(x-y)."""
-    sp = enumerate_basis(CIRCLE, 2.0)
-    for x, y in [(0.3, 1.7), (0.0, 0.0), (2.1, 5.9)]:
-        expect = 2.0 * math.cos(x - y)
-        assert kernel_w(sp, [x], [y], 1.0) == pytest.approx(expect, abs=1e-12)
-        assert kernel_psi(sp, [x], [y], 1.0) == pytest.approx(expect, abs=1e-12)
-
-
-def test_kernel_requires_double_band():
-    sp = enumerate_basis(CIRCLE, 2.0)
-    with pytest.raises(ValueError):
-        kernel_psi(sp, [0.1], [0.2], 1.5)
-
-
-def test_kernel_rejects_algebraic_basis():
-    alg = build_restricted_space(CIRCLE, 4)
-    with pytest.raises(ValueError):
-        kernel_w(alg, [0.1], [0.2], 2.0)
-
-
-def test_riesz_circle_band_one():
-    sp = enumerate_basis(CIRCLE, 1.0)
-    r = riesz_coefficients(sp, [0.0])
-    assert np.allclose(r, [math.sqrt(2.0), 0.0], atol=1e-15)
-
-
-def test_reproducing_identity_circle(rng):
-    L = 4.0
-    sp = enumerate_basis(CIRCLE, L)
-    sp2 = enumerate_basis(CIRCLE, 2.0 * L)
-    for _ in range(5):
-        c = rng.standard_normal(sp.dim)
-        x = float(rng.uniform(0, 2 * math.pi))
-        f = lambda ch: np.array(
-            [kernel_psi(sp2, [x], row, L) for row in ch]
-        ) * (sp.evaluate(ch) @ c)
-        ip = reference_integrate(CIRCLE, f, 4.0 * L)
-        direct = float((sp.evaluate(np.array([[x]])) @ c)[0])
-        assert ip == pytest.approx(direct, abs=1e-10)
+# residuals
 
 
 def test_residual_trapezoid_rule_exact():

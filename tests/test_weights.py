@@ -14,7 +14,6 @@ from cubaflow.weights import (
     concentrated_weights,
     random_band_weights,
     validate_weights,
-    weight_energy,
 )
 
 
@@ -123,10 +122,3 @@ def test_block_aggregate_allows_zero_entries():
     assert math.fsum(agg.block_sums) == pytest.approx(1.0)
     assert agg.block_sums.min() >= 0.25 - 1e-12
 
-
-def test_weight_energy_values():
-    w = WeightVector(np.full(8, 0.125))
-    assert weight_energy(w, 4.0, 1) == pytest.approx(4.0 / 8.0)
-    assert weight_energy(w, 4.0, 2) == pytest.approx(16.0 / 8.0)
-    with pytest.raises(ValueError):
-        weight_energy(w, -1.0, 1)
