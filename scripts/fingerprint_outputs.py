@@ -119,7 +119,7 @@ def main() -> int:
     warnings.filterwarnings("ignore", message=r".*nodes for a dimension")
     for name, kind, band, source, n, restarts in workloads.RESTART_CASES:
         w = concentrated_weights(n) if source == "concentrated" else _band(n, 0)
-        cfg = FlowConfig(mode="descent", restarts=restarts, seed=0)
+        cfg = FlowConfig(restarts=restarts, seed=0)
         _emit(f"restarts/{name}/seed0", rule_to_json(solve(Manifold(kind), "diffusion", band, w, cfg)))
     for name, args, n in workloads.PARTITION_CASES:
         for seed in SEEDS:

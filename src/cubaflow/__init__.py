@@ -4,12 +4,12 @@ The package builds, for a target band L and a prescribed weight vector,
 node configurations whose weighted point evaluations reproduce integrals
 of all band-L diffusion or algebraic polynomials.  The pipeline follows
 the constructive route: a measure-exact weighted area partition seeds the
-nodes, and a damped Gauss-Newton descent (the default solve) drives the
-residual to zero; the smoothed gradient flow of the existence argument
-runs only as ``mode="flow"``.  Weighted sampling ratios and an
-independent quadrature check of each rule provide the diagnostics.  On
-the circle and the sphere the algebraic space of degree L is the
-diffusion space of band L or sqrt(L (L + 1)).
+nodes, and a damped Gauss-Newton descent drives the residual to zero.
+The smoothed gradient flow of the existence argument is ``flow_run``;
+no solver runs it.  Weighted sampling ratios and an independent
+quadrature check of each rule provide the diagnostics.  On the circle
+and the sphere the algebraic space of degree L is the diffusion space
+of band L or sqrt(L (L + 1)).
 """
 
 from .geometry import (
@@ -76,6 +76,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

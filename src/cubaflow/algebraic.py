@@ -92,10 +92,6 @@ class RestrictedPolySpace:
         # one product over all (point, component) rows; a stacked matmul is 2-3x slower
         return (g.reshape(-1, nf) @ self.coeff_matrix).reshape(n, tdim, -1).transpose(0, 2, 1)
 
-    def gradient_norms(self, charts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        g = np.tensordot(self.gradients(charts), np.asarray(coeffs, dtype=float), axes=(1, 0))
-        return np.linalg.norm(np.atleast_2d(g.reshape(len(g), -1)), axis=1)
-
     def manifest(self) -> dict:
         return {
             "manifold": self.manifold.descriptor(),

@@ -57,8 +57,16 @@ def parse_weights(token: str, n: int | None) -> WeightVector:
     if kind == "file":
         if len(parts) != 2:
             raise ValueError("file weights need a path, file:PATH")
-        doc = json.loads(Path(parts[1]).read_text())
-        values = doc["weights"] if isinstance(doc, dict) else doc
+        path = parts[1]
+        values = json.loads(Path(path).read_text())
+        if isinstance(values, dict):
+            if "weights" not in values:
+                raise ValueError(f"weights file {path} has no 'weights' field")
+            values = values["weights"]
+        if not isinstance(values, list):
+            raise ValueError(
+                f"weights file {path}: expected a list of weights, got {type(values).__name__}"
+            )
         return WeightVector(np.asarray(values, dtype=float))
     if n is None:
         raise ValueError(f"--N is required for {kind!r} weights")
@@ -122,12 +130,7 @@ def _cmd_partition(args) -> int:
 def _cmd_solve(args) -> int:
     manifold = parse_manifold(args.manifold)
     w = parse_weights(args.weights, args.N)
-    cfg = engine.FlowConfig(
-        mode=args.mode,
-        tol=args.tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    cfg = engine.FlowConfig(tol=args.tol, restarts=args.restarts, seed=args.seed)
     rule = engine.solve(manifold, args.space, args.L, w, cfg)
     out = _out_dir(args)
     tag = f"{_mtag(manifold)}_{args.space}_L{args.L:g}_N{w.n}"
@@ -135,7 +138,7 @@ def _cmd_solve(args) -> int:
     _write(out / f"rule_{tag}.csv", engine.rule_to_csv(rule))
     summary = [
         f"manifold {manifold.descriptor()}  space {args.space}  L {args.L:g}  N {w.n}",
-        f"mode {args.mode}  restarts used {rule.stats['restarts_used']}",
+        f"restarts used {rule.stats['restarts_used']}",
         f"stop reason {rule.stats['stop_reason']}  restarts by reason: "
         + ", ".join(f"{k} {v}" for k, v in rule.stats["stop_reasons"].items()),
         f"residual_linf {rule.residual_linf:.6e}",
@@ -153,10 +156,11 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"no such rule file: {path}")
     try:
         rule = engine.rule_from_json(path.read_text())
-        report = engine.verify_rule(rule, args.tol)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
+    # outside the try: an unusable --tol is a usage error (exit 1), not a failed rule
+    report = engine.verify_rule(rule, args.tol)
     print(
         f"residual_linf {report.residual_linf:.6e}  "
         f"random-band error {report.max_random_error:.6e}  "
@@ -306,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifold", required=True)
     sp.add_argument("--space", choices=["diffusion", "algebraic"], default="diffusion")
     sp.add_argument("--L", type=float, required=True)
-    sp.add_argument("--mode", choices=list(engine.SOLVER_MODES), default="descent")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)

@@ -3,10 +3,10 @@
 The pieces, bottom up: a smooth frequency cutoff (the window H of the
 paper's localized kernels); a norm smoother that turns the ascent field
 grad P / |grad P| into a globally smooth vector field; residual
-bookkeeping over an orthonormal basis; a gradient-flow integrator; and
-a node solver with two modes: the ascent flow, or damped Gauss-Newton
-descent on the residual (default).  The solver moves only the nodes;
-weights are prescribed and never change.
+bookkeeping over an orthonormal basis; the gradient-flow integrator of
+the existence argument; and a node solver, damped Gauss-Newton descent
+on the residual.  The solver moves only the nodes; weights are
+prescribed and never change.
 
 All heavy paths are vectorized over points and reduce in a fixed order,
 so results are reproducible for a given seed.
@@ -61,12 +61,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-SOLVER_MODES = ("flow", "descent")
-
-# damped Gauss-Newton iterations per descent restart, and flow rounds per
-# restart of the "flow" mode
+# damped Gauss-Newton iterations per descent restart
 _MAX_NEWTON_ITERS = 500
-_FLOW_ROUNDS = 8
 # a descent restart stops once its best max residual has not halved over
 # this many iterations; converging restarts need 7-32 iterations in all
 _STAGNATION_WINDOW = 50
@@ -191,16 +187,20 @@ def residual_norms(r: np.ndarray) -> tuple[float, float]:
 # Flow configuration and integrator
 
 
+def _check_positive(name: str, value) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Knobs for the flow integrator and the node solver.
+    """Knobs for the node solver and the flow integrator.
 
-    ``flow_run`` needs an explicit ``horizon``; ``solve`` defaults it to
-    the scaled travel budget 12 c4 b^(1/d) N^(-1/d) with c4 taken from the
-    partition used for seeding.  ``eps`` defaults to 1e-3 times the
-    weighted sample of |grad P| at the current points (scale-invariant
-    smoother).  ``mode`` is "descent" (default, damped Gauss-Newton) or
-    "flow" (the ascent construction).
+    ``solve`` reads ``restarts``, ``seed`` and ``tol``.  ``flow_run``
+    reads ``eps``, ``steps_per_unit`` and ``horizon``, which it needs
+    explicitly; ``eps`` defaults to 1e-3 times the weighted sample of
+    |grad P| at the seeds (scale-invariant smoother).  ``mode`` accepts
+    only "descent": the flow mode was removed in 0.8.0.
     """
 
     eps: float | None = None
@@ -212,19 +212,21 @@ class FlowConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.mode not in SOLVER_MODES:
-            raise ValueError(f"mode must be one of {SOLVER_MODES}")
-        if self.restarts < 1 or self.steps_per_unit < 1:
-            raise ValueError("restarts, steps_per_unit must be >= 1")
-        if not (self.tol > 0):
-            raise ValueError("tolerance must be positive")
-        if self.eps is not None and not (self.eps > 0):
-            raise ValueError("eps must be positive when given")
-
-
-def default_horizon(c4: float, band_hi: float, n: int, dim: int) -> float:
-    """Default travel budget 12 c4 b^(1/d) N^(-1/d) for the flow."""
-    return 12.0 * c4 * band_hi ** (1.0 / dim) * n ** (-1.0 / dim)
+        if self.mode != "descent":
+            raise ValueError(
+                f"mode must be 'descent', got {self.mode!r}: flow mode was removed in 0.8.0"
+            )
+        for name, low in (("restarts", 1), ("steps_per_unit", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                if operator.index(value) < low:
+                    raise ValueError
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}") from None
+        _check_positive("tolerance", self.tol)
+        for name in ("eps", "horizon"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -264,16 +266,19 @@ def flow_run(space, P, seeds, cfg: FlowConfig, weights=None) -> FlowResult:
         raise ValueError("flow needs an explicit horizon")
     horizon = float(cfg.horizon)
 
+    def grad(y):
+        """grad P at the rows of y, one flattened tangent vector per row."""
+        return np.tensordot(space.gradients(y), coeffs, axes=(1, 0)).reshape(len(y), -1)
+
     if cfg.eps is not None:
         eps = cfg.eps
     else:
-        est = float(w @ space.gradient_norms(pts, coeffs))
+        est = float(w @ np.linalg.norm(grad(pts), axis=1))
         eps = max(1e-3 * est, 1e-12)
     v = SmootherV(eps)
 
     def field(y):
-        g = np.tensordot(space.gradients(y), coeffs, axes=(1, 0))
-        g = g.reshape(len(y), -1)
+        g = grad(y)
         return g / v(np.linalg.norm(g, axis=1))[:, None]
 
     mf = space.manifold
@@ -553,49 +558,14 @@ def _descent(space, starts, w, cfg: FlowConfig):
     return best_pts, best_r, iters.tolist(), reasons
 
 
-def _flow_phase(space, pts, w, cfg: FlowConfig, horizon: float):
-    """Repeatedly flow along the representer of the negated residual.
-
-    Each round picks P = -sum_k r_k phi_k, whose weighted node sum is
-    -|r|^2, and lets the ascent flow raise it toward zero for one travel
-    budget.  This is the constructive reading of the existence argument:
-    the choice of P per round is the steepest certificate available.
-    """
-    run_cfg = FlowConfig(
-        eps=cfg.eps,
-        steps_per_unit=cfg.steps_per_unit,
-        horizon=horizon,
-        restarts=1,
-        seed=cfg.seed,
-        mode="flow",
-        tol=cfg.tol,
-    )
-    r = residual_vector(space, pts, w)
-    for _ in range(_FLOW_ROUNDS):
-        if np.max(np.abs(r)) <= cfg.tol:
-            return pts, r, "converged"
-        res = flow_run(space, -r, pts, run_cfg, weights=w)
-        new_r = residual_vector(space, res.endpoints, w)
-        if np.linalg.norm(new_r) >= np.linalg.norm(r):
-            return pts, r, "stagnated"
-        pts, r = res.endpoints, new_r
-    return pts, r, "iteration cap"
-
-
-def _restart_runs(space, seeds, w, cfg: FlowConfig, horizon: float):
+def _restart_runs(space, seeds, w, cfg: FlowConfig):
     """Yield (points, residual, Newton iterations, stop reason) per restart, in order.
 
-    ``seeds(i)`` gives restart i's starting nodes.  Descent runs restarts
-    in lockstep chunks of 1, 1, 2, 4, 8, ... restarts, each chunk's
-    stacked gradient array capped at ``_BLOCK_BYTES``; a consumer that
-    stops early leaves the later chunks unrun.  Flow restarts run one by
-    one.
+    ``seeds(i)`` gives restart i's starting nodes.  Restarts run in
+    lockstep chunks of 1, 1, 2, 4, 8, ... restarts, each chunk's stacked
+    gradient array capped at ``_BLOCK_BYTES``; a consumer that stops
+    early leaves the later chunks unrun.
     """
-    if cfg.mode == "flow":
-        for i in range(cfg.restarts):
-            pts, r, reason = _flow_phase(space, seeds(i), w, cfg, horizon)
-            yield pts, r, 0, reason
-        return
     n, m = len(w), space.dim
     tdim = 3 if space.manifold.kind == "sphere2" else space.manifold.dim
     cap = max(1, _BLOCK_BYTES // (n * m * tdim * 8))
@@ -618,11 +588,10 @@ def solve(
 
     Restart 0 seeds at the weighted-partition representatives (measure
     proportional, well spread); later restarts draw uniform points from
-    a per-restart generator.  Modes: "flow" is the ascent construction
-    alone, "descent" (default) is damped Gauss-Newton.  Returns the best
-    rule found, flagged unconverged when no restart reaches the
-    tolerance, which can be a true obstruction rather than a solver
-    failure.
+    a per-restart generator.  Every restart runs damped Gauss-Newton
+    descent.  Returns the best rule found, flagged unconverged when no
+    restart reaches the tolerance, which can be a true obstruction
+    rather than a solver failure.
     """
     cfg = cfg or FlowConfig()
     if not isinstance(weights, WeightVector):
@@ -637,22 +606,15 @@ def solve(
             stacklevel=2,
         )
     part = weighted_partition(manifold, weights)
-    d = manifold.dim
-    b_hi = part.band[1]
-    horizon = cfg.horizon if cfg.horizon is not None else default_horizon(
-        part.c4, b_hi, n, d
-    )
 
     def seeds(i):
         if i == 0:
-            return part.representatives().copy()  # a flow rule may keep its seeds
+            return part.representatives()
         return _uniform_points(manifold, n, np.random.default_rng((cfg.seed, i)))
 
     best = None
     reasons = dict.fromkeys(STOP_REASONS, 0)
-    for i, (pts, r, iters, reason) in enumerate(
-        _restart_runs(space, seeds, w, cfg, horizon)
-    ):
+    for i, (pts, r, iters, reason) in enumerate(_restart_runs(space, seeds, w, cfg)):
         reasons[reason] += 1
         linf = float(np.max(np.abs(r)))
         if best is None or linf < best[0]:
@@ -674,12 +636,10 @@ def solve(
         converged=bool(linf <= cfg.tol),
         seed=cfg.seed,
         stats={
-            "mode": cfg.mode,
             "restarts_used": i + 1,
             "newton_iters_last": iters,
             "stop_reason": reason,
             "stop_reasons": reasons,
-            "horizon": horizon,
             "partition_branch": part.branch,
             "partition_c4": part.c4,
             "space_dim": space.dim,
@@ -864,8 +824,10 @@ def verify_rule(rule: CubatureRule, tol: float) -> RuleReport:
     A fresh basis is enumerated (no shared state with the solver), the
     residual vector is rebuilt from the stored nodes and weights, and
     100 random members of the band are integrated by the reference grid
-    and compared against their weighted node sums.
+    and compared against their weighted node sums.  ``tol`` must be
+    positive and finite.
     """
+    _check_positive("tolerance", tol)
     if rule.space_kind == "diffusion":
         space = SpectralSpace(rule.manifold, rule.band)
     else:

@@ -186,11 +186,6 @@ class SpectralSpace:
 
     # -- misc ------------------------------------------------------------
 
-    def gradient_norms(self, charts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """|grad P| at chart rows for P with the given coefficient vector."""
-        g = np.tensordot(self.gradients(charts), np.asarray(coeffs, dtype=float), axes=(1, 0))
-        return np.linalg.norm(np.atleast_2d(g.reshape(len(g), -1)), axis=1)
-
     def manifest(self) -> dict:
         """JSON-ready summary of the enumerated basis."""
         return {

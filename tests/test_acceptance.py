@@ -87,7 +87,7 @@ def test_concentrated_weights_hit_analytic_floor():
     w = concentrated_weights(16)
     floor = 2.0 * w.values[0] - 1.0  # first-mode residual lower bound
     rule = solve(CIRCLE, "diffusion", 4.0, w,
-                 FlowConfig(mode="descent", restarts=100, seed=0))
+                 FlowConfig(restarts=100, seed=0))
     ok = (not rule.converged) and rule.residual_linf >= floor - 1e-9
     _report(
         "concentrated-weight obstruction floor",
@@ -101,7 +101,7 @@ def test_underdetermined_node_count_floor():
     """Too few nodes for the space dimension leaves a macroscopic residual."""
     w8 = random_band_weights(8, 0.5, 2.0, 42)
     rule8 = solve(CIRCLE, "diffusion", 8.0, w8,
-                  FlowConfig(mode="descent", restarts=50, seed=0))
+                  FlowConfig(restarts=50, seed=0))
     part_a = (not rule8.converged) and rule8.residual_linf >= 1e-3
 
     # two nodes, cutoff 2: scan every node pair on a dense grid so the
@@ -113,7 +113,7 @@ def test_underdetermined_node_count_floor():
     res = np.abs(w2.values[0] * E[:, None, :] + w2.values[1] * E[None, :, :])
     grid_floor = float(res.max(axis=2).min())
     rule2 = solve(CIRCLE, "diffusion", 2.0, w2,
-                  FlowConfig(mode="descent", restarts=100, seed=0))
+                  FlowConfig(restarts=100, seed=0))
     part_b = (
         grid_floor >= 1e-3
         and rule2.residual_linf >= grid_floor - 2e-3

@@ -169,15 +169,6 @@ def test_sphere_gradients_tangent(rng):
     assert np.max(np.abs(radial)) < 1e-12
 
 
-def test_gradient_norms_consistent(rng):
-    m = make("circle")
-    sp = build_restricted_space(m, 4)
-    charts = rng.uniform(0, 2 * math.pi, (12, 1))
-    c = rng.standard_normal(sp.dim)
-    manual = np.linalg.norm(np.tensordot(sp.gradients(charts), c, axes=(1, 0)), axis=1)
-    assert np.allclose(sp.gradient_norms(charts, c), manual, atol=1e-13)
-
-
 def test_manifest_and_conditioning():
     # only the ellipse's space comes from a QR, so only it has a condition number
     sp = build_restricted_space(Manifold(*SHAPES["ellipse3:1"]), 2)

@@ -118,6 +118,43 @@ def test_verify_malformed_field_names_it(circle_rule_doc, tmp_path, capsys, fiel
     assert "verification failed" in err and repr(field) in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+def test_unusable_tolerance_is_usage_error(circle_rule_doc, tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    argv = ["solve", "--manifold", "circle", "--L", "8", "--N", "4", f"--tol={tol}"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "error: tolerance must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(circle_rule_doc))
+    assert main(["verify", "--rule", str(path), f"--tol={tol}"]) == 1
+    assert "error: tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_solve_flow_mode_is_gone(tmp_path, capsys):
+    argv = ["solve", "--manifold", "circle", "--L", "2", "--N", "8", "--mode", "flow"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --mode flow" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("doc, problem", [
+    ({"foo": 1}, " has no 'weights' field"),
+    ({"weights": {"a": 1}}, ": expected a list of weights, got dict"),
+], ids=["no-field", "dict-field"])
+@pytest.mark.parametrize("command", ["weights", "partition"])
+def test_malformed_weights_file_is_usage_error(tmp_path, capsys, doc, problem, command):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(doc))
+    if command == "weights":
+        argv = ["weights", "--file", str(path)]
+    else:
+        argv = ["partition", "--manifold", "circle", "--weights", f"file:{path}",
+                "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: weights file {path}{problem}" in capsys.readouterr().err
+
+
 def test_verify_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--rule", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -133,16 +133,41 @@ def test_flow_requires_horizon_or_c4(rng):
 
 
 def test_flow_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(mode="annealing")
-    with pytest.raises(ValueError):
-        FlowConfig(mode="hybrid")
-    with pytest.raises(ValueError):
-        FlowConfig(restarts=0)
-    with pytest.raises(ValueError):
-        FlowConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        FlowConfig(eps=0.0)
+    for kwargs, match in [
+        ({"mode": "flow"}, "flow mode was removed in 0.8.0"),
+        ({"mode": "annealing"}, "mode must be 'descent'"),
+        ({"mode": "hybrid"}, "mode must be 'descent'"),
+        ({"restarts": 0}, "restarts must be an integer"),
+        ({"restarts": 2.5}, "restarts must be an integer"),
+        ({"restarts": 2.0}, "restarts must be an integer"),
+        ({"steps_per_unit": 0}, "steps_per_unit must be an integer"),
+        ({"steps_per_unit": 96.5}, "steps_per_unit must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer of at least 0"),
+        ({"seed": -1}, "seed must be an integer of at least 0"),
+        ({"tol": -1.0}, "tolerance must be positive and finite"),
+        ({"tol": 0.0}, "tolerance must be positive and finite"),
+        ({"tol": math.inf}, "tolerance must be positive and finite"),
+        ({"tol": math.nan}, "tolerance must be positive and finite"),
+        ({"eps": 0.0}, "eps must be positive and finite"),
+        ({"eps": math.inf}, "eps must be positive and finite"),
+        ({"eps": math.nan}, "eps must be positive and finite"),
+        ({"horizon": -1.0}, "horizon must be positive and finite"),
+        ({"horizon": math.inf}, "horizon must be positive and finite"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            FlowConfig(**kwargs)
+
+
+def test_flow_config_accepts_integral_counts():
+    cfg = FlowConfig(restarts=np.int64(3), steps_per_unit=np.int32(7), horizon=0.5, eps=1e-3)
+    assert cfg.mode == "descent" and cfg.restarts == 3 and cfg.steps_per_unit == 7
+
+
+def test_verify_rule_rejects_unusable_tolerance():
+    rule = solve(CIRCLE, "diffusion", 2.0, np.full(8, 0.125), FlowConfig(restarts=1))
+    for tol in (0.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify_rule(rule, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +201,7 @@ def test_solve_algebraic_circle():
 def test_solve_warns_below_half_dimension():
     with pytest.warns(UserWarning):
         solve(CIRCLE, "diffusion", 8.0, np.full(4, 0.25),
-              FlowConfig(mode="descent", restarts=1, seed=0))
+              FlowConfig(restarts=1, seed=0))
 
 
 def test_solve_deterministic():
@@ -188,22 +213,11 @@ def test_solve_deterministic():
     assert engine.rule_to_json(a) == engine.rule_to_json(b)
 
 
-def test_solve_flow_mode_reduces_residual():
-    w = np.full(12, 1.0 / 12)
-    part = weighted_partition(CIRCLE, w)
-    sp = enumerate_basis(CIRCLE, 2.0)
-    seed_res = np.max(np.abs(residual_vector(sp, part.representatives(), w)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rule = solve(CIRCLE, "diffusion", 2.0, w, FlowConfig(mode="flow", restarts=1, seed=0))
-    assert rule.residual_linf <= seed_res + 1e-12
-
-
 def test_solve_reports_obstruction():
     w = concentrated_weights(6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rule = solve(CIRCLE, "diffusion", 2.0, w, FlowConfig(mode="descent", restarts=5, seed=0))
+        rule = solve(CIRCLE, "diffusion", 2.0, w, FlowConfig(restarts=5, seed=0))
     assert not rule.converged
     assert rule.residual_linf >= 2.0 * w.values[0] - 1.0 - 1e-9
     assert rule.stats["stop_reason"] in engine.STOP_REASONS[1:]
@@ -359,7 +373,7 @@ def test_lockstep_descent_singular_slice_leaves_others(monkeypatch):
 
 def test_chunk_byte_budget_does_not_change_the_rule(monkeypatch):
     w = random_band_weights(9, 0.5, 2.0, 1)  # no restart of eight converges
-    cfg = FlowConfig(mode="descent", seed=1)
+    cfg = FlowConfig(seed=1)
     chunked = solve(CIRCLE, "diffusion", 4.0, w, cfg)
     monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # one restart per chunk
     single = solve(CIRCLE, "diffusion", 4.0, w, cfg)
@@ -380,7 +394,7 @@ def test_stagnating_restarts_stop_before_the_cap():
     w = random_band_weights(16, 0.5, 2.0, 0)  # the benchmark's torus2-N16-L6 at seed 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rule = solve(TORUS, "diffusion", 6.0, w, FlowConfig(mode="descent", restarts=5, seed=0))
+        rule = solve(TORUS, "diffusion", 6.0, w, FlowConfig(restarts=5, seed=0))
     assert not rule.converged
     counts = rule.stats["stop_reasons"]
     assert counts["iteration cap"] == 0 and counts["converged"] == 0
@@ -402,7 +416,7 @@ def test_converging_solve_keeps_its_rule(manifold, band, n, seed, restarts_used,
     elliptic integrals to Carlson's (the nodes moved by 1.8e-13).
     """
     w = random_band_weights(n, 0.5, 2.0, seed)
-    rule = solve(manifold, "diffusion", band, w, FlowConfig(mode="descent", seed=seed))
+    rule = solve(manifold, "diffusion", band, w, FlowConfig(seed=seed))
     assert rule.converged and rule.stats["stop_reason"] == "converged"
     assert rule.stats["restarts_used"] == restarts_used
     assert rule.stats["stop_reasons"]["converged"] == 1

@@ -101,16 +101,6 @@ def test_gradients_match_finite_differences(kind, band, dim, rng):
         assert np.max(np.abs(fd - g[:, :, 0])) < 5e-6
 
 
-def test_gradient_norms_consistent(rng):
-    m = make("torus2")
-    sp = enumerate_basis(m, 3.0)
-    charts = rng.uniform(0, 2 * math.pi, (20, 2))
-    c = rng.standard_normal(sp.dim)
-    norms = sp.gradient_norms(charts, c)
-    manual = np.linalg.norm(np.tensordot(sp.gradients(charts), c, axes=(1, 0)), axis=1)
-    assert np.allclose(norms, manual, atol=1e-13)
-
-
 def test_poly_wrappers(rng):
     sp = enumerate_basis(make("circle"), 4.0)
     c = rng.standard_normal(sp.dim)
