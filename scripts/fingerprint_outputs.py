@@ -5,7 +5,12 @@ Usage: python3 scripts/fingerprint_outputs.py > fingerprints.txt
 Hashes the default-solve ``rule_to_json`` of every ``SOLVE_CASES`` entry at
 seeds 0-9, the descent ``rule_to_json`` of every ``RESTART_CASES`` entry at
 seed 0, and ``partition_to_json`` of every ``PARTITION_CASES`` entry at seeds
-0-9, with the inputs the benchmark workloads generate.  Each partition also
+0-9, with the inputs the benchmark workloads generate.  Each partition is
+hashed twice: its document without ``stats`` on the ``partition/...`` line
+(likewise ``mz-partition/...`` and ``sphere-partition/...``), and its
+``stats`` alone on a ``partition-stats/...`` line (``mz-partition-stats/...``,
+``sphere-partition-stats/...``), so a change to the diagnostics alone shows
+as one.  Each partition also
 gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
 ``verify_partition`` report.  Last come the circle partitions of the MZ
 sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
@@ -35,6 +40,7 @@ core.
 """
 
 import hashlib
+import json
 import pathlib
 import sys
 import warnings
@@ -83,6 +89,16 @@ def _emit(case: str, text: str) -> None:
     print(f"{case} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
 
 
+def _emit_partition(case: str, part) -> None:
+    """Hash a partition's JSON without its stats under ``case``, and the
+    stats alone under ``case`` with ``-stats`` after its first component."""
+    doc = json.loads(partition_to_json(part))
+    stats = doc.pop("stats")
+    _emit(case, json.dumps(doc, sort_keys=True, indent=1))
+    head, rest = case.split("/", 1)
+    _emit(f"{head}-stats/{rest}", json.dumps(stats, sort_keys=True, indent=1))
+
+
 def _mz_ratio_lines(seed: int) -> None:
     circle = Manifold("circle")
     for variant in workloads.MZ_VARIANTS:
@@ -125,16 +141,16 @@ def main() -> int:
         for seed in SEEDS:
             w = _band(n, seed + workloads.PARTITION_SEED_SHIFT)
             part = weighted_partition(Manifold(*args), w)
-            _emit(f"partition/{name}/seed{seed}", partition_to_json(part))
+            _emit_partition(f"partition/{name}/seed{seed}", part)
             _emit(f"verify/{name}/seed{seed}", repr(verify_partition(part)))
     for seed in SEEDS:
         for n in workloads.MZ_NS:
             part = weighted_partition(Manifold("circle"), _band(n, seed + n))
-            _emit(f"mz-partition/N{n}/seed{seed}", partition_to_json(part))
+            _emit_partition(f"mz-partition/N{n}/seed{seed}", part)
     for n in SPHERE_NS:
         for seed in range(3):
             part = weighted_partition(Manifold("sphere2"), _band(n, seed))
-            _emit(f"sphere-partition/N{n}/seed{seed}", partition_to_json(part))
+            _emit_partition(f"sphere-partition/N{n}/seed{seed}", part)
             _emit(f"verify/sphere-partition/N{n}/seed{seed}", repr(verify_partition(part)))
     for seed in MZ_RATIO_SEEDS:
         _mz_ratio_lines(seed)

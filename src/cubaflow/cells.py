@@ -270,10 +270,11 @@ def _box_reach(level: int, z, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return d.min(axis=1) - slack, np.where(holds, math.pi, d.max(axis=1) + slack)
 
 
-# Levels whose cell radii are measured; deeper levels take the derived
-# bounds, which hold at every level: the inner radius of a cell of side
-# 2 * 2^-k is at least pi / _AXIS 2^-k, its outer at most _DIAG 2^-k, each
-# certified to a slack of _AXIS / (_EDGE_SAMPLES - 1) 2^-k.
+# Levels whose cell radii are measured; trees deeper than that take the
+# derived bounds, which hold at every level and dominate every measured
+# one: the inner radius of a cell of side 2 * 2^-k is at least
+# pi / _AXIS 2^-k, its outer at most _DIAG 2^-k, each certified to a slack
+# of _AXIS / (_EDGE_SAMPLES - 1) 2^-k.
 _MEASURED_LEVELS = 5
 _RADII_BOUNDS = (math.pi / _AXIS - _AXIS / (_EDGE_SAMPLES - 1), _DIAG + _AXIS / (_EDGE_SAMPLES - 1))
 
@@ -282,8 +283,6 @@ _RADII_BOUNDS = (math.pi / _AXIS - _AXIS / (_EDGE_SAMPLES - 1), _DIAG + _AXIS / 
 def _level_radii(level: int) -> tuple[float, float]:
     """(smallest inner, largest outer) certified radius of the level's
     cells, in units of 2^-level."""
-    if level > _MEASURED_LEVELS:
-        return _RADII_BOUNDS
     lo = np.indices((1 << level,) * 2).reshape(2, -1).T.astype(float)
     inner, outer = _box_reach(level, _grid_points(level, lo + 0.5), lo, lo + 1.0)
     return float(inner.min()) * 2**level, float(outer.max()) * 2**level

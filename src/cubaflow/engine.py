@@ -371,9 +371,9 @@ def rule_from_json(text: str) -> CubatureRule:
         raise ValueError(f"unsupported rule schema version: {version}")
     manifold = _rule_field(doc, "manifold", manifold_from_descriptor)
     pts = _rule_field(doc, "points", lambda v: np.asarray(v, dtype=float))
-    w = _rule_field(doc, "weights", lambda v: np.asarray(v, dtype=float))
-    if pts.ndim != 2 or w.ndim != 1:
-        raise ValueError("rule fields 'points' and 'weights' must be a list of rows and a list")
+    w = _rule_field(doc, "weights", lambda v: WeightVector(np.asarray(v, dtype=float)).values)
+    if pts.ndim != 2:
+        raise ValueError("rule field 'points' must be a list of rows")
     space_kind = _rule_field(doc, "space", str)
     band = _rule_field(doc, "L", float)
     space = _make_space(manifold, space_kind, band)
@@ -824,8 +824,9 @@ def verify_rule(rule: CubatureRule, tol: float) -> RuleReport:
     A fresh basis is enumerated (no shared state with the solver), the
     residual vector is rebuilt from the stored nodes and weights, and
     100 random members of the band are integrated by the reference grid
-    and compared against their weighted node sums.  ``tol`` must be
-    positive and finite.
+    and compared against their weighted node sums.  The band has no
+    constant, so the weights must also sum to one within ``tol``.
+    ``tol`` must be positive and finite.
     """
     _check_positive("tolerance", tol)
     if rule.space_kind == "diffusion":
@@ -846,7 +847,8 @@ def verify_rule(rule: CubatureRule, tol: float) -> RuleReport:
         space.manifold, lambda ch: space.evaluate(ch) @ coeffs.T, space.band
     )
     max_err = float(np.max(np.abs(node_sums - integrals)))
-    passed = bool(linf <= tol and max_err <= tol and stored_ok)
+    mass_ok = abs(math.fsum(rule.weights) - 1.0) <= tol
+    passed = bool(linf <= tol and max_err <= tol and stored_ok and mass_ok)
     return RuleReport(
         residual_linf=linf,
         residual_l2=l2,

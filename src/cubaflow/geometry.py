@@ -513,47 +513,39 @@ def reference_integrate(
 # ---------------------------------------------------------------------------
 
 
-def _ball_measure_profile(manifold: Manifold, r: np.ndarray) -> np.ndarray:
-    """Measure of a geodesic ball of radius r; homogeneous, so center-free."""
-    kind = manifold.kind
-    r = np.asarray(r, dtype=float)
-    if kind == "sphere2":
-        # cap fraction (1 - cos r)/2 in the cancellation-free half-angle form
-        return np.sin(0.5 * r) ** 2
-    if manifold.dim == 1:
-        return np.minimum(2.0 * r / arc_chart(manifold).total, 1.0)
-    # flat torus: disk area, with the four edge overshoots removed once
-    # r exceeds the half-period pi
-    disk = math.pi * r ** 2
-    over = np.maximum(r, math.pi)
-    seg = over ** 2 * np.arccos(np.clip(math.pi / over, -1.0, 1.0)) - math.pi * np.sqrt(
-        np.maximum(over ** 2 - math.pi ** 2, 0.0))
-    area = np.where(r <= math.pi, disk, disk - 4.0 * seg)
-    return np.minimum(area / (4.0 * math.pi ** 2), 1.0)
-
-
 def ball_measure(manifold: Manifold, r: float) -> float:
-    """Normalized measure of any geodesic ball of radius r, in closed form."""
+    """Normalized measure of any geodesic ball of radius r, in closed form;
+    every model manifold is homogeneous, so the ball needs no center."""
     _require_finite([r], "radius")
     if r <= 0.0:
         raise ValueError("radius must be positive")
     if r > manifold.diameter + 1e-12:
         raise ValueError("radius exceeds the manifold diameter")
-    return float(_ball_measure_profile(manifold, np.asarray(r)))
+    r = float(r)
+    if manifold.kind == "sphere2":
+        # cap fraction (1 - cos r)/2 in the cancellation-free half-angle form
+        return math.sin(0.5 * r) ** 2
+    if manifold.dim == 1:
+        return min(2.0 * r / arc_chart(manifold).total, 1.0)
+    # flat torus: disk area, with the four edge overshoots removed once
+    # r exceeds the half-period pi
+    area = math.pi * r**2
+    if r > math.pi:
+        area -= 4.0 * (r**2 * math.acos(math.pi / r) - math.pi * math.sqrt(r**2 - math.pi**2))
+    return min(area / (4.0 * math.pi**2), 1.0)
 
 
-@lru_cache(maxsize=16)
 def doubling_constants(manifold: Manifold) -> tuple[float, float]:
-    """Empirical Ahlfors bounds (c1, c2): c1 r^d <= mu(B(x, r)) <= c2 r^d.
+    """Ahlfors constants (c1, c2): c1 r^d <= mu(B(x, r)) <= c2 r^d for
+    every radius up to the diameter, both attained.
 
-    All four model manifolds are homogeneous, so the profile depends on r
-    only; the constants come from a dense scan of mu(B(r)) / r^d with a
-    tiny safety margin.
+    The profile mu(B(r)) / r^d is 2 / l on a curve of length l; on the
+    torus 1 / (4 pi) up to the half-period pi, falling to 1 / (2 pi^2) at
+    the diameter; on the sphere 1 / 4 as r -> 0, falling to 1 / pi^2 at pi.
     """
-    d = manifold.diameter
-    r = np.concatenate([
-        np.geomspace(1e-9 * d, d, 60_000),
-        np.linspace(1e-4 * d, d, 60_000),
-    ])
-    ratio = _ball_measure_profile(manifold, r) / r ** manifold.dim
-    return float(ratio.min() * (1.0 - 1e-6)), float(ratio.max() * (1.0 + 1e-6))
+    if manifold.dim == 1:
+        c = 2.0 / arc_chart(manifold).total
+        return c, c
+    if manifold.kind == "torus2":
+        return 1.0 / (2.0 * math.pi**2), 1.0 / (4.0 * math.pi)
+    return 1.0 / math.pi**2, 0.25

@@ -43,6 +43,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .cells import (
+    _MEASURED_LEVELS,
+    _RADII_BOUNDS,
     _box_reach,
     _grid_points,
     _hilbert_decode,
@@ -124,7 +126,6 @@ class CellTree:
     """
 
     manifold: Manifold
-    delta: float
     depth: int
     u1: float
     u2: float
@@ -133,10 +134,6 @@ class CellTree:
         object.__setattr__(self, "_lv", _levels(self.manifold))
         if self.manifold.kind != "sphere2":
             object.__setattr__(self, "_chart", arc_chart(self.manifold))
-
-    @property
-    def branching(self) -> int:
-        return self._lv.branching
 
     def _check_level(self, level: int) -> None:
         if not (0 <= level <= self.depth):
@@ -283,16 +280,17 @@ def _tree_cached(manifold: Manifold, depth: int) -> CellTree:
     if manifold.kind != "sphere2":
         # level-k radii are u * 2^-k: half a cell width, times sqrt(dim) outside
         half = 0.5 * arc_chart(manifold).total
-        return CellTree(manifold, _DELTA, depth, half, half * math.sqrt(manifold.dim))
-    # the extreme certified radii of the sphere's levels 1 .. depth
+        return CellTree(manifold, depth, half, half * math.sqrt(manifold.dim))
+    # the extreme certified radii of the sphere's levels 1 .. depth, which
+    # past the measured levels are the derived bounds, as they dominate
+    if depth > _MEASURED_LEVELS:
+        return CellTree(manifold, depth, *_RADII_BOUNDS)
     inner, outer = zip(*(_level_radii(k) for k in range(1, depth + 1)))
-    return CellTree(manifold, _DELTA, depth, min(inner), max(outer))
+    return CellTree(manifold, depth, min(inner), max(outer))
 
 
-def build_cell_tree(manifold: Manifold, delta: float = _DELTA, depth: int = 6) -> CellTree:
+def build_cell_tree(manifold: Manifold, depth: int = 6) -> CellTree:
     """Construct the nested cell family down to ``depth`` levels."""
-    if delta != _DELTA:
-        raise ValueError("only the halving ratio delta = 1/2 is implemented")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     max_depth = _levels(manifold).max_depth
@@ -482,7 +480,6 @@ class Partition:
     regions: tuple[Region, ...]
     c3: float
     c4: float
-    delta: float
     branch: str
     coarse_level: int
     fine_level: int
@@ -527,28 +524,25 @@ def _pick_coarse_level(lv: _Levels, threshold, deepest: bool):
 def _plan(manifold: Manifold, weights) -> tuple[str, int, int, int, dict]:
     """(branch, coarse level, fine level, node count, stats) of a sweep.
 
-    Large N takes the tree branch over a coarse level whose cells all have
-    measure at least 2b/N; small N takes the direct branch, one node over
-    a single level whose cells are no larger than the smallest weight.
+    Large N takes the tree branch over the deepest coarse level whose
+    cells all have measure at least 2b/N, when the level-1 cells exceed
+    2b/N; small N takes the direct branch, one node over a single level
+    whose cells are no larger than the smallest weight.
     """
     N = weights.n
     a_fit, b_fit = weights.fitted_band()
-    c1, c2 = doubling_constants(manifold)
     d = manifold.dim
-    small_threshold = 2.0 * b_fit / (c1 * _DELTA**d * manifold.diameter**d)
     lv = _levels(manifold)
 
-    k = None
-    if N >= small_threshold:
-        k = _pick_coarse_level(lv, 2.0 * b_fit / N, deepest=True)
-    if k is None or k < 1:
+    if 1.0 / lv.branching <= 2.0 * b_fit / N:
         k = _pick_coarse_level(lv, a_fit / N, deepest=False)
         if k is None:
             raise ValueError("weights too small for the supported tree depth")
         # its one node passes no remainder on
-        return "direct", k, k, 1, {"small_threshold": small_threshold,
-                                   "sweep_balance_error": 0.0,
+        return "direct", k, k, 1, {"sweep_balance_error": 0.0,
                                    "nodes": lv.ncells(k), "edges": 0}
+    k = _pick_coarse_level(lv, 2.0 * b_fit / N, deepest=True)
+    c1, c2 = doubling_constants(manifold)
     tree0 = build_cell_tree(manifold, depth=k)
     C = (c2 / c1) * (tree0.u2 / tree0.u1) ** d * (2.0 / _DELTA**d) * 3.0**d * (b_fit / a_fit)
     fine_threshold = a_fit / (C * N)
@@ -566,10 +560,19 @@ def _plan(manifold: Manifold, weights) -> tuple[str, int, int, int, dict]:
             fine = lv.fine_cap
         else:
             raise ValueError("fine level for this N exceeds the supported depth")
-    st = spanning_tree(build_cell_tree(manifold, depth=fine), k)
-    return "tree", k, fine, st.nodes, {"small_threshold": small_threshold,
-                                       "volume_factor": C,
-                                       "nodes": st.nodes, "edges": st.edges}
+    nodes = lv.ncells(k)
+    return "tree", k, fine, nodes, {"volume_factor": C, "nodes": nodes, "edges": nodes - 1}
+
+
+def _radius_constants(manifold: Manifold, band, regions) -> tuple[float, float]:
+    """(c3, c4): the smallest inner radius of the regions over
+    (a^2 / b)^(1/d) N^(-1/d), and the largest outer one over b^(1/d) N^(-1/d)."""
+    a_fit, b_fit = band
+    d, n = manifold.dim, len(regions)
+    inner_scale = (a_fit**2 / b_fit) ** (1.0 / d) * n ** (-1.0 / d)
+    outer_scale = b_fit ** (1.0 / d) * n ** (-1.0 / d)
+    return (min(r.inner_radius for r in regions) / inner_scale,
+            max(r.outer_radius for r in regions) / outer_scale)
 
 
 def weighted_partition(manifold: Manifold, weights) -> Partition:
@@ -582,7 +585,6 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
     vals = weights.values
     N = len(vals)
     a_fit, b_fit = weights.fitted_band()
-    d = manifold.dim
     branch, k, fine, nodes, stats = _plan(manifold, weights)
     tree = build_cell_tree(manifold, depth=max(fine, 1))
     region_runs, balance, max_remainder = _sweep(tree, fine, nodes, vals, b_fit / N)
@@ -608,10 +610,7 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
                 closing_cut=cut,
             )
         )
-    inner_scale = (a_fit**2 / b_fit) ** (1.0 / d) * N ** (-1.0 / d)
-    outer_scale = b_fit ** (1.0 / d) * N ** (-1.0 / d)
-    c3 = min(r.inner_radius for r in regions) / inner_scale
-    c4 = max(r.outer_radius for r in regions) / outer_scale
+    c3, c4 = _radius_constants(manifold, (a_fit, b_fit), regions)
     return Partition(
         manifold=manifold,
         weights=tuple(float(v) for v in vals),
@@ -619,7 +618,6 @@ def weighted_partition(manifold: Manifold, weights) -> Partition:
         regions=tuple(regions),
         c3=c3,
         c4=c4,
-        delta=_DELTA,
         branch=branch,
         coarse_level=k,
         fine_level=fine,
@@ -687,7 +685,7 @@ def _ball_samples(manifold: Manifold, centers, radii) -> np.ndarray:
 
 def verify_partition(p: Partition) -> PartitionReport:
     """Re-check measures, tiling, and ball containments from raw data."""
-    tree = build_cell_tree(p.manifold, p.delta, max(p.fine_level, 1))
+    tree = build_cell_tree(p.manifold, max(p.fine_level, 1))
     level = p.fine_level
     ncells = tree.ncells(level)
     notes: list[str] = []
@@ -739,12 +737,7 @@ def verify_partition(p: Partition) -> PartitionReport:
     if not outer_ok:
         notes.append(f"outer ball of region {misses[0]} too small")
 
-    a_fit, b_fit = p.band
-    d = p.manifold.dim
-    inner_scale = (a_fit**2 / b_fit) ** (1.0 / d) * p.n ** (-1.0 / d)
-    outer_scale = b_fit ** (1.0 / d) * p.n ** (-1.0 / d)
-    c3 = min(r.inner_radius for r in p.regions) / inner_scale
-    c4 = max(r.outer_radius for r in p.regions) / outer_scale
+    c3, c4 = _radius_constants(p.manifold, p.band, p.regions)
     return PartitionReport(
         measures_ok=measures_ok,
         cover_ok=cover_ok,
@@ -771,7 +764,7 @@ def partition_to_json(p: Partition) -> str:
         "band": list(p.band),
         "c3": p.c3,
         "c4": p.c4,
-        "delta": p.delta,
+        "delta": _DELTA,
         "branch": p.branch,
         "coarse_level": p.coarse_level,
         "fine_level": p.fine_level,
@@ -797,6 +790,8 @@ def partition_from_json(text: str) -> Partition:
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported partition schema version")
+    if doc.get("delta") != _DELTA:
+        raise ValueError(f"only the halving ratio delta = {_DELTA} is implemented")
     manifold = manifold_from_descriptor(doc["manifold"])
     fine = int(doc["fine_level"])
     n = _levels(manifold).ncells(fine)
@@ -835,7 +830,6 @@ def partition_from_json(text: str) -> Partition:
         regions=regions,
         c3=float(doc["c3"]),
         c4=float(doc["c4"]),
-        delta=float(doc["delta"]),
         branch=str(doc["branch"]),
         coarse_level=int(doc["coarse_level"]),
         fine_level=fine,

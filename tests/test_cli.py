@@ -106,6 +106,10 @@ def circle_rule_doc(tmp_path_factory):
     ("manifold", {"kind": "ellipse", "a": None, "b": 1.0}),
     ("points", None),
     ("weights", None),
+    # weights the residuals cannot see: the band has no constant
+    ("weights", [0.0] * 8),
+    ("weights", [0.0625] * 8),
+    ("weights", [-0.125] * 8),
     ("seed", 1.5),
     ("converged", "false"),
     ("converged", None),

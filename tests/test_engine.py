@@ -1,5 +1,6 @@
 """The cutoff and smoother, the smoothed ascent flow, the node solver, and diagnostics."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -464,6 +465,15 @@ def test_verify_rule_passes_and_detects_corruption():
     rep_bad = verify_rule(bad, 1e-9)
     assert not rep_bad.passed
     assert rep_bad.residual_linf > 1e-5
+    # zero, halved and negated weights with matching residuals: the band has
+    # no constant, so only the weights' sum shows them
+    for scale in (0.0, 0.5, -1.0):
+        w = scale * rule.weights
+        r = residual_vector(enumerate_basis(CIRCLE, rule.band), rule.points, w)
+        linf, l2 = engine.residual_norms(r)
+        off = dataclasses.replace(rule, weights=w, residual=r, residual_linf=linf, residual_l2=l2)
+        rep_off = verify_rule(off, 1e-9)
+        assert rep_off.stored_consistent and rep_off.residual_linf <= 1e-9 and not rep_off.passed
 
 
 def test_lower_band_exactness_inherited():

@@ -390,6 +390,12 @@ def test_doubling_constants_bracket_profile(kind, rng):
     m = make(kind)
     c1, c2 = doubling_constants(m)
     assert 0.0 < c1 <= c2 < math.inf
+    closed = {"torus2": (1.0 / (2.0 * math.pi**2), 1.0 / (4.0 * math.pi)),
+              "sphere2": (1.0 / math.pi**2, 0.25)}.get(kind, (1.0 / m.diameter,) * 2)
+    assert (c1, c2) == pytest.approx(closed, rel=1e-15)
+    # both are attained: c1 at the diameter, c2 at small radii
+    assert c1 == pytest.approx(ball_measure(m, m.diameter) / m.diameter**m.dim, rel=1e-14)
+    assert c2 == pytest.approx(ball_measure(m, 1e-6) / 1e-6**m.dim, rel=1e-12)
     for r in rng.uniform(1e-6, m.diameter, 25):
         mu = ball_measure(m, float(r))
         assert c1 * r**m.dim <= mu * (1 + 1e-12) + 1e-15

@@ -42,6 +42,7 @@ from cubaflow.partition import (
     _affordable,
     _plan,
     _sweep,
+    _tree_cached,
     build_cell_tree,
     partition_from_json,
     partition_to_json,
@@ -202,16 +203,27 @@ def test_sphere_radii_bound_dense_boundary(level):
 
 def test_level_radii_are_the_extremes_of_every_cell():
     """The measured levels' extremes are those of ``cell_radii``, and the
-    derived bounds of the deeper levels hold at them."""
-    tree = build_cell_tree(make("sphere2"), depth=_MEASURED_LEVELS + 1)
+    derived bounds, which deeper trees take, dominate them."""
+    tree = build_cell_tree(make("sphere2"), depth=_MEASURED_LEVELS)
     for level in range(1, _MEASURED_LEVELS + 1):
         inner, outer = tree.cell_radii(level, np.arange(tree.ncells(level)))
         assert _level_radii(level) == (inner.min() * 2**level, outer.max() * 2**level)
         assert _RADII_BOUNDS[0] <= _level_radii(level)[0] < _level_radii(level)[1] <= _RADII_BOUNDS[1]
-    assert _level_radii(_MEASURED_LEVELS + 1) == _RADII_BOUNDS
-    u = [_level_radii(k) for k in range(1, _MEASURED_LEVELS + 2)]
+    u = [_level_radii(k) for k in range(1, _MEASURED_LEVELS + 1)]
     assert (tree.u1, tree.u2) == (min(a for a, _ in u), max(b for _, b in u))
+    deep = build_cell_tree(make("sphere2"), depth=_MEASURED_LEVELS + 1)
+    assert (deep.u1, deep.u2) == _RADII_BOUNDS
     assert build_cell_tree(make("sphere2"), depth=1).u2 == _level_radii(1)[1]
+
+
+def test_deep_sphere_tree_measures_no_level():
+    """A tree deeper than the measured levels takes the derived bounds
+    without measuring a cell."""
+    _tree_cached.cache_clear()
+    _level_radii.cache_clear()
+    tree = build_cell_tree(make("sphere2"), depth=9)
+    assert _level_radii.cache_info().currsize == 0
+    assert (tree.u1, tree.u2) == _RADII_BOUNDS
 
 
 def test_sphere_locate_inverts_centers():
@@ -229,8 +241,11 @@ def test_flat_cell_measures_exact():
 
 
 def test_build_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_cell_tree(make("circle"), delta=0.3, depth=3)
+    doc = json.loads(partition_to_json(weighted_partition(make("circle"), np.full(4, 0.25))))
+    assert doc["delta"] == 0.5
+    doc["delta"] = 0.3
+    with pytest.raises(ValueError, match="halving ratio"):
+        partition_from_json(json.dumps(doc))
     with pytest.raises(ValueError):
         build_cell_tree(make("circle"), depth=0)
     with pytest.raises(ValueError):
@@ -848,10 +863,25 @@ def test_tree_partition_radius_constants(kind, n):
         assert p.c4 <= bound and p.c3 >= floor, (seed, p.c3, p.c4)
 
 
+def _three_at(n, top):
+    """n weights: three of ``top``, the others equal."""
+    return np.array([top] * 3 + [(1.0 - 3.0 * top) / (n - 3)] * (n - 3))
+
+
 def test_branches_by_size():
-    assert weighted_partition(make("circle"), np.full(4, 0.25)).branch == "direct"
+    """The tree branch needs level-1 cells, of measure 1/cells, strictly
+    larger than 2b/N: a largest weight of exactly 1/(2 cells) stays direct,
+    one 1e-7 or 1e-5 relative below it takes the tree."""
     assert weighted_partition(make("circle"), np.full(64, 1.0 / 64)).branch == "tree"
     assert weighted_partition(make("torus2"), np.full(64, 1.0 / 64)).branch == "tree"
+    for kind, cells in (("circle", 2), ("torus2", 4), ("sphere2", 4)):
+        m, edge = make(kind), 0.5 / cells
+        assert weighted_partition(m, np.full(2 * cells, edge)).branch == "direct"
+        for top, branch in ((edge, "direct"), (edge * (1 - 1e-7), "tree"), (edge * (1 - 1e-5), "tree")):
+            for n in (2 * cells + 1, 4 * cells):
+                p = weighted_partition(m, _three_at(n, top))
+                assert p.branch == branch and verify_partition(p).passed, (kind, top, n)
+                assert p.coarse_level == (1 if branch == "tree" else p.fine_level)
 
 
 def test_representatives_inside_own_region():
