@@ -5,7 +5,13 @@ Usage: python3 scripts/fingerprint_outputs.py > fingerprints.txt
 Hashes the default-solve ``rule_to_json`` of every ``SOLVE_CASES`` entry at
 seeds 0-9, the descent ``rule_to_json`` of every ``RESTART_CASES`` entry at
 seed 0, and ``partition_to_json`` of every ``PARTITION_CASES`` entry at seeds
-0-9, with the inputs the benchmark workloads generate.  Each partition is
+0-9, with the inputs the benchmark workloads generate.  Each ``solve/`` and
+``restarts/`` line is followed by a ``solve-stats/...`` line that prints, not
+hashes, ``repr`` of the rule's ``restarts_used``, ``stop_reason``,
+``stop_reasons`` and ``newton_iters_last``, so a change to which restarts ran
+shows in the diff even when the rule does not.  The ``DIGEST_CASES`` (solves that converge at a later
+restart) get a ``digest/<case>/restarts<R>`` rule line and its
+``solve-stats/...`` line at 8 and 100 restarts.  Each partition is
 hashed twice: its document without ``stats`` on the ``partition/...`` line
 (likewise ``mz-partition/...`` and ``sphere-partition/...``), and its
 ``stats`` alone on a ``partition-stats/...`` line (``mz-partition-stats/...``,
@@ -35,7 +41,7 @@ verification reports, sampling ratios and algebraic bases.  Last, one
 reference grid of its degree, so a change to the ellipse or sphere basis
 shows as well as one to the circle's.  The ``diffusion-basis/sphere-L<band>``
 lines do the same for the sphere harmonics of bands 4.5 and 12.5 (degrees
-4 and 12) on the reference grid of that band.  Takes about 15 s on one
+4 and 12) on the reference grid of that band.  Takes about 20 s on one
 core.
 """
 
@@ -79,6 +85,13 @@ ALGEBRAIC_BASES = (
     ("sphere2", ("sphere2",), 6),
 )
 SPHERE_BANDS = (4.5, 12.5)
+# (case name, manifold args, L, N, seed): band-weight solves whose first
+# converged restart is restart 5 (circle) and 7 (ellipse)
+DIGEST_CASES = (
+    ("circle-L8-N19", ("circle",), 8.0, 19, 1),
+    ("ellipse2-L3-N9", ("ellipse", 2.0, 1.0), 3.0, 9, 0),
+)
+DIGEST_RESTARTS = (8, 100)
 
 
 def _band(n: int, seed: int):
@@ -97,6 +110,15 @@ def _emit_partition(case: str, part) -> None:
     _emit(case, json.dumps(doc, sort_keys=True, indent=1))
     head, rest = case.split("/", 1)
     _emit(f"{head}-stats/{rest}", json.dumps(stats, sort_keys=True, indent=1))
+
+
+def _emit_rule(case: str, rule) -> None:
+    """Hash a rule's JSON under ``case``, and print its restart stats under
+    ``case`` with ``solve-stats/`` in place of its first component."""
+    _emit(case, rule_to_json(rule))
+    stats = tuple(rule.stats[key] for key in
+                  ("restarts_used", "stop_reason", "stop_reasons", "newton_iters_last"))
+    print(f"solve-stats/{case.split('/', 1)[1]} {stats!r}", flush=True)
 
 
 def _mz_ratio_lines(seed: int) -> None:
@@ -131,12 +153,17 @@ def main() -> int:
     for name, args, kind, band, n in workloads.SOLVE_CASES:
         for seed in SEEDS:
             rule = solve(Manifold(*args), kind, band, _band(n, seed), FlowConfig(seed=seed))
-            _emit(f"solve/{name}/seed{seed}", rule_to_json(rule))
+            _emit_rule(f"solve/{name}/seed{seed}", rule)
     warnings.filterwarnings("ignore", message=r".*nodes for a dimension")
     for name, kind, band, source, n, restarts in workloads.RESTART_CASES:
         w = concentrated_weights(n) if source == "concentrated" else _band(n, 0)
         cfg = FlowConfig(restarts=restarts, seed=0)
-        _emit(f"restarts/{name}/seed0", rule_to_json(solve(Manifold(kind), "diffusion", band, w, cfg)))
+        _emit_rule(f"restarts/{name}/seed0", solve(Manifold(kind), "diffusion", band, w, cfg))
+    for name, args, band, n, seed in DIGEST_CASES:
+        for restarts in DIGEST_RESTARTS:
+            cfg = FlowConfig(restarts=restarts, seed=seed)
+            rule = solve(Manifold(*args), "diffusion", band, _band(n, seed), cfg)
+            _emit_rule(f"digest/{name}/restarts{restarts}", rule)
     for name, args, n in workloads.PARTITION_CASES:
         for seed in SEEDS:
             w = _band(n, seed + workloads.PARTITION_SEED_SHIFT)

@@ -76,6 +76,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

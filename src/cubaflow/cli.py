@@ -164,6 +164,7 @@ def _cmd_verify(args) -> int:
     print(
         f"residual_linf {report.residual_linf:.6e}  "
         f"random-band error {report.max_random_error:.6e}  "
+        f"weight-sum error {report.weight_sum_error:.3e}  "
         f"stored-consistent {report.stored_consistent}  passed {report.passed}"
     )
     return 0 if report.passed else 2

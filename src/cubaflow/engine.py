@@ -66,7 +66,7 @@ _MAX_NEWTON_ITERS = 500
 # a descent restart stops once its best max residual has not halved over
 # this many iterations; converging restarts need 7-32 iterations in all
 _STAGNATION_WINDOW = 50
-# bound on one stacked intermediate: the gradient array of a lockstep chunk
+# bound on one stacked intermediate: the gradient array of a lockstep stack
 # of restarts, or the grid values of a chunk of MZ coefficient rows
 _BLOCK_BYTES = 1 << 25
 # why a restart stopped, as recorded in the rule stats
@@ -424,17 +424,24 @@ def _jacobians(space, pts, w):
 
     Returns the (k, dim, n * dof) stack and, on the sphere, the (k, n, 3)
     tangent frames its columns refer to.  The basis is evaluated once on
-    all k n points.  Each slice has the memory layout of a single set's
-    Jacobian, because BLAS rounds a product of a transposed operand
-    differently.
+    all k n points and weighted in place.  Each slice has the memory
+    layout of a single set's Jacobian, because BLAS rounds a product of a
+    transposed operand differently: a view of the weighted gradients when
+    dof = 1, a C-contiguous copy when dof > 1.
     """
     k, n, c = pts.shape
     flat = pts.reshape(-1, c)
     g = space.gradients(flat)  # (k n, m, tdim)
     m = g.shape[1]
     if space.manifold.kind != "sphere2":
-        jac = (g.reshape(k, n, m, -1) * w[:, None, None]).transpose(0, 2, 1, 3)
-        return jac.reshape(k, m, -1), None
+        g = g.reshape(k, n, m, -1)
+        np.multiply(g, w[:, None, None], out=g)
+        if g.shape[3] == 1:
+            return g[..., 0].transpose(0, 2, 1), None
+        # the copy moves whole tangent vectors, not floats: the same bytes,
+        # about four times faster
+        vecs = g.view(np.dtype((np.void, 8 * g.shape[3])))[..., 0]
+        return np.ascontiguousarray(vecs.transpose(0, 2, 1)).view(float).reshape(k, m, -1), None
     e1, e2 = sphere_tangent_frame(flat)
     j1 = np.einsum("nmt,nt->nm", g, e1).reshape(k, n, m)
     j2 = np.einsum("nmt,nt->nm", g, e2).reshape(k, n, m)
@@ -465,6 +472,64 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
 
 
+def _step_operands(jac: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Slices ``sel`` of the transposed Jacobians, each in its single-restart layout.
+
+    A gather copies, so it gathers from whichever of ``jac`` and its
+    transpose is C-contiguous: a copy that transposed a slice would change
+    how BLAS rounds.  Taking every slice needs no copy.
+    """
+    jt = jac.transpose(0, 2, 1)
+    if len(sel) == len(jac):
+        return jt
+    return jac[sel].transpose(0, 2, 1) if jac.flags.c_contiguous else jt[sel]
+
+
+def _lockstep_step(space, pts, r, mu, active, w) -> np.ndarray:
+    """One damped Gauss-Newton step of the restarts ``active``, in place.
+
+    Each damping trial solves, steps, moves and evaluates only the
+    restarts still trying; an accepted trial updates that restart's
+    ``pts``, ``r`` and ``mu``.  Returns the mask over ``active`` of the
+    restarts whose twelve trials all failed.  The Jacobians and their
+    Gram matrices live only for this call, so the next step's never
+    coexist with them.
+    """
+    n, c = pts.shape[1:]
+    x = pts[active]
+    jac, frames = _jacobians(space, x, w)
+    gram = jac @ jac.transpose(0, 2, 1)
+    diag = np.arange(space.dim)
+    trying = np.ones(len(active), dtype=bool)
+    for _ in range(12):
+        sel = np.flatnonzero(trying)
+        if len(sel) == 0:
+            break
+        rows = active[sel]
+        a = gram[sel]
+        a[:, diag, diag] += mu[rows, None]
+        z, ok = _solve_stack(a, r[rows])
+        mu[rows[~ok]] *= 10.0
+        sel, rows, z = sel[ok], rows[ok], z[ok]
+        if len(sel) == 0:
+            continue
+        step = -(_step_operands(jac, sel) @ z[..., None])[..., 0]
+        if frames is None:
+            disp = step.reshape(len(sel) * n, -1)
+        else:
+            e1, e2 = frames[0][sel], frames[1][sel]
+            disp = (step[:, :n, None] * e1 + step[:, n:, None] * e2).reshape(-1, 3)
+        trial = move_points(space.manifold, x[sel].reshape(-1, c), disp).reshape(len(sel), n, c)
+        tr = residual_vector(space, trial, w)
+        better = _norms(tr) < _norms(r[rows])
+        acc = rows[better]
+        pts[acc], r[acc] = trial[better], tr[better]
+        mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
+        mu[rows[~better]] *= 10.0
+        trying[sel[better]] = False
+    return trying
+
+
 def _descent(space, starts, w, cfg: FlowConfig):
     """Damped Gauss-Newton on the residual for a stack of restarts in lockstep.
 
@@ -474,21 +539,23 @@ def _descent(space, starts, w, cfg: FlowConfig):
     residual to machine precision.
 
     ``starts`` is a (k, n, c) stack of seed sets.  Each step evaluates
-    the basis once on every active restart's points and makes one stacked
-    solve per damping trial.  Each restart keeps its own damping, accepted
-    state and best iterate, and every stacked product equals the single
-    restart's one bit for bit, so a restart's result does not depend on
-    the others in its stack.  A restart stops when its max residual
-    reaches tol / 1000 ("converged"), when no damping trial lowers its
-    residual norm ("damping exhausted"), when its best max residual has
-    not halved over the last ``_STAGNATION_WINDOW`` iterations
-    ("stagnated"), or after ``_MAX_NEWTON_ITERS`` ("iteration cap").
-    Returns the best points and residuals, and per restart the iteration
-    count and the stop reason.
+    the basis once on every active restart's points (``_lockstep_step``).
+    Each restart keeps its own damping, accepted state and best iterate,
+    and every stacked product equals the single restart's one bit for
+    bit, so a restart's result does not depend on the others in its stack.
+    A restart stops when its max residual reaches tol / 1000
+    ("converged"), when no damping trial lowers its residual norm
+    ("damping exhausted"), when its best max residual has not halved over
+    the last ``_STAGNATION_WINDOW`` iterations ("stagnated"), or after
+    ``_MAX_NEWTON_ITERS`` ("iteration cap").  When a restart converges,
+    every restart after it in the stack is dropped; those before it run
+    on to their own stop, since one of them may still converge.  Returns
+    the best points and residuals, and per restart the iteration count
+    and the stop reason, of the restarts up to and including the first
+    converged one, or of all of them if none converged.
     """
-    mf = space.manifold
     pts = np.array(starts, dtype=float)
-    k, n, c = pts.shape
+    k = len(pts)
     r = residual_vector(space, pts, w)
     best_pts, best_r = pts.copy(), r.copy()
     # best max residual after each iteration, for the stagnation window
@@ -498,7 +565,7 @@ def _descent(space, starts, w, cfg: FlowConfig):
     iters = np.full(k, _MAX_NEWTON_ITERS)
     reasons = ["iteration cap"] * k
     active = np.arange(k)
-    diag = np.arange(space.dim)
+    end = k  # restarts up to and including the first converged one
     for it in range(1, _MAX_NEWTON_ITERS + 1):
         conv = np.max(np.abs(r[active]), axis=1) <= cfg.tol * 1e-3
         damp = ~conv & (mu[active] > 1e12)
@@ -510,71 +577,43 @@ def _descent(space, starts, w, cfg: FlowConfig):
                              (stag, "stagnated")):
             for i in active[mask]:
                 iters[i], reasons[i] = it, reason
-        active = active[~(conv | damp | stag)]
+        if np.any(conv):
+            end = active[conv][0] + 1  # active is ascending
+        active = active[~(conv | damp | stag) & (active < end)]
         if len(active) == 0:
             break
-        x = pts[active]
-        jac, frames = _jacobians(space, x, w)
-        gram = jac @ jac.transpose(0, 2, 1)
-        trying = np.ones(len(active), dtype=bool)
-        for _ in range(12):
-            sel = np.flatnonzero(trying)
-            if len(sel) == 0:
-                break
-            rows = active[sel]
-            a = gram[sel]
-            a[:, diag, diag] += mu[rows, None]
-            z_sel, ok = _solve_stack(a, r[rows])
-            mu[rows[~ok]] *= 10.0
-            sel, rows = sel[ok], rows[ok]
-            if len(sel) == 0:
-                continue
-            # steps for the whole stack keep each Jacobian slice in its own layout
-            z = np.zeros((len(active), space.dim))
-            z[sel] = z_sel[ok]
-            step = -(jac.transpose(0, 2, 1) @ z[..., None])[sel, :, 0]
-            if frames is None:
-                disp = step.reshape(len(sel) * n, -1)
-            else:
-                e1, e2 = frames[0][sel], frames[1][sel]
-                disp = (step[:, :n, None] * e1 + step[:, n:, None] * e2).reshape(-1, 3)
-            trial = move_points(mf, x[sel].reshape(-1, c), disp).reshape(len(sel), n, c)
-            tr = residual_vector(space, trial, w)
-            better = _norms(tr) < _norms(r[rows])
-            acc = rows[better]
-            pts[acc], r[acc] = trial[better], tr[better]
-            mu[acc] = np.maximum(mu[acc] / 3.0, 1e-14)
-            mu[rows[~better]] *= 10.0
-            trying[sel[better]] = False
-        for i in active[trying]:
+        exhausted = _lockstep_step(space, pts, r, mu, active, w)
+        for i in active[exhausted]:
             iters[i], reasons[i] = it, "damping exhausted"
-        active = active[~trying]
+        active = active[~exhausted]
         linf = np.max(np.abs(r[active]), axis=1)
         gain = linf < best_hist[it - 1, active]
         best_hist[it] = best_hist[it - 1]
         best_hist[it, active[gain]] = linf[gain]
         gain = active[gain]
         best_pts[gain], best_r[gain] = pts[gain], r[gain]
-    return best_pts, best_r, iters.tolist(), reasons
+    return best_pts[:end], best_r[:end], iters[:end].tolist(), reasons[:end]
 
 
 def _restart_runs(space, seeds, w, cfg: FlowConfig):
     """Yield (points, residual, Newton iterations, stop reason) per restart, in order.
 
-    ``seeds(i)`` gives restart i's starting nodes.  Restarts run in
-    lockstep chunks of 1, 1, 2, 4, 8, ... restarts, each chunk's stacked
-    gradient array capped at ``_BLOCK_BYTES``; a consumer that stops
-    early leaves the later chunks unrun.
+    ``seeds(i)`` gives restart i's starting nodes.  Restart 0 runs alone;
+    if it does not converge, the others run as one lockstep stack, split
+    only where a stack's gradient array would exceed ``_BLOCK_BYTES``.
+    The runs end at the first converged restart.
     """
     n, m = len(w), space.dim
     tdim = 3 if space.manifold.kind == "sphere2" else space.manifold.dim
     cap = max(1, _BLOCK_BYTES // (n * m * tdim * 8))
     start = 0
     while start < cfg.restarts:
-        size = min(max(start, 1), cap)  # 1, 1, 2, 4, 8, ...
-        chunk = range(start, min(start + size, cfg.restarts))
-        yield from zip(*_descent(space, np.stack([seeds(i) for i in chunk]), w, cfg))
-        start = chunk.stop
+        stop = min(start + cap, cfg.restarts) if start else 1
+        runs = _descent(space, np.stack([seeds(i) for i in range(start, stop)]), w, cfg)
+        yield from zip(*runs)
+        if runs[3][-1] == "converged":
+            return
+        start = stop
 
 
 def solve(
@@ -693,8 +732,11 @@ def _mz_samples(space, mode: str, shape: tuple, data: bytes) -> np.ndarray:
     A sweep asks for many coefficient rows at one point set, one row per
     call, so the field is evaluated once per (space, mode, samples).  The
     key holds the samples' bytes, not the array, so an array changed in
-    place gets a fresh field.
+    place gets a fresh field.  Checking the chart arity here checks it once
+    per point set.
     """
+    if len(shape) != 2 or shape[1] != space.manifold.dim:
+        raise ValueError(f"samples need {space.manifold.dim} chart column(s), got shape {shape}")
     return _mz_field(space, np.frombuffer(data).reshape(shape), mode)
 
 
@@ -766,6 +808,9 @@ def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
     are the usable sampling regime.
     """
     space = _as_space(space)
+    # identity first: a sweep makes this call once per coefficient row
+    if part.manifold is not space.manifold and part.manifold != space.manifold:
+        raise ValueError(f"partition on {part.manifold.descriptor()}, space on {space.manifold.descriptor()}")
     if mode not in ("value", "gradient"):
         raise ValueError("mode must be 'value' or 'gradient'")
     coeffs = np.asarray(coeffs, dtype=float)
@@ -814,6 +859,7 @@ class RuleReport:
     residual_linf: float
     residual_l2: float
     max_random_error: float
+    weight_sum_error: float  # |fsum(w) - 1|
     stored_consistent: bool
     passed: bool
 
@@ -847,12 +893,13 @@ def verify_rule(rule: CubatureRule, tol: float) -> RuleReport:
         space.manifold, lambda ch: space.evaluate(ch) @ coeffs.T, space.band
     )
     max_err = float(np.max(np.abs(node_sums - integrals)))
-    mass_ok = abs(math.fsum(rule.weights) - 1.0) <= tol
-    passed = bool(linf <= tol and max_err <= tol and stored_ok and mass_ok)
+    mass_err = abs(math.fsum(rule.weights) - 1.0)
+    passed = bool(linf <= tol and max_err <= tol and stored_ok and mass_err <= tol)
     return RuleReport(
         residual_linf=linf,
         residual_l2=l2,
         max_random_error=max_err,
+        weight_sum_error=mass_err,
         stored_consistent=stored_ok,
         passed=passed,
     )

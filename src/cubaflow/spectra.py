@@ -38,11 +38,21 @@ from .geometry import Manifold, TWO_PI, arc_chart, charts_to_ambient
 _EPS = 1e-9  # slack for "frequency <= band" comparisons on float bands
 
 
-def _alternate(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Interleave two (n, p) column blocks into the (n, 2p) cos/sin column order."""
-    out = np.empty((len(even), 2 * even.shape[1]))
-    out[:, 0::2] = even
-    out[:, 1::2] = odd
+def _trig_pairs(phase: np.ndarray, scale, derivative: bool) -> np.ndarray:
+    """scale times cos, sin of an (n, p) phase block as interleaved (n, 2p) columns.
+
+    ``derivative`` gives -sin, cos.  Each step writes into the output.
+    """
+    out = np.empty((len(phase), 2 * phase.shape[1]))
+    even, odd = out[:, 0::2], out[:, 1::2]
+    if derivative:
+        np.sin(phase, out=even)
+        np.negative(even, out=even)
+        np.cos(phase, out=odd)
+    else:
+        np.cos(phase, out=even)
+        np.sin(phase, out=odd)
+    out *= scale
     return out
 
 
@@ -140,10 +150,10 @@ class SpectralSpace:
         if self.manifold.dim == 1:
             s = self._arc_coordinate(charts)
             phase = np.outer(s, self._ks[0::2] * self._base_freq)
-            return math.sqrt(2.0) * _alternate(np.cos(phase), np.sin(phase))
+            return _trig_pairs(phase, math.sqrt(2.0), derivative=False)
         if kind == "torus2":
             phase = (charts @ self._kvecs.T)[:, 0::2]
-            return math.sqrt(2.0) * _alternate(np.cos(phase), np.sin(phase))
+            return _trig_pairs(phase, math.sqrt(2.0), derivative=False)
         return self._sphere_eval(charts, want_grad=False)
 
     def gradients(self, charts: np.ndarray) -> np.ndarray:
@@ -153,12 +163,16 @@ class SpectralSpace:
             s = self._arc_coordinate(charts)
             freqs = self._ks * self._base_freq
             phase = np.outer(s, freqs[0::2])
-            g = math.sqrt(2.0) * freqs[None, :] * _alternate(-np.sin(phase), np.cos(phase))
-            return g[:, :, None]
+            return _trig_pairs(phase, math.sqrt(2.0) * freqs, derivative=True)[:, :, None]
         if kind == "torus2":
             phase = (charts @ self._kvecs.T)[:, 0::2]
-            radial = math.sqrt(2.0) * _alternate(-np.sin(phase), np.cos(phase))
-            return radial[:, :, None] * self._kvecs[None, :, :]
+            radial = _trig_pairs(phase, math.sqrt(2.0), derivative=True)
+            # one product per chart component: a broadcast over the length-2
+            # last axis is several times slower
+            grads = np.empty(radial.shape + (2,))
+            for axis in range(2):
+                np.multiply(radial, self._kvecs[:, axis], out=grads[:, :, axis])
+            return grads
         return self._sphere_eval(charts, want_grad=True)
 
     def _arc_coordinate(self, charts: np.ndarray) -> np.ndarray:

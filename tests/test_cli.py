@@ -1,5 +1,6 @@
 """Command line surface: exit codes, artifacts, and printed summaries."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import cubaflow
+from cubaflow import engine
 from cubaflow.cli import main, parse_manifold, parse_weights
 
 ELL_21 = "9.688448220548"  # circumference of the 2:1 ellipse at print precision
@@ -89,6 +91,24 @@ def test_verify_roundtrip_and_corruption(tmp_path, capsys):
     bad_path.write_text("[1, 2]")
     assert main(["verify", "--rule", str(bad_path)]) == 2
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_prints_the_weight_sum_error(circle_rule_doc, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(circle_rule_doc))
+    assert main(["verify", "--rule", str(path)]) == 0
+    figure = re.search(r"weight-sum error (\S+)", capsys.readouterr().out).group(1)
+    assert float(figure) <= 1e-12
+    # loading rejects weights that do not sum to one, so the halved rule
+    # goes straight to the check
+    rule = engine.rule_from_json(path.read_text())
+    w = 0.5 * rule.weights
+    r = engine.residual_vector(engine.enumerate_basis(rule.manifold, rule.band), rule.points, w)
+    linf, l2 = engine.residual_norms(r)
+    halved = dataclasses.replace(rule, weights=w, residual=r, residual_linf=linf, residual_l2=l2)
+    monkeypatch.setattr(engine, "rule_from_json", lambda text: halved)
+    assert main(["verify", "--rule", str(path)]) == 2
+    assert "weight-sum error 5.000e-01" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

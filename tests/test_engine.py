@@ -320,19 +320,38 @@ def _stack_case(manifold, kind, band, n, k=6):
 
 
 def _assert_matches_oracle(space, w, starts, cfg):
+    """The stack returns the one-restart loop's results, bit for bit.
+
+    It returns the restarts up to and including the first one the loop
+    converges, or all of them when none converges.
+    """
     best_pts, best_r, iters, reasons = engine._descent(space, starts, w, cfg)
     for i, start in enumerate(starts):
         o_pts, o_r, o_iters, o_reason = _sequential_descent(space, start, w, cfg)
         assert np.array_equal(best_pts[i], o_pts)
         assert np.array_equal(best_r[i], o_r)
         assert (iters[i], reasons[i]) == (o_iters, o_reason)
+        if o_reason == "converged":
+            break
+    assert len(best_pts) == len(best_r) == len(iters) == len(reasons) == i + 1
     return iters, reasons
+
+
+def _converging_last(space, w, starts):
+    """``starts`` with those the one-restart loop converges moved to the end.
+
+    A stack returns no restart after its first converged one, so this
+    order lets it return every other restart.
+    """
+    converges = [_sequential_descent(space, s, w, FlowConfig())[3] == "converged" for s in starts]
+    return starts[np.argsort(converges, kind="stable")]
 
 
 @pytest.mark.parametrize("manifold, kind, band, n", _THRESHOLD_CASES,
                          ids=lambda v: getattr(v, "kind", v))
 def test_lockstep_descent_matches_sequential(manifold, kind, band, n):
     space, w, starts = _stack_case(manifold, kind, band, n)
+    starts = _converging_last(space, w, starts)
     iters, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
     assert len(set(iters)) > 1
     assert len(set(reasons)) > 1
@@ -342,14 +361,35 @@ def test_lockstep_descent_mixes_every_stop_reason(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 30)
     monkeypatch.setattr(engine, "_STAGNATION_WINDOW", 25)
     space, w, starts = _stack_case(CIRCLE, "diffusion", 4.0, 9, k=8)
+    starts = _converging_last(space, w, starts)
     _, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
     assert set(reasons) == set(engine.STOP_REASONS)
 
 
+def test_lockstep_descent_drops_the_restarts_after_a_converged_one():
+    """Only restart 1 converges: the stack returns restarts 0 and 1.
+
+    Restart 0 runs on past restart 1's convergence to its own stop;
+    restarts 2 and 3 are dropped when restart 1 converges.
+    """
+    space, w, starts = _stack_case(CIRCLE, "diffusion", 4.0, 9, k=4)
+    starts = starts[[1, 0, 2, 3]]  # the loop converges only the original restart 0
+    iters, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
+    assert reasons == ["damping exhausted", "converged"]
+    assert iters[0] > iters[1]
+    for start in starts[2:]:
+        assert _sequential_descent(space, start, w, FlowConfig())[3] != "converged"
+
+
 def test_lockstep_descent_singular_slice_leaves_others(monkeypatch):
-    """A stacked solve that raises for one slice falls back slice by slice."""
+    """A stacked solve that raises for one slice falls back slice by slice.
+
+    Restart 2 runs first in each stack, beside one of the restarts 0, 1
+    and 3, because a stack returns nothing after its first converged
+    restart and all three converge.
+    """
     space, w, starts = _stack_case(TORUS, "diffusion", 2.0, 9, k=4)
-    clean = engine._descent(space, starts, w, FlowConfig())
+    clean = {j: engine._descent(space, starts[[j]], w, FlowConfig()) for j in (0, 1, 3)}
     # the solve fails whenever the residual's first entry exceeds a level
     # only restart 2 starts above
     r0 = residual_vector(space, starts, w)[:, 0]
@@ -365,23 +405,70 @@ def test_lockstep_descent_singular_slice_leaves_others(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    iters, reasons = _assert_matches_oracle(space, w, starts, FlowConfig())
-    assert any(len(shape) == 3 and shape[0] > 1 for shape in raised)
-    assert (iters[2], reasons[2]) == (1, "damping exhausted")
-    for i in (0, 1, 3):
-        assert iters[i] == clean[2][i] and reasons[i] == clean[3][i] == "converged"
+    for j in (0, 1, 3):
+        raised.clear()
+        iters, reasons = _assert_matches_oracle(space, w, starts[[2, j]], FlowConfig())
+        assert any(len(shape) == 3 and shape[0] > 1 for shape in raised)
+        assert (iters[0], reasons[0]) == (1, "damping exhausted")
+        assert iters[1] == clean[j][2][0] and reasons[1] == clean[j][3][0] == "converged"
 
 
-def test_chunk_byte_budget_does_not_change_the_rule(monkeypatch):
-    w = random_band_weights(9, 0.5, 2.0, 1)  # no restart of eight converges
-    cfg = FlowConfig(seed=1)
-    chunked = solve(CIRCLE, "diffusion", 4.0, w, cfg)
-    monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # one restart per chunk
-    single = solve(CIRCLE, "diffusion", 4.0, w, cfg)
-    assert chunked.stats["restarts_used"] == single.stats["restarts_used"] == 8
-    assert engine.rule_to_json(chunked) == engine.rule_to_json(single)
-    for key in ("newton_iters_last", "stop_reason", "stop_reasons"):
-        assert chunked.stats[key] == single.stats[key]
+# (manifold, L, N, weights and solve seed, restarts): the digest cases of
+# test_converging_solve_keeps_its_rule, which converge at restarts 5 and 7,
+# the benchmark's torus2-N16-L6, and a circle case where none of eight converges
+_SCHEDULE_CASES = [
+    (CIRCLE, 8.0, 19, 1, 8),
+    (CIRCLE, 8.0, 19, 1, 100),
+    (Manifold("ellipse", 2.0, 1.0), 3.0, 9, 0, 8),
+    (Manifold("ellipse", 2.0, 1.0), 3.0, 9, 0, 100),
+    (TORUS, 6.0, 16, 0, 5),
+    (CIRCLE, 4.0, 9, 1, 8),
+]
+
+
+@pytest.mark.parametrize("manifold, band, n, seed, restarts", _SCHEDULE_CASES,
+                         ids=lambda v: getattr(v, "kind", v))
+def test_chunk_byte_budget_does_not_change_the_rule(monkeypatch, manifold, band, n, seed, restarts):
+    """Restart 0 alone, then one stack, gives the rule of one restart per stack."""
+    w = random_band_weights(n, 0.5, 2.0, seed)
+    cfg = FlowConfig(seed=seed, restarts=restarts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # torus2-N16-L6 has too few nodes
+        stacked = solve(manifold, "diffusion", band, w, cfg)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 1)  # one restart per stack
+        single = solve(manifold, "diffusion", band, w, cfg)
+    assert engine.rule_to_json(stacked) == engine.rule_to_json(single)
+    for key in ("restarts_used", "newton_iters_last", "stop_reason", "stop_reasons"):
+        assert stacked.stats[key] == single.stats[key]
+    if not stacked.converged:
+        assert stacked.stats["restarts_used"] == restarts
+
+
+def test_lockstep_stack_peak_memory_is_pinned(monkeypatch):
+    """Eight steps of the benchmark's 99-restart torus2-conc32-L3 stack.
+
+    The gradients are weighted in place, a step's Jacobians are gone
+    before the next step builds its own, and each damping trial gathers
+    only the restarts still trying.  The traced peak above the inputs
+    measured 4.44 MB (numpy 2.4); the bound adds 10% for library
+    changes.  Holding a trial's gathered step operands through its
+    residual raised it to 5.64 MB, and the full-size weighting
+    temporaries and whole-stack steps to 7.30 MB.
+    """
+    monkeypatch.setattr(engine, "_MAX_NEWTON_ITERS", 8)
+    space = enumerate_basis(TORUS, 3.0)
+    w = concentrated_weights(32).values
+    starts = np.stack([engine._uniform_points(TORUS, 32, np.random.default_rng((0, i)))
+                       for i in range(1, 100)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        reasons = engine._descent(space, starts, w, FlowConfig())[3]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert reasons == ["iteration cap"] * 99
+    assert peak <= 4.9e6
 
 
 def test_residual_vector_stack_rows_match():
@@ -410,7 +497,7 @@ def test_stagnating_restarts_stop_before_the_cap():
      "bcd6d090957bfb7a99884f8f4ab79fbd7cf987883880fc86f345b8e13226e61e"),
 ])
 def test_converging_solve_keeps_its_rule(manifold, band, n, seed, restarts_used, digest):
-    """Later restarts of a converging chunk are discarded; the rule is unchanged.
+    """Restarts after the converged one in its stack are dropped; the rule is unchanged.
 
     The digests are of the rules the one-restart-at-a-time solver wrote,
     the ellipse one re-frozen when its arc chart moved from scipy's
@@ -454,6 +541,7 @@ def test_verify_rule_passes_and_detects_corruption():
     rep = verify_rule(rule, 1e-9)
     assert rep.passed
     assert rep.stored_consistent
+    assert rep.weight_sum_error <= 1e-12
     shifted = rule.points.copy()
     shifted[0] += 1e-3  # a single node off its orbit, not a rigid rotation
     bad = engine.CubatureRule(
@@ -474,6 +562,7 @@ def test_verify_rule_passes_and_detects_corruption():
         off = dataclasses.replace(rule, weights=w, residual=r, residual_linf=linf, residual_l2=l2)
         rep_off = verify_rule(off, 1e-9)
         assert rep_off.stored_consistent and rep_off.residual_linf <= 1e-9 and not rep_off.passed
+        assert rep_off.weight_sum_error == abs(math.fsum(w) - 1.0)
 
 
 def test_lower_band_exactness_inherited():
@@ -539,6 +628,17 @@ def test_mz_input_validation():
         mz_ratio_algebraic(spa, part, part.representatives(), np.ones(spa.dim), mode="other")
     with pytest.raises(ValueError):
         mz_ratio_algebraic(sp, part, part.representatives(), np.ones(sp.dim))
+    # a space on another manifold: the ellipse's arity matches, the torus's does not
+    circle16 = weighted_partition(CIRCLE, np.full(16, 1 / 16))
+    for other in (Manifold("ellipse", 2.0, 1.0), TORUS):
+        space = enumerate_basis(other, 4.0)
+        with pytest.raises(ValueError, match=f"'kind': 'circle'.*'kind': '{other.kind}'"):
+            mz_ratio_diffusion(space, circle16, None, np.ones(space.dim))
+    torus16 = weighted_partition(TORUS, np.full(16, 1 / 16))
+    for space, part16 in ((sp, circle16), (enumerate_basis(TORUS, 2.0), torus16)):
+        wrong = np.zeros((16, 3 - space.manifold.dim))
+        with pytest.raises(ValueError, match=r"chart column\(s\), got shape \(16, "):
+            mz_ratios(space, part16, wrong, np.ones(space.dim), "gradient")
 
 
 def _mz_case(manifold, kind):

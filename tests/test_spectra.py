@@ -101,6 +101,34 @@ def test_gradients_match_finite_differences(kind, band, dim, rng):
         assert np.max(np.abs(fd - g[:, :, 0])) < 5e-6
 
 
+def _interleave(even, odd):
+    out = np.empty((len(even), 2 * even.shape[1]))
+    out[:, 0::2], out[:, 1::2] = even, odd
+    return out
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "torus2"])
+def test_trig_columns_match_the_interleaved_products(kind, rng):
+    """Columns written in place equal sqrt(2) times interleaved cos/sin, bit for bit.
+
+    Stored rules depend on every bit of the basis values and gradients.
+    """
+    sp = enumerate_basis(make(kind), 6.0)
+    charts = rng.uniform(0.0, 2 * math.pi, (500, sp.manifold.dim))
+    if kind == "torus2":
+        phase = (charts @ sp._kvecs.T)[:, 0::2]
+        values = math.sqrt(2.0) * _interleave(np.cos(phase), np.sin(phase))
+        radial = math.sqrt(2.0) * _interleave(-np.sin(phase), np.cos(phase))
+        grads = radial[:, :, None] * sp._kvecs[None, :, :]
+    else:
+        freqs = sp._ks * sp._base_freq
+        phase = np.outer(sp._arc_coordinate(charts), freqs[0::2])
+        values = math.sqrt(2.0) * _interleave(np.cos(phase), np.sin(phase))
+        grads = (math.sqrt(2.0) * freqs[None, :] * _interleave(-np.sin(phase), np.cos(phase)))[:, :, None]
+    assert np.array_equal(sp.evaluate(charts), values)
+    assert np.array_equal(sp.gradients(charts), grads)
+
+
 def test_poly_wrappers(rng):
     sp = enumerate_basis(make("circle"), 4.0)
     c = rng.standard_normal(sp.dim)
