@@ -18,9 +18,12 @@ hashed twice: its document without ``stats`` on the ``partition/...`` line
 ``sphere-partition-stats/...``), so a change to the diagnostics alone shows
 as one.  Each partition also
 gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
-``verify_partition`` report.  Last come the circle partitions of the MZ
-sweep, one ``mz-partition/N<n>/seed<s>`` line per ``MZ_NS`` entry at seeds
-0-9, with the weights the ``mz`` workload draws.  Last, sphere partitions
+``verify_partition`` report, and one ``verify-short/<case>/seed<s>/<f>`` line
+per ``SHORT_FACTORS`` entry f, the hash of ``repr`` of the miss vector of
+``regions._outer_ball_misses`` with every region's outer radius times f, so
+a change in the verdicts on failing input shows too.  Last come the circle
+partitions of the MZ sweep, one ``mz-partition/N<n>/seed<s>`` line per
+``MZ_NS`` entry at seeds 0-9, with the weights the ``mz`` workload draws.  Last, sphere partitions
 at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine
 levels 9 and 11 (the benchmark's sphere case has 9): one
 ``sphere-partition/N<n>/seed<s>`` line each and its
@@ -45,6 +48,7 @@ lines do the same for the sphere harmonics of bands 4.5 and 12.5 (degrees
 core.
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -65,6 +69,7 @@ from cubaflow import (  # noqa: E402
     enumerate_basis,
     mz_ratio_algebraic,
     mz_ratio_diffusion,
+    build_cell_tree,
     mz_ratios,
     partition_to_json,
     random_band_weights,
@@ -74,8 +79,11 @@ from cubaflow import (  # noqa: E402
     verify_partition,
     weighted_partition,
 )
+from cubaflow.regions import _outer_ball_misses  # noqa: E402
 
 SEEDS = range(10)
+# outer radii scale factors of the verify-short lines: barely and clearly short
+SHORT_FACTORS = (1.0 - 1e-4, 0.9)
 SPHERE_NS = (40, 150)
 MZ_RATIO_SEEDS = range(2)
 ALGEBRAIC_BASES = (
@@ -119,6 +127,16 @@ def _emit_rule(case: str, rule) -> None:
     stats = tuple(rule.stats[key] for key in
                   ("restarts_used", "stop_reason", "stop_reasons", "newton_iters_last"))
     print(f"solve-stats/{case.split('/', 1)[1]} {stats!r}", flush=True)
+
+
+def _emit_short_verdicts(case: str, part) -> None:
+    """Hash the outer-ball misses of ``part`` with its outer radii scaled by
+    each of ``SHORT_FACTORS``, under ``verify-short/<case>/<f>``."""
+    tree = build_cell_tree(part.manifold, max(part.fine_level, 1))
+    for f in SHORT_FACTORS:
+        regions = [dataclasses.replace(r, outer_radius=f * r.outer_radius) for r in part.regions]
+        miss = _outer_ball_misses(tree, part.fine_level, regions)
+        _emit(f"verify-short/{case}/{f!r}", repr(miss.tolist()))
 
 
 def _mz_ratio_lines(seed: int) -> None:
@@ -170,6 +188,7 @@ def main() -> int:
             part = weighted_partition(Manifold(*args), w)
             _emit_partition(f"partition/{name}/seed{seed}", part)
             _emit(f"verify/{name}/seed{seed}", repr(verify_partition(part)))
+            _emit_short_verdicts(f"{name}/seed{seed}", part)
     for seed in SEEDS:
         for n in workloads.MZ_NS:
             part = weighted_partition(Manifold("circle"), _band(n, seed + n))

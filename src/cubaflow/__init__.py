@@ -28,7 +28,6 @@ from .geometry import (
     reference_integrate,
 )
 from .spectra import (
-    DiffusionPoly,
     SpectralSpace,
     enumerate_basis,
 )
@@ -76,6 +75,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -37,7 +37,7 @@ from .geometry import (
     sphere_tangent_frame,
 )
 from .partition import Partition, weighted_partition
-from .spectra import DiffusionPoly, SpectralSpace, enumerate_basis
+from .spectra import SpectralSpace, enumerate_basis
 from .weights import WeightVector
 
 __all__ = [
@@ -239,8 +239,6 @@ class FlowResult:
 
 
 def _poly_coeffs(space, P) -> tuple:
-    if isinstance(P, DiffusionPoly):
-        return P.space, P.coeffs
     coeffs = np.asarray(P, dtype=float)
     if coeffs.shape != (space.dim,):
         raise ValueError("coefficient count does not match the basis dimension")
@@ -833,7 +831,7 @@ def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
 
 
 def mz_ratio_diffusion(space, part: Partition, samples, P) -> float:
-    """One-row ``mz_ratios`` of |grad P|; ``P`` may be a ``DiffusionPoly``."""
+    """One-row ``mz_ratios`` of |grad P|, ``P`` given by its coefficients."""
     space, coeffs = _poly_coeffs(_as_space(space), P)
     return mz_ratios(space, part, samples, coeffs, "gradient")
 

@@ -173,13 +173,14 @@ class CellTree:
             return [(u + 1.0) * 2.0 ** (level - 1), (v + 1.0) * 2.0 ** (level - 1)]
         return [self._chart.forward(x % TWO_PI) / self._arc_width(level) for x in rows.T]
 
-    # -- sphere cells: squares of the octahedral chart -------------------
-
     def _piece_boxes(self, level: int, idx, t0, t1) -> tuple[np.ndarray, np.ndarray]:
-        """Corners ``(k, 2)``, in level-cell widths, of the chart boxes of
-        sweep pieces [t0, t1] of cells."""
-        i, j = self._axes(level, idx)
-        return np.column_stack([i + t0, j]), np.column_stack([i + t1, j + 1])
+        """Corners ``(k, d)``, in level-cell widths, of the boxes of sweep
+        pieces [t0, t1] of cells: that span of the first axis, the whole
+        cell on the rest."""
+        first, *rest = self._axes(level, idx)
+        return np.column_stack([first + t0, *rest]), np.column_stack([first + t1, *(a + 1 for a in rest)])
+
+    # -- sphere cells: squares of the octahedral chart -------------------
 
     def _sphere_pieces(self, level: int, idx, t0, t1):
         """(center charts, inner radii, outer radii) of sweep pieces of

@@ -12,8 +12,9 @@ first cell.  Flat regions work in cell widths from cell indices: a
 block's centroid sums are in closed form and both searches look at a few
 candidate cells per block, so they cost O(blocks).  Sphere regions quarter
 their blocks until the few cells that can be nearest or farthest remain.
-Verification quarters sphere boxes with nothing but the chart's derived
-stretch, independent of the boundary samples that certified the radii.
+Verification splits the blocks and pieces of every kind as boxes in one
+loop, until each lies in its outer ball or is found outside, from
+distances and box radii alone, not from how the radii were computed.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ if TYPE_CHECKING:
 
 # regions whose block arrays region geometry and verification hold at once
 _REGION_BATCH = 128
-# corners of the unit square: offsets of a chart box's corners in its sides, of
-# its quarters' corners in its half sides
+# corners of the unit square, first axis fastest: offsets of a chart box's
+# corners in its sides, of its quarters' corners in its half sides; the first
+# 2^d rows of the first d columns are the corners of the unit d-cube
 _QUARTERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-# sphere boxes the outer-ball check quarters down to this side, in cells
+# boxes the outer-ball check splits down to this side, in cells
 _SMALLEST_BOX = 2.0**-10
 
 
@@ -70,10 +72,10 @@ def _whole_ranges(wholes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     dtype=np.int64).reshape(-1, 3).T
 
 
-def _flat_blocks(tree: CellTree, level: int, own, lo, hi) -> tuple[np.ndarray, list]:
+def _cell_blocks(tree: CellTree, level: int, own, lo, hi) -> tuple[np.ndarray, list]:
     """Owner and per-axis cell ranges ``[a, b)`` of the blocks tiling the
     whole-cell ranges ``own`` owns: the ranges themselves on one axis, the
-    aligned squares of ``cells._aligned_blocks`` on the torus."""
+    aligned squares of ``cells._aligned_blocks`` on two."""
     if tree.manifold.dim == 1:
         return own, [(lo, hi)]
     run, start, exp = _aligned_blocks(lo, hi, level)
@@ -175,7 +177,7 @@ def _flat_whole_geometry(tree: CellTree, level: int, wholes) -> tuple:
     """
     nreg = len(wholes)
     own, lo, hi = _whole_ranges(wholes)
-    owner, box = _flat_blocks(tree, level, own, lo, hi)
+    owner, box = _cell_blocks(tree, level, own, lo, hi)
     goal = _flat_centroids(level, owner, box, nreg)
     live = ~np.isnan(goal[owner, 0])
     pick = _flat_nearest(tree, level, owner[live], [(a[live], b[live]) for a, b in box], goal, nreg)
@@ -345,17 +347,19 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
 def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     """Which of the regions reach outside their stored outer ball B(rep, R).
 
-    Whole cells are taken as aligned blocks (one arc per run on the circle
-    and the ellipse, aligned squares on the torus and the sphere), and cut
-    pieces as they are.  On the flat kinds all their corners are measured
-    in one ``pairwise_distance`` call.  A box lies in the ball iff its
-    corners do while the ball is geodesically convex over it: on each axis
-    while 2R + side < period, so that the box's arc misses the point
-    antipodal to the representative and the axis distance peaks at an arc
-    end (the torus distance is a monotone ``hypot`` of the two).  Boxes
-    failing that are checked cell by cell with the centre-plus-cell-radius
-    bound.  Sphere boxes are checked by ``_sphere_outer_misses``.  None of
-    this reuses how the radii were computed.
+    The boxes, in level-cell widths, are the whole-cell ranges on the
+    curves, ``cells._aligned_blocks`` squares on the torus and the sphere,
+    and the cut pieces' ``CellTree._piece_boxes``.  A box lies in the ball
+    if its centre's distance plus a bound on its radius does not pass R;
+    otherwise it splits into 2^d boxes of half its side, and misses once
+    its centre lies outside the ball or its side falls below
+    ``_SMALLEST_BOX`` undecided.  A ball of radius at least the diameter
+    holds everything.  Only the two bounds are per kind: on the flat kinds
+    the ``hypot`` of periodic per-axis distances to the representative's
+    position and the half-diagonal, times the arc width; on the sphere
+    ``cells._arc`` to the centre's image and ``_DIAG`` times the larger
+    half side, the chart's derived stretch, not the boundary samples that
+    certified the radii.
     """
     if len(regions) > _REGION_BATCH:
         return np.concatenate([_outer_ball_misses(tree, level, regions[a:a + _REGION_BATCH])
@@ -364,85 +368,40 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     reps = np.array([r.representative for r in regions])
     reach = np.array([r.outer_radius for r in regions]) + 1e-9
     split = [_split_runs(r.runs) for r in regions]
-    w_own, w_lo, w_hi = _whole_ranges([whole for whole, _ in split])
     q_own, q_cell, t0, t1 = np.array(
         [(k, *piece) for k, (_, parts) in enumerate(split) for piece in parts],
         dtype=float).reshape(-1, 4).T
     q_own, q_cell = q_own.astype(np.int64), q_cell.astype(np.int64)
-    if m.dim == 1:
-        b_own, b_lo, b_hi = w_own, w_lo, w_hi
-    else:
-        run, b_lo, exp = _aligned_blocks(w_lo, w_hi, level)
-        b_own, b_hi = w_own[run], b_lo + (np.int64(1) << (2 * exp))
-        corner = [(a >> exp) << exp for a in tree._axes(level, b_lo)]
-        side = np.int64(1) << exp
+    b_own, box = _cell_blocks(tree, level, *_whole_ranges([whole for whole, _ in split]))
+    q_lo, q_hi = tree._piece_boxes(level, q_cell, t0, t1)
     own = np.concatenate([b_own, q_own])
+    lo = np.concatenate([np.column_stack([a for a, _ in box]), q_lo]).astype(float)
+    hi = np.concatenate([np.column_stack([b for _, b in box]), q_hi])
+
     if m.kind == "sphere2":
-        q_lo, q_hi = tree._piece_boxes(level, q_cell, t0, t1)
-        lo = np.concatenate([np.column_stack(corner), q_lo])
-        hi = np.concatenate([np.column_stack(corner) + side[:, None], q_hi])
-        return _sphere_outer_misses(tree, level, reps, reach, own, lo.astype(float), hi)
+        z, w = charts_to_ambient(m, reps), 2.0 ** (1 - level)
 
-    # per-axis arc-length ends of every box
-    w, period = tree._arc_width(level), tree._chart.total
-    if m.dim == 1:
-        block_ends = [(b_lo * w, b_hi * w)]
-        piece_ends = [(q_cell * w + t0 * w, q_cell * w + t1 * w)]
+        def bounds(own, mid, half):
+            return _arc(z[own], _grid_points(level, mid)), _DIAG * half.max(axis=1) * w
     else:
-        block_ends = [(a * w, (a + side) * w) for a in corner]
-        i, j = tree._axes(level, q_cell)
-        piece_ends = [(i * w + t0 * w, i * w + t1 * w), (j * w, (j + 1) * w)]
-    ends = [np.stack([np.concatenate(x) for x in zip(b, q)], axis=1)
-            for b, q in zip(block_ends, piece_ends)]
-    convex = np.all([2.0 * reach[own] + (e[:, 1] - e[:, 0]) < period for e in ends], axis=0)
-    axes = [tree._chart.inverse(e[convex].ravel()).reshape(-1, 2) for e in ends]
-    grids = np.meshgrid(*([0, 1],) * m.dim, indexing="ij")
-    corners = np.stack([a[:, g.ravel()] for a, g in zip(axes, grids)], axis=-1).reshape(-1, m.dim)
-    owner = np.repeat(own[convex], 2**m.dim)
-    out = pairwise_distance(m, reps[owner], corners) > reach[owner]
+        origin, n, w = np.column_stack(tree._positions(level, reps)), 2**level, tree._arc_width(level)
+
+        def bounds(own, mid, half):
+            d = _circle_dist(origin[own], mid, n)
+            return np.hypot.reduce(d, axis=1) * w, np.hypot.reduce(half, axis=1) * w
+
+    offsets = _QUARTERS[: 2**m.dim, : m.dim]
     miss = np.zeros(len(regions), dtype=bool)
-    miss[owner[out]] = True
-
-    # boxes where the ball is not convex enough: every cell, every piece
-    loose = ~convex[: len(b_lo)]
-    if loose.any():
-        lo, hi = b_lo[loose], b_hi[loose]
-        cells = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-        owner = np.repeat(b_own[loose], hi - lo)
-        d = pairwise_distance(m, reps[owner], tree.centers_chart(level, cells))
-        miss[owner[d + tree.cell_radii(level, cells)[1] > reach[owner]]] = True
-    loose = ~convex[len(b_lo):]
-    if loose.any():
-        centers, _, outer = tree.piece_geometry(level, q_cell[loose], t0[loose], t1[loose])
-        owner = q_own[loose]
-        miss[owner[pairwise_distance(m, reps[owner], centers) + outer > reach[owner]]] = True
-    return miss
-
-
-def _sphere_outer_misses(tree: CellTree, level: int, reps, reach, own, lo, hi) -> np.ndarray:
-    """Which sphere regions reach outside B(rep, R), from chart boxes ``own``
-    owns with corners ``lo`` and ``hi`` ``(k, 2)`` in level-cell widths.
-
-    A box lies in the ball if its centre's distance plus ``_DIAG`` times
-    its larger half side does not pass R.  A box failing that is
-    quartered; it misses once its centre lies outside the ball, or once its
-    side falls below ``_SMALLEST_BOX`` cells undecided.  This takes nothing
-    but the chart's derived stretch, none of the boundary samples that
-    certified the radii.
-    """
-    z = charts_to_ambient(tree.manifold, reps)
-    miss = np.zeros(len(reps), dtype=bool)
-    w = 2.0 ** (1 - level)
-    live = reach[own] < math.pi
+    live = reach[own] < m.diameter
     own, lo, hi = own[live], lo[live], hi[live]
     while len(own):
         half = 0.5 * (hi - lo)
-        d = _arc(z[own], _grid_points(level, lo + half))
-        far = d + _DIAG * half.max(axis=1) * w > reach[own]
+        d, radius = bounds(own, lo + half, half)
+        far = d + radius > reach[own]
         own, lo, half, d = own[far], lo[far], half[far], d[far]
         miss[own[(d > reach[own]) | (half.max(axis=1) < 0.5 * _SMALLEST_BOX)]] = True
         again = ~miss[own]
-        lo = (lo[again][:, None, :] + _QUARTERS * half[again][:, None, :]).reshape(-1, 2)
-        hi = lo + np.repeat(half[again], 4, axis=0)
-        own = np.repeat(own[again], 4)
+        lo = (lo[again][:, None, :] + offsets * half[again][:, None, :]).reshape(-1, m.dim)
+        hi = lo + np.repeat(half[again], len(offsets), axis=0)
+        own = np.repeat(own[again], len(offsets))
     return miss

@@ -28,7 +28,6 @@ polynomials in the ambient coordinates, so there are no pole singularities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -219,22 +218,3 @@ def _space_cache(manifold: Manifold, band: float) -> SpectralSpace:
 def enumerate_basis(manifold: Manifold, band: float) -> SpectralSpace:
     """The orthonormal eigenbasis of frequencies in (0, band]."""
     return _space_cache(manifold, float(band))
-
-
-@dataclass
-class DiffusionPoly:
-    """A band-limited function: a spectral space plus real coefficients."""
-
-    space: SpectralSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.dim,):
-            raise ValueError("coefficient count does not match the basis dimension")
-
-    def values(self, charts: np.ndarray) -> np.ndarray:
-        return self.space.evaluate(charts) @ self.coeffs
-
-    def tangent_gradients(self, charts: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.space.gradients(charts), self.coeffs, axes=(1, 0))

@@ -95,17 +95,6 @@ class BlockAggregation:
     def m(self) -> int:
         return self.block_sums.size
 
-    def expand(self, values) -> np.ndarray:
-        """Per-block totals recomputed from an arbitrary vector ``values``.
-
-        With the original weights this reproduces ``block_sums``; used by
-        callers to push per-point quantities through the aggregation.
-        """
-        vals = np.asarray(values, dtype=float)
-        out = np.zeros(self.m)
-        np.add.at(out, self.block_of, vals)
-        return out
-
 
 def block_aggregate(values, band_hi: float | None = None) -> BlockAggregation:
     """Merge weights into the shortest ascending prefix runs with sum >= 1/n.

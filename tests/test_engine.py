@@ -28,7 +28,7 @@ from cubaflow.engine import (
 )
 from cubaflow.geometry import Manifold, reference_grid
 from cubaflow.partition import weighted_partition
-from cubaflow.spectra import DiffusionPoly, enumerate_basis
+from cubaflow.spectra import enumerate_basis
 from cubaflow.weights import concentrated_weights, random_band_weights
 
 CIRCLE = Manifold("circle")
@@ -123,7 +123,7 @@ def test_flow_accepts_poly_and_weights(rng):
     c = rng.standard_normal(sp.dim)
     seeds = rng.uniform(0, 2 * math.pi, (4, 1))
     w = np.array([0.4, 0.3, 0.2, 0.1])
-    res = flow_run(sp, DiffusionPoly(sp, c), seeds, FlowConfig(horizon=0.1), weights=w)
+    res = flow_run(sp, c, seeds, FlowConfig(horizon=0.1), weights=w)
     assert res.functional[0] == pytest.approx(float(w @ (sp.evaluate(seeds) @ c)), abs=1e-12)
 
 

@@ -32,6 +32,7 @@ from cubaflow.cells import (
 from cubaflow.geometry import (
     TWO_PI,
     Manifold,
+    _circle_dist,
     arc_chart,
     charts_to_ambient,
     pairwise_distance,
@@ -52,7 +53,7 @@ from cubaflow.partition import (
 )
 from cubaflow.regions import (
     _axis_candidates,
-    _flat_blocks,
+    _cell_blocks,
     _flat_centroids,
     _flat_nearest,
     _regions_geometry,
@@ -630,21 +631,62 @@ def test_verify_catches_short_outer_ball(kind):
     ("sphere2", [0.6, 0.4]),
 ])
 def test_verify_checks_outer_ball_of_large_regions(kind, weights):
-    """Balls too large to be convex over a block are checked cell by cell
-    (on the sphere, box by quartered box)."""
+    """The outer balls of regions as large as half the manifold are checked.
+
+    A ball 0.9 times too small is caught, except for the torus's region 0:
+    cells 0-1 at level 1 about (pi/2, pi/2), whose farthest point lies at
+    hypot(pi, pi/2) = 3.512, while its stored radius is 5.363, so that 0.9
+    of it (4.827) passes the diameter pi sqrt(2) = 4.443 and holds the whole
+    torus.  That ball passes, and one of radius 3.51 is caught.
+    """
     p = weighted_partition(make(kind), np.array(weights))
     assert verify_partition(p).passed
     for r in range(p.n):
         regions = list(p.regions)
         regions[r] = dataclasses.replace(regions[r], outer_radius=0.9 * regions[r].outer_radius)
         rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+        if kind == "torus2" and r == 0:
+            assert p.regions[0].runs == ((0, 2, 0.0, 1.0),) and p.fine_level == 1
+            assert 0.9 * p.regions[0].outer_radius > make(kind).diameter
+            assert rep.passed
+            regions[0] = dataclasses.replace(regions[0], outer_radius=3.51)
+            rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
         assert rep.notes == (f"outer ball of region {r} too small",)
 
 
-def test_sphere_outer_check_is_independent_and_tight(monkeypatch):
-    """The sphere outer-ball check takes no boundary samples, and catches a
-    radius short by a tenth of a cell width, less than the sampling slack."""
-    p = weighted_partition(make("sphere2"), random_band_weights(16, 0.5, 2.0, 7))
+def _torus_farthest(p, r):
+    """Farthest distance from region ``r``'s representative to a point of
+    its cells and pieces: per axis, the farthest offset within an arc is at
+    an end, or half the period where the arc holds the antipode, and the
+    torus distance is the hypot of the two."""
+    w = TWO_PI / 2**p.fine_level
+    rep = np.array(p.regions[r].representative)
+    far = 0.0
+    for s, e, tf, tl in p.regions[r].runs:
+        for cell in range(s, e):
+            i, j = (int(x[0]) for x in _hilbert_decode(np.array([cell]), p.fine_level))
+            t0 = tf if cell == s else 0.0
+            t1 = tl if cell == e - 1 else 1.0
+            offsets = []
+            for o, a, b in ((rep[0], (i + t0) * w, (i + t1) * w), (rep[1], j * w, (j + 1) * w)):
+                if (o + math.pi - a) % TWO_PI <= b - a:
+                    offsets.append(math.pi)
+                else:
+                    offsets.append(max(float(_circle_dist(o, a)), float(_circle_dist(o, b))))
+            far = max(far, math.hypot(*offsets))
+    return far
+
+
+@pytest.mark.parametrize("kind", ["circle", "ellipse", "torus2", "sphere2"])
+def test_outer_check_is_independent_and_tight(kind, monkeypatch):
+    """The outer-ball check takes no boundary samples, and catches a radius
+    a tenth of a fine-cell width short of the region's farthest point, less
+    than the sphere's sampling slack.  On the curves the stored radius is
+    that point; on the torus it is found from the cells' arcs; on the
+    sphere the stored radius stands in for it."""
+    m = make(kind)
+    p = weighted_partition(m, random_band_weights(16, 0.5, 2.0, 7))
+    assert p.branch == "tree"
 
     def no_samples(*args):
         raise AssertionError("verification sampled a box boundary")
@@ -652,10 +694,12 @@ def test_sphere_outer_check_is_independent_and_tight(monkeypatch):
     monkeypatch.setattr("cubaflow.regions._box_reach", no_samples)
     monkeypatch.setattr("cubaflow.partition._box_reach", no_samples)
     assert verify_partition(p).passed
+    # in arc length; on the sphere 2^-level, under a third of a cell's side
+    width = (1.0 if kind == "sphere2" else arc_chart(m).total) / 2**p.fine_level
     for r in (0, 7, 15):
+        far = _torus_farthest(p, r) if kind == "torus2" else p.regions[r].outer_radius
         regions = list(p.regions)
-        short = regions[r].outer_radius - 0.1 * 2.0**-p.fine_level
-        regions[r] = dataclasses.replace(regions[r], outer_radius=short)
+        regions[r] = dataclasses.replace(regions[r], outer_radius=far - 0.1 * width)
         rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
         assert rep.notes == (f"outer ball of region {r} too small",)
 
@@ -941,7 +985,7 @@ def test_flat_representatives_hold_under_one_ulp(kind, axes, n):
         level = p.fine_level
         tree = build_cell_tree(m, depth=level)
         own, lo, hi = _whole_ranges([_split_runs(reg.runs)[0] for reg in p.regions])
-        owner, box = _flat_blocks(tree, level, own, lo, hi)
+        owner, box = _cell_blocks(tree, level, own, lo, hi)
         goal = _flat_centroids(level, owner, box, p.n)
         live = ~np.isnan(goal[owner, 0])
         owner, box = owner[live], [(a[live], b[live]) for a, b in box]
@@ -1002,7 +1046,7 @@ def _centroid_oracle(manifold, level, cells, whole):
     tree = build_cell_tree(manifold, depth=level)
     h = (np.column_stack(tree._axes(level, cells)) + 0.5) * (TWO_PI / n)
     c, s = np.cos(h).sum(axis=0), np.sin(h).sum(axis=0)
-    closed = _flat_centroids(level, *_flat_blocks(tree, level, *_whole_ranges([whole])), 1)[0]
+    closed = _flat_centroids(level, *_cell_blocks(tree, level, *_whole_ranges([whole])), 1)[0]
     if np.any(np.hypot(c, s) < 1e-9 * len(cells)):
         assert np.all(np.isnan(closed))
         return None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubaflow.geometry import Manifold, reference_grid, sphere_tangent_frame
-from cubaflow.spectra import DiffusionPoly, SpectralSpace, enumerate_basis
+from cubaflow.spectra import SpectralSpace, enumerate_basis
 
 CASES = [
     ("circle", 8.0, 16),
@@ -127,21 +127,6 @@ def test_trig_columns_match_the_interleaved_products(kind, rng):
         grads = (math.sqrt(2.0) * freqs[None, :] * _interleave(-np.sin(phase), np.cos(phase)))[:, :, None]
     assert np.array_equal(sp.evaluate(charts), values)
     assert np.array_equal(sp.gradients(charts), grads)
-
-
-def test_poly_wrappers(rng):
-    sp = enumerate_basis(make("circle"), 4.0)
-    c = rng.standard_normal(sp.dim)
-    p = DiffusionPoly(sp, c)
-    t = rng.uniform(0, 2 * math.pi, (7, 1))
-    assert np.allclose(p.values(t), sp.evaluate(t) @ c, atol=1e-14)
-    assert np.allclose(
-        p.tangent_gradients(t),
-        np.tensordot(sp.gradients(t), c, axes=(1, 0)),
-        atol=1e-15,
-    )
-    with pytest.raises(ValueError):
-        DiffusionPoly(sp, c[:-1])
 
 
 def test_enumerate_basis_cached_and_fresh_agree():

@@ -108,12 +108,12 @@ def test_block_aggregation_bounds(vals):
 
 @given(weight_arrays())
 @settings(max_examples=30)
-def test_block_expand_recovers_sums(vals):
+def test_block_of_recovers_sums(vals):
+    """Summing the weights by ``block_of`` gives ``block_sums``."""
     agg = block_aggregate(vals)
-    assert np.allclose(agg.expand(vals), agg.block_sums, atol=1e-15)
-    # pushing ones through counts block sizes
-    sizes = agg.expand(np.ones(vals.size))
-    assert sizes.sum() == vals.size
+    assert agg.block_of.size == vals.size
+    assert np.allclose(np.bincount(agg.block_of, weights=vals, minlength=agg.m), agg.block_sums,
+                       atol=1e-15)
 
 
 def test_block_aggregate_allows_zero_entries():
