@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .algebraic import restriction_fit_residual
 from .geometry import Manifold, circumference
-from .partition import partition_to_json, verify_partition, weighted_partition
+from .partition import _json_text, partition_to_json, verify_partition, weighted_partition
 from .spectra import enumerate_basis
 from .weights import (
     WeightVector,
@@ -222,7 +222,7 @@ def _cmd_mz(args) -> int:
         "n_star": n_star,
         "rows": [{"N": n, "fail_fraction": f, "max_ratio": m} for n, f, m in rows],
     }
-    _write(out / f"mz_{tag}.json", json.dumps(doc, sort_keys=True, indent=1))
+    _write(out / f"mz_{tag}.json", _json_text(doc))
     print(f"threshold N* = {n_star}")
     return 0 if n_star is not None else 2
 
@@ -280,7 +280,7 @@ def _cmd_weights(args) -> int:
     if args.save:
         out = _out_dir(args)
         doc = {"weights": [float(x) for x in w.values]}
-        _write(out / args.save, json.dumps(doc, sort_keys=True, indent=1))
+        _write(out / args.save, _json_text(doc))
     return 0
 
 

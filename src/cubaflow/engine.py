@@ -36,7 +36,7 @@ from .geometry import (
     reference_integrate,
     sphere_tangent_frame,
 )
-from .partition import Partition, weighted_partition
+from .partition import Partition, _json_text, weighted_partition
 from .spectra import SpectralSpace, enumerate_basis
 from .weights import WeightVector
 
@@ -343,7 +343,7 @@ def rule_to_json(rule: CubatureRule) -> str:
         "converged": bool(rule.converged),
         "seed": int(rule.seed),
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return _json_text(doc)
 
 
 def _rule_field(doc: dict, name: str, cast):

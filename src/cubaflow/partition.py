@@ -39,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .geometry import (
     sphere_chart_from_ambient,
     sphere_tangent_frame,
 )
-from .regions import _outer_ball_misses, _regions_geometry, _split_runs
+from .regions import _REGION_BATCH, _outer_ball_misses, _regions_geometry, _split_runs
 
 __all__ = [
     "CellTree",
@@ -719,19 +720,27 @@ def verify_partition(p: Partition) -> PartitionReport:
     if not cover_ok:
         notes.append(f"tiling gap {gap:.3e}")
 
-    # every region's inner-ball samples, located at once
-    charts = _ball_samples(p.manifold, p.representatives(),
-                           0.98 * np.array([r.inner_radius for r in p.regions]))
-    owner = np.repeat(np.arange(p.n), len(charts) // p.n)
-    cells = tree.locate(level, charts)
-    q = cells + np.clip(tree.sweep_parameter(level, cells, charts), 0.0, 1.0)
+    # inner-ball samples, located for _REGION_BATCH regions at a time, up to
+    # the first region whose ball leaks
+    reps = p.representatives()
+    radii = 0.98 * np.array([r.inner_radius for r in p.regions])
     lo, hi, region = (np.asarray(col) for col in zip(*intervals))
-    pos = np.searchsorted(lo, q + 1e-12, side="right") - 1
-    at = np.maximum(pos, 0)
-    inside = (pos >= 0) & (lo[at] - 1e-9 <= q) & (q <= hi[at] + 1e-9) & (region[at] == owner)
-    inner_ok = bool(inside.all())
+    leak = None
+    for a in range(0, p.n, _REGION_BATCH):
+        charts = _ball_samples(p.manifold, reps[a:a + _REGION_BATCH], radii[a:a + _REGION_BATCH])
+        batch = np.arange(a, min(a + _REGION_BATCH, p.n))
+        owner = np.repeat(batch, len(charts) // len(batch))
+        cells = tree.locate(level, charts)
+        q = cells + np.clip(tree.sweep_parameter(level, cells, charts), 0.0, 1.0)
+        pos = np.searchsorted(lo, q + 1e-12, side="right") - 1
+        at = np.maximum(pos, 0)
+        inside = (pos >= 0) & (lo[at] - 1e-9 <= q) & (q <= hi[at] + 1e-9) & (region[at] == owner)
+        if not inside.all():
+            leak = owner[np.argmin(inside)]
+            break
+    inner_ok = leak is None
     if not inner_ok:
-        notes.append(f"inner ball of region {owner[np.argmin(inside)]} leaks")
+        notes.append(f"inner ball of region {leak} leaks")
 
     misses = np.where(_outer_ball_misses(tree, level, p.regions))[0]
     outer_ok = len(misses) == 0
@@ -755,6 +764,44 @@ def verify_partition(p: Partition) -> PartitionReport:
 
 # ---------------------------------------------------------------------------
 # Serialization
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, the format of every
+    file the package writes, with one ``str.join`` per list and dict in
+    place of the stdlib's pure-Python indenting encoder and its list of
+    small chunks.  ``pad`` is the line break and indent of ``obj``'s own
+    level; its items go one space deeper.  Keys must be strings; a value
+    json cannot encode raises ``TypeError``.
+    """
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + " "
+    if isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [_json_text(x, inner) for x in obj]
+    elif isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        brackets = "{}"
+        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    # the brackets join with the items, so the text is built once
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += pad + brackets[1]
+    return ("," + inner).join(items)
 
 
 def partition_to_json(p: Partition) -> str:
@@ -784,7 +831,7 @@ def partition_to_json(p: Partition) -> str:
             for r in p.regions
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return _json_text(doc)
 
 
 def partition_from_json(text: str) -> Partition:

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cells import (
+    _BOX_BATCH,
     _DIAG,
     _aligned_blocks,
     _arc,
@@ -254,11 +255,14 @@ def _sphere_centroids(level: int, owner, corner, side, n: int):
         corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
         side, owner = np.repeat(half, 4), np.repeat(owner[split], 4)
     owner, corner, side = (np.concatenate(x) for x in zip(*smooth))
-    u, v = (corner[:, k, None] + 0.5 * side[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
-    grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
     total, mass = np.zeros((n, 3)), np.zeros(n)
-    np.add.at(total, owner, np.einsum("kabc,a,b,k->kc", _grid_points(level, grid),
-                                      _GAUSS_W, _GAUSS_W, side**2))
+    # the rule's points are held for ``_BOX_BATCH`` squares at a time
+    for b in range(0, len(side), _BOX_BATCH):
+        box, s = corner[b:b + _BOX_BATCH], side[b:b + _BOX_BATCH]
+        u, v = (box[:, k, None] + 0.5 * s[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
+        grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
+        np.add.at(total, owner[b:b + _BOX_BATCH], np.einsum(
+            "kabc,a,b,k->kc", _grid_points(level, grid), _GAUSS_W, _GAUSS_W, s**2))
     np.add.at(mass, owner, 4.0 * side**2)
     norm = np.linalg.norm(total, axis=1)
     flat = norm <= 1e-9 * mass

@@ -212,6 +212,24 @@ def test_mz_sweep_artifacts(tmp_path, capsys):
     assert code == (0 if doc["n_star"] is not None else 2)
 
 
+def test_every_json_file_is_the_stdlib_text(tmp_path, capsys):
+    """Each JSON file the commands write has the bytes of
+    ``json.dumps(sort_keys=True, indent=1)`` of what it holds."""
+    runs = [
+        ["partition", "--manifold", "sphere2", "--N", "12", "--weights", "band:0.5:2:4"],
+        ["solve", "--manifold", "circle", "--L", "2", "--N", "8", "--seed", "0"],
+        ["mz", "--manifold", "circle", "--L", "2", "--trials", "10", "--nmax", "16", "--seed", "1"],
+        ["weights", "--band", "0.5:2:11", "--N", "32", "--save", "w.json"],
+    ]
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path)]) in (0, 2)
+    files = sorted(tmp_path.glob("*.json"))
+    assert [f.name.split("_")[0] for f in files] == ["mz", "partition", "rule", "w.json"]
+    for path in files:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1), path.name
+
+
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-1"), ("--nmax", "4")])
 def test_mz_rejects_empty_sweep(tmp_path, capsys, flag, value):
     code = main(["mz", "--L", "2", flag, value, "--out", str(tmp_path)])

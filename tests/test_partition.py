@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -17,12 +18,14 @@ from hypothesis import strategies as st
 
 from cubaflow.cells import (
     _AXIS,
+    _BOX_BATCH,
     _DIAG,
     _EDGE_SAMPLES,
     _MEASURED_LEVELS,
     _RADII_BOUNDS,
     _aligned_blocks,
     _arc,
+    _grid_points,
     _hilbert_decode,
     _hilbert_encode,
     _level_radii,
@@ -41,6 +44,7 @@ from cubaflow.geometry import (
 from cubaflow.partition import (
     SCHEMA_VERSION,
     _affordable,
+    _json_text,
     _plan,
     _sweep,
     _tree_cached,
@@ -52,6 +56,11 @@ from cubaflow.partition import (
     weighted_partition,
 )
 from cubaflow.regions import (
+    _GAUSS_W,
+    _GAUSS_X,
+    _KINKED_SIDE,
+    _QUARTERS,
+    _REGION_BATCH,
     _axis_candidates,
     _cell_blocks,
     _flat_centroids,
@@ -624,6 +633,22 @@ def test_verify_catches_short_outer_ball(kind):
     assert rep.measures_ok and rep.cover_ok and rep.inner_ok
 
 
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_verify_names_first_leak_past_a_region_batch(kind):
+    """The inner-ball check runs in batches of regions: leaks planted in the
+    second and third batches are caught, and the note names the first."""
+    n = 2 * _REGION_BATCH + 44
+    p = weighted_partition(make(kind), random_band_weights(n, 0.5, 2.0, 3))
+    assert verify_partition(p).passed
+    regions = list(p.regions)
+    for r in (_REGION_BATCH + 3, n - 1):
+        regions[r] = dataclasses.replace(regions[r], inner_radius=2.0 * regions[r].outer_radius)
+    rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+    assert not rep.inner_ok
+    assert rep.notes == (f"inner ball of region {_REGION_BATCH + 3} leaks",)
+    assert rep.measures_ok and rep.cover_ok and rep.outer_ok
+
+
 @pytest.mark.parametrize("kind,weights", [
     ("circle", [0.3, 0.7]),
     ("ellipse", [0.55, 0.45]),
@@ -969,6 +994,70 @@ def test_sphere_representatives_hold_under_one_ulp(n, seed):
         assert tuple(tree.centers_chart(level, picks[0])[0]) == reg.representative
 
 
+def _sphere_centroids_one_shot(level, owner, corner, side, n):
+    """``regions._sphere_centroids`` as it was before it took its Gauss rule
+    in batches: the rule on every smooth square at once."""
+    w = 2.0 ** (1 - level)
+    finest = min(w, _KINKED_SIDE)
+    smooth = []
+    while len(side):
+        uv = -1.0 + (corner[:, None, :] + _QUARTERS * side[:, None, None]) * w
+        fold = np.abs(uv).sum(axis=2, keepdims=True) - 1.0
+        cuts = np.concatenate([uv, fold], axis=2)
+        split = np.any(cuts.min(axis=1) * cuts.max(axis=1) < 0.0, axis=1)
+        split = (split | np.any(np.abs(fold[..., 0]) == 1.0, axis=1)) & (side * w > finest)
+        smooth.append((owner[~split], corner[~split], side[~split]))
+        half = 0.5 * side[split]
+        corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
+        side, owner = np.repeat(half, 4), np.repeat(owner[split], 4)
+    owner, corner, side = (np.concatenate(x) for x in zip(*smooth))
+    u, v = (corner[:, k, None] + 0.5 * side[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
+    grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
+    total, mass = np.zeros((n, 3)), np.zeros(n)
+    np.add.at(total, owner, np.einsum("kabc,a,b,k->kc", _grid_points(level, grid),
+                                      _GAUSS_W, _GAUSS_W, side**2))
+    np.add.at(mass, owner, 4.0 * side**2)
+    norm = np.linalg.norm(total, axis=1)
+    flat = norm <= 1e-9 * mass
+    return np.where(flat[:, None], (0.0, 0.0, 1.0), total / np.where(flat, 1.0, norm)[:, None])
+
+
+@pytest.mark.parametrize("extra", [0, 1, _BOX_BATCH - 1])
+def test_sphere_centroids_match_one_shot_rule(extra):
+    """Taking the Gauss rule in batches of squares leaves every centroid
+    bit-identical: every level-6 cell, interleaved among 13 owners, plus
+    level-3 squares of side 8 and ``extra`` cells that change how the last
+    batch is filled; a degenerate owner gets the north pole either way."""
+    level, n = 6, 14
+    cells = np.indices((64, 64)).reshape(2, -1).T
+    blocks = 8 * np.indices((8, 8)).reshape(2, -1).T
+    corner = np.concatenate([cells, blocks, cells[:extra]]).astype(float)
+    side = np.concatenate([np.ones(len(cells)), np.full(len(blocks), 8.0), np.ones(extra)])
+    owner = (7 * np.arange(len(side))) % 13
+    # owner 13 holds the four cells about each pole, whose centroid degenerates
+    corner = np.concatenate([corner, [[31.0, 31.0], [0.0, 0.0], [63.0, 0.0], [0.0, 63.0], [63.0, 63.0]]])
+    side, owner = np.append(side, [2.0, 1.0, 1.0, 1.0, 1.0]), np.append(owner, [13] * 5)
+    assert len(side) > 3 * _BOX_BATCH
+    got = _sphere_centroids(level, owner, corner, side, n)
+    assert got.tobytes() == _sphere_centroids_one_shot(level, owner, corner, side, n).tobytes()
+    assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
+    assert tuple(got[13]) == (0.0, 0.0, 1.0)
+
+
+def test_sphere_partition_memory_is_bounded():
+    """The benchmark's sphere N16 partition (weights seed 7) traces under
+    2 MB: the centroid rule holds its points for a batch of squares, not
+    for every square (6.4 MB when it did)."""
+    w = random_band_weights(16, 0.5, 2.0, 7)
+    tracemalloc.start()
+    try:
+        weighted_partition(make("sphere2"), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 # the flat partition cases of the benchmark at weights seeds 7-16
 FLAT_FINGERPRINT_CASES = [("circle", (), 1024), ("ellipse", (3.0, 1.0), 128),
                           ("torus2", (), 128), ("torus2", (), 256)]
@@ -1181,6 +1270,7 @@ def test_partition_json_roundtrip():
     w = random_band_weights(12, 0.5, 2.0, 21)
     p = weighted_partition(make("torus2"), w)
     text = partition_to_json(p)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
     q = partition_from_json(text)
     assert partition_to_json(q) == text
     assert q.n == p.n
@@ -1267,6 +1357,56 @@ def test_json_rejects_version_one_torus():
     doc["schema_version"] = 1
     with pytest.raises(ValueError, match="unsupported partition schema version"):
         partition_from_json(json.dumps(doc))
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+_JSON_STRINGS = st.one_of(
+    st.text(st.characters(max_codepoint=0x7F)),
+    st.text(),
+    st.text(st.characters(categories=["Cc"])),
+)
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3]),
+)
+_JSON_LEAVES = st.one_of(_JSON_STRINGS, st.integers(), st.booleans(), st.none(), _JSON_FLOATS,
+                         st.sampled_from([[], (), {}]))
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_JSON_STRINGS, inner)),
+    max_leaves=40,
+)
+
+
+@given(_JSON_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_stdlib(doc):
+    """The package's writer gives the bytes of
+    ``json.dumps(sort_keys=True, indent=1)`` on nested lists, tuples and
+    dicts of any strings, ints, bools, None and floats."""
+    assert _json_text(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize("doc,stdlib_refuses", [
+    ({1: 2.0}, False), ({"a": [{None: 1}]}, False),
+    (np.int64(3), True), ([np.int64(3)], True), ({1, 2}, True), ({"a": {1, 2}}, True),
+])
+def test_json_writer_refuses_what_it_cannot_write(doc, stdlib_refuses):
+    """Keys must be strings, where the stdlib would write an int or None
+    key as one; numpy integers and sets are refused, as the stdlib refuses
+    them."""
+    with pytest.raises(TypeError):
+        _json_text(doc)
+    if stdlib_refuses:
+        with pytest.raises(TypeError):
+            _stdlib_text(doc)
+    else:
+        _stdlib_text(doc)
 
 
 def test_verify_catches_tampered_runs():
