@@ -27,7 +27,11 @@ partitions of the MZ sweep, one ``mz-partition/N<n>/seed<s>`` line per
 at N = 40 and 150 (weights seeds 0-2) take the tree branch with fine
 levels 9 and 11 (the benchmark's sphere case has 9): one
 ``sphere-partition/N<n>/seed<s>`` line each and its
-``verify/sphere-partition/N<n>/seed<s>`` line.  Then the
+``verify/sphere-partition/N<n>/seed<s>`` line.  Then one
+``large-partition/<kind>-N2000/seed42`` line and its
+``verify/large-partition/<kind>-N2000/seed42`` line per ``LARGE_KINDS``
+entry: at N = 2000 region geometry and verification take 16 batches of
+``regions._REGION_BATCH`` regions, the benchmark's largest partition 8.  Then the
 MZ ratios: one ``mz-ratios/<variant>/N<n>/seed<s>`` line per ``MZ_VARIANTS``
 and ``MZ_NS`` entry at seeds 0-1, the hash of ``repr`` of the ``MZ_TRIALS``
 one-row ratios (``mz_ratio_diffusion`` or ``mz_ratio_algebraic``) on the
@@ -44,7 +48,7 @@ verification reports, sampling ratios and algebraic bases.  Last, one
 reference grid of its degree, so a change to the ellipse or sphere basis
 shows as well as one to the circle's.  The ``diffusion-basis/sphere-L<band>``
 lines do the same for the sphere harmonics of bands 4.5 and 12.5 (degrees
-4 and 12) on the reference grid of that band.  Takes about 20 s on one
+4 and 12) on the reference grid of that band.  Takes about 30 s on one
 core.
 """
 
@@ -85,6 +89,13 @@ SEEDS = range(10)
 # outer radii scale factors of the verify-short lines: barely and clearly short
 SHORT_FACTORS = (1.0 - 1e-4, 0.9)
 SPHERE_NS = (40, 150)
+LARGE_KINDS = (
+    ("circle", ("circle",)),
+    ("ellipse3", ("ellipse", 3.0, 1.0)),
+    ("torus2", ("torus2",)),
+    ("sphere2", ("sphere2",)),
+)
+LARGE_N, LARGE_SEED = 2000, 42
 MZ_RATIO_SEEDS = range(2)
 ALGEBRAIC_BASES = (
     ("circle", ("circle",), 8),
@@ -198,6 +209,11 @@ def main() -> int:
             part = weighted_partition(Manifold("sphere2"), _band(n, seed))
             _emit_partition(f"sphere-partition/N{n}/seed{seed}", part)
             _emit(f"verify/sphere-partition/N{n}/seed{seed}", repr(verify_partition(part)))
+    for name, args in LARGE_KINDS:
+        part = weighted_partition(Manifold(*args), _band(LARGE_N, LARGE_SEED))
+        case = f"{name}-N{LARGE_N}/seed{LARGE_SEED}"
+        _emit_partition(f"large-partition/{case}", part)
+        _emit(f"verify/large-partition/{case}", repr(verify_partition(part)))
     for seed in MZ_RATIO_SEEDS:
         _mz_ratio_lines(seed)
     for name, args, deg in ALGEBRAIC_BASES:

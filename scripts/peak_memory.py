@@ -7,7 +7,7 @@ when the stage began, of ``weighted_partition``, ``verify_partition`` and
 ``partition_to_json``, each traced alone, then ``ru_maxrss`` of the process so
 far (tracing included, so it is above an untraced run's).  The cases are the
 benchmark's five partition cases at weights seed 7 (the ``partition``
-workload's inputs at seed 0; the list is a copy of ``PARTITION_CASES`` in
+workload's inputs at seed 0, read from ``PARTITION_CASES`` in
 ``perfbench/workloads.py``), then N = 8000 on each kind at weights seed 42.
 A stage that holds a whole-input temporary shows up here without a
 benchmark run.  The package comes from this checkout's ``src``.  Takes about
@@ -21,7 +21,9 @@ import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
+import workloads  # noqa: E402
 from cubaflow import (  # noqa: E402
     Manifold,
     partition_to_json,
@@ -31,12 +33,7 @@ from cubaflow import (  # noqa: E402
 )
 
 # (case name, manifold args, N, weights seed)
-CASES = (
-    ("torus2-N128", ("torus2",), 128, 7),
-    ("torus2-N256", ("torus2",), 256, 7),
-    ("circle-N1024", ("circle",), 1024, 7),
-    ("ellipse3-N128", ("ellipse", 3.0, 1.0), 128, 7),
-    ("sphere2-N16", ("sphere2",), 16, 7),
+CASES = tuple((name, args, n, workloads.PARTITION_SEED_SHIFT) for name, args, n in workloads.PARTITION_CASES) + (
     ("circle-N8000", ("circle",), 8000, 42),
     ("ellipse3-N8000", ("ellipse", 3.0, 1.0), 8000, 42),
     ("torus2-N8000", ("torus2",), 8000, 42),

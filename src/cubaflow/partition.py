@@ -63,7 +63,7 @@ from .geometry import (
     sphere_chart_from_ambient,
     sphere_tangent_frame,
 )
-from .regions import _REGION_BATCH, _outer_ball_misses, _regions_geometry, _split_runs
+from .regions import _REGION_BATCH, _outer_ball_misses, _regions_geometry, _run_parts
 
 __all__ = [
     "CellTree",
@@ -162,9 +162,9 @@ class CellTree:
         Hilbert square's axis indices on two."""
         return (idx,) if self.manifold.dim == 1 else _hilbert_decode(idx, level)
 
-    def _index(self, level: int, i, j):
-        """Cells of per-axis indices, inverting ``_axes`` on the 2-D kinds."""
-        return _hilbert_encode(i, j, level)
+    def _index(self, level: int, *axes):
+        """Cells of per-axis indices, inverting ``_axes``."""
+        return axes[0] if self.manifold.dim == 1 else _hilbert_encode(*axes, level)
 
     def _positions(self, level: int, rows: np.ndarray) -> list[np.ndarray]:
         """Per-axis positions of chart rows ``(k, d)`` in level-cell widths:
@@ -261,7 +261,7 @@ class CellTree:
         charts = np.asarray(charts, dtype=float)
         rows = np.atleast_2d(charts)
         axes = [np.minimum(x.astype(np.int64), 2**level - 1) for x in self._positions(level, rows)]
-        cells = axes[0] if self.manifold.dim == 1 else self._index(level, *axes)
+        cells = self._index(level, *axes)
         return int(cells[0]) if charts.ndim == 1 else cells
 
     def sweep_parameter(self, level: int, idx, charts: np.ndarray):
@@ -469,7 +469,8 @@ class Region:
 
     def whole_cells(self) -> list[tuple[int, int]]:
         """(start, stop) ranges of cells covered in full."""
-        return _split_runs(self.runs)[0]
+        (_, lo, hi), _ = _run_parts([self.runs])
+        return list(zip(lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -834,6 +835,10 @@ def partition_to_json(p: Partition) -> str:
     return _json_text(doc)
 
 
+def _finite_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
 def partition_from_json(text: str) -> Partition:
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -852,6 +857,11 @@ def partition_from_json(text: str) -> Partition:
             raise ValueError(f"a region of level {r['level']} in a partition of fine level {fine}")
         if not all(0 <= s < e <= n and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 for s, e, a, b in r["runs"]):
             raise ValueError(f"a run does not lie in the {n} cells of level {fine}")
+        rep = r["representative"]
+        if not (isinstance(rep, list) and len(rep) == manifold.dim and all(map(_finite_number, rep))):
+            raise ValueError(f"a representative is not {manifold.dim} finite numbers")
+        if not all(_finite_number(x) and x >= 0.0 for x in (r["inner_radius"], r["outer_radius"])):
+            raise ValueError("a region radius is negative or not finite")
     regions = tuple(
         Region(
             weight_index=int(r["weight_index"]),

@@ -63,13 +63,11 @@ from cubaflow.regions import (
     _REGION_BATCH,
     _axis_candidates,
     _cell_blocks,
+    _cell_extremes,
     _flat_centroids,
-    _flat_nearest,
     _regions_geometry,
+    _run_parts,
     _sphere_centroids,
-    _sphere_extremes,
-    _split_runs,
-    _whole_ranges,
 )
 from cubaflow.weights import WeightVector, random_band_weights
 
@@ -319,6 +317,20 @@ def test_aligned_blocks_tile_cell_range():
         assert len(_aligned_blocks([0], [n], level)[0]) == 1
 
 
+def _nearest_cell(tree, level, origin, lo, hi):
+    """The cell the representative search picks from ``origin`` (a
+    position in cell widths, a unit vector on the sphere) among whole-cell
+    boxes from ``lo`` to ``hi`` of one region: the lowest index within 1e-9
+    cell widths of the nearest."""
+    sphere = tree.manifold.kind == "sphere2"
+    width = math.sqrt(4.0 * math.pi / tree.ncells(level)) if sphere else tree._arc_width(level)
+    lo, hi = np.atleast_2d(lo).astype(float), np.atleast_2d(hi).astype(float)
+    owner, cells, _ = _cell_extremes(tree, level, np.atleast_2d(origin), np.zeros(len(lo), dtype=np.int64),
+                                     lo, hi, 1e-9 * width, False)
+    assert np.all(owner == 0)
+    return int(cells.min())
+
+
 def test_axis_candidates_keep_ties():
     """A cell tying the nearest or farthest one stays a candidate, and the
     nearest search takes the lowest index among the cells within 1e-9 cell
@@ -331,16 +343,24 @@ def test_axis_candidates_keep_ties():
         assert sorted(cells[0][ok[0]]) == [3, 4]
         cells, ok, _ = _axis_candidates(lo, hi, (o + 8.0) % 16, o, 16, True)
         assert sorted(cells[0][ok[0]]) == [11, 12]
-        assert _flat_nearest(tree, 4, np.array([0]), [(lo, hi)], o[:, None], 1)[0] == 3
+        assert _nearest_cell(tree, 4, o, lo, hi) == 3
     # past 1e-9 cell widths the nearer cell wins
     for origin, want in ((4.0 + 2e-9, 4), (4.5, 4), (3.5, 3)):
-        assert _flat_nearest(tree, 4, np.array([0]), [(lo, hi)], np.array([[origin]]), 1)[0] == want
+        assert _nearest_cell(tree, 4, [origin], lo, hi) == want
     # on the torus the four cells about a grid corner tie
     torus = build_cell_tree(make("torus2"), depth=2)
-    side = (np.array([0]), np.array([4]))
-    pick = _flat_nearest(torus, 2, np.array([0]), [side, side], np.array([[2.0, 2.0]]), 1)[0]
+    pick = _nearest_cell(torus, 2, [2.0, 2.0], [0, 0], [4, 4])
     assert pick == min(_hilbert_encode(np.array([i]), np.array([j]), 2)[0]
                        for i in (1, 2) for j in (1, 2))
+    # on the sphere the four level-3 cells about the north pole, the chart's
+    # centre, lie equally far from it, and stay tied within 1e-9 cell widths
+    sphere = build_cell_tree(make("sphere2"), depth=3)
+    tied = min(_hilbert_encode(np.array([i]), np.array([j]), 3)[0] for i in (3, 4) for j in (3, 4))
+    for tilt, want in ((0.0, tied), (1e-13, tied), (1e-8, _hilbert_encode(4, 4, 3))):
+        pole = np.array([tilt, tilt, 1.0]) / math.hypot(math.hypot(tilt, tilt), 1.0)
+        assert _nearest_cell(sphere, 3, pole, [0, 0], [8, 8]) == want
+        assert _nearest_cell(sphere, 3, pole, [[0, 0], [4, 0], [0, 4], [4, 4]],
+                             [[4, 4], [8, 4], [4, 8], [8, 8]]) == want
 
 
 def _random_charts(manifold, n, seed):
@@ -631,6 +651,35 @@ def test_verify_catches_short_outer_ball(kind):
     assert not rep.outer_ok
     assert rep.notes == ("outer ball of region 2 too small",)
     assert rep.measures_ok and rep.cover_ok and rep.inner_ok
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_non_finite_radii_and_representatives_are_refused(kind):
+    """A stored outer radius of NaN or infinity is a miss of the outer-ball
+    check, not a ball that holds everything, and ``partition_from_json``
+    refuses radii that are negative or not finite and representatives that
+    are not ``dim`` finite numbers."""
+    p = weighted_partition(make(kind), random_band_weights(12, 0.5, 2.0, 1))
+    assert verify_partition(p).passed
+    for bad in (math.nan, math.inf):
+        regions = list(p.regions)
+        regions[5] = dataclasses.replace(regions[5], outer_radius=bad)
+        rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+        assert not rep.outer_ok and not rep.passed
+        assert rep.notes == ("outer ball of region 5 too small",)
+    text = partition_to_json(p)
+    dim = p.manifold.dim
+    bad_fields = [("outer_radius", math.nan), ("outer_radius", math.inf), ("outer_radius", -1e-3),
+                  ("inner_radius", math.nan), ("inner_radius", -math.inf), ("inner_radius", -1e-3),
+                  ("representative", [0.5] * (dim - 1)), ("representative", [0.5] * (dim + 1)),
+                  ("representative", [0.5] * (dim - 1) + [math.nan]), ("representative", [math.inf] * dim),
+                  ("representative", ["0.5"] * dim), ("representative", 0.5)]
+    for key, value in bad_fields:
+        doc = json.loads(text)
+        doc["regions"][5][key] = value
+        with pytest.raises(ValueError, match="representative|radius"):
+            partition_from_json(json.dumps(doc))
+    assert partition_to_json(partition_from_json(text)) == text
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
@@ -970,28 +1019,41 @@ FINGERPRINT_SPHERES = [(16, seed + 7) for seed in range(10)] + [(n, seed) for n 
                                                                  for seed in range(3)]
 
 
+def _representatives_hold_under_one_ulp(manifold, n, seed) -> int:
+    """Moving a region's centroid by one ulp along any coordinate moves no
+    representative: searched from the centroid and from each move, every
+    region with whole cells picks its stored representative.  Returns the
+    number of regions checked."""
+    p = weighted_partition(manifold, random_band_weights(n, 0.5, 2.0, seed))
+    level = p.fine_level
+    tree = build_cell_tree(manifold, depth=level)
+    sphere = manifold.kind == "sphere2"
+    owner, lo, hi = _cell_blocks(tree, level, *_run_parts([reg.runs for reg in p.regions])[0])
+    goal = (_sphere_centroids if sphere else _flat_centroids)(level, owner, lo, hi, p.n)
+    live = ~np.isnan(goal[owner, 0])
+    owner, lo, hi = owner[live], lo[live], hi[live]
+    # the centroid, then each coordinate one ulp down and up
+    dim = goal.shape[1]
+    goals = [goal] + [np.where(np.arange(dim) == k, np.nextafter(goal, to), goal)
+                      for k in range(dim) for to in (-np.inf, np.inf)]
+    width = math.sqrt(4.0 * math.pi / tree.ncells(level)) if sphere else tree._arc_width(level)
+    found, cells, _ = _cell_extremes(tree, level, np.concatenate(goals),
+                                     np.concatenate([owner + t * p.n for t in range(len(goals))]),
+                                     np.tile(lo, (len(goals), 1)), np.tile(hi, (len(goals), 1)),
+                                     1e-9 * width, False)
+    picks = np.full(len(goals) * p.n, np.iinfo(np.int64).max)
+    np.minimum.at(picks, found, cells)
+    picks = picks.reshape(len(goals), p.n)
+    rows = np.unique(owner)
+    assert np.all(picks[:, rows] == picks[0, rows]), seed
+    want = np.array([p.regions[r].representative for r in rows])
+    assert np.array_equal(tree.centers_chart(level, picks[0, rows]), want)
+    return len(rows)
+
+
 @pytest.mark.parametrize("n,seed", FINGERPRINT_SPHERES)
 def test_sphere_representatives_hold_under_one_ulp(n, seed):
-    """Moving a region's centroid by one ulp moves no sphere representative."""
-    p = weighted_partition(make("sphere2"), random_band_weights(n, 0.5, 2.0, seed))
-    level = p.fine_level
-    tree = build_cell_tree(make("sphere2"), depth=level)
-    tol = 1e-9 * math.sqrt(4.0 * math.pi / tree.ncells(level))
-    # the centroid, then each coordinate one ulp down and up: 7 searches per region
-    moves = np.vstack([np.zeros(3), np.repeat(np.eye(3), 2, axis=0) * np.tile([-1.0, 1.0], 3)[:, None]])
-    for reg in p.regions:
-        whole = _split_runs(reg.runs)[0]
-        if not whole:
-            continue
-        owner, corner, side = _sphere_region_blocks(level, whole)
-        goal = _sphere_centroids(level, owner, corner, side, 1)
-        goals = np.where(moves == 0.0, goal, np.nextafter(goal, np.copysign(np.inf, moves)))
-        owners = np.repeat(np.arange(7), len(side))
-        found = _sphere_extremes(tree, level, owners, np.tile(corner, (7, 1)), np.tile(side, 7),
-                                 goals, tol, False)
-        picks = [found[1][found[0] == k].min() for k in range(7)]
-        assert picks == [picks[0]] * 7
-        assert tuple(tree.centers_chart(level, picks[0])[0]) == reg.representative
+    assert _representatives_hold_under_one_ulp(make("sphere2"), n, seed) > 0
 
 
 def _sphere_centroids_one_shot(level, owner, corner, side, n):
@@ -1038,7 +1100,7 @@ def test_sphere_centroids_match_one_shot_rule(extra):
     corner = np.concatenate([corner, [[31.0, 31.0], [0.0, 0.0], [63.0, 0.0], [0.0, 63.0], [63.0, 63.0]]])
     side, owner = np.append(side, [2.0, 1.0, 1.0, 1.0, 1.0]), np.append(owner, [13] * 5)
     assert len(side) > 3 * _BOX_BATCH
-    got = _sphere_centroids(level, owner, corner, side, n)
+    got = _sphere_centroids(level, owner, corner, corner + side[:, None], n)
     assert got.tobytes() == _sphere_centroids_one_shot(level, owner, corner, side, n).tobytes()
     assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
     assert tuple(got[13]) == (0.0, 0.0, 1.0)
@@ -1066,29 +1128,8 @@ FLAT_FINGERPRINT_CASES = [("circle", (), 1024), ("ellipse", (3.0, 1.0), 128),
 @pytest.mark.parametrize("kind,axes,n", FLAT_FINGERPRINT_CASES,
                          ids=[f"{k}-N{n}" for k, _, n in FLAT_FINGERPRINT_CASES])
 def test_flat_representatives_hold_under_one_ulp(kind, axes, n):
-    """Moving a region's centroid by one ulp on any axis moves no flat
-    representative."""
-    m = Manifold(kind, *axes)
     for seed in range(7, 17):
-        p = weighted_partition(m, random_band_weights(n, 0.5, 2.0, seed))
-        level = p.fine_level
-        tree = build_cell_tree(m, depth=level)
-        own, lo, hi = _whole_ranges([_split_runs(reg.runs)[0] for reg in p.regions])
-        owner, box = _cell_blocks(tree, level, own, lo, hi)
-        goal = _flat_centroids(level, owner, box, p.n)
-        live = ~np.isnan(goal[owner, 0])
-        owner, box = owner[live], [(a[live], b[live]) for a, b in box]
-        # the centroid, then each axis one ulp down and up
-        goals = [goal] + [np.where(np.arange(m.dim) == k, np.nextafter(goal, to), goal)
-                          for k in range(m.dim) for to in (-np.inf, np.inf)]
-        picks = _flat_nearest(tree, level, np.concatenate([owner + t * p.n for t in range(len(goals))]),
-                              [(np.tile(a, len(goals)), np.tile(b, len(goals))) for a, b in box],
-                              np.concatenate(goals), len(goals) * p.n).reshape(len(goals), p.n)
-        rows = np.unique(owner)
-        assert np.all(picks[:, rows] == picks[0, rows]), seed
-        assert len(rows) > 0.9 * p.n
-        want = np.array([p.regions[r].representative for r in rows])
-        assert np.array_equal(tree.centers_chart(level, picks[0, rows]), want)
+        assert _representatives_hold_under_one_ulp(Manifold(kind, *axes), n, seed) > 0.9 * n
 
 
 def test_region_radii_certified():
@@ -1099,12 +1140,54 @@ def test_region_radii_certified():
 
 
 def _sphere_region_blocks(level, whole):
-    """Owner (all 0), corners and sides of the chart squares of the aligned
-    blocks tiling one region's whole-cell ranges."""
+    """Owner (all 0) and opposite corners of the chart squares of the
+    aligned blocks tiling one region's whole-cell ranges."""
     lo, hi = np.array(whole).T
     _, start, exp = _aligned_blocks(lo, hi, level)
     corner = np.column_stack([(a >> exp) << exp for a in _hilbert_loop(start, level)]).astype(float)
-    return np.zeros(len(start), dtype=np.int64), corner, np.ldexp(1.0, exp)
+    return np.zeros(len(start), dtype=np.int64), corner, corner + np.ldexp(1.0, exp)[:, None]
+
+
+def _split_runs(runs):
+    """Whole-cell (start, stop) ranges and partial (cell, t0, t1) pieces of
+    one region's runs, run by run."""
+    whole, partials = [], []
+    for s, e, tf, tl in runs:
+        lo = s if tf <= 1e-12 else s + 1
+        hi = e if tl >= 1.0 - 1e-12 else e - 1
+        if hi > lo:
+            whole.append((lo, hi))
+        if lo > s:
+            partials.append((s, tf, tl if e == s + 1 else 1.0))
+        if hi < e and e - 1 >= lo:
+            partials.append((e - 1, 0.0 if e - 1 > s else tf, tl))
+    return whole, partials
+
+
+def test_run_parts_match_run_by_run_split():
+    """``regions._run_parts`` splits every region's runs as ``_split_runs``
+    does run by run, in the same order: direct- and tree-branch partitions
+    of every kind, and runs cut at and near cell ends."""
+    regions = [((3, 4, 0.25, 0.75),), ((3, 4, 0.0, 1.0),), ((3, 4, 1e-13, 1.0 - 1e-13),),
+               ((0, 5, 0.5, 0.5), (9, 10, 0.0, 0.3)), ((7, 9, 0.2, 1.0),), ((7, 9, 0.0, 0.2),),
+               ((7, 8, 0.2, 1.0), (8, 12, 0.0, 1.0))]
+    for kind in ("circle", "torus2", "sphere2", "ellipse"):
+        for n, seed in ((6, 0), (64, 64)):
+            regions += [r.runs for r in weighted_partition(make(kind), random_band_weights(n, 0.5, 2.0, seed)).regions]
+    (own, first, stop), (p_own, cell, t0, t1) = _run_parts(regions)
+    split = [_split_runs(runs) for runs in regions]
+    assert list(zip(own.tolist(), first.tolist(), stop.tolist())) == [
+        (r, a, b) for r, (whole, _) in enumerate(split) for a, b in whole]
+    assert list(zip(p_own.tolist(), cell.tolist(), t0.tolist(), t1.tolist())) == [
+        (r, *piece) for r, (_, parts) in enumerate(split) for piece in parts]
+    torus = weighted_partition(make("torus2"), random_band_weights(64, 0.5, 2.0, 64))
+    assert [r.whole_cells() for r in torus.regions] == [_split_runs(r.runs)[0] for r in torus.regions]
+
+
+def _whole_ranges(wholes):
+    """Owner, start and stop of every whole-cell range of the regions."""
+    return np.array([(r, s, e) for r, ranges in enumerate(wholes) for s, e in ranges],
+                    dtype=np.int64).reshape(-1, 3).T
 
 
 def _centroid_oracle(manifold, level, cells, whole):
@@ -1264,6 +1347,15 @@ def test_region_geometry_matches_per_cell_oracle(kind):
     for level, runs in SPREAD_REGIONS[kind]:
         tree = build_cell_tree(make(kind), depth=level)
         _assert_matches_oracle(tree, level, [runs], _regions_geometry(tree, level, [runs]))
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_region_geometry_of_regions_without_whole_cells(kind):
+    """A batch of regions made of cut pieces alone takes its geometry from
+    the pieces, as the per-cell oracle does."""
+    tree = build_cell_tree(make(kind), depth=4)
+    runs = [((3, 4, 0.25, 0.75),), ((9, 10, 0.0, 0.5), (12, 13, 0.5, 1.0))]
+    _assert_matches_oracle(tree, 4, runs, _regions_geometry(tree, 4, runs))
 
 
 def test_partition_json_roundtrip():
