@@ -48,8 +48,11 @@ verification reports, sampling ratios and algebraic bases.  Last, one
 reference grid of its degree, so a change to the ellipse or sphere basis
 shows as well as one to the circle's.  The ``diffusion-basis/sphere-L<band>``
 lines do the same for the sphere harmonics of bands 4.5 and 12.5 (degrees
-4 and 12) on the reference grid of that band.  Takes about 30 s on one
-core.
+4 and 12) on the reference grid of that band.  The ``diffusion-basis/<kind>-L<band>``
+lines of ``TRIG_BASES`` (circle L8 and L512, ellipse 2:1 L4, torus L3 and
+L30) hash the raw bytes of ``evaluate`` and ``gradients`` on the reference
+grid of the band, ``BASIS_ROWS`` grid rows at a time, so that the highest
+bands fit in memory.  Takes about 30 s on one core.
 """
 
 import dataclasses
@@ -104,6 +107,14 @@ ALGEBRAIC_BASES = (
     ("sphere2", ("sphere2",), 6),
 )
 SPHERE_BANDS = (4.5, 12.5)
+TRIG_BASES = (
+    ("circle", ("circle",), 8.0),
+    ("circle", ("circle",), 512.0),
+    ("ellipse2", ("ellipse", 2.0, 1.0), 4.0),
+    ("torus2", ("torus2",), 3.0),
+    ("torus2", ("torus2",), 30.0),
+)
+BASIS_ROWS = 512
 # (case name, manifold args, L, N, seed): band-weight solves whose first
 # converged restart is restart 5 (circle) and 7 (ellipse)
 DIGEST_CASES = (
@@ -178,6 +189,18 @@ def _basis_text(space, band: float) -> str:
     return repr(space.evaluate(charts).tolist()) + repr(space.gradients(charts).tolist())
 
 
+def _basis_digest(space, band: float) -> str:
+    """sha256 of the raw bytes of a space's values and gradients on the
+    reference grid of ``band``, ``BASIS_ROWS`` rows at a time."""
+    charts = reference_grid(space.manifold, band).charts
+    digest = hashlib.sha256()
+    for a in range(0, len(charts), BASIS_ROWS):
+        rows = charts[a:a + BASIS_ROWS]
+        digest.update(space.evaluate(rows).tobytes())
+        digest.update(space.gradients(rows).tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     for name, args, kind, band, n in workloads.SOLVE_CASES:
         for seed in SEEDS:
@@ -221,6 +244,9 @@ def main() -> int:
         _emit(f"algebraic-basis/{name}-deg{deg}", _basis_text(build_restricted_space(manifold, deg), deg))
     for band in SPHERE_BANDS:
         _emit(f"diffusion-basis/sphere-L{band}", _basis_text(enumerate_basis(Manifold("sphere2"), band), band))
+    for name, args, band in TRIG_BASES:
+        digest = _basis_digest(enumerate_basis(Manifold(*args), band), band)
+        print(f"diffusion-basis/{name}-L{band:g} {digest}", flush=True)
     return 0
 
 

@@ -170,11 +170,14 @@ def _sphere_centroids(level: int, owner, lo, hi, n: int):
     while len(side):
         # squares of the finest side are not tested
         split = side * w > finest
-        uv = -1.0 + (corner[split][:, None, :] + _QUARTERS * side[split][:, None, None]) * w
-        fold = np.abs(uv).sum(axis=2, keepdims=True) - 1.0
-        cuts = np.concatenate([uv, fold], axis=2)
-        split[split] = (np.any(cuts.min(axis=1) * cuts.max(axis=1) < 0.0, axis=1)
-                        | np.any(np.abs(fold[..., 0]) == 1.0, axis=1))
+        # one column per square corner: numpy reduces short last axes
+        # far slower
+        box, s = corner[split], side[split]
+        u, v = ([-1.0 + (box[:, a] + q * s) * w for q in _QUARTERS[:, a]] for a in (0, 1))
+        fold = [np.abs(x) + np.abs(y) - 1.0 for x, y in zip(u, v)]
+        split[split] = reduce(np.logical_or, [reduce(np.minimum, c) * reduce(np.maximum, c) < 0.0
+                                              for c in (u, v, fold)]
+                              + [np.abs(f) == 1.0 for f in fold])
         smooth.append((owner[~split], corner[~split], side[~split]))
         half = 0.5 * side[split]
         corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)

@@ -16,9 +16,21 @@ the normalized measure:
 Basis order is frequency-ascending with lexicographic labels inside an
 eigenspace, so bases of nested bands are prefixes of one another.
 
+Circle, ellipse and torus columns are powers of unit complex numbers: one
+cos/sin pair per point and chart axis gives z = e^{i theta} (theta the arc
+coordinate times the base frequency 2 pi / ell on the curves, each chart
+angle on the torus), a cumulative product gives z^k, and the torus column
+(k1, k2) is z1^k1 z2^k2 with z^-k the conjugate of z^k.  The complex block
+viewed as floats is the interleaved sqrt(2) cos, sin layout.  No phase
+k theta is rounded, so the error grows like k eps, not k theta eps.
+Tables and products are built for chunks of rows, so temporaries stay
+small, and no row depends on which others share its call.
+
 Gradients follow the tangent conventions of :mod:`cubaflow.geometry`:
 signed arc-length derivative (circle/ellipse), chart-frame vector
-(torus2), tangential ambient vector (sphere2).  The sphere harmonic (l, m)
+(torus2), tangential ambient vector (sphere2).  On the curves and the
+torus they are i times the value harmonics, i.e. (-sin, cos), scaled by
+the frequency or by each component of k.  The sphere harmonic (l, m)
 is Re (m >= 0) or Im (m < 0) of (x + i y)^|m| T[l, |m|], where one table
 T[l, k] = N_lk d^k P_l(z) comes from the normalized associated-Legendre
 recurrence in l and d/dz T[l, k] is a constant times T[l, k + 1].  They are
@@ -35,24 +47,9 @@ import numpy as np
 from .geometry import Manifold, TWO_PI, arc_chart, charts_to_ambient
 
 _EPS = 1e-9  # slack for "frequency <= band" comparisons on float bands
-
-
-def _trig_pairs(phase: np.ndarray, scale, derivative: bool) -> np.ndarray:
-    """scale times cos, sin of an (n, p) phase block as interleaved (n, 2p) columns.
-
-    ``derivative`` gives -sin, cos.  Each step writes into the output.
-    """
-    out = np.empty((len(phase), 2 * phase.shape[1]))
-    even, odd = out[:, 0::2], out[:, 1::2]
-    if derivative:
-        np.sin(phase, out=even)
-        np.negative(even, out=even)
-        np.cos(phase, out=odd)
-    else:
-        np.cos(phase, out=even)
-        np.sin(phase, out=odd)
-    out *= scale
-    return out
+# bytes of complex harmonics per chunk of rows: the power tables and the
+# product's temporaries are held for one chunk at a time
+_CHUNK_BYTES = 1 << 18
 
 
 class SpectralSpace:
@@ -81,6 +78,7 @@ class SpectralSpace:
         if self.dim == 0:
             raise ValueError(f"band {band} admits no nonconstant eigenfunctions on {kind}")
         self.freqs = np.asarray(self.freqs, dtype=float)
+        self._rows = max(1, _CHUNK_BYTES // (8 * self.dim))
 
     # -- construction per kind ------------------------------------------
 
@@ -93,7 +91,8 @@ class SpectralSpace:
                 self.labels.append((k, kindtag))
                 self.freqs.append(k * base_freq)
         self._base_freq = base_freq
-        self._ks = np.asarray([lab[0] for lab in self.labels], dtype=float)
+        self._kmax = kmax
+        self._scale = np.asarray(self.freqs)[:, None]
 
     def _init_torus(self):
         kmax = int(math.floor(self.band + _EPS))
@@ -113,7 +112,11 @@ class SpectralSpace:
             for kindtag in ("cos", "sin"):
                 self.labels.append((k1, k2, kindtag))
                 self.freqs.append(lam)
-        self._kvecs = np.asarray([(lab[0], lab[1]) for lab in self.labels], dtype=float)
+        self._kmax = kmax
+        self._scale = np.asarray([lab[:2] for lab in self.labels], dtype=float)
+        # flat power-table columns of z1^k1 and z2^k2, exponents -kmax..kmax per axis
+        k = self._scale[0::2].astype(np.intp) + kmax
+        self._cols = (k[:, 0], k[:, 1] + 2 * kmax + 1)
 
     def _init_sphere(self):
         lmax = 0
@@ -145,37 +148,60 @@ class SpectralSpace:
 
     def evaluate(self, charts: np.ndarray) -> np.ndarray:
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
-        kind = self.manifold.kind
-        if self.manifold.dim == 1:
-            s = self._arc_coordinate(charts)
-            phase = np.outer(s, self._ks[0::2] * self._base_freq)
-            return _trig_pairs(phase, math.sqrt(2.0), derivative=False)
-        if kind == "torus2":
-            phase = (charts @ self._kvecs.T)[:, 0::2]
-            return _trig_pairs(phase, math.sqrt(2.0), derivative=False)
-        return self._sphere_eval(charts, want_grad=False)
+        if self.manifold.kind == "sphere2":
+            return self._sphere_eval(charts, want_grad=False)
+        z = self._unit(charts)
+        out = np.empty((len(z), self.dim // 2), dtype=complex)
+        for a in range(0, len(z), self._rows):
+            self._powers(z[a:a + self._rows], out[a:a + self._rows])
+        # the complex columns viewed as floats are the interleaved cos, sin pairs
+        vals = out.view(float)
+        vals *= math.sqrt(2.0)
+        return vals
 
     def gradients(self, charts: np.ndarray) -> np.ndarray:
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
-        kind = self.manifold.kind
-        if self.manifold.dim == 1:
-            s = self._arc_coordinate(charts)
-            freqs = self._ks * self._base_freq
-            phase = np.outer(s, freqs[0::2])
-            return _trig_pairs(phase, math.sqrt(2.0) * freqs, derivative=True)[:, :, None]
-        if kind == "torus2":
-            phase = (charts @ self._kvecs.T)[:, 0::2]
-            radial = _trig_pairs(phase, math.sqrt(2.0), derivative=True)
-            # one product per chart component: a broadcast over the length-2
-            # last axis is several times slower
-            grads = np.empty(radial.shape + (2,))
-            for axis in range(2):
-                np.multiply(radial, self._kvecs[:, axis], out=grads[:, :, axis])
-            return grads
-        return self._sphere_eval(charts, want_grad=True)
+        if self.manifold.kind == "sphere2":
+            return self._sphere_eval(charts, want_grad=True)
+        z = self._unit(charts)
+        grads = np.empty((len(z), self.dim, self._scale.shape[1]))
+        buf = np.empty((min(len(z), self._rows), self.dim // 2), dtype=complex)
+        for a in range(0, len(z), self._rows):
+            rows = slice(a, a + self._rows)
+            h = self._powers(z[rows], buf[:len(z[rows])]).view(float)
+            h *= math.sqrt(2.0)
+            # i times a harmonic is (-sin, cos); each tangent axis scales it
+            # by its frequency (curves) or its k component (torus)
+            for axis, k in enumerate(self._scale.T):
+                np.multiply(h[:, 1::2], -k[0::2], out=grads[rows, 0::2, axis])
+                np.multiply(h[:, 0::2], k[1::2], out=grads[rows, 1::2, axis])
+        return grads
 
-    def _arc_coordinate(self, charts: np.ndarray) -> np.ndarray:
-        return arc_chart(self.manifold).forward(np.mod(charts[:, 0], TWO_PI))
+    def _unit(self, charts: np.ndarray) -> np.ndarray:
+        """e^{i theta} per point and chart axis, (n, d): theta is the arc
+        coordinate times the base frequency on the curves, the chart on the torus."""
+        if self.manifold.dim == 1:
+            # (n,) arcs, the shape the move's chart call keeps for reuse
+            charts = arc_chart(self.manifold).forward(np.mod(charts[:, 0], TWO_PI))[:, None] * self._base_freq
+        z = np.empty(charts.shape, dtype=complex)
+        z.real, z.imag = np.cos(charts), np.sin(charts)
+        return z
+
+    def _powers(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Complex harmonics of unit rows ``z`` (c, d) into ``out`` (c, dim / 2):
+        z^k on the curves, z1^k1 z2^k2 on the torus."""
+        kmax = self._kmax
+        if self.manifold.dim == 1:
+            return np.cumprod(np.broadcast_to(z, (len(z), kmax)), axis=1, out=out)
+        table = np.empty((len(z), 2, 2 * kmax + 1), dtype=complex)
+        table[:, :, kmax] = 1.0
+        np.cumprod(np.broadcast_to(z[:, :, None], (len(z), 2, kmax)), axis=2, out=table[:, :, kmax + 1:])
+        np.conjugate(table[:, :, :kmax:-1], out=table[:, :, :kmax])  # z^-k
+        table = table.reshape(len(z), -1)
+        # "clip" writes straight into out, where the default "raise" buffers
+        np.take(table, self._cols[1], axis=1, out=out, mode="clip")
+        out *= np.take(table, self._cols[0], axis=1, mode="clip")
+        return out
 
     def _sphere_eval(self, charts, want_grad):
         xyz = charts_to_ambient(self.manifold, charts)

@@ -4,6 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -492,16 +496,19 @@ def test_stagnating_restarts_stop_before_the_cap():
 
 @pytest.mark.parametrize("manifold, band, n, seed, restarts_used, digest", [
     (CIRCLE, 8.0, 19, 1, 5,
-     "95450093c00783e6ea68cd1f3504d57a3c20164e9214a9372028d4e89b7a9b90"),
+     "4286d4a1babc4255dc7e5b8b0929b39dfc5f1b1b36c2e52e2a3f8330e989e80f"),
     (Manifold("ellipse", 2.0, 1.0), 3.0, 9, 0, 7,
-     "bcd6d090957bfb7a99884f8f4ab79fbd7cf987883880fc86f345b8e13226e61e"),
-])
+     "f421592dc4fb8b35bb4ee0c676df2e2157ccf11a4615a964ca7b515e1232e74b"),
+], ids=["circle-L8-N19", "ellipse2-L3-N9"])
 def test_converging_solve_keeps_its_rule(manifold, band, n, seed, restarts_used, digest):
     """Restarts after the converged one in its stack are dropped; the rule is unchanged.
 
     The digests are of the rules the one-restart-at-a-time solver wrote,
     the ellipse one re-frozen when its arc chart moved from scipy's
-    elliptic integrals to Carlson's (the nodes moved by 1.8e-13).
+    elliptic integrals to Carlson's (the nodes moved by 1.8e-13), and both
+    when the curve harmonics moved from cos, sin of rounded phases k t to
+    powers of e^{i t} (the nodes moved by 2.9e-11 and 3.6e-13 rad; the
+    same restart converges).
     """
     w = random_band_weights(n, 0.5, 2.0, seed)
     rule = solve(manifold, "diffusion", band, w, FlowConfig(seed=seed))
@@ -509,6 +516,35 @@ def test_converging_solve_keeps_its_rule(manifold, band, n, seed, restarts_used,
     assert rule.stats["restarts_used"] == restarts_used
     assert rule.stats["stop_reasons"]["converged"] == 1
     assert hashlib.sha256(engine.rule_to_json(rule).encode()).hexdigest() == digest
+
+
+_THREADS_RUN = """
+import hashlib
+from cubaflow import FlowConfig, Manifold, random_band_weights, rule_to_json, solve
+for args, band, n, seed in ((("circle",), 8.0, 19, 1), (("ellipse", 2.0, 1.0), 3.0, 9, 0),
+                            (("torus2",), 2.0, 100, 0)):
+    rule = solve(Manifold(*args), "diffusion", band, random_band_weights(n, 0.5, 2.0, seed),
+                 FlowConfig(seed=seed))
+    print(rule.converged, hashlib.sha256(rule_to_json(rule).encode()).hexdigest())
+"""
+
+
+def test_converged_rules_do_not_depend_on_blas_threads():
+    """Converged solves write the same rule bytes with one and two BLAS threads.
+
+    Unconverged rules may differ: a restart that never converges follows
+    its iterates for hundreds of steps, and threaded BLAS rounds their sums
+    differently.
+    """
+    src = pathlib.Path(engine.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _THREADS_RUN], capture_output=True, text=True,
+                             env=env, check=True)
+        outputs.append(run.stdout.split())
+    assert outputs[0][0::2] == ["True"] * 3
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
