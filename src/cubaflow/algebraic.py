@@ -7,10 +7,13 @@ the ellipse (a cos t, b sin t), and the harmonics of degree <= L on the
 sphere.  On the circle and the sphere that span is the diffusion space of
 band L or sqrt(L (L + 1)), so its eigenbasis is returned, tagged as
 algebraic.  On the ellipse the angle is not the arc-length coordinate:
-the trigonometric family, degree-ordered with the constant first, is
-orthonormalized against the reference quadrature by one QR; the constant
-stays the first orthonormal function, so the others have zero mean and
-form the basis.  Gradients are d/dt over the speed.
+the constant and the circle's harmonics sqrt(2) cos kt, sqrt(2) sin kt,
+taken at the angle t, are orthonormalized against the reference
+quadrature by one QR; the constant stays the first orthonormal function,
+so the others have zero mean and form the basis.  With equal axes the
+family is already orthonormal, so the QR's condition number measures how
+far the ellipse is from the circle.  Gradients are the circle harmonics'
+d/dt over the speed.
 
 The best-approximation residual curve measures how far a given function
 is from these spaces degree by degree; a residual floor that refuses to
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Manifold, reference_grid
+from .geometry import Manifold, arc_chart, reference_grid
 from .spectra import SpectralSpace, enumerate_basis
 
 
@@ -36,29 +39,20 @@ def _check_degree(max_deg) -> int:
     return int(max_deg)
 
 
-def _family(manifold: Manifold, deg: int, charts: np.ndarray, grad: bool) -> np.ndarray:
-    """Degree-ordered spanning family at chart rows, constant first.
+_CIRCLE = Manifold("circle")
 
-    Values are (n, nf); tangent gradients of the curves' family are
-    (n, 1, nf), the layout that contracts with a coefficient matrix in one
-    product.  The sphere's family gives values only.
-    """
+
+def _family(manifold: Manifold, deg: int, charts: np.ndarray) -> np.ndarray:
+    """Degree-ordered spanning family at chart rows (n, nf): the constant,
+    then the orthonormal harmonics of degree 1..deg, the sphere's own or
+    the circle's taken at the angle t on the curves."""
     if manifold.kind == "sphere2":
         harmonics = enumerate_basis(manifold, math.sqrt(deg * (deg + 1)))
-        return np.column_stack([np.ones(len(charts)), harmonics.evaluate(charts)])
-    if manifold.dim != 1:
+    elif manifold.dim == 1:
+        harmonics = enumerate_basis(_CIRCLE, deg)
+    else:
         raise ValueError("restricted polynomial spaces are defined for embedded kinds only")
-    t = charts[:, 0]
-    k = np.arange(1, deg + 1)
-    phase = np.outer(t, k)
-    out = np.zeros((len(t), 2 * deg + 1))
-    if not grad:
-        out[:, 0] = 1.0
-        out[:, 1::2], out[:, 2::2] = np.cos(phase), np.sin(phase)
-        return out
-    dt = k / np.hypot(manifold.a_ax * np.sin(t), manifold.b_ax * np.cos(t))[:, None]
-    out[:, 1::2], out[:, 2::2] = -dt * np.sin(phase), dt * np.cos(phase)
-    return out[:, None, :]
+    return np.column_stack([np.ones(len(charts)), harmonics.evaluate(charts)])
 
 
 @dataclass(eq=False)
@@ -82,15 +76,14 @@ class RestrictedPolySpace:
 
     def evaluate(self, charts: np.ndarray) -> np.ndarray:
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
-        return _family(self.manifold, int(self.band), charts, False) @ self.coeff_matrix
+        return _family(self.manifold, int(self.band), charts) @ self.coeff_matrix
 
     def gradients(self, charts: np.ndarray) -> np.ndarray:
-        """Tangent gradients in the per-kind convention of :mod:`geometry`."""
+        """Arc-length gradients (n, dim, 1): d/dt of the circle's harmonics
+        over the speed of the angle t."""
         charts = np.atleast_2d(np.asarray(charts, dtype=float))
-        g = _family(self.manifold, int(self.band), charts, True)
-        n, tdim, nf = g.shape
-        # one product over all (point, component) rows; a stacked matmul is 2-3x slower
-        return (g.reshape(-1, nf) @ self.coeff_matrix).reshape(n, tdim, -1).transpose(0, 2, 1)
+        dt = enumerate_basis(_CIRCLE, int(self.band)).gradients(charts)[:, :, 0] @ self.coeff_matrix[1:]
+        return (dt / arc_chart(self.manifold).speed(charts[:, :1]))[:, :, None]
 
     def manifest(self) -> dict:
         return {
@@ -118,7 +111,7 @@ def build_restricted_space(manifold: Manifold, max_deg) -> SpectralSpace | Restr
         space.kind, space.band = "algebraic", float(deg)
         return space
     grid = reference_grid(manifold, deg)
-    r = np.linalg.qr(np.sqrt(grid.qweights)[:, None] * _family(manifold, deg, grid.charts, False), mode="r")
+    r = np.linalg.qr(np.sqrt(grid.qweights)[:, None] * _family(manifold, deg, grid.charts), mode="r")
     # F inv(R) is orthonormal with the constant first, so the other
     # columns are orthogonal to the constant: they have zero mean
     return RestrictedPolySpace(
@@ -129,7 +122,7 @@ def build_restricted_space(manifold: Manifold, max_deg) -> SpectralSpace | Restr
     )
 
 
-def restriction_fit_residual(manifold: Manifold, f, max_deg: int, band_hint: float | None = None):
+def restriction_fit_residual(manifold: Manifold, f, max_deg: int):
     """Relative L2 distance of ``f`` from each restricted space V_m, m <= max_deg.
 
     ``f`` is a vectorized scalar field on chart arrays.  Returns the array
@@ -139,10 +132,9 @@ def restriction_fit_residual(manifold: Manifold, f, max_deg: int, band_hint: flo
     degree-ordered family gives every V_m as a column prefix.
     """
     max_deg = _check_degree(max_deg)
-    band = float(band_hint) if band_hint is not None else float(max(24, 2 * max_deg))
-    grid = reference_grid(manifold, band)
+    grid = reference_grid(manifold, max(24, 2 * max_deg))
     sqw = np.sqrt(grid.qweights)
-    q, _ = np.linalg.qr(sqw[:, None] * _family(manifold, max_deg, grid.charts, False))
+    q, _ = np.linalg.qr(sqw[:, None] * _family(manifold, max_deg, grid.charts))
     vals = sqw * np.asarray(f(grid.charts), dtype=float).reshape(-1)
     norm2 = float(vals @ vals)
     if norm2 <= 0.0:

@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import _arc
+
 
 # ---------------------------------------------------------------------------
 # Hilbert index arithmetic
@@ -150,14 +152,6 @@ def _aligned_blocks(lo, hi, top: int):
 
 # ---------------------------------------------------------------------------
 # The sphere's octahedral equal-area chart
-
-
-def _arc(u, v):
-    """Stable geodesic arc length between unit vectors (vectorized): the
-    angle of ``|u x v|`` and ``u . v``, summed in np.cross and np.sum order."""
-    u0, u1, u2, v0, v1, v2 = u[..., 0], u[..., 1], u[..., 2], v[..., 0], v[..., 1], v[..., 2]
-    c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
-    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
 
 
 def _octa_forward(u, v) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Subcommands build partitions, solve for cubature nodes, verify stored
 rules, sweep the sampling-ratio diagnostic, fit the ellipse restriction
-curve, and generate or inspect weight vectors.  Everything is written to
-files (JSON for machine use, CSV for plotting, a short text summary);
-there is no interactive mode.  Runs are deterministic for a fixed seed.
+curve, and generate or inspect weight vectors.  Every command that takes
+weights reads them through ``--weights`` and ``--N`` with one grammar
+(:func:`parse_weights`), and ``mz`` builds its space with the switch
+``solve`` uses.  Everything is written to files (JSON for machine use,
+CSV for plotting, a short text summary); there is no interactive mode.
+Runs are deterministic for a fixed seed.
 
 Exit codes: 0 success / all checks passed, 2 unconverged or failed
 verification, 1 usage error.
@@ -27,13 +30,7 @@ from .algebraic import restriction_fit_residual
 from .geometry import Manifold, circumference
 from .partition import _json_text, partition_to_json, verify_partition, weighted_partition
 from .spectra import enumerate_basis
-from .weights import (
-    WeightVector,
-    block_aggregate,
-    concentrated_weights,
-    random_band_weights,
-    validate_weights,
-)
+from .weights import WeightVector, block_aggregate, concentrated_weights, random_band_weights
 
 OUT_ENV = "CUBAFLOW_OUT"
 
@@ -183,12 +180,7 @@ def _cmd_mz(args) -> int:
     if args.nmax < 8:
         raise ValueError(f"--nmax must be at least 8, the first sweep size, got {args.nmax}")
     manifold = parse_manifold(args.manifold)
-    if args.space == "diffusion":
-        space = enumerate_basis(manifold, args.L)
-    else:
-        from .algebraic import build_restricted_space
-
-        space = build_restricted_space(manifold, args.L)
+    space = engine._make_space(manifold, args.space.split("-")[0], args.L)
     mode = "value" if args.space == "algebraic-value" else "gradient"
     rng = np.random.default_rng(args.seed)
     coeffs = rng.standard_normal((args.trials, space.dim))
@@ -245,34 +237,13 @@ def _cmd_ellipse(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    if args.ex1:
-        if args.N is None:
-            raise ValueError("--ex1 needs --N")
-        if args.band is not None:
-            raise ValueError("--ex1 and --band are mutually exclusive")
-        w = concentrated_weights(args.N)
-        head = Fraction(args.N, args.N + 1)
-        tail = Fraction(1, (args.N + 1) * (args.N - 1))
-        print(f"({head}, {tail} x{args.N - 1})")
-    elif args.band is not None:
-        fields = args.band.split(":")
-        if len(fields) != 3:
-            raise ValueError("--band takes A:B:SEED")
-        if args.N is None:
-            raise ValueError("--band needs --N")
-        w = random_band_weights(args.N, float(fields[0]), float(fields[1]), int(fields[2]))
-    elif args.file is not None:
-        w = parse_weights(f"file:{args.file}", None)
-    else:
-        if args.N is None:
-            raise ValueError("need one of --ex1 / --band / --file / --N (uniform)")
-        w = WeightVector(np.full(args.N, 1.0 / args.N))
-
+    w = parse_weights(args.weights, args.N)
+    if args.weights == "ex1":
+        print(f"({Fraction(w.n, w.n + 1)}, {Fraction(1, (w.n + 1) * (w.n - 1))} x{w.n - 1})")
     a_fit, b_fit = w.fitted_band()
-    validate_weights(w.values)
     print(f"n {w.n}  sum {math.fsum(w.values):.17g}  band [{a_fit:.6g}, {b_fit:.6g}]")
     if args.aggregate:
-        agg = block_aggregate(w.values, band_hi=b_fit)
+        agg = block_aggregate(w.values)
         print(
             f"aggregated blocks m {len(agg.block_sums)}  "
             f"min {agg.block_sums.min():.6g}  max {agg.block_sums.max():.6g}"
@@ -344,13 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_ellipse)
 
     sp = sub.add_parser("weights", help="generate / validate / aggregate weight vectors")
-    sp.add_argument("--ex1", action="store_true")
-    sp.add_argument("--band", default=None, help="A:B:SEED")
-    sp.add_argument("--file", default=None)
     sp.add_argument("--aggregate", action="store_true")
     sp.add_argument("--save", default=None, help="file name for the generated vector")
-    common(sp, weights=False)
-    sp.add_argument("--N", type=int, default=None)
+    common(sp)
     sp.set_defaults(fn=_cmd_weights)
 
     return p

@@ -363,6 +363,14 @@ def _circle_dist(u, v, period=TWO_PI):
     return np.minimum(d, period - d)
 
 
+def _arc(u, v):
+    """Stable geodesic arc length between unit vectors (vectorized): the
+    angle of ``|u x v|`` and ``u . v``, summed in np.cross and np.sum order."""
+    u0, u1, u2, v0, v1, v2 = u[..., 0], u[..., 1], u[..., 2], v[..., 0], v[..., 1], v[..., 2]
+    c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
+
+
 def pairwise_distance(manifold: Manifold, charts_a: np.ndarray, charts_b: np.ndarray) -> np.ndarray:
     """Geodesic distance between row-aligned chart arrays."""
     charts_a = np.asarray(charts_a, dtype=float)
@@ -376,11 +384,7 @@ def pairwise_distance(manifold: Manifold, charts_a: np.ndarray, charts_b: np.nda
         d1 = _circle_dist(charts_a[:, 0], charts_b[:, 0])
         d2 = _circle_dist(charts_a[:, 1], charts_b[:, 1])
         return np.hypot(d1, d2)
-    xa = charts_to_ambient(manifold, charts_a)
-    xb = charts_to_ambient(manifold, charts_b)
-    dot = np.sum(xa * xb, axis=1)
-    crossn = np.linalg.norm(np.cross(xa, xb), axis=1)
-    return np.arctan2(crossn, dot)
+    return _arc(charts_to_ambient(manifold, charts_a), charts_to_ambient(manifold, charts_b))
 
 
 def move_points(manifold: Manifold, charts: np.ndarray, disp) -> np.ndarray:

@@ -60,6 +60,7 @@ from .geometry import (
     charts_to_ambient,
     doubling_constants,
     manifold_from_descriptor,
+    move_points,
     sphere_chart_from_ambient,
     sphere_tangent_frame,
 )
@@ -657,33 +658,32 @@ class PartitionReport:
 
 
 def _ball_samples(manifold: Manifold, centers, radii) -> np.ndarray:
-    """Deterministic points inside geodesic balls, as chart rows.
+    """Deterministic points inside geodesic balls, as chart rows, from one
+    ``move_points`` call.
 
-    Ball i of ``(k, d)`` centers gets rows ``i * per .. (i + 1) * per``:
-    ``per`` is 7 on one-dimensional kinds and 25 on the others.
+    Ball i of ``(k, d)`` centers gets rows ``i * per .. (i + 1) * per``, at
+    0.35, 0.7 and 0.95 of its radius from the centre, the centre last:
+    ``per`` is 7 on the curves (the fractions ahead, then behind) and 25 on
+    the others (eight directions at angles 0.3 + k pi / 4 of the chart frame
+    or of ``sphere_tangent_frame``, the fractions varying fastest).
     """
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)[:, None]
     fracs = np.array([0.35, 0.7, 0.95])
     if manifold.dim == 1:
-        rs = np.concatenate([radii * fracs, -radii * fracs, 0.0 * radii], axis=1)
-        chart = arc_chart(manifold)
-        hs = (chart.forward(centers[:, 0])[:, None] + rs) % chart.total
-        return chart.inverse(hs.ravel())[:, None]
-    angles = TWO_PI * np.arange(8) / 8.0 + 0.3
-    # per ball, radii vary fastest, then angles
-    rr = np.tile(radii * fracs, (1, 8))
-    aa = np.repeat(angles, 3)
-    if manifold.kind == "torus2":
-        pts = np.stack([centers[:, :1] + rr * np.cos(aa), centers[:, 1:] + rr * np.sin(aa)], axis=-1)
+        steps = np.concatenate([fracs, -fracs, [0.0]]) * radii
     else:
-        c = charts_to_ambient(manifold, centers)[:, None, :]
-        e1, e2 = (e[:, None, :] for e in sphere_tangent_frame(centers))
-        dirs = np.cos(aa)[:, None] * e1 + np.sin(aa)[:, None] * e2
-        amb = np.cos(rr)[..., None] * c + np.sin(rr)[..., None] * dirs
-        amb = amb / np.linalg.norm(amb, axis=-1, keepdims=True)
-        pts = sphere_chart_from_ambient(amb.reshape(-1, 3)).reshape(len(centers), -1, 2)
-    return np.concatenate([pts, centers[:, None, :]], axis=1).reshape(-1, 2)
+        angles = np.append(np.repeat(TWO_PI * np.arange(8) / 8.0 + 0.3, 3), 0.0)
+        rr = np.append(np.tile(fracs, 8), 0.0) * radii
+        # one product per axis: a broadcast against a (25, 2) table is slower
+        x, y = rr * np.cos(angles), rr * np.sin(angles)
+        if manifold.kind == "torus2":
+            steps = np.stack([x, y], axis=-1)
+        else:
+            e1, e2 = (e[:, None, :] for e in sphere_tangent_frame(centers))
+            steps = x[..., None] * e1 + y[..., None] * e2
+    per = steps.shape[1]
+    return move_points(manifold, np.repeat(centers, per, axis=0), steps.reshape(len(centers) * per, -1))
 
 
 def verify_partition(p: Partition) -> PartitionReport:

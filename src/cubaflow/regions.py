@@ -33,12 +33,12 @@ from .cells import (
     _BOX_BATCH,
     _DIAG,
     _aligned_blocks,
-    _arc,
     _box_reach,
     _grid_points,
 )
 from .geometry import (
     TWO_PI,
+    _arc,
     _circle_dist,
     charts_to_ambient,
     pairwise_distance,
@@ -105,7 +105,7 @@ def _box_metric(tree: CellTree, level: int, origin) -> tuple:
     On the flat kinds ``origin`` holds positions in cell widths, the
     distance is the ``hypot`` of periodic per-axis ones and the bound the
     half-diagonal, both times the arc width.  On the sphere it holds unit
-    vectors, the distance is ``cells._arc`` to the centre's image and the
+    vectors, the distance is ``geometry._arc`` to the centre's image and the
     bound ``_DIAG`` times the larger offset, the chart's derived stretch.
     """
     if tree.manifold.kind == "sphere2":

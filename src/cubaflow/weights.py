@@ -96,23 +96,15 @@ class BlockAggregation:
         return self.block_sums.size
 
 
-def block_aggregate(values, band_hi: float | None = None) -> BlockAggregation:
+def block_aggregate(values) -> BlockAggregation:
     """Merge weights into the shortest ascending prefix runs with sum >= 1/n.
 
     Accepts a WeightVector or a raw nonnegative array summing to 1 (zero
-    entries are allowed here, unlike WeightVector).  Each block satisfies
-    1/n <= W_i <= (b+1)/n, which forces at least n/(b+1) blocks.
+    entries are allowed here, unlike WeightVector).  With b = n max w_j,
+    each block satisfies 1/n <= W_i <= (b+1)/n, which forces at least
+    n/(b+1) blocks.
     """
-    if isinstance(values, WeightVector):
-        if band_hi is None:
-            band_hi = (
-                values.band_hi
-                if values.band_hi is not None
-                else values.fitted_band()[1]
-            )
-        vals = values.values
-    else:
-        vals = np.asarray(values, dtype=float)
+    vals = values.values if isinstance(values, WeightVector) else np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("weights must form a nonempty 1-d array")
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
@@ -121,8 +113,6 @@ def block_aggregate(values, band_hi: float | None = None) -> BlockAggregation:
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
     n = vals.size
-    if band_hi is None:
-        band_hi = n * float(vals.max())
     threshold = 1.0 / n
 
     order = np.argsort(vals, kind="stable")

@@ -340,7 +340,7 @@ def test_block_aggregation_bounds_and_expansion():
         n = int(rng.integers(8, 257))
         lo = float(rng.uniform(0.05, 1.0))
         w = random_band_weights(n, lo, 4.0, 2000 + i)
-        agg = block_aggregate(w.values, band_hi=4.0)
+        agg = block_aggregate(w.values)
         s = agg.block_sums
         bounds_ok = bounds_ok and bool(
             np.all(s >= 1.0 / n - 1e-12) and np.all(s <= 5.0 / n + 1e-12)
@@ -349,7 +349,7 @@ def test_block_aggregation_bounds_and_expansion():
         min_ratio = min(min_ratio, agg.m / (n / 5.0))
 
     w = random_band_weights(48, 0.5, 4.0, 9)
-    agg = block_aggregate(w.values, band_hi=4.0)
+    agg = block_aggregate(w.values)
     rule = solve(CIRCLE, "diffusion", 2.0, agg.block_sums,
                  FlowConfig(tol=1e-12, seed=0))
     sp = enumerate_basis(CIRCLE, 2.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cubaflow.algebraic import build_restricted_space, restriction_fit_residual
+from cubaflow.algebraic import _family, build_restricted_space, restriction_fit_residual
 from cubaflow.geometry import Manifold, charts_to_ambient, reference_grid, sphere_tangent_frame
 from cubaflow.spectra import enumerate_basis
 
@@ -206,3 +206,39 @@ def test_restricted_diffusion_agree_on_circle(rng):
     s = np.linalg.svd(cross, compute_uv=False)
     assert alg.dim == diff.dim
     assert s.min() > 1.0 - 1e-9
+
+
+# (a, b, degree, bound on |error|): the circle harmonics' measured error on
+# these points, rounded up; the family of rounded phases k t had 1.0e-14,
+# 2.0e-14 and 2.0e-14 (its cos, sin times sqrt(2))
+_FAMILY_ORACLE_CASES = [(2.0, 1.0, 12, 2e-15), (3.0, 1.0, 24, 3.5e-15), (10.0, 1.0, 40, 5e-15)]
+
+
+@pytest.mark.parametrize("a,b,deg,bound", _FAMILY_ORACLE_CASES)
+def test_ellipse_family_matches_mpmath(a, b, deg, bound):
+    """The ellipse's spanning family is 1, sqrt(2) cos kt, sqrt(2) sin kt at
+    the angle t: against 40-digit mpmath at the float angles."""
+    mpmath = pytest.importorskip("mpmath")
+    t = np.linspace(0.0, 2.0 * math.pi, 200, endpoint=False) + 0.01
+    got = _family(Manifold("ellipse", a, b), deg, t[:, None])
+    with mpmath.workdps(40):
+        root2 = mpmath.sqrt(2)
+        want = np.array([[1.0] + [float(root2 * f(k * mpmath.mpf(float(x))))
+                                  for k in range(1, deg + 1) for f in (mpmath.cos, mpmath.sin)]
+                         for x in t])
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_equal_axes_ellipse_is_the_circle(rng):
+    """With equal axes the family is already orthonormal: the QR is the
+    identity up to signs, and the basis is the circle's diffusion basis."""
+    sp = build_restricted_space(Manifold("ellipse", 1.0, 1.0), 8)
+    assert abs(sp.condition - 1.0) <= 1e-12
+    circle = enumerate_basis(Manifold("circle"), 8.0)
+    charts = rng.uniform(0.0, 2.0 * math.pi, (200, 1))
+    vals, want = sp.evaluate(charts), circle.evaluate(charts)
+    sign = np.sign(np.sum(vals * want, axis=0))
+    # the measured errors, 7.8e-16 and 5.3e-15, rounded up; the family of
+    # rounded phases k t had 5.5e-15 and 3.7e-14
+    assert np.max(np.abs(vals * sign - want)) <= 2e-15
+    assert np.max(np.abs(sp.gradients(charts) * sign[:, None] - circle.gradients(charts))) <= 1e-14

@@ -23,15 +23,26 @@ def test_package_version_matches_pyproject():
 
 
 def test_weights_ex1_literal(capsys):
-    assert main(["weights", "--ex1", "--N", "5"]) == 0
+    assert main(["weights", "--weights", "ex1", "--N", "5"]) == 0
     out = capsys.readouterr().out
     assert "(5/6, 1/24 x4)" in out
     assert "sum 1" in out
 
 
+@pytest.mark.parametrize("flag", [["--ex1"], ["--band", "0.5:2:11"], ["--file", "w.json"]],
+                         ids=["ex1", "band", "file"])
+def test_weights_reads_one_grammar(capsys, flag):
+    """``weights`` takes its source through ``--weights`` as every command
+    does; the old source flags are usage errors and not in its help."""
+    assert main(["weights", *flag, "--N", "5"]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert main(["weights", "--help"]) == 0
+    assert flag[0] not in capsys.readouterr().out
+
+
 def test_weights_band_and_aggregate(capsys, tmp_path):
     code = main([
-        "weights", "--band", "0.5:2:11", "--N", "32",
+        "weights", "--weights", "band:0.5:2:11", "--N", "32",
         "--aggregate", "--save", "w.json", "--out", str(tmp_path),
     ])
     assert code == 0
@@ -171,7 +182,7 @@ def test_malformed_weights_file_is_usage_error(tmp_path, capsys, doc, problem, c
     path = tmp_path / "w.json"
     path.write_text(json.dumps(doc))
     if command == "weights":
-        argv = ["weights", "--file", str(path)]
+        argv = ["weights", "--weights", f"file:{path}"]
     else:
         argv = ["partition", "--manifold", "circle", "--weights", f"file:{path}",
                 "--out", str(tmp_path / "out")]
@@ -219,7 +230,7 @@ def test_every_json_file_is_the_stdlib_text(tmp_path, capsys):
         ["partition", "--manifold", "sphere2", "--N", "12", "--weights", "band:0.5:2:4"],
         ["solve", "--manifold", "circle", "--L", "2", "--N", "8", "--seed", "0"],
         ["mz", "--manifold", "circle", "--L", "2", "--trials", "10", "--nmax", "16", "--seed", "1"],
-        ["weights", "--band", "0.5:2:11", "--N", "32", "--save", "w.json"],
+        ["weights", "--weights", "band:0.5:2:11", "--N", "32", "--save", "w.json"],
     ]
     for argv in runs:
         assert main(argv + ["--out", str(tmp_path)]) in (0, 2)

@@ -40,10 +40,12 @@ from cubaflow.geometry import (
     charts_to_ambient,
     pairwise_distance,
     sphere_chart_from_ambient,
+    sphere_tangent_frame,
 )
 from cubaflow.partition import (
     SCHEMA_VERSION,
     _affordable,
+    _ball_samples,
     _json_text,
     _plan,
     _sweep,
@@ -627,6 +629,48 @@ def test_partition_verifies(kind, n, seed):
     assert rep.max_measure_error < 1e-12
     assert rep.c3 > 0.0
     assert rep.c4 < math.inf
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_ball_samples_lie_at_fractions_of_the_radius(kind, rng):
+    """Each ball's rows lie at 0.35, 0.7 and 0.95 of its radius from its
+    centre: ahead, then behind, on the curves; along the eight directions
+    0.3 + k pi / 4 of the chart or tangent frame on the others; the centre
+    last."""
+    m = make(kind)
+    k = 64
+    if kind == "sphere2":
+        centers = np.column_stack([np.arccos(rng.uniform(-1.0, 1.0, k)), rng.uniform(0.0, TWO_PI, k)])
+        centers[:2] = [[0.0, 0.0], [math.pi, 0.0]]
+    else:
+        centers = rng.uniform(0.0, TWO_PI, (k, m.dim))
+    radii = rng.uniform(0.05, 0.5, k)
+    fracs = [0.35, 0.7, 0.95]
+    want = np.array(fracs * 2 + [0.0] if m.dim == 1 else fracs * 8 + [0.0])
+    per = len(want)
+    pts = _ball_samples(m, centers, radii)
+    assert pts.shape == (k * per, m.dim)
+    rows = np.repeat(centers, per, axis=0)
+    d = pairwise_distance(m, rows, pts).reshape(k, per)
+    assert np.all(np.abs(d[:, :-1] / (want[:-1] * radii[:, None]) - 1.0) <= 1e-12)
+    # the sphere's centre comes back through the ambient chart
+    assert np.all(d[:, -1] <= 4e-15)
+    if m.dim == 1:
+        chart = arc_chart(m)
+        step = chart.forward(pts[:, 0]) - chart.forward(rows[:, 0])
+        ahead = np.mod(step + 0.5 * chart.total, chart.total) > 0.5 * chart.total
+        assert np.array_equal(ahead.reshape(k, per)[:, :-1], np.tile([True] * 3 + [False] * 3, (k, 1)))
+        return
+    if kind == "torus2":
+        off = np.mod(pts - rows + math.pi, TWO_PI) - math.pi
+        angle = np.arctan2(off[:, 1], off[:, 0])
+    else:
+        e1, e2 = sphere_tangent_frame(rows)
+        x = charts_to_ambient(m, pts)
+        angle = np.arctan2(np.sum(x * e2, axis=1), np.sum(x * e1, axis=1))
+    angle = angle.reshape(k, per)[:, :-1]
+    expect = np.repeat(TWO_PI * np.arange(8) / 8.0 + 0.3, 3)
+    assert np.all(np.abs(np.mod(angle - expect + math.pi, TWO_PI) - math.pi) <= 1e-12)
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])

@@ -96,7 +96,7 @@ def test_block_aggregation_bounds(vals):
     """Blocks land in [1/n, (b+1)/n] and there are at least n/(b+1) of them."""
     n = vals.size
     b = n * float(vals.max())
-    agg = block_aggregate(vals, band_hi=b)
+    agg = block_aggregate(vals)
     assert agg.block_sums.min() >= 1.0 / n - 1e-12
     assert agg.block_sums.max() <= (b + 1.0) / n + 1e-12
     assert agg.m >= n / (b + 1.0) - 1e-9
