@@ -39,7 +39,11 @@ partition and unit coefficient vectors the ``mz`` workload generates.  Each
 is followed by its ``mz-block/<variant>/N<n>/seed<s>`` line, the hash of
 ``repr`` of the same ratios from the one block ``mz_ratios`` call that
 ``cubaflow mz`` makes, as a list of floats, so the two lines of a pair are
-equal.  The case tables are read from ``perfbench/workloads.py``; the
+equal.  Each ``MZ_KINDS`` entry then gets one
+``mz-block/<kind>-L<band>/N8-64`` line, the hash of ``repr`` of the block
+ratios of a ``cubaflow mz`` sweep (``MZ_KIND_TRIALS`` unit rows, seed 0,
+N 8-64) on the torus or sphere, so the grid-integral memo is covered beyond
+the circle.  The case tables are read from ``perfbench/workloads.py``; the
 package comes from this checkout's ``src``.  Run it in two checkouts and
 ``diff`` the outputs: equal lines mean byte-identical rules, partitions,
 verification reports, sampling ratios and algebraic bases.  Last, one
@@ -100,6 +104,10 @@ LARGE_KINDS = (
 )
 LARGE_N, LARGE_SEED = 2000, 42
 MZ_RATIO_SEEDS = range(2)
+# (kind, band) of the diffusion sweeps beyond the circle
+MZ_KINDS = (("torus2", 3.0), ("sphere2", 4.5))
+MZ_KIND_TRIALS = 20
+MZ_KIND_NS = (8, 16, 32, 64)
 ALGEBRAIC_BASES = (
     ("circle", ("circle",), 8),
     ("ellipse2", ("ellipse", 2.0, 1.0), 12),
@@ -183,6 +191,19 @@ def _mz_ratio_lines(seed: int) -> None:
             _emit(f"mz-block/{variant}/N{n}/seed{seed}", repr(block))
 
 
+def _mz_kind_lines() -> None:
+    for kind, band in MZ_KINDS:
+        manifold = Manifold(kind)
+        space = enumerate_basis(manifold, band)
+        coeffs = np.random.default_rng(0).standard_normal((MZ_KIND_TRIALS, space.dim))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        sweep = []
+        for n in MZ_KIND_NS:
+            part = weighted_partition(manifold, _band(n, n))
+            sweep.append(mz_ratios(space, part, None, coeffs, "gradient").tolist())
+        _emit(f"mz-block/{kind}-L{band:g}/N{MZ_KIND_NS[0]}-{MZ_KIND_NS[-1]}", repr(sweep))
+
+
 def _basis_text(space, band: float) -> str:
     """``repr`` of a space's values and gradients on the reference grid of ``band``."""
     charts = reference_grid(space.manifold, band).charts
@@ -239,6 +260,7 @@ def main() -> int:
         _emit(f"verify/large-partition/{case}", repr(verify_partition(part)))
     for seed in MZ_RATIO_SEEDS:
         _mz_ratio_lines(seed)
+    _mz_kind_lines()
     for name, args, deg in ALGEBRAIC_BASES:
         manifold = Manifold(*args)
         _emit(f"algebraic-basis/{name}-deg{deg}", _basis_text(build_restricted_space(manifold, deg), deg))

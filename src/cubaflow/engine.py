@@ -22,6 +22,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import wraps
+from itertools import islice
 
 import numpy as np
 
@@ -69,6 +70,8 @@ _STAGNATION_WINDOW = 50
 # bound on one stacked intermediate: the gradient array of a lockstep stack
 # of restarts, or the grid values of a chunk of MZ coefficient rows
 _BLOCK_BYTES = 1 << 25
+# grid integrals memoised per (space, mode): a sweep's rows, with room to spare
+_MZ_MEMO_ROWS = 1024
 # why a restart stopped, as recorded in the rule stats
 STOP_REASONS = ("converged", "stagnated", "damping exhausted", "iteration cap")
 
@@ -739,17 +742,20 @@ def _mz_samples(space, mode: str, shape: tuple, data: bytes) -> np.ndarray:
 
 
 @_one_slot
-def _mz_grid(space, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Reference-grid weights and the space's basis field on that grid.
+def _mz_grid(space, mode: str) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Reference-grid weights, the space's basis field on that grid, and a
+    memo of grid integrals keyed by coefficient-row bytes.
 
-    The integral side of a sampling ratio depends only on the space and
-    the coefficients, never on the partition, so the field is evaluated
-    once per (space, mode).  Spaces are keyed by identity.  A sweep uses
-    one key throughout, and one entry bounds the memory kept to one field,
-    which is hundreds of MB on a fine torus grid.
+    The integral side of a sampling ratio depends only on the space, the
+    mode and the coefficients, never on the partition, so the field is
+    evaluated once per (space, mode), and each row's integral once while
+    the memo has room.  Spaces are keyed by identity.  A sweep uses one key
+    throughout, and one entry bounds the memory kept to one field, which is
+    hundreds of MB on a fine torus grid, and one memo of at most
+    ``_MZ_MEMO_ROWS`` rows.  Both go when the key changes.
     """
     grid = reference_grid(space.manifold, _ABS_BAND_FACTOR * (space.band + 4.0))
-    return grid.qweights, _mz_field(space, grid.charts, mode)
+    return grid.qweights, _mz_field(space, grid.charts, mode), {}
 
 
 def _mz_abs(field: np.ndarray, coeffs: np.ndarray, mode: str, npts: int) -> np.ndarray:
@@ -764,7 +770,7 @@ def _mz_abs(field: np.ndarray, coeffs: np.ndarray, mode: str, npts: int) -> np.n
     if mode == "value":
         return np.abs(vals)
     vals *= vals
-    return np.sqrt(np.add.reduce(vals.reshape(len(coeffs), npts, -1), axis=-1))
+    return np.sqrt(np.add.reduce(vals.reshape(len(coeffs), npts, len(field) // npts), axis=-1))
 
 
 def _mz_sum(weights: np.ndarray, vals: np.ndarray):
@@ -776,13 +782,12 @@ def _mz_sum(weights: np.ndarray, vals: np.ndarray):
     return (vals[..., None, :] @ weights)[..., 0]
 
 
-def _mz_integrals(space, rows: np.ndarray, mode: str) -> np.ndarray:
+def _mz_contract(qweights: np.ndarray, field: np.ndarray, rows: np.ndarray, mode: str) -> np.ndarray:
     """Reference-grid integrals of |P| or |grad P|, one per coefficient row.
 
     Rows are contracted in chunks whose grid values fit ``_BLOCK_BYTES``,
     so a large block on a fine grid never holds all its values at once.
     """
-    qweights, field = _mz_grid(space, mode)
     step = max(1, _BLOCK_BYTES // (field.shape[0] * 8))
     out = []
     for start in range(0, len(rows), step):
@@ -791,6 +796,24 @@ def _mz_integrals(space, rows: np.ndarray, mode: str) -> np.ndarray:
             raise ValueError("integrand returned non-finite values on the grid")
         out.append(_mz_sum(qweights, vals))
     return np.concatenate(out)
+
+
+def _mz_integrals(space, rows: np.ndarray, mode: str) -> np.ndarray:
+    """Grid integrals of the rows, each contracted once while the memo has room.
+
+    A row is looked up by its bytes, so a row changed in place misses.  The
+    misses go through ``_mz_contract`` as one block and are stored only if
+    all of them are finite; once the memo is full it keeps what it holds.
+    """
+    qweights, field, memo = _mz_grid(space, mode)
+    keys = [row.tobytes() for row in rows]
+    miss = [i for i, k in enumerate(keys) if k not in memo]
+    fresh = {}
+    if miss:
+        values = _mz_contract(qweights, field, rows[miss], mode).tolist()
+        fresh = {keys[i]: v for i, v in zip(miss, values)}
+        memo.update(islice(fresh.items(), max(0, _MZ_MEMO_ROWS - len(memo))))
+    return np.array([fresh[k] if k in fresh else memo[k] for k in keys], dtype=float)
 
 
 def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
@@ -802,8 +825,10 @@ def mz_ratios(space, part: Partition, samples, coeffs, mode: str):
     partition, and ``samples`` (one point per region, default its
     representatives) are where P is sampled.  The basis fields at the
     samples and on the reference grid are cached, so repeated calls on
-    one point set evaluate neither again.  Ratios at or below one half
-    are the usable sampling regime.
+    one point set evaluate neither again, and each row's grid integral is
+    memoised per (space, mode), so a sweep over N pays for it once.  An
+    empty (0, dim) block gives an empty array.  Ratios at or below one
+    half are the usable sampling regime.
     """
     space = _as_space(space)
     # identity first: a sweep makes this call once per coefficient row

@@ -223,6 +223,29 @@ def test_mz_sweep_artifacts(tmp_path, capsys):
     assert code == (0 if doc["n_star"] is not None else 2)
 
 
+def test_mz_sweep_integrates_each_row_once(tmp_path, capsys, monkeypatch):
+    """The grid integrals of a sweep depend only on the rows, so only the
+    first N contracts them on the grid; later sizes pay for samples only."""
+    space = engine._make_space(parse_manifold("circle"), "diffusion", 3.0)
+    engine._mz_grid(space, "value")  # evict any earlier memo of this space
+    contracted = []
+    contract = engine._mz_contract
+
+    def counting(qweights, field, rows, mode):
+        contracted.append(rows.copy())
+        return contract(qweights, field, rows, mode)
+
+    monkeypatch.setattr(engine, "_mz_contract", counting)
+    code = main([
+        "mz", "--manifold", "circle", "--L", "3", "--trials", "10",
+        "--nmax", "64", "--seed", "4", "--out", str(tmp_path),
+    ])
+    assert code in (0, 2)
+    assert len((tmp_path / "mz_circle_diffusion_L3.csv").read_text().splitlines()) == 5
+    assert [len(rows) for rows in contracted] == [10]
+    assert len({row.tobytes() for row in contracted[0]}) == 10
+
+
 def test_every_json_file_is_the_stdlib_text(tmp_path, capsys):
     """Each JSON file the commands write has the bytes of
     ``json.dumps(sort_keys=True, indent=1)`` of what it holds."""

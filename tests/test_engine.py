@@ -789,7 +789,7 @@ def test_mz_cached_fields_are_read_only():
     sp, part, reps, coeffs = _mz_case(CIRCLE, "algebraic")
     mz_ratios(sp, part, reps, coeffs, "value")
     field = engine._mz_samples(sp, "value", reps.shape, reps.tobytes())
-    _, grid_field = engine._mz_grid(sp, "value")
+    grid_field = engine._mz_grid(sp, "value")[1]
     for f in (field, grid_field):
         assert not f.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -808,6 +808,15 @@ def test_mz_interleaved_partitions_match_each_alone():
     assert mixed == alone
 
 
+def _cold_memo(sp, mode):
+    """The empty integral memo of a fresh (sp, mode) slot: another key
+    evicts the slot, so earlier tests leave no rows behind."""
+    engine._mz_grid(sp, "value" if mode == "gradient" else "gradient")
+    memo = engine._mz_grid(sp, mode)[2]
+    assert memo == {}
+    return memo
+
+
 def test_mz_block_memory_is_bounded_per_chunk():
     """A 200-row block on a grid whose values exceed the chunk cap holds one
     chunk at a time, and its ratios equal the one-row ratios bit for bit."""
@@ -816,6 +825,7 @@ def test_mz_block_memory_is_bounded_per_chunk():
     reps = part.representatives()
     coeffs = np.random.default_rng(10).standard_normal((200, sp.dim))
     one = [mz_ratio_diffusion(sp, part, reps, c) for c in coeffs]  # fills both caches
+    _cold_memo(sp, "gradient")  # so that the block contracts every row on the grid
     rows = engine._mz_grid(sp, "gradient")[1].shape[0]
     block_bytes = len(coeffs) * rows * 8
     assert block_bytes > 3 * engine._BLOCK_BYTES
@@ -827,3 +837,68 @@ def test_mz_block_memory_is_bounded_per_chunk():
         tracemalloc.stop()
     assert peak < 3 * engine._BLOCK_BYTES
     assert block.tolist() == one
+
+
+def test_mz_empty_block_gives_empty_ratios():
+    part = weighted_partition(CIRCLE, np.full(16, 1 / 16))
+    for sp, mode in ((enumerate_basis(CIRCLE, 4.0), "gradient"), (build_restricted_space(CIRCLE, 4), "value")):
+        ratios = mz_ratios(sp, part, None, np.zeros((0, sp.dim)), mode)
+        assert ratios.shape == (0,) and ratios.dtype == np.float64
+
+
+@pytest.mark.parametrize("manifold", [CIRCLE, Manifold("sphere2")], ids=lambda m: m.kind)
+@pytest.mark.parametrize(
+    "kind, mode",
+    [("diffusion", "gradient"), ("algebraic", "value"), ("algebraic", "gradient")],
+)
+@pytest.mark.parametrize("block_first", [True, False], ids=["block-first", "one-row-first"])
+def test_mz_memo_matches_uncached_oracle(manifold, kind, mode, block_first):
+    sp, part, reps, coeffs = _mz_case(manifold, kind)
+    oracle = [_mz_uncached(sp, part, reps, c, mode) for c in coeffs]
+    memo = _cold_memo(sp, mode)
+    if block_first:
+        first = mz_ratios(sp, part, reps, coeffs, mode).tolist()
+        second = [_mz_one_row(sp, part, reps, c, mode) for c in coeffs]
+    else:
+        first = [_mz_one_row(sp, part, reps, c, mode) for c in coeffs]
+        second = mz_ratios(sp, part, reps, coeffs, mode).tolist()
+    assert first == oracle and second == oracle
+    assert set(memo) == {c.tobytes() for c in coeffs}
+
+
+def test_mz_memo_misses_a_row_changed_in_place():
+    sp, part, reps, coeffs = _mz_case(CIRCLE, "diffusion")
+    _cold_memo(sp, "gradient")
+    coeffs = coeffs.copy()
+    mz_ratios(sp, part, reps, coeffs, "gradient")
+    coeffs[0] += 0.5  # the ratio is scale invariant, so shift, not scale
+    got = mz_ratios(sp, part, reps, coeffs, "gradient")
+    assert got[0] == _mz_uncached(sp, part, reps, coeffs[0], "gradient")
+    assert got[1:].tolist() == [_mz_uncached(sp, part, reps, c, "gradient") for c in coeffs[1:]]
+
+
+def test_mz_memo_stores_nothing_from_a_non_finite_block():
+    sp, part, reps, coeffs = _mz_case(CIRCLE, "algebraic")
+    memo = _cold_memo(sp, "value")
+    bad = coeffs.copy()
+    bad[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        mz_ratios(sp, part, reps, bad, "value")
+    assert memo == {}
+    finite = np.delete(bad, 3, axis=0)
+    got = mz_ratios(sp, part, reps, finite, "value")
+    assert got.tolist() == [_mz_uncached(sp, part, reps, c, "value") for c in finite]
+
+
+def test_mz_memo_holds_at_most_its_cap(monkeypatch):
+    sp, part, reps, coeffs = _mz_case(Manifold("sphere2"), "diffusion")
+    monkeypatch.setattr(engine, "_MZ_MEMO_ROWS", 8)
+    memo = _cold_memo(sp, "gradient")
+    oracle = [_mz_uncached(sp, part, reps, c, "gradient") for c in coeffs]
+    assert len(coeffs) > 8
+    for _ in range(2):
+        assert mz_ratios(sp, part, reps, coeffs, "gradient").tolist() == oracle
+        assert len(memo) == 8
+    # once full, the memo keeps what it holds and one-row calls still answer
+    assert [mz_ratio_diffusion(sp, part, reps, c) for c in coeffs[::-1]] == oracle[::-1]
+    assert set(memo) == {c.tobytes() for c in coeffs[:8]}
