@@ -4,12 +4,14 @@ Usage: python3 scripts/peak_memory.py
 
 One line per case: the ``tracemalloc`` peak, in MB above what was traced
 when the stage began, of ``weighted_partition``, ``verify_partition`` and
-``partition_to_json``, each traced alone, then ``ru_maxrss`` of the process so
-far (tracing included, so it is above an untraced run's).  The cases are the
-benchmark's five partition cases at weights seed 7 (the ``partition``
-workload's inputs at seed 0, read from ``PARTITION_CASES`` in
-``perfbench/workloads.py``), then N = 8000 on each kind at weights seed 42.
-A stage that holds a whole-input temporary shows up here without a
+``partition_to_json``, each traced alone, then the size in MB of the
+``partition_to_json`` text (so ``to_json`` over ``size`` counts the copies
+of the file the writer holds at its peak), then ``ru_maxrss`` of the
+process so far (tracing included, so it is above an untraced run's).  The
+cases are the benchmark's five partition cases at weights seed 7 (the
+``partition`` workload's inputs at seed 0, read from ``PARTITION_CASES``
+in ``perfbench/workloads.py``), then N = 8000 on each kind at weights seed
+42.  A stage that holds a whole-input temporary shows up here without a
 benchmark run.  The package comes from this checkout's ``src``.  Takes about
 20 s on one core.
 """
@@ -50,19 +52,20 @@ def _traced(fn, *args):
 
 
 def main() -> int:
-    print(f"{'case':16s} {'partition':>10s} {'verify':>10s} {'to_json':>10s} {'maxrss':>10s}")
+    print(f"{'case':16s} {'partition':>10s} {'verify':>10s} {'to_json':>10s} {'size':>10s} {'maxrss':>10s}")
     tracemalloc.start()
     for name, args, n, seed in CASES:
         w = random_band_weights(n, 0.5, 2.0, seed)
         part, build = _traced(weighted_partition, Manifold(*args), w)
         report, check = _traced(verify_partition, part)
-        _, dump = _traced(partition_to_json, part)
+        text, dump = _traced(partition_to_json, part)
         if not report.passed:
             print(f"{name}: verification failed: {report.notes}", file=sys.stderr)
             return 1
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{name:16s} {build:10.2f} {check:10.2f} {dump:10.2f} {rss:10.1f}", flush=True)
-        del part, report
+        print(f"{name:16s} {build:10.2f} {check:10.2f} {dump:10.2f} {len(text) / 1e6:10.2f} {rss:10.1f}",
+              flush=True)
+        del part, report, text
     return 0
 
 

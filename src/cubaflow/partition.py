@@ -697,8 +697,12 @@ def verify_partition(p: Partition) -> PartitionReport:
     for ridx, r in enumerate(p.regions):
         m = math.fsum(_run_measure(ncells, run) for run in r.runs)
         err = abs(m - p.weights[r.weight_index])
-        if err > max_err:
+        # a NaN error, from a weight or run that is not finite, is never
+        # below the worst so far and stays the worst
+        if not err <= max_err:
             max_err, worst = err, ridx
+            if err != err:
+                break
     measures_ok = max_err <= 1e-11
     if not measures_ok:
         notes.append(f"measure of region {worst} off by {max_err:.3e}")
@@ -767,18 +771,36 @@ def verify_partition(p: Partition) -> PartitionReport:
 # Serialization
 
 
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` spells it: ``repr``, or ``NaN``,
+    ``Infinity`` and ``-Infinity``."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+class _Verbatim:
+    """A dict value whose JSON text is given, as ``pieces`` that join with
+    no separator; the dict places the pieces straight into its own join,
+    so the text is copied once."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
+
+
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, the format of every
     file the package writes, with one ``str.join`` per list and dict in
     place of the stdlib's pure-Python indenting encoder and its list of
     small chunks.  ``pad`` is the line break and indent of ``obj``'s own
-    level; its items go one space deeper.  Keys must be strings; a value
-    json cannot encode raises ``TypeError``.
+    level; its items go one space deeper.  A dict's values join as they
+    are, so a ``_Verbatim`` value is written without a copy of its own.
+    Keys must be strings; a value json cannot encode raises ``TypeError``.
     """
     if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+        return _json_float(obj)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -789,23 +811,69 @@ def _json_text(obj, pad: str = "\n") -> str:
         return int.__repr__(obj)
     inner = pad + " "
     if isinstance(obj, (list, tuple)):
-        brackets, items = "[]", [_json_text(x, inner) for x in obj]
-    elif isinstance(obj, dict):
+        if not obj:
+            return "[]"
+        items = [_json_text(x, inner) for x in obj]
+        # the brackets join with the items, so the text is built once
+        items[0] = "[" + inner + items[0]
+        items[-1] += pad + "]"
+        return ("," + inner).join(items)
+    if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("JSON object keys must be str")
-        brackets = "{}"
-        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    # the brackets join with the items, so the text is built once
-    items[0] = brackets[0] + inner + items[0]
-    items[-1] += pad + brackets[1]
-    return ("," + inner).join(items)
+        if not obj:
+            return "{}"
+        # each key's part starts with its separator, the first one's comma
+        # giving way to the brace
+        parts = []
+        for key in sorted(obj):
+            value = obj[key]
+            parts.append("," + inner + encode_basestring_ascii(key) + ": ")
+            if type(value) is _Verbatim:
+                parts += value.pieces
+            else:
+                parts.append(_json_text(value, inner))
+        parts[0] = "{" + parts[0][1:]
+        parts.append(pad + "}")
+        return "".join(parts)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# One region of a partition file, at the depth of the ``regions`` list's
+# items, keys sorted, after its separator; a run is one item of ``runs``.
+_REGION_TEXT = (
+    ',\n  {\n   "closing_cut": %s,\n   "inner_radius": %s,\n   "level": %s,\n   "measure": %s,'
+    '\n   "outer_radius": %s,\n   "representative": [\n    %s\n   ],\n   "runs": [\n    %s\n   ],'
+    '\n   "weight_index": %s\n  }'
+)
+_RUN_TEXT = "[\n     %s,\n     %s,\n     %s,\n     %s\n    ]"
+_CUT_TEXT = "[\n    %s,\n    %s\n   ]"
+
+
+def _region_text(r: Region) -> str:
+    """``_REGION_TEXT`` filled from the fields of ``r``."""
+    cut = "null" if r.closing_cut is None else _CUT_TEXT % (r.closing_cut[0], _json_float(r.closing_cut[1]))
+    runs = ",\n    ".join([_RUN_TEXT % (s, e, _json_float(tf), _json_float(tl)) for s, e, tf, tl in r.runs])
+    return _REGION_TEXT % (
+        cut, _json_float(r.inner_radius), r.level, _json_float(r.measure), _json_float(r.outer_radius),
+        ",\n    ".join(map(_json_float, r.representative)), runs, r.weight_index,
+    )
 
 
 def partition_to_json(p: Partition) -> str:
+    """The partition file: the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=1)`` of its document.  The header goes through ``_json_text``;
+    each region is rendered from its fields by one template
+    (``_region_text``), and the region texts join into the document's one
+    final join as a ``_Verbatim`` value.  Region fields must hold their
+    annotated types (ints for cells, levels and indices, floats for the
+    rest), and each region at least one run and a representative
+    coordinate.
+    """
+    regions = [_region_text(r) for r in p.regions]
+    # the first region's separator comma gives way to the list's bracket
+    regions[0] = "[" + regions[0][1:]
+    regions.append("\n ]")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "manifold": p.manifold.descriptor(),
@@ -818,19 +886,7 @@ def partition_to_json(p: Partition) -> str:
         "coarse_level": p.coarse_level,
         "fine_level": p.fine_level,
         "stats": {k: v for k, v in sorted(p.stats.items())},
-        "regions": [
-            {
-                "weight_index": r.weight_index,
-                "level": r.level,
-                "runs": [list(run) for run in r.runs],
-                "measure": r.measure,
-                "representative": list(r.representative),
-                "inner_radius": r.inner_radius,
-                "outer_radius": r.outer_radius,
-                "closing_cut": list(r.closing_cut) if r.closing_cut else None,
-            }
-            for r in p.regions
-        ],
+        "regions": _Verbatim(regions),
     }
     return _json_text(doc)
 
@@ -839,24 +895,48 @@ def _finite_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
+def _integer(x) -> bool:
+    """An integer JSON number: neither a bool nor a float of integral value."""
+    return type(x) is int
+
+
 def partition_from_json(text: str) -> Partition:
+    """Read a partition file.  Cells, levels and weight indices must be
+    integers, every other number finite and the band two numbers; a field
+    that breaks this or lies out of range raises ``ValueError``."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported partition schema version")
     if doc.get("delta") != _DELTA:
         raise ValueError(f"only the halving ratio delta = {_DELTA} is implemented")
     manifold = manifold_from_descriptor(doc["manifold"])
-    fine = int(doc["fine_level"])
+    fine = doc["fine_level"]
+    if not (_integer(fine) and _integer(doc["coarse_level"])):
+        raise ValueError("the coarse and fine levels must be integers")
     n = _levels(manifold).ncells(fine)
+    band = doc["band"]
+    if not (isinstance(band, list) and len(band) == 2
+            and all(map(_finite_number, (*doc["weights"], *band, doc["c3"], doc["c4"])))):
+        raise ValueError("the weights, c3, c4 and the band's two ends must be finite numbers")
     if not doc["regions"]:
         raise ValueError("a partition needs at least one region")
-    if sorted(int(r["weight_index"]) for r in doc["regions"]) != list(range(len(doc["weights"]))):
+    if not all(_integer(r["weight_index"]) and _integer(r["level"]) for r in doc["regions"]):
+        raise ValueError("a region's weight index and level must be integers")
+    if sorted(r["weight_index"] for r in doc["regions"]) != list(range(len(doc["weights"]))):
         raise ValueError("regions do not match the weights one to one")
     for r in doc["regions"]:
-        if int(r["level"]) != fine:
+        if r["level"] != fine:
             raise ValueError(f"a region of level {r['level']} in a partition of fine level {fine}")
-        if not all(0 <= s < e <= n and 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 for s, e, a, b in r["runs"]):
+        if not (r["runs"] and all(_integer(s) and _integer(e) and 0 <= s < e <= n
+                                  and _finite_number(a) and 0.0 <= a <= 1.0
+                                  and _finite_number(b) and 0.0 <= b <= 1.0 for s, e, a, b in r["runs"])):
             raise ValueError(f"a run does not lie in the {n} cells of level {fine}")
+        if not _finite_number(r["measure"]):
+            raise ValueError("a region measure is not a finite number")
+        cut = r["closing_cut"]
+        if not (cut is None or isinstance(cut, list) and len(cut) == 2
+                and _integer(cut[0]) and _finite_number(cut[1])):
+            raise ValueError("a closing cut is neither null nor an integer cell and a finite number")
         rep = r["representative"]
         if not (isinstance(rep, list) and len(rep) == manifold.dim and all(map(_finite_number, rep))):
             raise ValueError(f"a representative is not {manifold.dim} finite numbers")
@@ -864,32 +944,26 @@ def partition_from_json(text: str) -> Partition:
             raise ValueError("a region radius is negative or not finite")
     regions = tuple(
         Region(
-            weight_index=int(r["weight_index"]),
-            level=int(r["level"]),
-            runs=tuple(
-                (int(a), int(b), float(c), float(d)) for a, b, c, d in r["runs"]
-            ),
+            weight_index=r["weight_index"],
+            level=r["level"],
+            runs=tuple((s, e, float(a), float(b)) for s, e, a, b in r["runs"]),
             measure=float(r["measure"]),
-            representative=tuple(float(x) for x in r["representative"]),
+            representative=tuple(map(float, r["representative"])),
             inner_radius=float(r["inner_radius"]),
             outer_radius=float(r["outer_radius"]),
-            closing_cut=(
-                (int(r["closing_cut"][0]), float(r["closing_cut"][1]))
-                if r["closing_cut"]
-                else None
-            ),
+            closing_cut=None if r["closing_cut"] is None else (r["closing_cut"][0], float(r["closing_cut"][1])),
         )
         for r in doc["regions"]
     )
     return Partition(
         manifold=manifold,
-        weights=tuple(float(w) for w in doc["weights"]),
-        band=tuple(float(x) for x in doc["band"]),
+        weights=tuple(map(float, doc["weights"])),
+        band=tuple(map(float, band)),
         regions=regions,
         c3=float(doc["c3"]),
         c4=float(doc["c4"]),
         branch=str(doc["branch"]),
-        coarse_level=int(doc["coarse_level"]),
+        coarse_level=doc["coarse_level"],
         fine_level=fine,
         stats=dict(doc["stats"]),
     )

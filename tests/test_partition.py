@@ -1545,6 +1545,128 @@ def test_json_writer_refuses_what_it_cannot_write(doc, stdlib_refuses):
         _stdlib_text(doc)
 
 
+def _stdlib_partition_text(p) -> str:
+    """The partition file as the stdlib writes it from one dict per region."""
+    doc = {
+        "schema_version": SCHEMA_VERSION, "manifold": p.manifold.descriptor(),
+        "weights": list(p.weights), "band": list(p.band), "c3": p.c3, "c4": p.c4, "delta": 0.5,
+        "branch": p.branch, "coarse_level": p.coarse_level, "fine_level": p.fine_level,
+        "stats": p.stats,
+        "regions": [
+            {"weight_index": r.weight_index, "level": r.level, "runs": [list(run) for run in r.runs],
+             "measure": r.measure, "representative": list(r.representative),
+             "inner_radius": r.inner_radius, "outer_radius": r.outer_radius,
+             "closing_cut": list(r.closing_cut) if r.closing_cut else None}
+            for r in p.regions
+        ],
+    }
+    return _stdlib_text(doc)
+
+
+_WRITER_MANIFOLDS = {"circle": ("circle",), "ellipse3": ("ellipse", 3.0, 1.0), "torus2": ("torus2",),
+                     "sphere2": ("sphere2",)}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITER_MANIFOLDS))
+def test_partition_writer_matches_stdlib_across_branches(kind):
+    """The region template gives the stdlib's bytes on both branches, at N
+    from 1 to 300, on regions with and without a closing cut and with one
+    run or several; every file reads back to its partition."""
+    branches, cuts, several = set(), set(), set()
+    for n in (1, 2, 3, 17, 300):
+        p = weighted_partition(Manifold(*_WRITER_MANIFOLDS[kind]), random_band_weights(n, 0.5, 2.0, 3))
+        text = partition_to_json(p)
+        assert text == _stdlib_text(json.loads(text)) == _stdlib_partition_text(p)
+        assert partition_from_json(text) == p
+        branches.add(p.branch)
+        cuts |= {r.closing_cut is None for r in p.regions}
+        several |= {len(r.runs) > 1 for r in p.regions}
+    assert branches == {"direct", "tree"} and cuts == several == {True, False}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITER_MANIFOLDS))
+def test_partition_writer_spells_special_floats_as_the_stdlib(kind):
+    """Radii and representatives of NaN, infinity and -0.0 come out as the
+    stdlib writes them."""
+    p = weighted_partition(Manifold(*_WRITER_MANIFOLDS[kind]), random_band_weights(17, 0.5, 2.0, 3))
+    specials = (math.nan, math.inf, -math.inf, -0.0)
+    regions = list(p.regions)
+    for i, x in enumerate(specials):
+        regions[i] = dataclasses.replace(regions[i], representative=(x,) * p.manifold.dim,
+                                         inner_radius=x, outer_radius=specials[i - 1])
+    q = dataclasses.replace(p, regions=tuple(regions))
+    text = partition_to_json(q)
+    assert text == _stdlib_partition_text(q) == _stdlib_text(json.loads(text))
+    assert all(f'"inner_radius": {x},' in text for x in ("NaN", "Infinity", "-Infinity", "-0.0"))
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_verify_fails_non_finite_weights_and_measures(kind):
+    """A weight that is not finite, or a run that makes a measure NaN, fails
+    the measure check with a note; such a weight in a file is refused on
+    reading."""
+    p = weighted_partition(make(kind), np.array([0.5, 0.3, 0.2]))
+    for bad in (math.nan, math.inf, -math.inf):
+        rep = verify_partition(dataclasses.replace(p, weights=(0.5, bad, 0.2)))
+        assert not rep.measures_ok and not rep.passed
+        assert rep.notes == (f"measure of region 1 off by {abs(bad):.3e}",)
+    regions = list(p.regions)
+    s, e, tf, tl = regions[2].runs[0]
+    regions[2] = dataclasses.replace(regions[2], runs=((s, e, math.nan, tl), *regions[2].runs[1:]))
+    rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+    assert not rep.measures_ok and math.isnan(rep.max_measure_error)
+    assert rep.notes[0] == "measure of region 2 off by nan"
+    doc = json.loads(partition_to_json(p))
+    doc["weights"][1] = math.nan
+    with pytest.raises(ValueError, match="finite numbers"):
+        partition_from_json(json.dumps(doc))
+
+
+def _set_run(region, run, item, value):
+    return lambda doc: doc["regions"][region]["runs"][run].__setitem__(item, value)
+
+
+def _set_region(region, key, value):
+    return lambda doc: doc["regions"][region].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (_set_run(0, 0, 0, 0.7), "does not lie in"),
+    (_set_run(1, 0, 1, 13.5), "does not lie in"),
+    (_set_run(0, 0, 0, False), "does not lie in"),
+    (_set_run(1, 0, 3, "0.8"), "does not lie in"),
+    (_set_region(1, "runs", []), "does not lie in"),
+    (lambda doc: doc["regions"][1].update(level=doc["fine_level"] + 0.5), "must be integers"),
+    (_set_region(1, "weight_index", True), "must be integers"),
+    (lambda doc: doc.update(coarse_level=float(doc["coarse_level"])), "must be integers"),
+    (lambda doc: doc.update(fine_level=float(doc["fine_level"])), "must be integers"),
+    (lambda doc: doc["regions"][1]["closing_cut"].__setitem__(0, 12.0), "closing cut"),
+    (lambda doc: doc["regions"][1]["closing_cut"].__setitem__(1, math.inf), "closing cut"),
+    (_set_region(0, "closing_cut", []), "closing cut"),
+    (lambda doc: doc["weights"].__setitem__(1, "0.5"), "finite numbers"),
+    (lambda doc: doc["weights"].__setitem__(1, "nan"), "finite numbers"),
+    (_set_region(1, "measure", "0.3"), "measure"),
+    (_set_region(1, "measure", math.nan), "measure"),
+    (lambda doc: doc["band"].__setitem__(0, "0.5"), "finite numbers"),
+    (lambda doc: doc["band"].append(7.0), "finite numbers"),
+    (lambda doc: doc.update(c3=math.nan), "finite numbers"),
+    (lambda doc: doc.update(c4="1.0"), "finite numbers"),
+], ids=["run-cell", "run-stop", "run-cell-bool", "run-parameter", "no-runs", "level", "weight-index",
+        "coarse-level", "fine-level", "cut-cell", "cut-parameter", "cut-empty", "weight", "weight-nan",
+        "measure", "measure-nan", "band", "band-length", "c3", "c4"])
+def test_json_refuses_malformed_fields(tamper, match):
+    """Cells, levels and weight indices must be integers, every other
+    number finite and the band two numbers: each field once truncated or
+    coerced on reading, or left for verification to trip over, is
+    refused."""
+    text = partition_to_json(weighted_partition(make("torus2"), np.array([0.5, 0.3, 0.2])))
+    assert partition_from_json(text).regions[1].closing_cut == (12, 0.7999999999999998)
+    doc = json.loads(text)
+    tamper(doc)
+    with pytest.raises(ValueError, match=match):
+        partition_from_json(json.dumps(doc))
+
+
 def test_verify_catches_tampered_runs():
     """Verification re-derives measures from raw runs, so moving a cut fails."""
     w = random_band_weights(10, 0.5, 2.0, 2)
