@@ -16,7 +16,10 @@ hashed twice: its document without ``stats`` on the ``partition/...`` line
 (likewise ``mz-partition/...`` and ``sphere-partition/...``), and its
 ``stats`` alone on a ``partition-stats/...`` line (``mz-partition-stats/...``,
 ``sphere-partition-stats/...``), so a change to the diagnostics alone shows
-as one.  Each partition also
+as one.  Each sphere partition case also gets a
+``sphere-centroids/N<n>/seed<s>`` line, the hash of the raw bytes of
+``regions._sphere_centroids`` on its regions' whole-cell blocks, so a change
+to the centroid rule shows even where no representative moves.  Each partition also
 gets a ``verify/<case>/seed<s>`` line, the hash of ``repr`` of its
 ``verify_partition`` report, and one ``verify-short/<case>/seed<s>/<f>`` line
 per ``SHORT_FACTORS`` entry f, the hash of ``repr`` of the miss vector of
@@ -90,7 +93,12 @@ from cubaflow import (  # noqa: E402
     verify_partition,
     weighted_partition,
 )
-from cubaflow.regions import _outer_ball_misses  # noqa: E402
+from cubaflow.regions import (  # noqa: E402
+    _cell_blocks,
+    _outer_ball_misses,
+    _run_parts,
+    _sphere_centroids,
+)
 
 SEEDS = range(10)
 # outer radii scale factors of the verify-short lines: barely and clearly short
@@ -169,6 +177,15 @@ def _emit_short_verdicts(case: str, part) -> None:
         _emit(f"verify-short/{case}/{f!r}", repr(miss.tolist()))
 
 
+def _emit_sphere_centroids(case: str, part) -> None:
+    """Hash the raw bytes of ``regions._sphere_centroids`` on the aligned
+    blocks of the whole cells of every region of ``part``."""
+    tree = build_cell_tree(part.manifold, max(part.fine_level, 1))
+    blocks = _cell_blocks(tree, part.fine_level, *_run_parts([r.runs for r in part.regions])[0])
+    goal = _sphere_centroids(part.fine_level, *blocks, part.n)
+    print(f"{case} {hashlib.sha256(goal.tobytes()).hexdigest()}", flush=True)
+
+
 def _mz_ratio_lines(seed: int) -> None:
     circle = Manifold("circle")
     for variant in workloads.MZ_VARIANTS:
@@ -244,6 +261,8 @@ def main() -> int:
             _emit_partition(f"partition/{name}/seed{seed}", part)
             _emit(f"verify/{name}/seed{seed}", repr(verify_partition(part)))
             _emit_short_verdicts(f"{name}/seed{seed}", part)
+            if args == ("sphere2",):
+                _emit_sphere_centroids(f"sphere-centroids/N{n}/seed{seed}", part)
     for seed in SEEDS:
         for n in workloads.MZ_NS:
             part = weighted_partition(Manifold("circle"), _band(n, seed + n))

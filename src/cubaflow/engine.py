@@ -37,7 +37,7 @@ from .geometry import (
     reference_integrate,
     sphere_tangent_frame,
 )
-from .partition import Partition, _json_text, weighted_partition
+from .partition import Partition, _json_float, _json_text, _Verbatim, weighted_partition
 from .spectra import SpectralSpace, enumerate_basis
 from .weights import WeightVector
 
@@ -333,14 +333,31 @@ def _make_space(manifold: Manifold, space_kind: str, band: float):
     raise ValueError("space kind must be 'diffusion' or 'algebraic'")
 
 
+def _float_list_text(values) -> str:
+    """The JSON text, at depth 1 of a document, of a float array: a list
+    of numbers, or of rows of numbers.  One row template is repeated for
+    every row and the whole list filled at once."""
+    values = np.asarray(values, dtype=float)
+    if not len(values):
+        return "[]"
+    row = "%s"
+    if values.ndim == 2:
+        row = "[\n   " + ",\n   ".join(["%s"] * values.shape[1]) + "\n  ]" if values.shape[1] else "[]"
+    text = "[\n  " + ",\n  ".join([row] * len(values)) + "\n ]"
+    return text % tuple(map(_json_float, values.ravel().tolist()))
+
+
 def rule_to_json(rule: CubatureRule) -> str:
+    """The rule file: the bytes of ``json.dumps(doc, sort_keys=True,
+    indent=1)`` of its document; the points and the weights are each
+    written by ``_float_list_text``."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "manifold": rule.manifold.descriptor(),
         "space": rule.space_kind,
         "L": rule.band,
-        "points": [list(map(float, row)) for row in rule.points],
-        "weights": [float(x) for x in rule.weights],
+        "points": _Verbatim([_float_list_text(rule.points)]),
+        "weights": _Verbatim([_float_list_text(rule.weights)]),
         "residual_linf": rule.residual_linf,
         "residual_l2": rule.residual_l2,
         "converged": bool(rule.converged),

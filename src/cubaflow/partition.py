@@ -902,7 +902,9 @@ def _integer(x) -> bool:
 
 def partition_from_json(text: str) -> Partition:
     """Read a partition file.  Cells, levels and weight indices must be
-    integers, every other number finite and the band two numbers; a field
+    integers, every other number finite and the band two numbers, and a
+    region's closing cut (cell, t) must be where its last run (s, e, tf,
+    tl) ends, (e - 1, tl), when tl < 1 - 1e-12, and null otherwise; a field
     that breaks this or lies out of range raises ``ValueError``."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -937,6 +939,10 @@ def partition_from_json(text: str) -> Partition:
         if not (cut is None or isinstance(cut, list) and len(cut) == 2
                 and _integer(cut[0]) and _finite_number(cut[1])):
             raise ValueError("a closing cut is neither null nor an integer cell and a finite number")
+        # the sweep cuts where a region's last run ends inside a cell
+        _, e, _, t_last = r["runs"][-1]
+        if cut != ([e - 1, t_last] if t_last < 1.0 - 1e-12 else None):
+            raise ValueError(f"a closing cut {cut} is not the end of its region's last run")
         rep = r["representative"]
         if not (isinstance(rep, list) and len(rep) == manifold.dim and all(map(_finite_number, rep))):
             raise ValueError(f"a representative is not {manifold.dim} finite numbers")

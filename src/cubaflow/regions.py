@@ -15,10 +15,14 @@ the flat kinds, arcs to the chart image on the sphere.  One search
 it measures every block, keeps those that may hold a cell close enough,
 and splits them, sphere squares into quarters and flat blocks straight
 into a few candidate cells per axis.  Flat centroid sums are in closed
-form, so flat regions cost O(blocks).  Verification splits the blocks and
-pieces of every kind as boxes in one loop on the same metric, until each
-lies in its outer ball or is found outside, from distances and box radii
-alone, not from how the radii were computed.
+form, so flat regions cost O(blocks); a sphere block takes one 4 x 4
+rule, or one on each of two triangles where the chart's fold or a pole
+meets it.  On the sphere, boundary samples certify the outer radius only
+for far cells and pieces whose bound can pass the radius found so far.
+Verification splits the blocks and pieces of every kind as boxes in one
+loop on the same metric, until each lies in its outer ball or is found
+outside, from distances and box radii alone, not from how the radii were
+computed.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cells import (
+    _AXIS,
     _BOX_BATCH,
     _DIAG,
+    _EDGE_SAMPLES,
     _aligned_blocks,
     _box_reach,
     _grid_points,
@@ -147,50 +153,81 @@ def _flat_centroids(level: int, owner, lo, hi, nreg: int) -> np.ndarray:
 
 # Gauss-Legendre nodes and weights of order 4 on [-1, 1]
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(4)
-# chart side down to which centroid squares on the chart's kinks are
-# quartered, where cells are larger; it keeps centroids within 1e-3 cell
-# widths of a per-cell quadrature
-_KINKED_SIDE = 2.0**-8
+# the rule's nodes on [0, 1] from a triangle's collapsed vertex, and its
+# weights there with the collapse's Jacobian factor
+_DUFFY_X = 0.5 * (1.0 + _GAUSS_X)
+_DUFFY_W = _GAUSS_W * _DUFFY_X
+# a split square's two triangles, as corner rows (collapsed vertex, then the
+# far edge) of ``_QUARTERS``: a fold square (its corners 0 and 3, or 1 and 2,
+# on the fold) cut along that diagonal and collapsed at the corners off it,
+# or a square with a pole at corner 0, 1, 2 or 3 cut along the diagonal
+# through it and collapsed there
+_TRIANGLES = np.array([((1, 0, 3), (2, 0, 3)), ((0, 1, 2), (3, 1, 2)),
+                       ((0, 1, 3), (0, 2, 3)), ((1, 0, 2), (1, 3, 2)),
+                       ((2, 0, 1), (2, 3, 1)), ((3, 1, 0), (3, 2, 0))])
+
+
+def _rule_sums(level: int, pos, wa, s2):
+    """Rule sums ``(k, 3)`` of the unit vector over chart points ``pos``
+    ``(k, 4, 4, 2)`` in level-cell widths, weighted ``wa`` and
+    ``_GAUSS_W`` along the rule's two axes and ``s2`` per box."""
+    return np.einsum("kabc,a,b,k->kc", _grid_points(level, pos), wa, _GAUSS_W, s2)
 
 
 def _sphere_centroids(level: int, owner, lo, hi, n: int):
     """Directions ``(n, 3)`` of the measure centroids of the chart squares
     each owner owns from corner ``lo`` to ``hi``, or the north pole where
     one degenerates: the chart's Jacobian is constant, so a centroid is the
-    chart integral of the unit vector, taken by a 4 x 4 Gauss rule per
-    square.  The map is smooth on each of the eight triangles the axes and
-    the fold |u| + |v| = 1 cut the chart into, but only there, and its
-    derivatives grow without bound at the poles, so squares crossing a cut
-    or touching a pole are quartered first, down to a cell or chart side
-    ``_KINKED_SIDE``, the smaller."""
+    chart integral of the unit vector; each square adds four times its
+    part by a 4 x 4 Gauss rule.
+
+    The map is smooth on each of the eight triangles the axes and the fold
+    |u| + |v| = 1 cut the chart into, but only there, and its derivatives
+    grow without bound at the poles (the centre and the corners), so the
+    squares that cross a kink or touch a pole are split into smooth
+    triangles first.  Only the whole chart (the one square of level 0)
+    crosses the axes; it becomes its quadrants.  An aligned dyadic square
+    inside a quadrant crosses the fold only along a diagonal, with its
+    centre on the fold: its corners' sums |u| + |v| are multiples of its
+    side, as 1 is.  Such a square is cut along that diagonal, and a square
+    with a pole corner along the diagonal through it.  Each triangle takes
+    the 4 x 4 rule collapsed at a vertex (Duffy, SIAM J. Numer. Anal. 19,
+    1982), the pole where it has one, where the map is smooth in the
+    collapsed coordinates: about a pole the longitude depends on the
+    angle alone.  Smooth squares come first, in input order, and triangles
+    follow; points are held for ``_BOX_BATCH`` boxes at a time.
+    """
     w = 2.0 ** (1 - level)
-    finest = min(w, _KINKED_SIDE)
-    corner, side = lo, hi[:, 0] - lo[:, 0]
-    smooth = [(owner, corner, side)] if not len(side) else []
-    while len(side):
-        # squares of the finest side are not tested
-        split = side * w > finest
-        # one column per square corner: numpy reduces short last axes
-        # far slower
-        box, s = corner[split], side[split]
-        u, v = ([-1.0 + (box[:, a] + q * s) * w for q in _QUARTERS[:, a]] for a in (0, 1))
-        fold = [np.abs(x) + np.abs(y) - 1.0 for x, y in zip(u, v)]
-        split[split] = reduce(np.logical_or, [reduce(np.minimum, c) * reduce(np.maximum, c) < 0.0
-                                              for c in (u, v, fold)]
-                              + [np.abs(f) == 1.0 for f in fold])
-        smooth.append((owner[~split], corner[~split], side[~split]))
-        half = 0.5 * side[split]
-        corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
-        side, owner = np.repeat(half, 4), np.repeat(owner[split], 4)
-    owner, corner, side = (np.concatenate(x) for x in zip(*smooth))
+    side = hi[:, 0] - lo[:, 0]
+    whole = side * w == 2.0
+    if whole.any():
+        half = 0.5 * side[whole]
+        quads = (lo[whole][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
+        owner = np.concatenate([owner[~whole], np.repeat(owner[whole], 4)])
+        lo, side = np.concatenate([lo[~whole], quads]), np.concatenate([side[~whole], np.repeat(half, 4)])
+    # |u| + |v| at each corner, one column per corner: numpy reduces short
+    # last axes far slower
+    f = [np.abs(-1.0 + (lo[:, 0] + q[0] * side) * w) + np.abs(-1.0 + (lo[:, 1] + q[1] * side) * w)
+         for q in _QUARTERS]
+    cut = np.select([(f[0] == 1.0) & (f[3] == 1.0), (f[1] == 1.0) & (f[2] == 1.0)]
+                    + [(g == 0.0) | (g == 2.0) for g in f], range(6), -1)
     total, mass = np.zeros((n, 3)), np.zeros(n)
-    # the rule's points are held for ``_BOX_BATCH`` squares at a time
-    for b in range(0, len(side), _BOX_BATCH):
-        box, s = corner[b:b + _BOX_BATCH], side[b:b + _BOX_BATCH]
-        u, v = (box[:, k, None] + 0.5 * s[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
+    own, corner, s = owner[cut < 0], lo[cut < 0], side[cut < 0]
+    for b in range(0, len(s), _BOX_BATCH):
+        box, t = corner[b:b + _BOX_BATCH], s[b:b + _BOX_BATCH]
+        u, v = (box[:, k, None] + 0.5 * t[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
         grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
-        np.add.at(total, owner[b:b + _BOX_BATCH], np.einsum(
-            "kabc,a,b,k->kc", _grid_points(level, grid), _GAUSS_W, _GAUSS_W, s**2))
+        np.add.at(total, own[b:b + _BOX_BATCH], _rule_sums(level, grid, _GAUSS_W, t**2))
+    # triangles (a, b, c) of the split squares: a + x (b - a + y (c - b))
+    # for rule nodes x, y in [0, 1], of Jacobian s^2 x
+    split = np.repeat(np.flatnonzero(cut >= 0), 2)
+    tri = _TRIANGLES[cut[split[::2]]].reshape(-1, 3)
+    vert = lo[split, None, :] + _QUARTERS[tri] * side[split, None, None]
+    for b in range(0, len(split), _BOX_BATCH):
+        k = split[b:b + _BOX_BATCH]
+        a, p, q = (vert[b:b + _BOX_BATCH, i, None, None, :] for i in range(3))
+        pos = a + _DUFFY_X[:, None, None] * (p - a + _DUFFY_X[:, None] * (q - p))
+        np.add.at(total, owner[k], _rule_sums(level, pos, _DUFFY_W, side[k]**2))
     np.add.at(mass, owner, 4.0 * side**2)
     norm = np.linalg.norm(total, axis=1)
     flat = norm <= 1e-9 * mass
@@ -275,6 +312,32 @@ def _cell_extremes(tree: CellTree, level: int, origin, owner, lo, hi, margin: fl
     return owner[keep], tree._index(level, *lo[keep].astype(np.int64).T), sign * key[keep]
 
 
+def _sphere_reach(level: int, z, own, lo, hi, outer) -> None:
+    """Raise each ``outer[own]`` to the farthest ``cells._box_reach`` from
+    row ``own`` of unit vectors ``z`` to chart boxes from corner ``lo`` to
+    ``hi`` ``(k, 2)`` in level-cell widths, sampling only boxes that can
+    beat it.
+
+    Every point of a box lies within ``_DIAG`` times its larger half side
+    of its centre's image (see ``_box_metric``), -z too where the box holds
+    it, so that arc past the centre's, plus the sampling slack and a
+    rounding margin, bounds the box's reach.  Each owner's box of the
+    largest bound is sampled first, then every other box whose bound
+    passes ``outer``, so each max is the one sampling every box gives, bit
+    for bit.
+    """
+    w = 2.0 ** (1 - level)
+    half = 0.5 * (hi - lo)
+    bound = (_arc(z[own], _grid_points(level, lo + half)) + 1e-12 * math.pi
+             + np.maximum(half[:, 0], half[:, 1]) * w * (_DIAG + _AXIS / (_EDGE_SAMPLES - 1)))
+    order = np.lexsort((-bound, own))
+    lead = np.ones(len(order), dtype=bool)
+    lead[1:] = own[order[1:]] != own[order[:-1]]
+    for take in (order[lead], order[~lead]):
+        take = take[bound[take] > outer[own[take]]]
+        np.maximum.at(outer, own[take], _box_reach(level, z[own[take]], lo[take], hi[take])[1])
+
+
 def _whole_geometry(tree: CellTree, level: int, own, first, stop, nreg: int) -> tuple:
     """Representative cell and outer radius of each of ``nreg`` regions'
     whole cells, given as ranges ``[first, stop)`` that ``own`` owns, -1
@@ -286,8 +349,8 @@ def _whole_geometry(tree: CellTree, level: int, own, first, stop, nreg: int) -> 
     never split a tie, or the region's lowest-index cell where a flat
     centroid degenerates.  On the flat kinds the outer radius is the
     farthest centre's distance plus the cell radius.  On the sphere it is
-    the farthest ``cells._box_reach`` of the cells within
-    ``(u2 - u1) 2^-level`` of the farthest centre: the farthest cell
+    the farthest ``cells._box_reach`` (by ``_sphere_reach``) of the cells
+    within ``(u2 - u1) 2^-level`` of the farthest centre: the farthest cell
     reaches at least its inner radius past its centre, no cell more than
     its outer radius, so no other can reach farther.
     """
@@ -308,10 +371,11 @@ def _whole_geometry(tree: CellTree, level: int, own, first, stop, nreg: int) -> 
               else np.column_stack(tree._axes(level, pick)) + 0.5)
     margin = (tree.u2 - tree.u1) * 2.0**-level + 1e-12 if sphere else 0.0
     far_own, far, dist = _cell_extremes(tree, level, origin, owner, lo, hi, margin, True)
-    reach = (_box_reach(level, origin[far_own], *tree._piece_boxes(level, far, 0.0, 1.0))[1] if sphere
-             else dist + float(tree.cell_radii(level, 0)[1][0]))
     outer = np.full(nreg, -np.inf)
-    np.maximum.at(outer, far_own, reach)
+    if sphere:
+        _sphere_reach(level, origin, far_own, *tree._piece_boxes(level, far, 0.0, 1.0), outer)
+    else:
+        np.maximum.at(outer, far_own, dist + float(tree.cell_radii(level, 0)[1][0]))
     return np.where(has, pick, -1), np.where(has, outer, np.nan)
 
 
@@ -331,27 +395,30 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
                 for g in _regions_geometry(tree, level, region_runs[a:a + _REGION_BATCH])]
     (own, first, stop), (owner, cells, t0, t1) = _run_parts(region_runs)
     pick, outer = _whole_geometry(tree, level, own, first, stop, nreg)
-    # representatives are whole cells, pieces [0, 1] of them: one call
-    # takes the chart and radii of both
     has = pick >= 0
+    sphere = tree.manifold.kind == "sphere2"
+    # representatives are whole cells, pieces [0, 1] of them: one call
+    # takes the chart and radii of both; on the sphere only the pieces of
+    # regions with no whole cell need theirs
+    mine = ~has[owner] if sphere else np.ones(len(owner), dtype=bool)
     nrep = int(has.sum())
     centers, p_in, p_out = tree.piece_geometry(
-        level, np.concatenate([pick[has], cells]),
-        np.concatenate([np.zeros(nrep), t0]), np.concatenate([np.ones(nrep), t1]))
+        level, np.concatenate([pick[has], cells[mine]]),
+        np.concatenate([np.zeros(nrep), t0[mine]]), np.concatenate([np.ones(nrep), t1[mine]]))
     reps, inner = np.full((nreg, tree.manifold.dim), np.nan), np.full(nreg, np.nan)
     reps[has], inner[has] = centers[:nrep], p_in[:nrep]
     centers, p_in, p_out = centers[nrep:], p_in[nrep:], p_out[nrep:]
+    span, p_own = (t1 - t0)[mine], owner[mine]
     for r in np.flatnonzero(np.isnan(outer) & (np.bincount(owner, minlength=nreg) > 0)):
-        mine = np.where(owner == r)[0]
-        best = mine[int(np.argmax(t1[mine] - t0[mine]))]
+        best = np.flatnonzero(p_own == r)
+        best = best[int(np.argmax(span[best]))]
         reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
     if len(owner):
-        if tree.manifold.kind == "sphere2":
-            z = charts_to_ambient(tree.manifold, reps[owner])
-            reach = _box_reach(level, z, *tree._piece_boxes(level, cells, t0, t1))[1]
+        if sphere:
+            z = charts_to_ambient(tree.manifold, reps)
+            _sphere_reach(level, z, owner, *tree._piece_boxes(level, cells, t0, t1), outer)
         else:
-            reach = pairwise_distance(tree.manifold, reps[owner], centers) + p_out
-        np.maximum.at(outer, owner, reach)
+            np.maximum.at(outer, owner, pairwise_distance(tree.manifold, reps[owner], centers) + p_out)
     return list(zip(map(tuple, reps.tolist()), inner.tolist(), outer.tolist()))
 
 

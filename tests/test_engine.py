@@ -565,6 +565,33 @@ def test_rule_json_roundtrip():
         engine.rule_from_json(text.replace('"schema_version": 1', '"schema_version": 9'))
 
 
+def _stdlib_rule_text(rule) -> str:
+    """The rule document as lists and dicts, through the stdlib writer."""
+    return json.dumps({
+        "schema_version": engine.SCHEMA_VERSION, "manifold": rule.manifold.descriptor(),
+        "space": rule.space_kind, "L": rule.band,
+        "points": [list(map(float, row)) for row in rule.points],
+        "weights": [float(x) for x in rule.weights],
+        "residual_linf": rule.residual_linf, "residual_l2": rule.residual_l2,
+        "converged": bool(rule.converged), "seed": int(rule.seed),
+    }, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("args", [("circle",), ("ellipse", 2.0, 1.0), ("torus2",), ("sphere2",)],
+                         ids=["circle", "ellipse", "torus2", "sphere2"])
+def test_rule_json_is_the_stdlib_text(args):
+    """The row-template writer gives the stdlib's bytes on curve, torus and
+    sphere rules: a solved rule, its nodes with NaN, infinities and -0.0,
+    and a rule of no nodes."""
+    manifold = Manifold(*args)
+    rule = solve(manifold, "diffusion", 1.5, random_band_weights(6, 0.5, 2.0, 1), FlowConfig(seed=1))
+    odd = rule.points.copy()
+    odd.flat[:4] = (math.nan, math.inf, -math.inf, -0.0)
+    empty = dataclasses.replace(rule, points=np.empty((0, manifold.dim)), weights=np.empty(0))
+    for r in (rule, dataclasses.replace(rule, points=odd), empty):
+        assert engine.rule_to_json(r) == _stdlib_rule_text(r)
+
+
 def test_rule_csv_shape():
     rule = solve(CIRCLE, "diffusion", 2.0, np.full(8, 0.125), FlowConfig(seed=3))
     lines = engine.rule_to_csv(rule).splitlines()

@@ -25,6 +25,7 @@ from cubaflow.cells import (
     _RADII_BOUNDS,
     _aligned_blocks,
     _arc,
+    _box_reach,
     _grid_points,
     _hilbert_decode,
     _hilbert_encode,
@@ -58,9 +59,10 @@ from cubaflow.partition import (
     weighted_partition,
 )
 from cubaflow.regions import (
+    _DUFFY_W,
+    _DUFFY_X,
     _GAUSS_W,
     _GAUSS_X,
-    _KINKED_SIDE,
     _QUARTERS,
     _REGION_BATCH,
     _axis_candidates,
@@ -1101,27 +1103,39 @@ def test_sphere_representatives_hold_under_one_ulp(n, seed):
 
 
 def _sphere_centroids_one_shot(level, owner, corner, side, n):
-    """``regions._sphere_centroids`` as it was before it took its Gauss rule
-    in batches: the rule on every smooth square at once."""
+    """``regions._sphere_centroids`` without its batches of boxes: the
+    Gauss rule on every smooth square at once, then the collapsed rule on
+    every triangle of the split squares at once.  A square is split, square
+    by square, along its diagonal on the fold |u| + |v| = 1 (two corners
+    on it) and collapsed at the corners off it, or else along the diagonal
+    through a pole corner and collapsed there."""
     w = 2.0 ** (1 - level)
-    finest = min(w, _KINKED_SIDE)
-    smooth = []
-    while len(side):
-        uv = -1.0 + (corner[:, None, :] + _QUARTERS * side[:, None, None]) * w
-        fold = np.abs(uv).sum(axis=2, keepdims=True) - 1.0
-        cuts = np.concatenate([uv, fold], axis=2)
-        split = np.any(cuts.min(axis=1) * cuts.max(axis=1) < 0.0, axis=1)
-        split = (split | np.any(np.abs(fold[..., 0]) == 1.0, axis=1)) & (side * w > finest)
-        smooth.append((owner[~split], corner[~split], side[~split]))
-        half = 0.5 * side[split]
-        corner = (corner[split][:, None, :] + _QUARTERS * half[:, None, None]).reshape(-1, 2)
-        side, owner = np.repeat(half, 4), np.repeat(owner[split], 4)
-    owner, corner, side = (np.concatenate(x) for x in zip(*smooth))
-    u, v = (corner[:, k, None] + 0.5 * side[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
-    grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
+    smooth, tris = [], []
+    for k, (c, s) in enumerate(zip(corner, side)):
+        f = [abs(-1.0 + (c[0] + q[0] * s) * w) + abs(-1.0 + (c[1] + q[1] * s) * w) for q in _QUARTERS]
+        if f[0] == f[3] == 1.0:
+            tris += [(k, (1, 0, 3)), (k, (2, 0, 3))]
+        elif f[1] == f[2] == 1.0:
+            tris += [(k, (0, 1, 2)), (k, (3, 1, 2))]
+        elif any(g in (0.0, 2.0) for g in f):
+            p = next(q for q in range(4) if f[q] in (0.0, 2.0))
+            off = [q for q in range(4) if q not in (p, 3 - p)]
+            tris += [(k, (p, off[0], 3 - p)), (k, (p, off[1], 3 - p))]
+        else:
+            smooth.append(k)
     total, mass = np.zeros((n, 3)), np.zeros(n)
-    np.add.at(total, owner, np.einsum("kabc,a,b,k->kc", _grid_points(level, grid),
-                                      _GAUSS_W, _GAUSS_W, side**2))
+    c, s = corner[smooth], side[smooth]
+    u, v = (c[:, k, None] + 0.5 * s[:, None] * (1.0 + _GAUSS_X) for k in (0, 1))
+    grid = np.stack(np.broadcast_arrays(u[:, :, None], v[:, None, :]), axis=-1)
+    np.add.at(total, owner[smooth], np.einsum("kabc,a,b,k->kc", _grid_points(level, grid),
+                                              _GAUSS_W, _GAUSS_W, s**2))
+    if tris:
+        k = np.array([t[0] for t in tris])
+        vert = corner[k, None, :] + _QUARTERS[[t[1] for t in tris]] * side[k, None, None]
+        a, p, q = (vert[:, i, None, None, :] for i in range(3))
+        pos = a + _DUFFY_X[:, None, None] * (p - a + _DUFFY_X[:, None] * (q - p))
+        np.add.at(total, owner[k], np.einsum("kabc,a,b,k->kc", _grid_points(level, pos),
+                                             _DUFFY_W, _GAUSS_W, side[k]**2))
     np.add.at(mass, owner, 4.0 * side**2)
     norm = np.linalg.norm(total, axis=1)
     flat = norm <= 1e-9 * mass
@@ -1130,10 +1144,11 @@ def _sphere_centroids_one_shot(level, owner, corner, side, n):
 
 @pytest.mark.parametrize("extra", [0, 1, _BOX_BATCH - 1])
 def test_sphere_centroids_match_one_shot_rule(extra):
-    """Taking the Gauss rule in batches of squares leaves every centroid
+    """Taking the rules in batches of boxes leaves every centroid
     bit-identical: every level-6 cell, interleaved among 13 owners, plus
     level-3 squares of side 8 and ``extra`` cells that change how the last
-    batch is filled; a degenerate owner gets the north pole either way."""
+    batch is filled, so that hundreds of fold and pole squares are split;
+    a degenerate owner gets the north pole either way."""
     level, n = 6, 14
     cells = np.indices((64, 64)).reshape(2, -1).T
     blocks = 8 * np.indices((8, 8)).reshape(2, -1).T
@@ -1141,13 +1156,78 @@ def test_sphere_centroids_match_one_shot_rule(extra):
     side = np.concatenate([np.ones(len(cells)), np.full(len(blocks), 8.0), np.ones(extra)])
     owner = (7 * np.arange(len(side))) % 13
     # owner 13 holds the four cells about each pole, whose centroid degenerates
-    corner = np.concatenate([corner, [[31.0, 31.0], [0.0, 0.0], [63.0, 0.0], [0.0, 63.0], [63.0, 63.0]]])
-    side, owner = np.append(side, [2.0, 1.0, 1.0, 1.0, 1.0]), np.append(owner, [13] * 5)
+    poles = [[31.0, 31.0], [32.0, 31.0], [31.0, 32.0], [32.0, 32.0],
+             [0.0, 0.0], [63.0, 0.0], [0.0, 63.0], [63.0, 63.0]]
+    corner = np.concatenate([corner, poles])
+    side, owner = np.append(side, np.ones(8)), np.append(owner, [13] * 8)
     assert len(side) > 3 * _BOX_BATCH
     got = _sphere_centroids(level, owner, corner, corner + side[:, None], n)
     assert got.tobytes() == _sphere_centroids_one_shot(level, owner, corner, side, n).tobytes()
     assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
     assert tuple(got[13]) == (0.0, 0.0, 1.0)
+
+
+def _kinked_square_oracle(level, corner, side):
+    """Four times the chart integral of the unit vector over one chart
+    square (corner and side in level-cell widths), cell by cell: the square
+    is cut into 8 x 8 sub-cells, those that cross the fold |u| + |v| = 1 or
+    touch a pole are quartered down to 2^-9 of the square's side, and each
+    piece takes a 4 x 4 Gauss rule, with no triangle anywhere."""
+    w = 2.0 ** (1 - level)
+    h = side / 8.0
+    lo = np.asarray(corner, dtype=float) + h * np.indices((8, 8)).reshape(2, -1).T
+    s = np.full(len(lo), h)
+    total = np.zeros(3)
+    while len(s):
+        u, v = (-1.0 + (lo[:, k, None] + _QUARTERS[:, k] * s[:, None]) * w for k in (0, 1))
+        f = np.abs(u) + np.abs(v)
+        kink = (((f.min(axis=1) < 1.0) & (f.max(axis=1) > 1.0)) | np.any((f == 0.0) | (f == 2.0), axis=1))
+        kink &= s > side * 2.0**-9
+        x = lo[~kink, None, :] + 0.5 * s[~kink, None, None] * (1.0 + _GAUSS_X[:, None])
+        grid = np.stack(np.broadcast_arrays(x[:, :, None, 0], x[:, None, :, 1]), axis=-1)
+        total += np.einsum("kabc,a,b,k->c", _grid_points(level, grid), _GAUSS_W, _GAUSS_W, s[~kink]**2)
+        s = np.repeat(0.5 * s[kink], 4)
+        lo = (lo[kink][:, None, :] + _QUARTERS * s[::4, None, None]).reshape(-1, 2)
+    return total
+
+
+def _kinked_squares(level):
+    """(corner, side, kind) of aligned chart squares of level ``level``
+    (corners and sides in cell widths): the quadrants, and for each side
+    below theirs one square on the fold in each quadrant and the squares
+    at each pole."""
+    n = 2**level
+    out = [(c, n // 2, "quadrant") for c in ((0, 0), (n // 2, 0), (0, n // 2), (n // 2, n // 2))]
+    for e in range(level - 1):
+        s = 2**e
+        # the fold squares at the chart edge points (-1, 0) and (1, 0), one per quadrant
+        out += [((i, j), s, "fold")
+                for i, j in ((0, n // 2), (n - s, n // 2), (0, n // 2 - s), (n - s, n // 2 - s))]
+        out += [((i, j), s, "pole") for i in (n // 2 - s, n // 2) for j in (n // 2 - s, n // 2)]
+        out += [((i, j), s, "pole") for i in (0, n - s) for j in (0, n - s)]
+    return out
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_sphere_centroids_of_kinked_squares(level):
+    """The centroid of each quadrant and each fold or pole square at levels
+    2-6, from ``_sphere_centroids``' triangles, lies within 5e-6 of the
+    square's side of the centroid ``_kinked_square_oracle`` takes cell by
+    cell (the largest seen is 3.2e-6, on a pole square of side 1 at level
+    2); the whole chart, the one square of level 0, degenerates to the
+    north pole."""
+    whole = _sphere_centroids(0, np.zeros(1, dtype=np.int64), np.zeros((1, 2)), np.ones((1, 2)), 1)
+    assert tuple(whole[0]) == (0.0, 0.0, 1.0)
+    squares = _kinked_squares(level)
+    corner = np.array([c for c, _, _ in squares], dtype=float)
+    side = np.array([s for _, s, _ in squares], dtype=float)
+    got = _sphere_centroids(level, np.arange(len(side)), corner, corner + side[:, None], len(side))
+    for g, (c, s, kind) in zip(got, squares):
+        want = _kinked_square_oracle(level, c, s)
+        u, v = (-1.0 + (np.array(c) + 0.5 * s) * 2.0 ** (1 - level))
+        if kind == "fold":
+            assert abs(u) + abs(v) == 1.0
+        assert _arc(g, want / np.linalg.norm(want)) <= 5e-6 * s * 2.0**-level, (kind, c, s)
 
 
 def test_sphere_partition_memory_is_bounded():
@@ -1174,6 +1254,37 @@ FLAT_FINGERPRINT_CASES = [("circle", (), 1024), ("ellipse", (3.0, 1.0), 128),
 def test_flat_representatives_hold_under_one_ulp(kind, axes, n):
     for seed in range(7, 17):
         assert _representatives_hold_under_one_ulp(Manifold(kind, *axes), n, seed) > 0.9 * n
+
+
+@pytest.mark.parametrize("n,seed", [(16, 7), (150, 0)])
+def test_sphere_pruned_reach_is_exact(n, seed, monkeypatch):
+    """Sampling only the far cells and pieces whose bound can beat the
+    outer radius found so far leaves every representative and radius of
+    the sphere partitions bit-identical to sampling every one, and samples
+    fewer than half of them."""
+    p = weighted_partition(make("sphere2"), random_band_weights(n, 0.5, 2.0, seed))
+    tree = build_cell_tree(p.manifold, depth=p.fine_level)
+    runs = [r.runs for r in p.regions]
+    sampled = []
+
+    def counted(level, z, lo, hi):
+        sampled.append(len(z))
+        return _box_reach(level, z, lo, hi)
+
+    monkeypatch.setattr("cubaflow.regions._box_reach", counted)
+    pruned = _regions_geometry(tree, p.fine_level, runs)
+    assert pruned == [(r.representative, r.inner_radius, r.outer_radius) for r in p.regions]
+    boxes = []
+
+    def every_box(level, z, own, lo, hi, outer):
+        boxes.append(len(own))
+        np.maximum.at(outer, own, _box_reach(level, z[own], lo, hi)[1])
+
+    monkeypatch.setattr("cubaflow.regions._sphere_reach", every_box)
+    full = _regions_geometry(tree, p.fine_level, runs)
+    assert np.array([(*rep, a, b) for rep, a, b in pruned]).tobytes() == np.array(
+        [(*rep, a, b) for rep, a, b in full]).tobytes()
+    assert 0 < sum(sampled) < 0.5 * sum(boxes)
 
 
 def test_region_radii_certified():
@@ -1643,6 +1754,11 @@ def _set_region(region, key, value):
     (lambda doc: doc["regions"][1]["closing_cut"].__setitem__(0, 12.0), "closing cut"),
     (lambda doc: doc["regions"][1]["closing_cut"].__setitem__(1, math.inf), "closing cut"),
     (_set_region(0, "closing_cut", []), "closing cut"),
+    (_set_region(1, "closing_cut", [1000000000, 0.25]), "closing cut"),
+    (_set_region(1, "closing_cut", [12, 0.25]), "closing cut"),
+    (_set_region(1, "closing_cut", [11, 0.7999999999999998]), "closing cut"),
+    (_set_region(1, "closing_cut", None), "closing cut"),
+    (_set_region(2, "closing_cut", [15, 0.5]), "closing cut"),
     (lambda doc: doc["weights"].__setitem__(1, "0.5"), "finite numbers"),
     (lambda doc: doc["weights"].__setitem__(1, "nan"), "finite numbers"),
     (_set_region(1, "measure", "0.3"), "measure"),
@@ -1652,15 +1768,18 @@ def _set_region(region, key, value):
     (lambda doc: doc.update(c3=math.nan), "finite numbers"),
     (lambda doc: doc.update(c4="1.0"), "finite numbers"),
 ], ids=["run-cell", "run-stop", "run-cell-bool", "run-parameter", "no-runs", "level", "weight-index",
-        "coarse-level", "fine-level", "cut-cell", "cut-parameter", "cut-empty", "weight", "weight-nan",
+        "coarse-level", "fine-level", "cut-cell", "cut-parameter", "cut-empty", "cut-far", "cut-moved",
+        "cut-cell-off", "cut-missing", "cut-without-cut", "weight", "weight-nan",
         "measure", "measure-nan", "band", "band-length", "c3", "c4"])
 def test_json_refuses_malformed_fields(tamper, match):
     """Cells, levels and weight indices must be integers, every other
     number finite and the band two numbers: each field once truncated or
     coerced on reading, or left for verification to trip over, is
-    refused."""
+    refused, and so is a closing cut that is not where its region's last
+    run ends."""
     text = partition_to_json(weighted_partition(make("torus2"), np.array([0.5, 0.3, 0.2])))
-    assert partition_from_json(text).regions[1].closing_cut == (12, 0.7999999999999998)
+    cuts = [r.closing_cut for r in partition_from_json(text).regions]
+    assert cuts == [None, (12, 0.7999999999999998), None]
     doc = json.loads(text)
     tamper(doc)
     with pytest.raises(ValueError, match=match):
