@@ -101,8 +101,10 @@ from cubaflow.regions import (  # noqa: E402
 )
 
 SEEDS = range(10)
-# outer radii scale factors of the verify-short lines: barely and clearly short
-SHORT_FACTORS = (1.0 - 1e-4, 0.9)
+# outer radii scale factors of the verify-short lines: barely short, short by
+# more than the radii's tolerance (so every tree-branch region misses), and
+# clearly short
+SHORT_FACTORS = (1.0 - 1e-4, 1.0 - 1e-3, 0.9)
 SPHERE_NS = (40, 150)
 LARGE_KINDS = (
     ("circle", ("circle",)),

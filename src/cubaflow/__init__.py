@@ -75,6 +75,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

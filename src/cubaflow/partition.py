@@ -217,10 +217,10 @@ class CellTree:
         return half, half * math.sqrt(self.manifold.dim)
 
     def piece_geometry(self, level: int, idx, t0, t1):
-        """(center charts, inner radii, outer radii) of sweep pieces.
+        """(center charts, inner radii) of sweep pieces.
 
         Arrays of k pieces give ``(k, d)`` centers and ``(k,)`` radii; one
-        scalar piece gives a ``(d,)`` center and two floats.
+        scalar piece gives a ``(d,)`` center and a float.
         """
         self._check_level(level)
         scalar = np.ndim(idx) == 0
@@ -228,13 +228,14 @@ class CellTree:
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), idx.shape)
         t1 = np.broadcast_to(np.asarray(t1, dtype=float), idx.shape)
         if self.manifold.kind == "sphere2":
-            c, inner, outer = self._sphere_pieces(level, idx, t0, t1)
+            c, inner, _ = self._sphere_pieces(level, idx, t0, t1)
         else:
-            inner, outer = (np.array(r, dtype=float) for r in self.cell_radii(level, idx))
-            part = t1 - t0 < 1.0 - 1e-12
-            # the piece spans [lo, hi] on the sweep axis, whole arcs on the
-            # rest; the sweep axis takes one chart call for every piece
+            # a whole cell's inner radius is half its width; a piece spans
+            # [lo, hi] on the sweep axis, whole arcs on the rest, and the
+            # sweep axis takes one chart call for every piece
             w = self._arc_width(level)
+            inner = np.full(len(idx), 0.5 * w)
+            part = t1 - t0 < 1.0 - 1e-12
             axes = self._axes(level, idx)
             first = axes[0][part]
             lo = first * w + t0[part] * w
@@ -242,16 +243,10 @@ class CellTree:
             arc = (axes[0] + 0.5) * w
             arc[part] = 0.5 * (lo + hi)
             c = np.column_stack([self._chart.inverse(arc)] + [self._arc_centers(level, i) for i in axes[1:]])
-            side = hi - lo
-            if self.manifold.dim == 1:
-                inner[part], outer[part] = 0.5 * side, 0.5 * np.abs(side)
-            else:
-                # math.hypot: np.hypot differs from it in the last bit on some inputs
-                inner[part] = 0.5 * np.minimum(side, w)
-                outer[part] = [0.5 * math.hypot(s, w) for s in side.tolist()]
+            inner[part] = 0.5 * (hi - lo) if self.manifold.dim == 1 else 0.5 * np.minimum(hi - lo, w)
         if scalar:
-            return c[0], float(inner[0]), float(outer[0])
-        return c, inner, outer
+            return c[0], float(inner[0])
+        return c, inner
 
     def locate(self, level: int, charts: np.ndarray):
         """Indices of the level cells containing chart rows ``(k, d)``.
@@ -456,7 +451,11 @@ class Region:
     ``runs`` lists (first_cell, stop_cell, t_first, t_last) stretches of
     fine-level cells: the first cell enters at sweep coordinate t_first,
     the last leaves at t_last, cells between are whole.  ``closing_cut``
-    is the one new cut this region introduced, if any.
+    is the one new cut this region introduced, if any.  The ball of
+    ``inner_radius`` about ``representative`` lies in the region;
+    ``outer_radius`` is at least the distance from it to the region's
+    farthest point, at most 1/64 of a fine-cell width more, and at most
+    the diameter.
     """
 
     weight_index: int

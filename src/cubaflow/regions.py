@@ -4,25 +4,23 @@ independent check of their outer balls.
 A region is a list of runs of fine cells (see ``partition.Region``): whole
 cells plus cut pieces.  Its representative is the whole cell nearest its
 measure centroid, the lowest-index one among those within 1e-9 cell widths
-of the nearest, or its largest piece when it has no whole cell; its outer
-radius reaches the farthest whole cell or piece.  Whole cells are taken as
-blocks (``_cell_blocks``): arcs on the circle and the ellipse, aligned
-squares on the torus and the sphere, all boxes in level-cell widths.  One
-box metric (``_box_metric``) gives a box's centre distance and a bound on
-how far its points lie from that centre: periodic per-axis distances on
-the flat kinds, arcs to the chart image on the sphere.  One search
-(``_cell_extremes``) finds the cells nearest to or farthest from a point:
-it measures every block, keeps those that may hold a cell close enough,
-and splits them, sphere squares into quarters and flat blocks straight
-into a few candidate cells per axis.  Flat centroid sums are in closed
-form, so flat regions cost O(blocks); a sphere block takes one 4 x 4
-rule, or one on each of two triangles where the chart's fold or a pole
-meets it.  On the sphere, boundary samples certify the outer radius only
-for far cells and pieces whose bound can pass the radius found so far.
-Verification splits the blocks and pieces of every kind as boxes in one
-loop on the same metric, until each lies in its outer ball or is found
-outside, from distances and box radii alone, not from how the radii were
-computed.
+of the nearest, or its largest piece when it has no whole cell.  Whole
+cells are taken as blocks (``_cell_blocks``): arcs on the circle and the
+ellipse, aligned squares on the torus and the sphere, all boxes in
+level-cell widths, as are the pieces.  One box metric (``_box_metric``)
+gives a box's centre distance and a bound on how far its points lie from
+that centre: periodic per-axis distances on the flat kinds, arcs to the
+chart image on the sphere.  One search (``_cell_extremes``) finds the
+cells nearest to a point: it measures every block, keeps those that may
+hold a cell close enough, and splits them, sphere squares into quarters
+and flat blocks straight into a few candidate cells per axis.  Flat
+centroid sums are in closed form, so flat regions cost O(blocks); a
+sphere block takes one 4 x 4 rule, or one on each of two triangles where
+the chart's fold or a pole meets it.  The outer radius (``_outer_radii``)
+splits every block and piece into halves on the same metric until each
+box's bound lies within ``_REACH_TOL`` cell widths of the farthest centre
+found.  Verification splits the same boxes in one loop, until each lies
+in its outer ball or is found outside, from the stored radii alone.
 """
 
 from __future__ import annotations
@@ -33,22 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cells import (
-    _AXIS,
-    _BOX_BATCH,
-    _DIAG,
-    _EDGE_SAMPLES,
-    _aligned_blocks,
-    _box_reach,
-    _grid_points,
-)
-from .geometry import (
-    TWO_PI,
-    _arc,
-    _circle_dist,
-    charts_to_ambient,
-    pairwise_distance,
-)
+from .cells import _BOX_BATCH, _DIAG, _aligned_blocks, _grid_points
+from .geometry import TWO_PI, _arc, _circle_dist, charts_to_ambient
 
 if TYPE_CHECKING:
     from .partition import CellTree
@@ -61,6 +45,8 @@ _REGION_BATCH = 128
 _QUARTERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 # boxes the outer-ball check splits down to this side, in cells
 _SMALLEST_BOX = 2.0**-10
+# outer radii lie within this many cell widths of the farthest point
+_REACH_TOL = 2.0**-6
 
 
 def _run_parts(region_runs) -> tuple:
@@ -234,17 +220,17 @@ def _sphere_centroids(level: int, owner, lo, hi, n: int):
     return np.where(flat[:, None], (0.0, 0.0, 1.0), total / np.where(flat, 1.0, norm)[:, None])
 
 
-def _axis_candidates(lo, hi, around, origin, n: int, farthest: bool):
-    """The two cells of each arc ``[lo, hi)`` nearest to ``origin`` (or
-    farthest from it), as ``(k, 2)`` cells, mask and distances, all in
-    cell widths on an axis of ``n`` cells.
+def _axis_candidates(lo, hi, origin, n: int):
+    """The two cells of each arc ``[lo, hi)`` nearest to ``origin``, as
+    ``(k, 2)`` cells, mask and distances, all in cell widths on an axis of
+    ``n`` cells.
 
-    The best cell is an arc end or one of the three cells about
-    ``around`` (``origin`` itself, or its antipode), since cell i sits at
-    i + 1/2; the runner-up is the best of the rest.  Any third cell lies a
-    whole width farther than the best.
+    The nearest cell is an arc end or one of the three cells about
+    ``origin``, since cell i sits at i + 1/2; the runner-up is the nearest
+    of the rest.  Any third cell lies a whole width farther than the
+    nearest.
     """
-    k = np.floor(around).astype(np.int64)
+    k = np.floor(origin).astype(np.int64)
     cells = np.column_stack([lo, hi - 1, (k - 1) % n, k % n, (k + 1) % n])
     # in the arc, and no repeat of an earlier candidate
     ok = (cells >= lo[:, None]) & (cells < hi[:, None])
@@ -252,50 +238,46 @@ def _axis_candidates(lo, hi, around, origin, n: int, farthest: bool):
         for j in range(c):
             ok[:, c] &= cells[:, j] != cells[:, c]
     d = _circle_dist(origin[:, None], cells + 0.5, n)
-    two = np.argsort(np.where(ok, -d if farthest else d, np.inf), axis=1, kind="stable")[:, :2]
+    two = np.argsort(np.where(ok, d, np.inf), axis=1, kind="stable")[:, :2]
     row = np.arange(len(two))[:, None]
     return cells[row, two], ok[row, two], d[row, two]
 
 
-def _candidate_cells(level: int, origin, owner, lo, hi, farthest: bool) -> tuple:
+def _candidate_cells(level: int, origin, owner, lo, hi) -> tuple:
     """Owner and corners of the cells of flat blocks that may be nearest to
-    (or farthest from) their owner's ``origin``: every choice of one of the
-    two ``_axis_candidates`` per axis, as the distance is monotone in each
+    their owner's ``origin``: every choice of one of the two
+    ``_axis_candidates`` per axis, as the distance is monotone in each
     axis's."""
     n, d = 2**level, lo.shape[1]
     o = origin[owner]
-    around = (o + 0.5 * n) % n if farthest else o
-    axes = [_axis_candidates(lo[:, k], hi[:, k], around[:, k], o[:, k], n, farthest)[:2]
-            for k in range(d)]
+    axes = [_axis_candidates(lo[:, k], hi[:, k], o[:, k], n)[:2] for k in range(d)]
     choice = np.indices((2,) * d).reshape(d, -1)
     cells = np.stack([c[:, i] for (c, _), i in zip(axes, choice)], axis=-1).reshape(-1, d)
     ok = np.logical_and.reduce([m[:, i] for (_, m), i in zip(axes, choice)]).ravel()
     return np.repeat(owner, 2**d)[ok], cells[ok], cells[ok] + 1.0
 
 
-def _cell_extremes(tree: CellTree, level: int, origin, owner, lo, hi, margin: float,
-                   farthest: bool) -> tuple:
+def _cell_extremes(tree: CellTree, level: int, origin, owner, lo, hi, margin: float) -> tuple:
     """(owner, cell, distance) of the cells whose centres lie within
-    ``margin`` of the centre nearest to (or farthest from) their owner's
-    row of ``origin`` (see ``_box_metric``), among the whole-cell boxes
-    ``owner`` owns from corner ``lo`` to ``hi`` ``(k, d)``.
+    ``margin`` of the centre nearest to their owner's row of ``origin``
+    (see ``_box_metric``), among the whole-cell boxes ``owner`` owns from
+    corner ``lo`` to ``hi`` ``(k, d)``.
 
     Each box is measured at its centre: its cells' centres lie within
     ``spread(h - 1/2)`` of it, h its half sides, and one within
-    ``spread(1/2)``, which bounds its owner's best.  The boxes that may
+    ``spread(1/2)``, which bounds its owner's nearest.  The boxes that may
     hold a cell that close are split, sphere squares into quarters and flat
     blocks straight into their ``_candidate_cells``, until only cells are
     left.  Pruning is certified, so the cells found do not depend on it.
     """
     dist, spread = _box_metric(tree, level, origin)
-    sign = -1.0 if farthest else 1.0
     slack = 1e-12 * tree.manifold.diameter  # rounding of the distances
     one = spread(np.full((1, lo.shape[1]), 0.5))[0] + slack
     best = np.full(len(origin), np.inf)
     found = []
     while True:
         half = 0.5 * (hi - lo)
-        key = sign * dist(owner, lo + half)
+        key = dist(owner, lo + half)
         off = spread(half - 0.5)
         leaf = off == 0.0
         np.minimum.at(best, owner, np.where(leaf, key, key + one))
@@ -306,77 +288,60 @@ def _cell_extremes(tree: CellTree, level: int, origin, owner, lo, hi, margin: fl
         if tree.manifold.kind == "sphere2":
             owner, lo, hi = _children(owner[split], lo[split], half[split])
         else:
-            owner, lo, hi = _candidate_cells(level, origin, owner[split], lo[split], hi[split], farthest)
+            owner, lo, hi = _candidate_cells(level, origin, owner[split], lo[split], hi[split])
     owner, lo, key = (np.concatenate(x) for x in zip(*found))
     keep = key <= best[owner] + margin
-    return owner[keep], tree._index(level, *lo[keep].astype(np.int64).T), sign * key[keep]
+    return owner[keep], tree._index(level, *lo[keep].astype(np.int64).T), key[keep]
 
 
-def _sphere_reach(level: int, z, own, lo, hi, outer) -> None:
-    """Raise each ``outer[own]`` to the farthest ``cells._box_reach`` from
-    row ``own`` of unit vectors ``z`` to chart boxes from corner ``lo`` to
-    ``hi`` ``(k, 2)`` in level-cell widths, sampling only boxes that can
-    beat it.
+def _outer_radii(tree: CellTree, level: int, origin, own, lo, hi, width: float) -> np.ndarray:
+    """Outer radius of each row of ``origin`` (see ``_box_metric``) over
+    the boxes ``own`` owns from corner ``lo`` to ``hi`` ``(k, d)`` in
+    level-cell widths: a bound on the distance to their farthest point,
+    within ``_REACH_TOL`` cell widths ``width`` of it, and capped at the
+    diameter.
 
-    Every point of a box lies within ``_DIAG`` times its larger half side
-    of its centre's image (see ``_box_metric``), -z too where the box holds
-    it, so that arc past the centre's, plus the sampling slack and a
-    rounding margin, bounds the box's reach.  Each owner's box of the
-    largest bound is sampled first, then every other box whose bound
-    passes ``outer``, so each max is the one sampling every box gives, bit
-    for bit.
+    A box's centre is one of its points, so its distance bounds its
+    owner's radius from below, and that distance plus the ``spread`` of
+    its half sides bounds every point of the box.  A box stops once that
+    bound lies within ``_REACH_TOL`` widths of its owner's farthest centre
+    so far, or below its largest stopped bound; otherwise it splits into
+    its ``_children``.  The radius is the largest stopped bound.
     """
-    w = 2.0 ** (1 - level)
-    half = 0.5 * (hi - lo)
-    bound = (_arc(z[own], _grid_points(level, lo + half)) + 1e-12 * math.pi
-             + np.maximum(half[:, 0], half[:, 1]) * w * (_DIAG + _AXIS / (_EDGE_SAMPLES - 1)))
-    order = np.lexsort((-bound, own))
-    lead = np.ones(len(order), dtype=bool)
-    lead[1:] = own[order[1:]] != own[order[:-1]]
-    for take in (order[lead], order[~lead]):
-        take = take[bound[take] > outer[own[take]]]
-        np.maximum.at(outer, own[take], _box_reach(level, z[own[take]], lo[take], hi[take])[1])
+    dist, spread = _box_metric(tree, level, origin)
+    tol = _REACH_TOL * width
+    near, outer = np.zeros(len(origin)), np.zeros(len(origin))
+    while len(own):
+        half = 0.5 * (hi - lo)
+        d = dist(own, lo + half)
+        np.maximum.at(near, own, d)
+        bound = d + spread(half)
+        stop = (bound <= near[own] + tol) | (bound <= outer[own])
+        np.maximum.at(outer, own[stop], bound[stop])
+        own, lo, hi = _children(own[~stop], lo[~stop], half[~stop])
+    return np.minimum(outer, tree.manifold.diameter)
 
 
-def _whole_geometry(tree: CellTree, level: int, own, first, stop, nreg: int) -> tuple:
-    """Representative cell and outer radius of each of ``nreg`` regions'
-    whole cells, given as ranges ``[first, stop)`` that ``own`` owns, -1
-    and NaN for regions with none.
+def _whole_geometry(tree: CellTree, level: int, blocks, own, first, nreg: int, width: float):
+    """Representative cell of each of ``nreg`` regions' whole cells, -1 for
+    regions with none; the whole cells are the ranges from ``first`` that
+    ``own`` owns, and ``blocks`` their ``_cell_blocks``.
 
     The representative is the lowest-index cell among those within 1e-9
-    cell widths (on the sphere the side of a square of a cell's area) of
-    the nearest to the measure centroid, so distances equal up to rounding
-    never split a tie, or the region's lowest-index cell where a flat
-    centroid degenerates.  On the flat kinds the outer radius is the
-    farthest centre's distance plus the cell radius.  On the sphere it is
-    the farthest ``cells._box_reach`` (by ``_sphere_reach``) of the cells
-    within ``(u2 - u1) 2^-level`` of the farthest centre: the farthest cell
-    reaches at least its inner radius past its centre, no cell more than
-    its outer radius, so no other can reach farther.
+    cell widths ``width`` of the nearest to the measure centroid, so
+    distances equal up to rounding never split a tie, or the region's
+    lowest-index cell where a flat centroid degenerates.
     """
-    owner, lo, hi = _cell_blocks(tree, level, own, first, stop)
+    owner, lo, hi = blocks
     sphere = tree.manifold.kind == "sphere2"
-    width = math.sqrt(4.0 * math.pi / tree.ncells(level)) if sphere else tree._arc_width(level)
     goal = (_sphere_centroids if sphere else _flat_centroids)(level, owner, lo, hi, nreg)
     live = ~np.isnan(goal[owner, 0])
-    near_own, near, _ = _cell_extremes(tree, level, goal, owner[live], lo[live], hi[live],
-                                       1e-9 * width, False)
+    near_own, near, _ = _cell_extremes(tree, level, goal, owner[live], lo[live], hi[live], 1e-9 * width)
     pick = np.full(nreg, np.iinfo(np.int64).max)
     np.minimum.at(pick, near_own, near)
     dead = np.isnan(goal[own, 0])
     np.minimum.at(pick, own[dead], first[dead])
-    has = np.bincount(own, minlength=nreg) > 0
-    pick = np.where(has, pick, 0)
-    origin = (charts_to_ambient(tree.manifold, tree.centers_chart(level, pick)) if sphere
-              else np.column_stack(tree._axes(level, pick)) + 0.5)
-    margin = (tree.u2 - tree.u1) * 2.0**-level + 1e-12 if sphere else 0.0
-    far_own, far, dist = _cell_extremes(tree, level, origin, owner, lo, hi, margin, True)
-    outer = np.full(nreg, -np.inf)
-    if sphere:
-        _sphere_reach(level, origin, far_own, *tree._piece_boxes(level, far, 0.0, 1.0), outer)
-    else:
-        np.maximum.at(outer, far_own, dist + float(tree.cell_radii(level, 0)[1][0]))
-    return np.where(has, pick, -1), np.where(has, outer, np.nan)
+    return np.where(np.bincount(own, minlength=nreg) > 0, pick, -1)
 
 
 def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
@@ -385,40 +350,32 @@ def _regions_geometry(tree: CellTree, level: int, region_runs) -> list[tuple]:
 
     A region with whole cells is represented by the whole cell nearest its
     measure centroid, otherwise by its largest cut piece (the first of
-    equal ones).  The outer radius covers every whole cell and piece: on
-    the flat kinds their centre's distance plus their outer radius, on the
-    sphere their ``cells._box_reach``.
+    equal ones).  The outer radius is ``_outer_radii`` over its whole-cell
+    blocks and pieces from the midpoint of its representative's box.
+    Widths are cell widths, on the sphere the side of a square of a cell's
+    area.
     """
     nreg = len(region_runs)
     if nreg > _REGION_BATCH:
         return [g for a in range(0, nreg, _REGION_BATCH)
                 for g in _regions_geometry(tree, level, region_runs[a:a + _REGION_BATCH])]
-    (own, first, stop), (owner, cells, t0, t1) = _run_parts(region_runs)
-    pick, outer = _whole_geometry(tree, level, own, first, stop, nreg)
-    has = pick >= 0
     sphere = tree.manifold.kind == "sphere2"
-    # representatives are whole cells, pieces [0, 1] of them: one call
-    # takes the chart and radii of both; on the sphere only the pieces of
-    # regions with no whole cell need theirs
-    mine = ~has[owner] if sphere else np.ones(len(owner), dtype=bool)
-    nrep = int(has.sum())
-    centers, p_in, p_out = tree.piece_geometry(
-        level, np.concatenate([pick[has], cells[mine]]),
-        np.concatenate([np.zeros(nrep), t0[mine]]), np.concatenate([np.ones(nrep), t1[mine]]))
-    reps, inner = np.full((nreg, tree.manifold.dim), np.nan), np.full(nreg, np.nan)
-    reps[has], inner[has] = centers[:nrep], p_in[:nrep]
-    centers, p_in, p_out = centers[nrep:], p_in[nrep:], p_out[nrep:]
-    span, p_own = (t1 - t0)[mine], owner[mine]
-    for r in np.flatnonzero(np.isnan(outer) & (np.bincount(owner, minlength=nreg) > 0)):
-        best = np.flatnonzero(p_own == r)
-        best = best[int(np.argmax(span[best]))]
-        reps[r], inner[r], outer[r] = centers[best], p_in[best], 0.0
-    if len(owner):
-        if sphere:
-            z = charts_to_ambient(tree.manifold, reps)
-            _sphere_reach(level, z, owner, *tree._piece_boxes(level, cells, t0, t1), outer)
-        else:
-            np.maximum.at(outer, owner, pairwise_distance(tree.manifold, reps[owner], centers) + p_out)
+    width = math.sqrt(4.0 * math.pi / tree.ncells(level)) if sphere else tree._arc_width(level)
+    (own, first, stop), (owner, cells, t0, t1) = _run_parts(region_runs)
+    blocks = _cell_blocks(tree, level, own, first, stop)
+    pick = _whole_geometry(tree, level, blocks, own, first, nreg, width)
+    # each region's representative piece: its whole cell, or its largest piece
+    t_lo, t_hi = np.zeros(nreg), np.ones(nreg)
+    for r in np.flatnonzero(pick < 0):
+        mine = np.flatnonzero(owner == r)
+        best = mine[int(np.argmax((t1 - t0)[mine]))]
+        pick[r], t_lo[r], t_hi[r] = cells[best], t0[best], t1[best]
+    reps, inner = tree.piece_geometry(level, pick, t_lo, t_hi)
+    mid = 0.5 * np.add(*tree._piece_boxes(level, pick, t_lo, t_hi))
+    p_lo, p_hi = tree._piece_boxes(level, cells, t0, t1)
+    outer = _outer_radii(tree, level, _grid_points(level, mid) if sphere else mid,
+                         np.concatenate([blocks[0], owner]), np.concatenate([blocks[1], p_lo]),
+                         np.concatenate([blocks[2], p_hi]), width)
     return list(zip(map(tuple, reps.tolist()), inner.tolist(), outer.tolist()))
 
 
@@ -432,9 +389,8 @@ def _outer_ball_misses(tree: CellTree, level: int, regions) -> np.ndarray:
     boxes of half its side, and misses once its centre lies outside the
     ball or its side falls below ``_SMALLEST_BOX`` undecided.  A ball of
     radius at least the diameter holds everything, and one whose radius or
-    centre is not finite misses.  The metric is the chart's derived
-    stretch on the sphere, not the boundary samples that certified the
-    radii.
+    centre is not finite misses.  The stored radii are taken as given:
+    nothing here depends on how ``_outer_radii`` found them.
     """
     if len(regions) > _REGION_BATCH:
         return np.concatenate([_outer_ball_misses(tree, level, regions[a:a + _REGION_BATCH])
