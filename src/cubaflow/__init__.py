@@ -15,9 +15,6 @@ of band L or sqrt(L (L + 1)).
 from .geometry import (
     Manifold,
     QuadratureGrid,
-    arclength,
-    arclength_inverse,
-    ball_measure,
     charts_to_ambient,
     circumference,
     doubling_constants,
@@ -42,7 +39,6 @@ from .weights import (
     block_aggregate,
     concentrated_weights,
     random_band_weights,
-    validate_weights,
 )
 from .partition import (
     CellTree,
@@ -75,6 +71,6 @@ from .engine import (
     verify_rule,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -85,15 +85,6 @@ class RestrictedPolySpace:
         dt = enumerate_basis(_CIRCLE, int(self.band)).gradients(charts)[:, :, 0] @ self.coeff_matrix[1:]
         return (dt / arc_chart(self.manifold).speed(charts[:, :1]))[:, :, None]
 
-    def manifest(self) -> dict:
-        return {
-            "manifold": self.manifold.descriptor(),
-            "space": self.kind,
-            "band": self.band,
-            "dim": self.dim,
-            "condition": self.condition,
-        }
-
 
 def build_restricted_space(manifold: Manifold, max_deg) -> SpectralSpace | RestrictedPolySpace:
     """Orthonormal zero-mean basis of the restricted polynomials of degree <= ``max_deg``.

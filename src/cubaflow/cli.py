@@ -67,6 +67,8 @@ def parse_weights(token: str, n: int | None) -> WeightVector:
         return WeightVector(np.asarray(values, dtype=float))
     if n is None:
         raise ValueError(f"--N is required for {kind!r} weights")
+    if n < 1:
+        raise ValueError(f"--N must be at least 1, got {n}")
     if kind == "uniform":
         return WeightVector(np.full(n, 1.0 / n))
     if kind == "ex1":

@@ -4,9 +4,10 @@ The pieces, bottom up: a smooth frequency cutoff (the window H of the
 paper's localized kernels); a norm smoother that turns the ascent field
 grad P / |grad P| into a globally smooth vector field; residual
 bookkeeping over an orthonormal basis; the gradient-flow integrator of
-the existence argument; and a node solver, damped Gauss-Newton descent
-on the residual.  The solver moves only the nodes; weights are
-prescribed and never change.
+the existence argument (``flow_run``, whose horizon, smoother scale and
+step count are its own arguments); and a node solver, damped
+Gauss-Newton descent on the residual, configured by ``FlowConfig``.  The
+solver moves only the nodes; weights are prescribed and never change.
 
 All heavy paths are vectorized over points and reduce in a fixed order,
 so results are reproducible for a given seed.
@@ -29,6 +30,7 @@ import numpy as np
 from .algebraic import RestrictedPolySpace, build_restricted_space
 from .geometry import (
     Manifold,
+    _check_count,
     arc_chart,
     charts_to_ambient,
     manifold_from_descriptor,
@@ -197,18 +199,12 @@ def _check_positive(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Knobs for the node solver and the flow integrator.
-
-    ``solve`` reads ``restarts``, ``seed`` and ``tol``.  ``flow_run``
-    reads ``eps``, ``steps_per_unit`` and ``horizon``, which it needs
-    explicitly; ``eps`` defaults to 1e-3 times the weighted sample of
-    |grad P| at the seeds (scale-invariant smoother).  ``mode`` accepts
-    only "descent": the flow mode was removed in 0.8.0.
+    """Knobs for the node solver: ``solve`` reads ``restarts``, ``seed``
+    and ``tol``.  ``mode`` accepts only "descent": the flow mode was
+    removed in 0.8.0.  The flow integrator takes its own arguments, see
+    :func:`flow_run`.
     """
 
-    eps: float | None = None
-    steps_per_unit: int = 96
-    horizon: float | None = None
     restarts: int = 8
     seed: int = 0
     mode: str = "descent"
@@ -219,17 +215,9 @@ class FlowConfig:
             raise ValueError(
                 f"mode must be 'descent', got {self.mode!r}: flow mode was removed in 0.8.0"
             )
-        for name, low in (("restarts", 1), ("steps_per_unit", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                if operator.index(value) < low:
-                    raise ValueError
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}") from None
+        _check_count("restarts", self.restarts, 1)
+        _check_count("seed", self.seed, 0)
         _check_positive("tolerance", self.tol)
-        for name in ("eps", "horizon"):
-            if getattr(self, name) is not None:
-                _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -248,32 +236,35 @@ def _poly_coeffs(space, P) -> tuple:
     return space, coeffs
 
 
-def flow_run(space, P, seeds, cfg: FlowConfig, weights=None) -> FlowResult:
-    """Integrate dy/dt = grad P / v(|grad P|) from the seeds.
+def flow_run(space, P, seeds, horizon, *, eps=None, steps_per_unit=96, weights=None) -> FlowResult:
+    """Integrate dy/dt = grad P / v(|grad P|) from the seeds up to ``horizon``.
 
     Classic four-stage Runge-Kutta with the exponential-map retraction
     at every stage; the ambient sphere steps need no re-charting.  The
     sampled functional sum_j w_j P(y_j(t)) is returned alongside the
-    endpoints; in exact arithmetic it is nondecreasing.
+    endpoints; in exact arithmetic it is nondecreasing.  ``horizon`` and
+    ``eps`` must be positive and finite, ``steps_per_unit`` an integer of
+    at least 1; ``eps`` defaults to 1e-3 times the weighted sample of
+    |grad P| at the seeds (a scale-invariant smoother), and ``weights``
+    to uniform ones.
     """
+    _check_positive("horizon", horizon)
+    if eps is not None:
+        _check_positive("eps", eps)
+    _check_count("steps_per_unit", steps_per_unit, 1)
     space, coeffs = _poly_coeffs(_as_space(space), P)
     pts = np.atleast_2d(np.asarray(seeds, dtype=float)).copy()
     n = len(pts)
     w = np.full(n, 1.0 / n) if weights is None else _weight_values(weights)
     if len(w) != n:
         raise ValueError("weights length does not match the seeds")
-
-    if cfg.horizon is None:
-        raise ValueError("flow needs an explicit horizon")
-    horizon = float(cfg.horizon)
+    horizon = float(horizon)
 
     def grad(y):
         """grad P at the rows of y, one flattened tangent vector per row."""
         return np.tensordot(space.gradients(y), coeffs, axes=(1, 0)).reshape(len(y), -1)
 
-    if cfg.eps is not None:
-        eps = cfg.eps
-    else:
+    if eps is None:
         est = float(w @ np.linalg.norm(grad(pts), axis=1))
         eps = max(1e-3 * est, 1e-12)
     v = SmootherV(eps)
@@ -283,7 +274,7 @@ def flow_run(space, P, seeds, cfg: FlowConfig, weights=None) -> FlowResult:
         return g / v(np.linalg.norm(g, axis=1))[:, None]
 
     mf = space.manifold
-    nsteps = max(1, int(math.ceil(horizon * cfg.steps_per_unit)))
+    nsteps = max(1, int(math.ceil(horizon * steps_per_unit)))
     h = horizon / nsteps
     times = np.linspace(0.0, horizon, nsteps + 1)
     func = np.empty(nsteps + 1)
@@ -370,7 +361,7 @@ def _rule_field(doc: dict, name: str, cast):
     """``cast(doc[name])``; a missing or malformed field raises ValueError naming it."""
     try:
         return cast(doc[name])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"rule field {name!r} is missing or malformed: {exc!r}") from None
 
 

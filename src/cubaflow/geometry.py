@@ -32,6 +32,8 @@ poles out of all callers.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -45,12 +47,6 @@ MANIFOLD_KINDS = ("circle", "torus2", "sphere2", "ellipse")
 # Colatitudes closer to a pole than this get longitude 0, which moves the
 # ambient point by less than this distance.
 _POLE_TOL = 5e-15
-
-
-def _require_finite(values, what: str) -> None:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite {what}: {values!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,8 @@ class Manifold:
         if self.kind not in MANIFOLD_KINDS:
             raise ValueError(f"unknown manifold kind {self.kind!r}; expected one of {MANIFOLD_KINDS}")
         if self.kind == "ellipse":
-            _require_finite((self.a_ax, self.b_ax), "ellipse semi-axes")
+            if not all(map(math.isfinite, (self.a_ax, self.b_ax))):
+                raise ValueError(f"non-finite ellipse semi-axes: {(self.a_ax, self.b_ax)!r}")
             if self.a_ax <= 0.0 or self.b_ax <= 0.0:
                 raise ValueError("ellipse semi-axes must be positive")
             object.__setattr__(self, "a_ax", float(self.a_ax))
@@ -102,11 +99,33 @@ class Manifold:
         return d
 
 
+def _finite_number(x) -> bool:
+    """A finite JSON number: a finite float, or an int (not a bool) in the
+    float range, compared exactly so that a huge one cannot overflow."""
+    return math.isfinite(x) if type(x) is float else type(x) is int and abs(x) <= sys.float_info.max
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse, with ``ValueError``, a value that is not an integer of at least ``low``."""
+    try:
+        if operator.index(value) < low:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}") from None
+
+
 def manifold_from_descriptor(d: dict) -> Manifold:
-    kind = d.get("kind")
-    if kind == "ellipse":
-        return Manifold("ellipse", float(d["a"]), float(d["b"]))
-    return Manifold(str(kind))
+    """The manifold of a :meth:`Manifold.descriptor` dict.  Anything else
+    raises ``ValueError``: a kind that is not a known string, a key that
+    ``descriptor`` does not write, or ellipse semi-axes that are not finite
+    JSON numbers."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in MANIFOLD_KINDS:
+        raise ValueError(f"a manifold descriptor needs a known kind, got {d!r}")
+    axes = [d.get(key) for key in ("a", "b")] if kind == "ellipse" else []
+    if len(d) != 1 + len(axes) or not all(map(_finite_number, axes)):
+        raise ValueError(f"a manifold descriptor holds the kind, and finite a and b on the ellipse, got {d!r}")
+    return Manifold(kind, *axes)
 
 
 # ---------------------------------------------------------------------------
@@ -297,26 +316,6 @@ def circumference(a_ax: float, b_ax: float) -> float:
     return arc_chart(Manifold("ellipse", a_ax, b_ax)).total
 
 
-def arclength(a_ax: float, b_ax: float, t) -> float:
-    """Arc length from angle 0 to angle t along the ellipse, t in [0, 2pi]."""
-    chart = arc_chart(Manifold("ellipse", a_ax, b_ax))
-    t_arr = np.asarray(t, dtype=float)
-    _require_finite(t_arr, "angle")
-    if np.any(t_arr < -1e-9) or np.any(t_arr > TWO_PI + 1e-9):
-        raise ValueError("angle outside [0, 2pi]")
-    return chart.forward(np.clip(t_arr, 0.0, TWO_PI))
-
-
-def arclength_inverse(a_ax: float, b_ax: float, s) -> float:
-    """Angle t with arclength(a_ax, b_ax, t) = s, for s in [0, circumference]."""
-    chart = arc_chart(Manifold("ellipse", a_ax, b_ax))
-    s_arr = np.asarray(s, dtype=float)
-    _require_finite(s_arr, "arc length")
-    if np.any(s_arr < -1e-9) or np.any(s_arr > chart.total + 1e-9):
-        raise ValueError("arc length outside [0, circumference]")
-    return chart.inverse(np.clip(s_arr, 0.0, chart.total))
-
-
 # ---------------------------------------------------------------------------
 # charts and ambient coordinates
 # ---------------------------------------------------------------------------
@@ -405,9 +404,9 @@ def move_points(manifold: Manifold, charts: np.ndarray, disp) -> np.ndarray:
     v = np.asarray(disp, dtype=float)
     v = v - (np.sum(v * x, axis=1, keepdims=True)) * x
     ang = np.linalg.norm(v, axis=1)
-    out = np.where(ang[:, None] > 0.0,
-                   x * np.cos(ang)[:, None] + np.divide(v, np.where(ang[:, None] == 0.0, 1.0, ang[:, None])) * np.sin(ang)[:, None],
-                   x)
+    zero = ang[:, None] == 0.0
+    # only a zero angle keeps the start point: a NaN one gives a NaN row
+    out = np.where(zero, x, x * np.cos(ang)[:, None] + np.divide(v, np.where(zero, 1.0, ang[:, None])) * np.sin(ang)[:, None])
     out /= np.linalg.norm(out, axis=1, keepdims=True)
     return sphere_chart_from_ambient(out)
 
@@ -515,28 +514,6 @@ def reference_integrate(
 # ---------------------------------------------------------------------------
 # balls and the doubling profile
 # ---------------------------------------------------------------------------
-
-
-def ball_measure(manifold: Manifold, r: float) -> float:
-    """Normalized measure of any geodesic ball of radius r, in closed form;
-    every model manifold is homogeneous, so the ball needs no center."""
-    _require_finite([r], "radius")
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    if r > manifold.diameter + 1e-12:
-        raise ValueError("radius exceeds the manifold diameter")
-    r = float(r)
-    if manifold.kind == "sphere2":
-        # cap fraction (1 - cos r)/2 in the cancellation-free half-angle form
-        return math.sin(0.5 * r) ** 2
-    if manifold.dim == 1:
-        return min(2.0 * r / arc_chart(manifold).total, 1.0)
-    # flat torus: disk area, with the four edge overshoots removed once
-    # r exceeds the half-period pi
-    area = math.pi * r**2
-    if r > math.pi:
-        area -= 4.0 * (r**2 * math.acos(math.pi / r) - math.pi * math.sqrt(r**2 - math.pi**2))
-    return min(area / (4.0 * math.pi**2), 1.0)
 
 
 def doubling_constants(manifold: Manifold) -> tuple[float, float]:

@@ -56,6 +56,8 @@ from .cells import (
 from .geometry import (
     TWO_PI,
     Manifold,
+    _check_count,
+    _finite_number,
     arc_chart,
     charts_to_ambient,
     doubling_constants,
@@ -64,7 +66,7 @@ from .geometry import (
     sphere_chart_from_ambient,
     sphere_tangent_frame,
 )
-from .regions import _REGION_BATCH, _outer_ball_misses, _regions_geometry, _run_parts
+from .regions import _REGION_BATCH, _outer_ball_misses, _regions_geometry
 
 __all__ = [
     "CellTree",
@@ -141,6 +143,21 @@ class CellTree:
         if not (0 <= level <= self.depth):
             raise ValueError(f"level {level} outside [0, {self.depth}]")
 
+    def _check_cells(self, level: int, idx) -> np.ndarray:
+        """Cell indices as an int64 array; any outside the level raises."""
+        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
+        n = self._lv.ncells(level)
+        if np.any((idx < 0) | (idx >= n)):
+            raise ValueError(f"cell indices outside [0, {n}) at level {level}")
+        return idx
+
+    def _check_rows(self, charts: np.ndarray) -> np.ndarray:
+        """Chart rows ``(k, d)``; rows that are not ``d`` finite numbers raise."""
+        rows = np.atleast_2d(charts)
+        if rows.ndim != 2 or rows.shape[1] != self.manifold.dim or not np.isfinite(rows).all():
+            raise ValueError(f"chart rows must be {self.manifold.dim} finite numbers each")
+        return rows
+
     def ncells(self, level: int) -> int:
         self._check_level(level)
         return self._lv.ncells(level)
@@ -182,39 +199,7 @@ class CellTree:
         first, *rest = self._axes(level, idx)
         return np.column_stack([first + t0, *rest]), np.column_stack([first + t1, *(a + 1 for a in rest)])
 
-    # -- sphere cells: squares of the octahedral chart -------------------
-
-    def _sphere_pieces(self, level: int, idx, t0, t1):
-        """(center charts, inner radii, outer radii) of sweep pieces of
-        sphere cells: the center is the image of the chart box's midpoint,
-        the radii its ``cells._box_reach`` (the inner one no less than 0, as
-        on thin pieces the slack may pass it)."""
-        lo, hi = self._piece_boxes(level, idx, t0, t1)
-        z = _grid_points(level, 0.5 * (lo + hi))
-        inner, outer = _box_reach(level, z, lo, hi)
-        return sphere_chart_from_ambient(z), np.maximum(inner, 0.0), outer
-
     # -- geometry --------------------------------------------------------
-
-    def centers_chart(self, level: int, idx) -> np.ndarray:
-        self._check_level(level)
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        if self.manifold.kind == "sphere2":
-            pos = np.column_stack(self._axes(level, idx)) + 0.5
-            return sphere_chart_from_ambient(_grid_points(level, pos))
-        return np.column_stack(
-            [self._arc_centers(level, i) for i in self._axes(level, idx)]
-        )
-
-    def cell_radii(self, level: int, idx) -> tuple[np.ndarray, np.ndarray]:
-        """(inner, outer) certified geodesic ball radii about the center."""
-        self._check_level(level)
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        if self.manifold.kind == "sphere2":
-            return self._sphere_pieces(level, idx, 0.0, 1.0)[1:]
-        # a flat cell is a segment or square of side w
-        half = np.full(len(idx), 0.5 * self._arc_width(level))
-        return half, half * math.sqrt(self.manifold.dim)
 
     def piece_geometry(self, level: int, idx, t0, t1):
         """(center charts, inner radii) of sweep pieces.
@@ -224,11 +209,16 @@ class CellTree:
         """
         self._check_level(level)
         scalar = np.ndim(idx) == 0
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
+        idx = self._check_cells(level, idx)
         t0 = np.broadcast_to(np.asarray(t0, dtype=float), idx.shape)
         t1 = np.broadcast_to(np.asarray(t1, dtype=float), idx.shape)
         if self.manifold.kind == "sphere2":
-            c, inner, _ = self._sphere_pieces(level, idx, t0, t1)
+            # the centre is the image of the chart box's midpoint, the inner
+            # radius its ``cells._box_reach`` nearest distance, no less than
+            # 0 (on thin pieces the slack may pass it)
+            lo, hi = self._piece_boxes(level, idx, t0, t1)
+            z = _grid_points(level, 0.5 * (lo + hi))
+            c, inner = sphere_chart_from_ambient(z), np.maximum(_box_reach(level, z, lo, hi)[0], 0.0)
         else:
             # a whole cell's inner radius is half its width; a piece spans
             # [lo, hi] on the sweep axis, whole arcs on the rest, and the
@@ -255,7 +245,7 @@ class CellTree:
         """
         self._check_level(level)
         charts = np.asarray(charts, dtype=float)
-        rows = np.atleast_2d(charts)
+        rows = self._check_rows(charts)
         axes = [np.minimum(x.astype(np.int64), 2**level - 1) for x in self._positions(level, rows)]
         cells = self._index(level, *axes)
         return int(cells[0]) if charts.ndim == 1 else cells
@@ -267,8 +257,8 @@ class CellTree:
         """
         self._check_level(level)
         charts = np.asarray(charts, dtype=float)
-        rows = np.atleast_2d(charts)
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
+        rows = self._check_rows(charts)
+        idx = self._check_cells(level, idx)
         t = self._positions(level, rows)[0] - self._axes(level, idx)[0]
         return float(t[0]) if charts.ndim == 1 else t
 
@@ -289,8 +279,7 @@ def _tree_cached(manifold: Manifold, depth: int) -> CellTree:
 
 def build_cell_tree(manifold: Manifold, depth: int = 6) -> CellTree:
     """Construct the nested cell family down to ``depth`` levels."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _check_count("depth", depth, 1)
     max_depth = _levels(manifold).max_depth
     if depth > max_depth:
         raise ValueError(f"depth {depth} exceeds the deepest {manifold.kind} level {max_depth}")
@@ -466,11 +455,6 @@ class Region:
     inner_radius: float
     outer_radius: float
     closing_cut: tuple[int, float] | None
-
-    def whole_cells(self) -> list[tuple[int, int]]:
-        """(start, stop) ranges of cells covered in full."""
-        (_, lo, hi), _ = _run_parts([self.runs])
-        return list(zip(lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True)
@@ -734,11 +718,16 @@ def verify_partition(p: Partition) -> PartitionReport:
         charts = _ball_samples(p.manifold, reps[a:a + _REGION_BATCH], radii[a:a + _REGION_BATCH])
         batch = np.arange(a, min(a + _REGION_BATCH, p.n))
         owner = np.repeat(batch, len(charts) // len(batch))
+        # a sample that is not finite, from a radius or representative that
+        # is not, lies outside: it is located as the chart origin
+        finite = np.isfinite(charts).all(axis=1)
+        if not finite.all():
+            charts[~finite] = 0.0
         cells = tree.locate(level, charts)
         q = cells + np.clip(tree.sweep_parameter(level, cells, charts), 0.0, 1.0)
         pos = np.searchsorted(lo, q + 1e-12, side="right") - 1
         at = np.maximum(pos, 0)
-        inside = (pos >= 0) & (lo[at] - 1e-9 <= q) & (q <= hi[at] + 1e-9) & (region[at] == owner)
+        inside = finite & (pos >= 0) & (lo[at] - 1e-9 <= q) & (q <= hi[at] + 1e-9) & (region[at] == owner)
         if not inside.all():
             leak = owner[np.argmin(inside)]
             break
@@ -888,10 +877,6 @@ def partition_to_json(p: Partition) -> str:
         "regions": _Verbatim(regions),
     }
     return _json_text(doc)
-
-
-def _finite_number(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
 
 
 def _integer(x) -> bool:

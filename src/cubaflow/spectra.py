@@ -223,18 +223,6 @@ class SpectralSpace:
         grads -= np.sum(grads * xyz[:, None, :], axis=2, keepdims=True) * xyz[:, None, :]
         return grads
 
-    # -- misc ------------------------------------------------------------
-
-    def manifest(self) -> dict:
-        """JSON-ready summary of the enumerated basis."""
-        return {
-            "manifold": self.manifold.descriptor(),
-            "space": self.kind,
-            "band": self.band,
-            "dim": self.dim,
-            "modes": [{"label": list(lab), "freq": float(f)} for lab, f in zip(self.labels, self.freqs)],
-        }
-
 
 @lru_cache(maxsize=64)
 def _space_cache(manifold: Manifold, band: float) -> SpectralSpace:

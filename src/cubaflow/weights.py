@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "WeightVector",
     "BlockAggregation",
-    "validate_weights",
     "block_aggregate",
     "concentrated_weights",
     "random_band_weights",
@@ -69,13 +68,6 @@ class WeightVector:
         """Tightest (a, b) with a/n <= w_j <= b/n for every entry."""
         n = self.values.size
         return n * float(self.values.min()), n * float(self.values.max())
-
-
-def validate_weights(
-    values, band_lo: float | None = None, band_hi: float | None = None
-) -> WeightVector:
-    """Check positivity, unit sum, and optional band; return the vector."""
-    return WeightVector(np.asarray(values, dtype=float), band_lo, band_hi)
 
 
 @dataclass(frozen=True)

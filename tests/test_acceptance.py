@@ -204,10 +204,8 @@ def test_flow_is_monotone_and_integrator_converged():
         c = rng.standard_normal(sp.dim)
         c /= np.linalg.norm(c)
         seeds = rng.uniform(0.0, 2.0 * math.pi, (6, 2))
-        r1 = flow_run(sp, c, seeds,
-                      FlowConfig(eps=2.0, horizon=0.5, steps_per_unit=384))
-        r2 = flow_run(sp, c, seeds,
-                      FlowConfig(eps=2.0, horizon=0.5, steps_per_unit=768))
+        r1 = flow_run(sp, c, seeds, 0.5, eps=2.0, steps_per_unit=384)
+        r2 = flow_run(sp, c, seeds, 0.5, eps=2.0, steps_per_unit=768)
         dips = np.diff(r1.functional)
         worst_dip = max(worst_dip, float(max(0.0, -dips.min())))
         worst_drift = max(worst_drift,

@@ -172,8 +172,7 @@ def test_sphere_gradients_tangent(rng):
 def test_manifest_and_conditioning():
     # only the ellipse's space comes from a QR, so only it has a condition number
     sp = build_restricted_space(Manifold(*SHAPES["ellipse3:1"]), 2)
-    man = sp.manifest()
-    assert man["dim"] == sp.dim and man["space"] == "algebraic"
+    assert sp.dim == 4 and sp.kind == "algebraic"  # cos t, sin t, cos 2t, sin 2t
     assert sp.condition < 1e6
 
 

@@ -1,6 +1,8 @@
 """Command line surface: exit codes, artifacts, and printed summaries."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import pathlib
@@ -20,6 +22,36 @@ def test_package_version_matches_pyproject():
     text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == cubaflow.__version__
+
+
+# public names that no package module, script or benchmark file calls, each
+# kept for the reason given
+PUBLIC_WITHOUT_CALLER = {
+    "flow_run": "the paper's flow map, the existence argument's integrator (ROADMAP item 3)",
+    "smooth_cutoff": "the paper's window H of the localized kernels (ROADMAP item 3)",
+    "pairwise_distance": "README's distance primitive, which replaced the scalar API removed in 0.2.0",
+    "partition_from_json": "the partition file reader",
+    "spanning_tree": "perfbench/tracing.py wraps it by name, so --trace 1 needs it",
+}
+
+
+def test_public_names_have_a_caller():
+    """Every public function and class is named in code, not docstring
+    text, by a package module other than ``__init__``, a script or the
+    benchmark, or is listed with its reason in ``PUBLIC_WITHOUT_CALLER``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "cubaflow").glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = {name for name in cubaflow.__all__
+              if inspect.isfunction(getattr(cubaflow, name)) or inspect.isclass(getattr(cubaflow, name))}
+    assert public - used == set(PUBLIC_WITHOUT_CALLER)
 
 
 def test_weights_ex1_literal(capsys):
@@ -144,6 +176,15 @@ def circle_rule_doc(tmp_path_factory):
     ("seed", 1.5),
     ("converged", "false"),
     ("converged", None),
+    # manifold descriptors are read as written, never coerced
+    ("manifold", ["circle"]),
+    ("manifold", {"kind": "ellipse", "a": True, "b": 1.0}),
+    ("manifold", {"kind": "ellipse", "a": "2", "b": 1.0}),
+    ("manifold", {"kind": "ellipse", "a": 2.0, "b": math.inf}),
+    ("manifold", {"kind": "circle", "a": 2.0}),
+    # an integer past the float range is malformed, not an overflow
+    ("manifold", {"kind": "ellipse", "a": 10**400, "b": 1.0}),
+    ("points", [[10**400]] * 8),
 ])
 def test_verify_malformed_field_names_it(circle_rule_doc, tmp_path, capsys, field, value):
     path = tmp_path / "bad.json"
@@ -310,6 +351,9 @@ def test_usage_errors_exit_one(capsys):
     assert main(["solve", "--manifold", "circle"]) == 1  # missing --L
     assert main(["solve", "--manifold", "klein", "--L", "2", "--N", "4"]) == 1
     capsys.readouterr()
+    for n in ("0", "-2"):
+        assert main(["partition", "--manifold", "circle", "--N", n]) == 1
+        assert f"error: --N must be at least 1, got {n}" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -345,3 +389,6 @@ def test_parse_weights_tokens(tmp_path):
         parse_weights("band:1:2", 4)
     with pytest.raises(ValueError):
         parse_weights("gauss", 4)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="--N must be at least 1"):
+            parse_weights("uniform", n)

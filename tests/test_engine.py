@@ -103,7 +103,7 @@ def test_residual_input_validation():
 def test_flow_zero_field_is_stationary(rng):
     sp = enumerate_basis(TORUS, 3.0)
     seeds = rng.uniform(0, 2 * math.pi, (6, 2))
-    res = flow_run(sp, np.zeros(sp.dim), seeds, FlowConfig(horizon=1.0))
+    res = flow_run(sp, np.zeros(sp.dim), seeds, 1.0)
     assert np.allclose(res.endpoints, seeds, atol=1e-12)
     assert np.all(res.functional == res.functional[0])
 
@@ -113,10 +113,10 @@ def test_flow_monotone_and_fourth_order(rng):
     c = rng.standard_normal(sp.dim)
     c /= np.linalg.norm(c)
     seeds = rng.uniform(0, 2 * math.pi, (10, 2))
-    r1 = flow_run(sp, c, seeds, FlowConfig(eps=2.0, horizon=0.5, steps_per_unit=128))
+    r1 = flow_run(sp, c, seeds, 0.5, eps=2.0, steps_per_unit=128)
     assert np.all(np.diff(r1.functional) >= -1e-9)
-    r2 = flow_run(sp, c, seeds, FlowConfig(eps=2.0, horizon=0.5, steps_per_unit=256))
-    r3 = flow_run(sp, c, seeds, FlowConfig(eps=2.0, horizon=0.5, steps_per_unit=512))
+    r2 = flow_run(sp, c, seeds, 0.5, eps=2.0, steps_per_unit=256)
+    r3 = flow_run(sp, c, seeds, 0.5, eps=2.0, steps_per_unit=512)
     d12 = np.max(np.abs(r1.endpoints - r2.endpoints))
     d23 = np.max(np.abs(r2.endpoints - r3.endpoints))
     assert d23 < d12 / 8.0  # at least cubic decay per halving
@@ -127,14 +127,29 @@ def test_flow_accepts_poly_and_weights(rng):
     c = rng.standard_normal(sp.dim)
     seeds = rng.uniform(0, 2 * math.pi, (4, 1))
     w = np.array([0.4, 0.3, 0.2, 0.1])
-    res = flow_run(sp, c, seeds, FlowConfig(horizon=0.1), weights=w)
+    res = flow_run(sp, c, seeds, 0.1, weights=w)
     assert res.functional[0] == pytest.approx(float(w @ (sp.evaluate(seeds) @ c)), abs=1e-12)
 
 
 def test_flow_requires_horizon_or_c4(rng):
+    """``flow_run`` needs a horizon and checks its own arguments, each with
+    the message its old ``FlowConfig`` field had."""
     sp = enumerate_basis(CIRCLE, 2.0)
-    with pytest.raises(ValueError):
-        flow_run(sp, np.zeros(sp.dim), np.zeros((2, 1)), FlowConfig())
+    with pytest.raises(TypeError, match="horizon"):
+        flow_run(sp, np.zeros(sp.dim), np.zeros((2, 1)))
+    seeds = np.array([[0.3], [2.0]])
+    for kwargs, match in [
+        ({"steps_per_unit": 0}, "steps_per_unit must be an integer"),
+        ({"steps_per_unit": 96.5}, "steps_per_unit must be an integer"),
+        ({"eps": 0.0}, "eps must be positive and finite"),
+        ({"eps": math.inf}, "eps must be positive and finite"),
+        ({"eps": math.nan}, "eps must be positive and finite"),
+        ({"horizon": -1.0}, "horizon must be positive and finite"),
+        ({"horizon": math.inf}, "horizon must be positive and finite"),
+    ]:
+        kwargs = {"horizon": 0.5, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            flow_run(sp, np.zeros(sp.dim), seeds, kwargs.pop("horizon"), **kwargs)
 
 
 def test_flow_config_validation():
@@ -145,27 +160,27 @@ def test_flow_config_validation():
         ({"restarts": 0}, "restarts must be an integer"),
         ({"restarts": 2.5}, "restarts must be an integer"),
         ({"restarts": 2.0}, "restarts must be an integer"),
-        ({"steps_per_unit": 0}, "steps_per_unit must be an integer"),
-        ({"steps_per_unit": 96.5}, "steps_per_unit must be an integer"),
         ({"seed": 1.5}, "seed must be an integer of at least 0"),
         ({"seed": -1}, "seed must be an integer of at least 0"),
         ({"tol": -1.0}, "tolerance must be positive and finite"),
         ({"tol": 0.0}, "tolerance must be positive and finite"),
         ({"tol": math.inf}, "tolerance must be positive and finite"),
         ({"tol": math.nan}, "tolerance must be positive and finite"),
-        ({"eps": 0.0}, "eps must be positive and finite"),
-        ({"eps": math.inf}, "eps must be positive and finite"),
-        ({"eps": math.nan}, "eps must be positive and finite"),
-        ({"horizon": -1.0}, "horizon must be positive and finite"),
-        ({"horizon": math.inf}, "horizon must be positive and finite"),
     ]:
         with pytest.raises(ValueError, match=match):
             FlowConfig(**kwargs)
+    # the flow's arguments are flow_run's, not fields to be ignored
+    for name in ("eps", "steps_per_unit", "horizon"):
+        with pytest.raises(TypeError, match=name):
+            FlowConfig(**{name: 3})
 
 
 def test_flow_config_accepts_integral_counts():
-    cfg = FlowConfig(restarts=np.int64(3), steps_per_unit=np.int32(7), horizon=0.5, eps=1e-3)
-    assert cfg.mode == "descent" and cfg.restarts == 3 and cfg.steps_per_unit == 7
+    cfg = FlowConfig(restarts=np.int64(3), seed=np.int32(7))
+    assert cfg.mode == "descent" and cfg.restarts == 3 and cfg.seed == 7
+    sp = enumerate_basis(CIRCLE, 2.0)
+    res = flow_run(sp, np.zeros(sp.dim), np.array([[0.3]]), 0.5, eps=1e-3, steps_per_unit=np.int32(7))
+    assert len(res.times) == 5  # ceil(0.5 * 7) steps
 
 
 def test_verify_rule_rejects_unusable_tolerance():

@@ -24,6 +24,7 @@ from cubaflow.cells import (
     _RADII_BOUNDS,
     _aligned_blocks,
     _arc,
+    _box_reach,
     _grid_points,
     _hilbert_decode,
     _hilbert_encode,
@@ -37,6 +38,7 @@ from cubaflow.geometry import (
     _circle_dist,
     arc_chart,
     charts_to_ambient,
+    move_points,
     pairwise_distance,
     sphere_chart_from_ambient,
     sphere_tangent_frame,
@@ -99,6 +101,22 @@ def _hilbert_loop(h, k):
         out.append((x, y))
     i, j = np.array(out, dtype=np.int64).reshape(-1, 2).T
     return i.reshape(np.shape(h)), j.reshape(np.shape(h))
+
+
+def _cell_centers(tree, level, cells):
+    """Centre charts of whole cells, as ``piece_geometry`` gives them,
+    without the sphere's boundary samples."""
+    pos = np.column_stack(tree._axes(level, np.asarray(cells, dtype=np.int64))) + 0.5
+    if tree.manifold.kind == "sphere2":
+        return sphere_chart_from_ambient(_grid_points(level, pos))
+    return np.column_stack([tree._chart.inverse(x * tree._arc_width(level)) for x in pos.T])
+
+
+def _sphere_box_radii(tree, level, idx, t0, t1):
+    """(inner, outer) ``cells._box_reach`` radii of sphere sweep pieces
+    about the image of their chart box's midpoint."""
+    lo, hi = tree._piece_boxes(level, idx, t0, t1)
+    return _box_reach(level, _grid_points(level, 0.5 * (lo + hi)), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +217,9 @@ def test_sphere_radii_bound_dense_boundary(level):
     bu = np.concatenate([s, np.ones_like(s), s, np.zeros_like(s), *[np.full(17, g) for g in grid]])
     bv = np.concatenate([np.zeros_like(s), s, np.ones_like(s), s, *[grid] * 17])
     for idx, t0, t1 in ((cells, 0.0 * cells, 1.0 + 0.0 * cells), (some, *ends)):
-        c, inner, outer = tree._sphere_pieces(level, idx, t0, t1)
-        assert all(np.array_equal(a, b) for a, b in zip(tree.piece_geometry(level, idx, t0, t1), (c, inner)))
+        c, inner = tree.piece_geometry(level, idx, t0, t1)
+        box_inner, outer = _sphere_box_radii(tree, level, idx, t0, t1)
+        assert np.array_equal(inner, np.maximum(box_inner, 0.0))
         whole = t1 - t0 == 1.0
         assert np.all(inner[whole] >= tree.u1 * 2.0**-level) and np.all(inner >= 0.0)
         assert np.all(outer <= tree.u2 * 2.0**-level)
@@ -215,11 +234,12 @@ def test_sphere_radii_bound_dense_boundary(level):
 
 
 def test_level_radii_are_the_extremes_of_every_cell():
-    """The measured levels' extremes are those of ``cell_radii``, and the
-    derived bounds, which deeper trees take, dominate them."""
+    """The measured levels' extremes are those of every cell's
+    ``cells._box_reach`` radii, and the derived bounds, which deeper trees
+    take, dominate them."""
     tree = build_cell_tree(make("sphere2"), depth=_MEASURED_LEVELS)
     for level in range(1, _MEASURED_LEVELS + 1):
-        inner, outer = tree.cell_radii(level, np.arange(tree.ncells(level)))
+        inner, outer = _sphere_box_radii(tree, level, np.arange(tree.ncells(level)), 0.0, 1.0)
         assert _level_radii(level) == (inner.min() * 2**level, outer.max() * 2**level)
         assert _RADII_BOUNDS[0] <= _level_radii(level)[0] < _level_radii(level)[1] <= _RADII_BOUNDS[1]
     u = [_level_radii(k) for k in range(1, _MEASURED_LEVELS + 1)]
@@ -243,7 +263,7 @@ def test_sphere_locate_inverts_centers():
     tree = build_cell_tree(make("sphere2"), depth=9)
     for level in range(10):
         idx = np.arange(tree.ncells(level))
-        assert np.array_equal(tree.locate(level, tree.centers_chart(level, idx)), idx)
+        assert np.array_equal(tree.locate(level, _cell_centers(tree, level, idx)), idx)
 
 
 def test_flat_cell_measures_exact():
@@ -263,13 +283,19 @@ def test_build_rejects_bad_input():
         build_cell_tree(make("circle"), depth=0)
     with pytest.raises(ValueError):
         build_cell_tree(make("sphere2"), depth=15)
+    for kind in ("torus2", "sphere2"):
+        for depth in (1.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="depth must be an integer"):
+                build_cell_tree(make(kind), depth)
+    assert build_cell_tree(make("torus2"), np.int64(3)) == build_cell_tree(make("torus2"), 3)
 
 
 def test_locate_finds_cell_centers():
     for kind in ("circle", "torus2", "sphere2", "ellipse"):
         tree = build_cell_tree(make(kind), depth=3)
         level = 3
-        centers = tree.centers_chart(level, np.arange(tree.ncells(level)))
+        centers, _ = tree.piece_geometry(level, np.arange(tree.ncells(level)), 0.0, 1.0)
+        assert np.array_equal(centers, _cell_centers(tree, level, np.arange(tree.ncells(level))))
         for idx in range(tree.ncells(level)):
             assert tree.locate(level, centers[idx]) == idx
 
@@ -423,14 +449,37 @@ def test_sweep_parameter_checks_level():
             tree.sweep_parameter(level, 0, chart)
 
 
+@pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
+def test_cell_tree_refuses_malformed_input(kind):
+    """Rows of the wrong width or not finite and cells outside the level
+    raise, where they used to give a cell, a sweep coordinate or a centre
+    anyway."""
+    m = make(kind)
+    tree = build_cell_tree(m, depth=3)
+    n = tree.ncells(3)
+    good = _random_charts(m, 4, seed=0)
+    cells = tree.locate(3, good)
+    for rows in (np.zeros((4, m.dim + 1)), np.zeros(m.dim + 1), np.where(np.arange(4)[:, None] == 2, math.inf, good),
+                 np.full(m.dim, math.nan)):
+        with pytest.raises(ValueError, match="finite numbers"):
+            tree.locate(3, rows)
+        with pytest.raises(ValueError, match="finite numbers"):
+            tree.sweep_parameter(3, cells[0] if rows.ndim == 1 else cells, rows)
+    for idx in (-1, n, 10**6, [0, n]):
+        with pytest.raises(ValueError, match="cell indices outside"):
+            tree.sweep_parameter(3, idx, good[0] if np.ndim(idx) == 0 else good[:2])
+        with pytest.raises(ValueError, match="cell indices outside"):
+            tree.piece_geometry(3, idx, 0.0, 1.0)
+
+
 def test_radii_bracket_cells():
-    # inner radius ball inside the cell, outer ball containing it
+    # inner radius ball inside the cell, the level's outer bound containing it
     tree = build_cell_tree(make("torus2"), depth=3)
-    inner, outer = tree.cell_radii(3, np.arange(tree.ncells(3)))
+    _, inner = tree.piece_geometry(3, np.arange(tree.ncells(3)), 0.0, 1.0)
     side = 2.0 * math.pi * 0.125
     assert np.allclose(inner, side / 2.0)
-    assert np.allclose(outer, side * math.sqrt(2.0) / 2.0)
-    assert np.all(inner <= outer)
+    assert np.allclose((tree.u1 * 0.125, tree.u2 * 0.125), (side / 2.0, side * math.sqrt(2.0) / 2.0))
+    assert np.all(inner <= tree.u2 * 0.125)
 
 
 @pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
@@ -440,9 +489,10 @@ def test_piece_geometry_consistent(kind):
     for idx in np.linspace(0, tree.ncells(level) - 1, 5).astype(int):
         idx = int(idx)
         c, inner = tree.piece_geometry(level, idx, 0.0, 1.0)
-        assert np.array_equal(c, tree.centers_chart(level, idx)[0])
-        assert inner == tree.cell_radii(level, idx)[0][0]
-        for t0, t1 in ((0.0, 0.25), (0.2, 0.7), (0.6, 1.0)):
+        assert np.array_equal(c, _cell_centers(tree, level, [idx])[0])
+        if kind != "sphere2":
+            assert inner == tree.u1 * 2.0**-level
+        for t0, t1 in ((0.0, 0.25), (0.2, 0.7), (0.6, 1.0), (0.0, 1.0)):
             c, inner = tree.piece_geometry(level, idx, t0, t1)
             assert tree.locate(level, c) == idx
             t = tree.sweep_parameter(level, idx, c)
@@ -587,7 +637,7 @@ def test_torus_four_equal_quadrants():
 def test_torus_half_quarter_quarter():
     p = weighted_partition(make("torus2"), np.array([0.5, 0.25, 0.25]))
     assert [r.measure for r in p.regions] == pytest.approx([0.5, 0.25, 0.25], abs=1e-15)
-    blocks = [r.whole_cells() for r in p.regions]
+    blocks = [_split_runs(r.runs)[0] for r in p.regions]
     # level-1 quadrants: big region takes two, the others one each
     sizes = [sum(stop - start for start, stop in b) for b in blocks]
     assert sizes == [2, 1, 1]
@@ -699,9 +749,10 @@ def test_verify_catches_short_outer_ball(kind):
 @pytest.mark.parametrize("kind", ["circle", "torus2", "sphere2", "ellipse"])
 def test_non_finite_radii_and_representatives_are_refused(kind):
     """A stored outer radius of NaN or infinity is a miss of the outer-ball
-    check, not a ball that holds everything, and ``partition_from_json``
-    refuses radii that are negative or not finite and representatives that
-    are not ``dim`` finite numbers."""
+    check, not a ball that holds everything, and an inner radius of NaN or
+    infinity a leak of the inner ball, as a NaN step moves no point to a
+    finite one; ``partition_from_json`` refuses radii that are negative or
+    not finite and representatives that are not ``dim`` finite numbers."""
     p = weighted_partition(make(kind), random_band_weights(12, 0.5, 2.0, 1))
     assert verify_partition(p).passed
     for bad in (math.nan, math.inf):
@@ -710,6 +761,15 @@ def test_non_finite_radii_and_representatives_are_refused(kind):
         rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
         assert not rep.outer_ok and not rep.passed
         assert rep.notes == ("outer ball of region 5 too small",)
+        regions[5] = dataclasses.replace(p.regions[5], inner_radius=bad)
+        with np.errstate(invalid="ignore"):
+            rep = verify_partition(dataclasses.replace(p, regions=tuple(regions)))
+        assert not rep.inner_ok and not rep.passed
+        assert rep.notes == ("inner ball of region 5 leaks",)
+    reps = p.representatives()
+    step = np.full((len(reps), 3 if kind == "sphere2" else p.manifold.dim), math.nan)
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(move_points(p.manifold, reps, step)).all(axis=1).any()
     text = partition_to_json(p)
     dim = p.manifold.dim
     bad_fields = [("outer_radius", math.nan), ("outer_radius", math.inf), ("outer_radius", -1e-3),
@@ -1110,7 +1170,7 @@ def _representatives_hold_under_one_ulp(manifold, n, seed) -> int:
     rows = np.unique(owner)
     assert np.all(picks[:, rows] == picks[0, rows]), seed
     want = np.array([p.regions[r].representative for r in rows])
-    assert np.array_equal(tree.centers_chart(level, picks[0, rows]), want)
+    assert np.array_equal(tree.piece_geometry(level, picks[0, rows], 0.0, 1.0)[0], want)
     return len(rows)
 
 
@@ -1321,8 +1381,6 @@ def test_run_parts_match_run_by_run_split():
         (r, a, b) for r, (whole, _) in enumerate(split) for a, b in whole]
     assert list(zip(p_own.tolist(), cell.tolist(), t0.tolist(), t1.tolist())) == [
         (r, *piece) for r, (_, parts) in enumerate(split) for piece in parts]
-    torus = weighted_partition(make("torus2"), random_band_weights(64, 0.5, 2.0, 64))
-    assert [r.whole_cells() for r in torus.regions] == [_split_runs(r.runs)[0] for r in torus.regions]
 
 
 def _whole_ranges(wholes):
@@ -1428,7 +1486,7 @@ def _region_geometry_oracle(tree, level, runs):
     whole, partials = _split_runs(runs)
     cells = np.concatenate([np.arange(lo, hi) for lo, hi in whole] + [np.zeros(0, dtype=np.int64)])
     if whole:
-        centers = tree.centers_chart(level, cells)
+        centers = _cell_centers(tree, level, cells)
         centroid = _centroid_oracle(m, level, cells, whole)
         if sphere:
             dd = pairwise_distance(m, np.tile(centroid, (len(cells), 1)), centers)
@@ -1778,16 +1836,27 @@ def _set_region(region, key, value):
     (lambda doc: doc["band"].append(7.0), "finite numbers"),
     (lambda doc: doc.update(c3=math.nan), "finite numbers"),
     (lambda doc: doc.update(c4="1.0"), "finite numbers"),
+    (lambda doc: doc.update(manifold=["torus2"]), "manifold descriptor"),
+    (lambda doc: doc.update(manifold={"kind": "klein"}), "manifold descriptor"),
+    (lambda doc: doc.update(manifold={"kind": "torus2", "a": 2.0}), "manifold descriptor"),
+    (lambda doc: doc.update(manifold={"kind": "ellipse", "a": True, "b": 1.0}), "manifold descriptor"),
+    (lambda doc: doc.update(manifold={"kind": "ellipse", "a": "2", "b": 1.0}), "manifold descriptor"),
+    (lambda doc: doc.update(manifold={"kind": "ellipse", "a": 2.0, "b": math.nan}), "manifold descriptor"),
+    (lambda doc: doc.update(manifold={"kind": "ellipse", "a": 2.0, "b": 1.0, "c": 1.0}), "manifold descriptor"),
+    (lambda doc: doc.update(c3=10**400), "finite numbers"),
 ], ids=["run-cell", "run-stop", "run-cell-bool", "run-parameter", "no-runs", "level", "weight-index",
         "coarse-level", "fine-level", "cut-cell", "cut-parameter", "cut-empty", "cut-far", "cut-moved",
         "cut-cell-off", "cut-missing", "cut-without-cut", "weight", "weight-nan",
-        "measure", "measure-nan", "band", "band-length", "c3", "c4"])
+        "measure", "measure-nan", "band", "band-length", "c3", "c4", "manifold-list", "manifold-kind",
+        "manifold-extra-key", "ellipse-bool", "ellipse-string", "ellipse-nan", "ellipse-extra-key",
+        "c3-huge-int"])
 def test_json_refuses_malformed_fields(tamper, match):
     """Cells, levels and weight indices must be integers, every other
     number finite and the band two numbers: each field once truncated or
     coerced on reading, or left for verification to trip over, is
     refused, and so is a closing cut that is not where its region's last
-    run ends."""
+    run ends, and a manifold descriptor other than one ``descriptor``
+    writes."""
     text = partition_to_json(weighted_partition(make("torus2"), np.array([0.5, 0.3, 0.2])))
     cuts = [r.closing_cut for r in partition_from_json(text).regions]
     assert cuts == [None, (12, 0.7999999999999998), None]

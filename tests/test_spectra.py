@@ -208,7 +208,5 @@ def test_enumerate_basis_cached_and_fresh_agree():
 
 def test_manifest_fields():
     sp = enumerate_basis(make("sphere2"), 3.0)
-    man = sp.manifest()
-    assert man["dim"] == sp.dim
-    assert man["band"] == 3.0
-    assert len(man["modes"]) == sp.dim
+    assert sp.band == 3.0 and sp.kind == "diffusion"
+    assert len(sp.labels) == len(sp.freqs) == sp.dim

@@ -13,7 +13,6 @@ from cubaflow.weights import (
     block_aggregate,
     concentrated_weights,
     random_band_weights,
-    validate_weights,
 )
 
 
@@ -37,7 +36,7 @@ def test_fitted_band_is_tight():
     assert a == pytest.approx(0.4)
     assert b == pytest.approx(1.6)
     # the fitted band always revalidates
-    validate_weights(w.values, a, b)
+    WeightVector(w.values, a, b)
 
 
 def test_concentrated_formula_exact():
